@@ -15,6 +15,7 @@ from .errors import DomainError, ValidationError
 
 DETECTOR_MODES = ("gated", "free_running")
 DEAD_TIME_MODELS = ("paralyzable", "nonparalyzable")
+NO_CLICK = -(10**18)  # dead-time state before the first click
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,27 @@ def dead_time_throughput(input_rate: float, dt: DeadTimeSpec) -> float:
     return input_rate / (1.0 + input_rate * tau)
 
 
+def dead_time_filter(clicks: np.ndarray, window: int, model: str, last: int) -> tuple[np.ndarray, int]:
+    """Which clicks survive a dead time of ``window`` pulses.
+
+    ``clicks`` are increasing pulse indices; a click survives when the last
+    blocking click lies more than ``window`` pulses before it.  A paralyzable
+    stage is blocked by every click, a nonparalyzable one only by survivors.
+    ``last`` is the blocking click before ``clicks`` (:data:`NO_CLICK` for
+    none); the blocking click after them comes back with the keep mask, so a
+    stream can be filtered block by block.
+    """
+    if model == "paralyzable" or window == 0:  # the two models agree at zero
+        keep = np.diff(clicks, prepend=last) > window
+        return keep, int(clicks[-1]) if clicks.size else last
+    keep = np.zeros(clicks.size, dtype=bool)
+    for j, idx in enumerate(clicks.tolist()):
+        if idx - last > window:
+            keep[j] = True
+            last = idx
+    return keep, last
+
+
 def simulate_dead_time(
     input_rate: float,
     dt: DeadTimeSpec,
@@ -144,21 +166,8 @@ def simulate_dead_time(
     rng = np.random.Generator(np.random.Philox(key=seed))
     clicks = np.flatnonzero(rng.random(int(n_pulses)) < p_click)
     window = int(round(dt.tau_s * rep_rate_hz))
-    duration = n_pulses / rep_rate_hz
-    if window == 0 or clicks.size == 0:
-        return clicks.size / duration
-    if dt.model == "paralyzable":
-        keep = np.empty(clicks.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(clicks) > window
-        return int(keep.sum()) / duration
-    accepted = 0
-    last = -window - 1
-    for idx in clicks:
-        if idx - last > window:
-            accepted += 1
-            last = idx
-    return accepted / duration
+    keep, _ = dead_time_filter(clicks, window, dt.model, NO_CLICK)
+    return int(keep.sum()) / (n_pulses / rep_rate_hz)
 
 
 def afterpulse_inflation(base_rate: float, afterpulse_prob: float) -> float:

@@ -31,7 +31,7 @@ class NoPhaseMatchingError(NumericalError):
 
 
 class ResolutionWarning(UserWarning):
-    """A requested grid is too coarse to resolve the computed feature."""
+    """A grid or truncation is too coarse to resolve the computed feature."""
 
 
 class EmptyMarginalError(NumericalError):

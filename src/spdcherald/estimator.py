@@ -231,14 +231,16 @@ class WcpComparison:
 
 
 MAX_P1_COHERENT = math.exp(-1.0)  # maximum of mu e^-mu
+NEWTON_MAX_STEPS = 64  # 27 suffice one ulp below 1/e, where convergence is slowest
 
 
 def equivalent_wcp(p1: float, p2_source: float | None = None) -> WcpComparison:
     """Coherent source with the same P(1): smaller root of ``mu e^-mu = p1``.
 
-    Returns the root (to 1e-12), the coherent two-photon probability
-    ``mu^2 e^-mu / 2``, and, when ``p2_source`` is given, how many times the
-    coherent source exceeds it.
+    Newton on ``ln mu - mu = ln p1`` from ``mu = p1`` (concave, increasing on
+    (0, 1): the iterates rise monotonically to the root).  Returns the root
+    (to 1e-12), the coherent two-photon probability ``mu^2 e^-mu / 2``, and,
+    when ``p2_source`` is given, how many times the coherent source exceeds it.
     """
     if p1 <= 0.0:
         raise DomainError(f"P(1) must be positive, got {p1}")
@@ -249,9 +251,12 @@ def equivalent_wcp(p1: float, p2_source: float | None = None) -> WcpComparison:
     if p1 == MAX_P1_COHERENT:
         mu_c = 1.0
     else:
-        from scipy.optimize import brentq
-
-        mu_c = float(brentq(lambda m: m * math.exp(-m) - p1, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16))
+        mu_c, log_p1 = p1, math.log(p1)
+        for _ in range(NEWTON_MAX_STEPS):
+            nxt = mu_c - (math.log(mu_c) - mu_c - log_p1) * mu_c / (1.0 - mu_c)
+            if not (mu_c < nxt < 1.0):
+                break
+            mu_c = nxt
     p2_c = mu_c**2 * math.exp(-mu_c) / 2.0
     ratio = None
     if p2_source is not None:

@@ -30,17 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import binom as _binom
 
-from .detectors import ClickDetectorSpec, DeadTimeSpec, dead_time_throughput
+from .detectors import NO_CLICK, ClickDetectorSpec, DeadTimeSpec, dead_time_filter, dead_time_throughput
 from .errors import EstimationError, ValidationError
-from .pair_source import PairNumberDistribution
+from .pair_source import PairNumberDistribution, thin
 
 # Monte Carlo pulses are processed in fixed-size blocks; each block draws from
 # its own counter-based substream, so results do not depend on how blocks are
 # scheduled.  Changing this constant changes the sampled stream.
 MC_BLOCK = 1 << 20
 MC_MIN_PULSES = 1_000_000
+MC_SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
 
 
 def _default_herald_detector() -> ClickDetectorSpec:
@@ -212,6 +212,8 @@ def _validate_mc_args(mode: str, n_pulses, seed) -> None:
     if mode == "monte_carlo":
         if seed is None:
             raise ValidationError("monte_carlo mode requires an explicit seed (reproducibility)")
+        if not (0 <= seed < MC_SEED_LIMIT):
+            raise ValidationError(f"monte_carlo seed must lie in [0, 2**128), got {seed}")
         if n_pulses is None or n_pulses < MC_MIN_PULSES:
             raise ValidationError(f"monte_carlo mode requires n_pulses >= {MC_MIN_PULSES}")
 
@@ -299,16 +301,12 @@ def heralded_photon_statistics(
     bs = config.herald_survival
     b_out = config.output_survival
     ds = config.herald_dark_prob
-    n = np.arange(pmf.size)
-    herald_given_n = 1.0 - (1.0 - ds) * (1.0 - bs) ** n
+    herald_given_n = 1.0 - (1.0 - ds) * (1.0 - bs) ** np.arange(pmf.size)
     p_herald = float((pmf * herald_given_n).sum())
     if p_herald <= 0.0:
         raise EstimationError("herald probability is zero; cannot condition on a herald")
     # photons at the output are an independent thinning of the same pairs
-    m = np.arange(pmf.size)
-    binom_mix = _binom.pmf(m[None, :], n[:, None], b_out)
-    joint = (pmf * herald_given_n)[:, None] * binom_mix
-    p_m = joint.sum(axis=0) / p_herald
+    p_m = thin(pmf * herald_given_n, b_out) / p_herald
     # trim the all-but-zero tail; renormalize within the stated tolerance
     last = int(np.max(np.nonzero(p_m > 1e-15)[0])) if np.any(p_m > 1e-15) else 0
     p_m = p_m[: last + 1]
@@ -362,16 +360,6 @@ def _draw_pairs(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndar
     return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64)
 
 
-class _DeadTimeFilter:
-    """Herald -> trigger suppression state carried across pulse blocks."""
-
-    def __init__(self, window_pulses: int, model: str):
-        self.window = window_pulses
-        self.model = model
-        self.last_click = -(10**18)  # paralyzable: last herald anywhere
-        self.last_trigger = -(10**18)  # nonparalyzable: last accepted
-
-
 def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountRates:
     pmf = config.pair_distribution().pmf_vector()
     cdf = np.cumsum(pmf)
@@ -384,7 +372,8 @@ def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountR
     dw = config.coincidence_dark_prob
     ap = config.idler_detector.afterpulse_prob
     window = int(round(config.trigger_dead_time.tau_s * config.rep_rate_hz))
-    dead = _DeadTimeFilter(window, config.trigger_dead_time.model)
+    model = config.trigger_dead_time.model
+    last = NO_CLICK  # herald -> trigger dead-time state, carried across blocks
 
     heralds = 0
     triggers = 0
@@ -412,7 +401,8 @@ def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountR
 
         heralds += int(herald.sum())
         herald_idx = np.flatnonzero(herald)
-        trig_local = _trigger_mask(herald_idx, dead, done)
+        keep, last = dead_time_filter(herald_idx + done, window, model, last)
+        trig_local = herald_idx[keep]
         triggers += int(trig_local.size)
         c = coinc[trig_local]
         coinc_counts += int(c.sum()) + int((c & ap_coinc[trig_local]).sum())
@@ -429,28 +419,6 @@ def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountR
         gate_rate=config.gate_rate_hz,
         per_trigger_coincidence_prob=coinc_counts / triggers if triggers else 0.0,
     )
-
-
-def _trigger_mask(herald_idx_local: np.ndarray, dead: _DeadTimeFilter, offset: int) -> np.ndarray:
-    """Local indices of heralds that survive the dead time (order preserved)."""
-    if herald_idx_local.size == 0:
-        return herald_idx_local
-    idx_global = herald_idx_local + offset
-    if dead.window == 0:
-        return herald_idx_local
-    if dead.model == "paralyzable":
-        prev = np.concatenate(([dead.last_click], idx_global[:-1]))
-        keep = idx_global - prev > dead.window
-        dead.last_click = int(idx_global[-1])
-        return herald_idx_local[keep]
-    keep = np.zeros(idx_global.size, dtype=bool)
-    last = dead.last_trigger
-    for j, idx in enumerate(idx_global):
-        if idx - last > dead.window:
-            keep[j] = True
-            last = int(idx)
-    dead.last_trigger = last
-    return herald_idx_local[keep]
 
 
 def _heralded_stats_mc(config: SetupConfig, n_pulses: int, seed: int) -> HeraldedStats:

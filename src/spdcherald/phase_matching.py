@@ -261,8 +261,8 @@ def joint_spectral_intensity(
     FWHM weights that detuning, and the crystal-length sinc^2 factor weighs
     the residual mismatch.  The result is normalized to a unit maximum.
     """
-    if pump_fwhm_nm < 0.0:
-        raise ValidationError(f"pump FWHM must be >= 0, got {pump_fwhm_nm}")
+    if not (pump_fwhm_nm > 0.0):
+        raise ValidationError(f"pump FWHM must be > 0, got {pump_fwhm_nm}")
     sig = np.asarray(signal_axis_nm, dtype=float)
     idl = np.asarray(idler_axis_nm, dtype=float)
     if sig.size < 2 or idl.size < 2:
@@ -271,7 +271,7 @@ def joint_spectral_intensity(
     nu_sum = 1.0 / S + 1.0 / I  # implied 1/lambda_pump, nm^-1
     nu_0 = 1.0 / pump_center_nm
     # FWHM of the pump *intensity* spectrum mapped to 1/lambda units
-    d_nu = max(pump_fwhm_nm, 1e-30) / pump_center_nm**2
+    d_nu = pump_fwhm_nm / pump_center_nm**2
     envelope = np.exp(-4.0 * np.log(2.0) * ((nu_sum - nu_0) / d_nu) ** 2)
 
     lam_pump = 1.0 / nu_sum

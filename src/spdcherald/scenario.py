@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -108,12 +109,13 @@ def _coerce(value, kind: str, dotted: str):
     if kind == "float":
         if isinstance(value, bool) or value is None:
             raise ValidationError(f"scenario key {dotted!r} must be a number")
-        if isinstance(value, (int, float)):
-            return float(value)
         try:
-            return float(value)
-        except (TypeError, ValueError):
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"scenario key {dotted!r} must be a number, got {value!r}") from None
+        if not math.isfinite(number):
+            raise ValidationError(f"scenario key {dotted!r} must be finite, got {value!r}")
+        return number
     if kind == "int":
         if isinstance(value, bool):
             raise ValidationError(f"scenario key {dotted!r} must be an integer")

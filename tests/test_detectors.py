@@ -8,6 +8,8 @@ from spdcherald.detectors import (
     DeadTimeSpec,
     afterpulse_inflation,
     click_probability,
+    NO_CLICK,
+    dead_time_filter,
     dead_time_throughput,
     simulate_dead_time,
 )
@@ -173,3 +175,40 @@ class TestAfterpulseInflation:
             afterpulse_inflation(1000.0, 1.0)
         with pytest.raises(DomainError):
             afterpulse_inflation(-1.0, 0.1)
+
+
+class TestDeadTimeFilter:
+    CLICKS = np.array([0, 3, 5, 10, 12, 20])
+
+    @pytest.mark.parametrize(
+        "model,expected",
+        [
+            # every click restarts the dead window
+            ("paralyzable", [True, False, False, True, False, True]),
+            # only accepted clicks restart it
+            ("nonparalyzable", [True, False, True, True, False, True]),
+        ],
+    )
+    def test_hand_worked_stream(self, model, expected):
+        keep, last = dead_time_filter(self.CLICKS, 4, model, NO_CLICK)
+        assert keep.tolist() == expected
+        assert last == 20
+
+    @pytest.mark.parametrize("model", ["paralyzable", "nonparalyzable"])
+    def test_zero_window_and_empty_stream(self, model):
+        keep, last = dead_time_filter(self.CLICKS, 0, model, NO_CLICK)
+        assert keep.all() and last == 20
+        keep, last = dead_time_filter(self.CLICKS[:0], 4, model, 7)
+        assert keep.size == 0 and last == 7
+
+    @pytest.mark.parametrize("model", ["paralyzable", "nonparalyzable"])
+    def test_blockwise_equals_whole_stream(self, model):
+        rng = np.random.default_rng(1)
+        clicks = np.sort(rng.choice(20_000, 3_000, replace=False))
+        whole, _ = dead_time_filter(clicks, 9, model, NO_CLICK)
+        parts, last = [], NO_CLICK
+        for block in np.array_split(clicks, 11):
+            keep, last = dead_time_filter(block, 9, model, last)
+            parts.append(keep)
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert 0 < whole.sum() < clicks.size

@@ -158,6 +158,12 @@ class TestEquivalentWcp:
         assert cmp.mu_coherent == pytest.approx(p1, rel=1e-5)
         assert cmp.suppression_ratio == pytest.approx(p1**2 / (2.0 * p2_source), rel=1e-5)
 
+    @pytest.mark.parametrize("p1", [1e-12, 1e-9, 1e-6, 1e-3, 0.3678, math.exp(-1.0) - 1e-9])
+    def test_root_accurate_to_rounding(self, p1):
+        mu = equivalent_wcp(p1).mu_coherent
+        assert p1 <= mu < 1.0
+        assert mu * math.exp(-mu) == pytest.approx(p1, rel=1e-14, abs=0.0)
+
     def test_maximum_p1(self):
         assert equivalent_wcp(math.exp(-1.0)).mu_coherent == 1.0
 

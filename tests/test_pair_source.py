@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spdcherald.errors import DomainError, ValidationError
+from spdcherald.errors import DomainError, ResolutionWarning, ValidationError
 from spdcherald.pair_source import (
+    MAX_PAIRS,
     LossChannel,
     PairNumberDistribution,
     REFERENCE_CALIBRATION_PER_MW,
+    log_factorial,
     mean_pairs_from_pump,
     thin,
 )
@@ -85,6 +88,38 @@ class TestPmf:
         assert PairNumberDistribution("multimode_thermal", 0.1, 4).second_order_coherence() == 1.25
 
 
+class TestLogFactorial:
+    def test_exact_small_values(self):
+        assert log_factorial(0) == log_factorial(1) == 0.0
+        assert log_factorial(5) == math.log(120.0)
+
+    def test_continuous_across_the_lgamma_switch(self):
+        for n in (169, 170, 171, 172):
+            assert log_factorial(n + 1) - log_factorial(n) == pytest.approx(math.log(n + 1), rel=1e-12)
+
+    def test_large_mode_count_stays_cheap_and_poissonian(self):
+        # exact factorials of ~1e5 would take seconds per pmf entry
+        mm = PairNumberDistribution("multimode_thermal", 0.1, modes=10**5).pmf_vector(n_max=8)
+        po = PairNumberDistribution("poissonian", 0.1).pmf_vector(n_max=8)
+        assert np.max(np.abs(mm - po)) < 1e-6
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("law,kept", [("thermal", 0.799), ("poissonian", 0.99983)])
+    def test_warns_with_dropped_mass(self, law, kept):
+        with pytest.warns(ResolutionWarning, match="dropped tail mass") as record:
+            pmf = PairNumberDistribution(law, 40.0).pmf_vector()
+        assert pmf.size == MAX_PAIRS + 1
+        assert pmf.sum() == pytest.approx(kept, abs=5e-4)
+        assert f"{1.0 - pmf.sum():.3g}" in str(record[0].message)
+
+    def test_silent_within_tolerance(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            PairNumberDistribution("multimode_thermal", 1.0, modes=3).pmf_vector()
+            PairNumberDistribution("thermal", 40.0).pmf_vector(n_max=MAX_PAIRS)
+
+
 class TestThin:
     def test_poisson_closure(self):
         pmf = PairNumberDistribution("poissonian", 0.2).pmf_vector()
@@ -138,6 +173,12 @@ class TestThin:
         a = thin(pmf, LossChannel(0.5, "fiber"))
         b = thin(pmf, 0.5)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("law,modes", [("poissonian", None), ("thermal", None), ("multimode_thermal", 3)])
+    def test_matches_brute_force_for_every_law(self, law, modes):
+        pmf = PairNumberDistribution(law, 0.9, modes).pmf_vector()
+        for s in (0.05, 0.5, 0.95):
+            assert np.max(np.abs(thin(pmf, s) - brute_force_thin(pmf, s))) < 1e-14
 
     def test_invalid_survival(self):
         pmf = PairNumberDistribution("poissonian", 0.1).pmf_vector()

@@ -252,8 +252,9 @@ class TestJointSpectrum:
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             self.make(signal_axis_nm=np.array([521.0]))
-        with pytest.raises(ValidationError):
-            self.make(pump_fwhm_nm=-1.0)
+        for width in (-1.0, 0.0):
+            with pytest.raises(ValidationError, match="pump FWHM must be > 0"):
+                self.make(pump_fwhm_nm=width)
 
 
 class TestHeraldedMarginal:

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -218,6 +220,26 @@ class TestCli:
         path.write_text(yaml.safe_dump(data))
         assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "how", [["--seed", "-1"], ["--seed", str(2**128)], ["--override", "run.seed=-1"]]
+    )
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, how):
+        argv = ["simulate", BUNDLED, "--mode", "monte_carlo", "--pulses", "1000000", *how]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        assert "seed must lie in [0, 2**128)" in capsys.readouterr().err
+        assert not (tmp_path / "counts.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", ".nan", "inf", "-.inf", "1e999"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, value):
+        override = f"source.rep_rate_hz={value}"
+        assert main(["simulate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
+        assert "source.rep_rate_hz" in capsys.readouterr().err
+        assert not (tmp_path / "counts.json").exists()
+
+    def test_non_finite_list_entry_named(self):
+        with pytest.raises(ValidationError, match=r"run.sweep_mu\[1\]"):
+            parse_scenario(bundled_text(), overrides=["run.sweep_mu=[0.1, .nan]"])
+
     def test_run_scenario_notes_unused_sections(self, tmp_path, capsys):
         import argparse
 
@@ -225,3 +247,9 @@ class TestCli:
         run_scenario(BUNDLED, "phasematch", [], args)
         err = capsys.readouterr().err
         assert "sections not used" in err
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, spdcherald.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
