@@ -7,15 +7,17 @@ as rate inflation only; its temporal structure is out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, require_finite
 
 DETECTOR_MODES = ("gated", "free_running")
 DEAD_TIME_MODELS = ("paralyzable", "nonparalyzable")
 NO_CLICK = -(10**18)  # dead-time state before the first click
+SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,7 @@ class ClickDetectorSpec:
         else:
             if self.dark_rate_cps is None or self.dark_prob_per_gate is not None:
                 raise ValidationError("free_running mode requires dark_rate_cps (and no dark_prob_per_gate)")
+            require_finite("dark rate", self.dark_rate_cps)
             if self.dark_rate_cps < 0.0:
                 raise ValidationError(f"dark rate must be >= 0, got {self.dark_rate_cps}")
 
@@ -73,6 +76,7 @@ class DeadTimeSpec:
     model: str = "paralyzable"
 
     def __post_init__(self):
+        require_finite("dead time", self.tau_us)
         if self.tau_us < 0.0:
             raise ValidationError(f"dead time must be >= 0, got {self.tau_us} us")
         if self.model not in DEAD_TIME_MODELS:
@@ -143,6 +147,45 @@ def dead_time_filter(clicks: np.ndarray, window: int, model: str, last: int) -> 
     return keep, last
 
 
+def check_seed(seed: int | None) -> None:
+    """Raise :class:`ValidationError` unless ``seed`` is a Philox key."""
+    if seed is None:
+        raise ValidationError("Monte Carlo requires an explicit seed (reproducibility)")
+    if not (0 <= seed < SEED_LIMIT):
+        raise ValidationError(f"Monte Carlo seed must lie in [0, 2**128), got {seed}")
+
+
+def bernoulli_positions(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """Sorted indices of the successes among ``size`` Bernoulli(``p``) trials.
+
+    Draws the geometric gaps between successes (Devroye, *Non-Uniform Random
+    Variate Generation*, 1986, ch. 2), so the cost scales with the number of
+    successes rather than with ``size``.  A gap is ``1 + floor(E / q)`` with
+    ``E`` standard exponential and ``q = -ln(1 - p)``.
+    """
+    if p <= 0.0 or size <= 0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(size, dtype=np.int64)
+    q = -math.log1p(-p)
+    # a gap past the end is as good as any longer one; capping E there keeps
+    # every gap within size + 2, so the int64 cast and the cumsum stay in range
+    # however small p is
+    cap = (size + 1) * q
+    found = []
+    last = -1  # the last success so far
+    while True:
+        # enough gaps to pass the end in one draw, bar a 6-sigma shortfall
+        mean = p * (size - 1 - last)
+        e = rng.standard_exponential(int(mean + 6.0 * math.sqrt(mean)) + 16)
+        at = last + np.cumsum((np.minimum(e, cap) / q).astype(np.int64) + 1)
+        if at[-1] >= size:
+            found.append(at[: np.searchsorted(at, size)])
+            return np.concatenate(found)
+        found.append(at)
+        last = int(at[-1])
+
+
 def simulate_dead_time(
     input_rate: float,
     dt: DeadTimeSpec,
@@ -156,15 +199,17 @@ def simulate_dead_time(
     dead time when no blocking click fell within the preceding
     ``round(tau * rep_rate)`` pulses.  Reproducible for a fixed seed.
     """
+    require_finite("input rate", input_rate)
     if input_rate < 0.0:
         raise DomainError(f"input rate must be >= 0, got {input_rate}")
     if n_pulses < 1:
         raise ValidationError("n_pulses must be >= 1")
+    check_seed(seed)
     p_click = input_rate / rep_rate_hz
     if p_click > 1.0:
         raise DomainError("input rate exceeds one click per pulse")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    clicks = np.flatnonzero(rng.random(int(n_pulses)) < p_click)
+    clicks = bernoulli_positions(rng, p_click, int(n_pulses))
     window = int(round(dt.tau_s * rep_rate_hz))
     keep, _ = dead_time_filter(clicks, window, dt.model, NO_CLICK)
     return int(keep.sum()) / (n_pulses / rep_rate_hz)

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: validation problems exit 2, numerical
 failures exit 3, I/O failures exit 4.
 """
 
+import math
+
 
 class SpdcHeraldError(Exception):
     """Base class for all toolkit errors."""
@@ -15,6 +17,12 @@ class ValidationError(SpdcHeraldError):
 
 class DomainError(ValidationError):
     """Argument outside the mathematically or physically valid domain."""
+
+
+def require_finite(name: str, value: float) -> None:
+    """Raise :class:`ValidationError` when ``value`` is NaN or infinite."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
 
 
 class NumericalError(SpdcHeraldError):

@@ -20,27 +20,42 @@ Model conventions
   stream; the surviving triggers are an unbiased sample of heralds, so
   per-trigger conditional quantities equal per-herald ones.
 
-The Monte Carlo mode simulates the identical chain pulse by pulse with a
-counter-based generator; fixed (config, n_pulses, seed) gives bit-identical
-results, independent of how the pulse stream is chunked internally.
+The Monte Carlo mode simulates the identical chain event by event.  One
+sampler visits only the pulses that carry a pair, found by geometric gaps
+(Devroye 1986, ch. 2), and the herald dark clicks, a second gap stream.
+Per-pulse draws are made only where pulse order matters: heralds feed the
+dead time.  Tallies that do not depend on order (idler gate and window
+darks, afterpulses, HBT port clicks) are one binomial or multinomial draw
+per block and pair number, so empty pulses cost nothing each.  Count rates,
+heralded P(n) and g2 are reductions of that sampler.  Each block draws from
+its own counter-based substream, so fixed (config, n_pulses, seed) gives
+bit-identical results, independent of how the blocks are scheduled.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detectors import NO_CLICK, ClickDetectorSpec, DeadTimeSpec, dead_time_filter, dead_time_throughput
-from .errors import EstimationError, ValidationError
-from .pair_source import PairNumberDistribution, thin
+from .detectors import (
+    NO_CLICK,
+    ClickDetectorSpec,
+    DeadTimeSpec,
+    bernoulli_positions,
+    check_seed,
+    dead_time_filter,
+    dead_time_throughput,
+)
+from .errors import EstimationError, ValidationError, require_finite
+from .pair_source import MAX_PAIRS, PairNumberDistribution, thin
 
 # Monte Carlo pulses are processed in fixed-size blocks; each block draws from
 # its own counter-based substream, so results do not depend on how blocks are
 # scheduled.  Changing this constant changes the sampled stream.
 MC_BLOCK = 1 << 20
 MC_MIN_PULSES = 1_000_000
-MC_SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
 
 
 def _default_herald_detector() -> ClickDetectorSpec:
@@ -85,6 +100,8 @@ class SetupConfig:
     coincidence_window: int = 1
 
     def __post_init__(self):
+        require_finite("repetition rate", self.rep_rate_hz)
+        require_finite("gate rate", self.gate_rate_hz)
         if self.rep_rate_hz <= 0.0:
             raise ValidationError(f"repetition rate must be > 0, got {self.rep_rate_hz}")
         if self.gate_rate_hz <= 0.0:
@@ -210,10 +227,7 @@ def _validate_mc_args(mode: str, n_pulses, seed) -> None:
     if mode not in ("analytic", "monte_carlo"):
         raise ValidationError(f"unknown mode {mode!r}; expected 'analytic' or 'monte_carlo'")
     if mode == "monte_carlo":
-        if seed is None:
-            raise ValidationError("monte_carlo mode requires an explicit seed (reproducibility)")
-        if not (0 <= seed < MC_SEED_LIMIT):
-            raise ValidationError(f"monte_carlo seed must lie in [0, 2**128), got {seed}")
+        check_seed(seed)
         if n_pulses is None or n_pulses < MC_MIN_PULSES:
             raise ValidationError(f"monte_carlo mode requires n_pulses >= {MC_MIN_PULSES}")
 
@@ -356,59 +370,125 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(block_index))
 
 
-def _draw_pairs(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
-    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64)
+_PAIRS = np.arange(MAX_PAIRS + 1)  # every pair number a pulse can carry
+
+
+def _none_of(p: float) -> np.ndarray:
+    """Probability, per pair number n, that none of n independent trials of
+    probability ``p`` succeeds."""
+    return (1.0 - p) ** _PAIRS
+
+
+@dataclass(frozen=True)
+class _Block:
+    """The pulses of one block that carry at least one pair."""
+
+    rng: np.random.Generator  # the block's substream, for the draws that follow
+    start: int  # pulse index of the block's first pulse
+    size: int
+    pulses: np.ndarray  # sorted indices within the block
+    pairs: np.ndarray  # pair number of each of those pulses (>= 1)
+
+    def pair_histogram(self, select: np.ndarray | slice = slice(None), empty: int = 0) -> np.ndarray:
+        """Number of selected occupied pulses per pair number, plus ``empty``
+        pulses without pairs."""
+        hist = np.bincount(self.pairs[select], minlength=_PAIRS.size)
+        hist[0] += empty
+        return hist
+
+
+def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int) -> Iterator[_Block]:
+    """The event-driven pulse train, block by block.
+
+    Occupied pulses are found by geometric gaps at ``1 - pmf[0]``; their pair
+    numbers come from the zero-truncated pmf, the same truncated vector the
+    analytic mode sums over.
+    """
+    pmf = config.pair_distribution().pmf_vector()
+    tail = np.cumsum(pmf[1:])
+    cdf = tail / tail[-1] if tail.size else tail
+    p_occupied = 1.0 - pmf[0]
+    for block, start in enumerate(range(0, n_pulses, MC_BLOCK)):
+        size = min(MC_BLOCK, n_pulses - start)
+        rng = _block_rng(seed, block)
+        pulses = bernoulli_positions(rng, p_occupied, size)
+        pairs = 1 + np.searchsorted(cdf, rng.random(pulses.size), side="right")
+        yield _Block(rng, start, size, pulses, pairs)
+
+
+def _heralds(blk: _Block, config: SetupConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Herald clicks of a block.
+
+    One uniform ``u`` per occupied pulse decides whether a signal photon is
+    detected, ``u < 1 - (1 - b_s)^n``; callers reuse it for events nested in
+    that one.  Herald dark clicks are a second geometric-gap stream.  Returns
+    ``u``, which occupied pulses herald, and the positions of the dark
+    heralds on empty pulses.
+    """
+    u = blk.rng.random(blk.pulses.size)
+    heralded = u < 1.0 - _none_of(config.herald_survival)[blk.pairs]
+    dark = bernoulli_positions(blk.rng, config.herald_dark_prob, blk.size)
+    j = np.searchsorted(blk.pulses, dark)
+    on_pair = j < blk.pulses.size
+    on_pair[on_pair] = blk.pulses[j[on_pair]] == dark[on_pair]
+    heralded[j[on_pair]] = True
+    return u, heralded, dark[~on_pair]
 
 
 def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountRates:
-    pmf = config.pair_distribution().pmf_vector()
-    cdf = np.cumsum(pmf)
-    cdf[-1] = 1.0
     bs = config.herald_survival
-    b_out = config.output_survival
-    eta_down = config.downstream_survival
-    ds = config.herald_dark_prob
-    di = config.idler_detector.dark_prob_per_gate
+    bi = config.idler_click_survival
     dw = config.coincidence_dark_prob
     ap = config.idler_detector.afterpulse_prob
     window = int(round(config.trigger_dead_time.tau_s * config.rep_rate_hz))
     model = config.trigger_dead_time.model
+    # Per pair, the signal photon is detected with b_s and the idler photon
+    # with b_i, independently.  A pulse's herald photon (some signal detected)
+    # contains its partner event (some pair detected on both sides), so the
+    # herald's uniform u also decides the partner: u < 1 - (1 - b_s b_i)^n.
+    no_signal = _none_of(bs)
+    no_partner = _none_of(bs * bi)
+    no_idler = _none_of(bi)
+    # no idler photon given a signal photon without a detected partner:
+    # P(signal, no idler) / P(signal, no partner), per pair number
+    signal_only = no_partner - no_signal
+    no_idler_given_signal = np.divide(
+        no_idler * (1.0 - no_signal), signal_only, out=np.ones(_PAIRS.size), where=signal_only > 0.0
+    )
+    # idler gate silent (no photon, no dark) for pulses without a signal
+    # photon (row 0) and with one but no detected partner (row 1)
+    quiet_gate = (1.0 - config.idler_detector.dark_prob_per_gate) * np.stack(
+        [no_idler, np.minimum(no_idler_given_signal, 1.0)]
+    )
     last = NO_CLICK  # herald -> trigger dead-time state, carried across blocks
 
-    heralds = 0
-    triggers = 0
-    coinc_counts = 0
-    idler_counts = 0
-    done = 0
-    block = 0
-    while done < n_pulses:
-        size = min(MC_BLOCK, n_pulses - done)
-        rng = _block_rng(seed, block)
-        n = _draw_pairs(rng, cdf, size)
-        k_s = rng.binomial(n, bs)
-        dark_s = rng.random(size) < ds
-        herald = (k_s > 0) | dark_s
-        m_partner = rng.binomial(k_s, b_out)  # heralded-pair photons at the output
-        det_partner = rng.binomial(m_partner, eta_down)
-        m_extra = rng.binomial(n - k_s, b_out)
-        det_extra = rng.binomial(m_extra, eta_down)
-        dark_window = rng.random(size) < dw
-        coinc = (det_partner > 0) | dark_window
-        ap_coinc = rng.random(size) < ap
-        dark_gate = rng.random(size) < di
-        idler_click = ((det_partner + det_extra) > 0) | dark_gate
-        ap_idler = rng.random(size) < ap
+    heralds = triggers = coinc_counts = idler_counts = 0
+    for blk in _mc_blocks(config, n_pulses, seed):
+        rng = blk.rng
+        u, heralded, dark_only = _heralds(blk, config)
+        partner = u < 1.0 - no_partner[blk.pairs]
+        signal = u < 1.0 - no_signal[blk.pairs]
 
-        heralds += int(herald.sum())
-        herald_idx = np.flatnonzero(herald)
-        keep, last = dead_time_filter(herald_idx + done, window, model, last)
-        trig_local = herald_idx[keep]
-        triggers += int(trig_local.size)
-        c = coinc[trig_local]
-        coinc_counts += int(c.sum()) + int((c & ap_coinc[trig_local]).sum())
-        idler_counts += int(idler_click.sum()) + int((idler_click & ap_idler).sum())
-        done += size
-        block += 1
+        # triggers: the dead time acts on every herald in pulse order
+        at = np.concatenate([blk.pulses[heralded], dark_only])
+        tagged = np.concatenate([partner[heralded], np.zeros(dark_only.size, dtype=bool)])
+        order = np.argsort(at)
+        keep, last = dead_time_filter(at[order] + blk.start, window, model, last)
+        n_trig = int(keep.sum())
+        # a trigger without a detected partner coincides only with a window dark
+        coinc = int(tagged[order][keep].sum())
+        coinc += int(rng.binomial(n_trig - coinc, dw))
+
+        # one idler gate per pulse, counted per pair number and signal outcome
+        quiet_pulses = np.stack(
+            [blk.pair_histogram(~signal, empty=blk.size - blk.pulses.size), blk.pair_histogram(signal & ~partner)]
+        )
+        idler = int(partner.sum()) + int(rng.binomial(quiet_pulses, 1.0 - quiet_gate).sum())
+
+        heralds += at.size
+        triggers += n_trig
+        coinc_counts += coinc + int(rng.binomial(coinc, ap))
+        idler_counts += idler + int(rng.binomial(idler, ap))
 
     duration = n_pulses / config.rep_rate_hz
     return CountRates(
@@ -422,79 +502,57 @@ def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountR
 
 
 def _heralded_stats_mc(config: SetupConfig, n_pulses: int, seed: int) -> HeraldedStats:
-    pmf = config.pair_distribution().pmf_vector()
-    cdf = np.cumsum(pmf)
-    cdf[-1] = 1.0
-    bs = config.herald_survival
-    b_out = config.output_survival
-    ds = config.herald_dark_prob
-
-    hist = np.zeros(pmf.size + 1, dtype=np.int64)
-    heralds = 0
-    done = 0
-    block = 0
-    while done < n_pulses:
-        size = min(MC_BLOCK, n_pulses - done)
-        rng = _block_rng(seed, block)
-        n = _draw_pairs(rng, cdf, size)
-        k_s = rng.binomial(n, bs)
-        dark_s = rng.random(size) < ds
-        herald = (k_s > 0) | dark_s
-        m = rng.binomial(n, b_out)  # photons at the source output
-        counts = np.bincount(m[herald], minlength=hist.size)
-        hist[: counts.size] += counts[: hist.size]
-        heralds += int(herald.sum())
-        done += size
-        block += 1
+    hist = np.zeros(_PAIRS.size, dtype=np.int64)
+    for blk in _mc_blocks(config, n_pulses, seed):
+        _, heralded, dark_only = _heralds(blk, config)
+        m = blk.rng.binomial(blk.pairs[heralded], config.output_survival)  # photons at the output
+        hist += np.bincount(m, minlength=hist.size)
+        hist[0] += dark_only.size
+    heralds = int(hist.sum())
     if heralds == 0:
         raise EstimationError("no heralds in the Monte Carlo sample; cannot condition")
     last = int(np.max(np.nonzero(hist)[0]))
     return HeraldedStats(p=hist[: last + 1] / heralds)
 
 
+def _hbt_tally(rng: np.random.Generator, pulses: np.ndarray, pa: float, pb: float, dark: float) -> np.ndarray:
+    """Singles and coincidences ``[n1, n2, n12]`` of two click detectors
+    behind a splitter.
+
+    ``pulses[n]`` windows hold n pairs; each pair's photon clicks port a with
+    ``pa`` or port b with ``pb``, and each port also clicks dark with
+    ``dark``.  The windows of one pair number split into a-only, b-only, both
+    and neither by one multinomial draw.
+    """
+    quiet_a = (1.0 - dark) * _none_of(pa)
+    quiet_b = (1.0 - dark) * _none_of(pb)
+    quiet = (1.0 - dark) ** 2 * _none_of(pa + pb)
+    pvals = np.stack([quiet_b - quiet, quiet_a - quiet, 1.0 - quiet_a - quiet_b + quiet, quiet], axis=1)
+    a_only, b_only, both, _ = rng.multinomial(pulses, np.maximum(pvals, 0.0)).sum(axis=0)
+    return np.array([a_only + both, b_only + both, both])
+
+
 def _hbt_g2_mc(
     config: SetupConfig, arm: str, ratio: float, n_pulses: int, seed: int
 ) -> G2Result:
-    pmf = config.pair_distribution().pmf_vector()
-    cdf = np.cumsum(pmf)
-    cdf[-1] = 1.0
-    ds = config.herald_dark_prob
-    n1 = n2 = n12 = 0
+    tally = np.zeros(3, dtype=np.int64)
     windows = 0
-    done = 0
-    block = 0
-    while done < n_pulses:
-        size = min(MC_BLOCK, n_pulses - done)
-        rng = _block_rng(seed, block)
-        n = _draw_pairs(rng, cdf, size)
+    for blk in _mc_blocks(config, n_pulses, seed):
         if arm == "signal_unconditioned":
             # fiber-coupled signal light split on the HBT coupler, one
-            # herald-grade detector per port
-            k = rng.binomial(n, config.alpha_signal * config.t_signal_optics)
-            a = rng.binomial(k, ratio)
-            b = k - a
-            eta = config.herald.efficiency
-            click_a = (rng.binomial(a, eta) > 0) | (rng.random(size) < ds)
-            click_b = (rng.binomial(b, eta) > 0) | (rng.random(size) < ds)
-            select = np.ones(size, dtype=bool)
+            # herald-grade detector per port; every pulse is a window
+            pulses = blk.pair_histogram(empty=blk.size - blk.pulses.size)
+            b = config.herald_survival
+            dark = config.herald_dark_prob
         else:
-            k_s = rng.binomial(n, config.herald_survival)
-            dark_s = rng.random(size) < ds
-            select = (k_s > 0) | dark_s
-            m = rng.binomial(n, config.output_survival)
-            a = rng.binomial(m, ratio)
-            b = m - a
-            # ideal click detectors at the source output plane
-            click_a = a > 0
-            click_b = b > 0
-        click_a &= select
-        click_b &= select
-        windows += int(select.sum())
-        n1 += int(click_a.sum())
-        n2 += int(click_b.sum())
-        n12 += int((click_a & click_b).sum())
-        done += size
-        block += 1
+            # ideal click detectors at the source output plane; heralds are the windows
+            _, heralded, dark_only = _heralds(blk, config)
+            pulses = blk.pair_histogram(heralded, empty=dark_only.size)
+            b = config.output_survival
+            dark = 0.0
+        tally += _hbt_tally(blk.rng, pulses, b * ratio, b * (1.0 - ratio), dark)
+        windows += int(pulses.sum())
+    n1, n2, n12 = (int(v) for v in tally)
     if n1 == 0 or n2 == 0:
         raise EstimationError(f"zero singles on an HBT output ({n1}, {n2}); cannot estimate g2")
     g2 = n12 * windows / (n1 * n2)

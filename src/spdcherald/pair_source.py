@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResolutionWarning, ValidationError
+from .errors import DomainError, ResolutionWarning, ValidationError, require_finite
 
 LAWS = ("poissonian", "thermal", "multimode_thermal")
 
@@ -54,6 +54,7 @@ class PairNumberDistribution:
     def __post_init__(self):
         if self.law not in LAWS:
             raise ValidationError(f"unknown pair-number law {self.law!r}; expected one of {LAWS}")
+        require_finite("mean pair number", self.mean)
         if not (self.mean >= 0.0):
             raise ValidationError(f"mean pair number must be >= 0, got {self.mean}")
         if self.law == "multimode_thermal":

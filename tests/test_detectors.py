@@ -7,6 +7,7 @@ from spdcherald.detectors import (
     ClickDetectorSpec,
     DeadTimeSpec,
     afterpulse_inflation,
+    bernoulli_positions,
     click_probability,
     NO_CLICK,
     dead_time_filter,
@@ -212,3 +213,43 @@ class TestDeadTimeFilter:
             parts.append(keep)
         assert np.array_equal(np.concatenate(parts), whole)
         assert 0 < whole.sum() < clicks.size
+
+
+class TestBernoulliPositions:
+    def test_event_count_is_binomial(self):
+        rng = np.random.Generator(np.random.Philox(key=3))
+        size, p, reps = 400, 0.03, 4000
+        draws = [bernoulli_positions(rng, p, size) for _ in range(reps)]
+        for at in draws[:50]:
+            assert at.dtype == np.int64
+            assert np.all(np.diff(at) > 0) and (at.size == 0 or 0 <= at[0] <= at[-1] < size)
+        counts = np.array([at.size for at in draws])
+        mean, var = size * p, size * p * (1.0 - p)
+        assert abs(counts.mean() - mean) < 5.0 * math.sqrt(var / reps)
+        assert counts.var() / var == pytest.approx(1.0, abs=0.1)
+        # every position is equally likely
+        hits = np.bincount(np.concatenate(draws), minlength=size)
+        assert abs(hits[: size // 2].sum() - hits[size // 2 :].sum()) < 5.0 * math.sqrt(hits.sum())
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 1e-20])
+    def test_vanishing_probability_gives_no_event(self, p):
+        # the gaps here are far beyond int64; capped, they must neither overflow nor loop
+        rng = np.random.Generator(np.random.Philox(key=1))
+        assert bernoulli_positions(rng, p, 1 << 20).size == 0
+
+    def test_certain_event_at_every_position(self):
+        rng = np.random.Generator(np.random.Philox(key=1))
+        assert np.array_equal(bernoulli_positions(rng, 1.0, 7), np.arange(7))
+        assert bernoulli_positions(rng, 0.5, 0).size == 0
+
+
+class TestSimulateDeadTimeValidation:
+    @pytest.mark.parametrize("seed", [-1, 2**128, None])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_dead_time(2.9e5, DeadTimeSpec(), 8.2e7, 1000, seed=seed)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate(self, rate):
+        with pytest.raises(ValidationError, match="finite"):
+            simulate_dead_time(rate, DeadTimeSpec(), 8.2e7, 1000, seed=1)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from spdcherald.detectors import ClickDetectorSpec, DeadTimeSpec
 from spdcherald.errors import EstimationError, ValidationError
 from spdcherald.experiment import (
+    MC_BLOCK,
     HeraldedStats,
     SetupConfig,
     hbt_g2,
@@ -57,6 +60,22 @@ class TestConfigValidation:
         gated = ClickDetectorSpec(efficiency=0.5, mode="gated", dark_prob_per_gate=1e-4)
         with pytest.raises(ValidationError):
             reference_setup(herald=gated)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: reference_setup(rep_rate_hz=v),
+            lambda v: reference_setup(gate_rate_hz=v),
+            lambda v: reference_setup(mu=v),
+            lambda v: reference_setup(trigger_dead_time=DeadTimeSpec(tau_us=v)),
+            lambda v: ClickDetectorSpec(efficiency=0.5, mode="free_running", dark_rate_cps=v),
+        ],
+        ids=["rep_rate_hz", "gate_rate_hz", "mu", "tau_us", "dark_rate_cps"],
+    )
+    def test_non_finite_values_rejected(self, build, value):
+        with pytest.raises(ValidationError, match="finite"):
+            build(value)
 
     def test_bad_law_rejected(self):
         with pytest.raises(ValidationError):
@@ -216,6 +235,102 @@ class TestMonteCarlo:
         duration = 2_000_000 / cfg.rep_rate_hz
         sigma = math.sqrt(an.trigger_rate * duration) / duration
         assert abs(mc.trigger_rate - an.trigger_rate) < 3.0 * sigma
+
+    def test_vacuum_heralds_only_dark_counts(self):
+        cfg = reference_setup(
+            mu=0.0, herald=ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=9e4)
+        )
+        n = 2_000_000
+        mc = simulate_counts(cfg, mode="monte_carlo", n_pulses=n, seed=4)
+        an = simulate_counts(cfg)
+        heralds = an.signal_singles * n / cfg.rep_rate_hz
+        assert abs(mc.signal_singles * n / cfg.rep_rate_hz - heralds) < 5.0 * math.sqrt(heralds)
+        stats = heralded_photon_statistics(cfg, mode="monte_carlo", n_pulses=n, seed=4)
+        assert stats.p.tolist() == [1.0]
+        with pytest.raises(EstimationError):
+            hbt_g2(cfg, arm="idler_heralded", mode="monte_carlo", n_pulses=n, seed=4)
+
+    def test_negligible_dark_rate_gives_no_dark_herald(self):
+        # 1e-12 cps is ~1.2e-20 per pulse: a gap between dark clicks far beyond int64
+        cfg = reference_setup(
+            mu=0.0, herald=ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=1e-12)
+        )
+        kw = dict(mode="monte_carlo", n_pulses=3 * MC_BLOCK, seed=8)
+        mc = simulate_counts(cfg, **kw)
+        assert mc.signal_singles == 0.0 and mc.trigger_rate == 0.0
+        with pytest.raises(EstimationError):
+            heralded_photon_statistics(cfg, **kw)
+        with pytest.raises(EstimationError):
+            hbt_g2(cfg, **kw)
+
+    def test_memory_stays_per_event(self):
+        tracemalloc.start()
+        try:
+            simulate_counts(reference_setup(), mode="monte_carlo", n_pulses=2 * MC_BLOCK, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def _count_z(observed: float, expected: float, var: float) -> float:
+    """z of an event count; the variance is floored at one count, so a single
+    event where far fewer were expected is not an outlier."""
+    return (observed - expected) / math.sqrt(max(var, 1.0))
+
+
+# every law x coincidence window x dead-time model, each on its own seed
+EVERY_CONFIGURATION = [
+    (seed, *c)
+    for seed, c in enumerate(
+        itertools.product(("poissonian", "thermal", "multimode_thermal"), (1, 3), ("paralyzable", "nonparalyzable")),
+        start=2024,
+    )
+]
+
+
+@pytest.mark.parametrize("seed,law,window,model", EVERY_CONFIGURATION)
+def test_monte_carlo_agrees_with_analytic_on_every_configuration(seed, law, window, model):
+    cfg = reference_setup(
+        law=law,
+        modes=3 if law == "multimode_thermal" else None,
+        coincidence_window=window,
+        trigger_dead_time=DeadTimeSpec(1.0, model),
+    )
+    n = 2_000_000
+    duration = n / cfg.rep_rate_hz
+    ap = cfg.idler_detector.afterpulse_prob
+    an = simulate_counts(cfg)
+    mc = simulate_counts(cfg, mode="monte_carlo", n_pulses=n, seed=seed)
+
+    p_herald = an.signal_singles / cfg.rep_rate_hz
+    p_gate = an.idler_singles / an.gate_rate / (1.0 + ap)  # click probability per gate
+    triggers = an.trigger_rate * duration
+    p_coinc = an.per_trigger_coincidence_prob / (1.0 + ap)
+    # a count is a click plus, with probability ap, its afterpulse
+    z = {
+        "signal_singles": _count_z(mc.signal_singles * duration, p_herald * n, n * p_herald * (1.0 - p_herald)),
+        "idler_singles": _count_z(
+            mc.idler_singles / an.gate_rate * n,
+            an.idler_singles / an.gate_rate * n,
+            n * (p_gate * (1.0 + 3.0 * ap) - (p_gate * (1.0 + ap)) ** 2),
+        ),
+        "trigger_rate": _count_z(mc.trigger_rate * duration, triggers, triggers),
+        "coincidences": _count_z(
+            mc.coincidences * duration, an.coincidences * duration, triggers * p_coinc * (1.0 + 3.0 * ap)
+        ),
+    }
+    heralds = n * p_herald
+    stats_an = heralded_photon_statistics(cfg)
+    stats_mc = heralded_photon_statistics(cfg, mode="monte_carlo", n_pulses=n, seed=seed)
+    for k in range(3):
+        p = stats_an.probability(k)
+        z[f"P({k})"] = _count_z(stats_mc.probability(k) * heralds, p * heralds, heralds * p * (1.0 - p))
+    g2_mc = hbt_g2(cfg, arm="idler_heralded", mode="monte_carlo", n_pulses=n, seed=seed)
+    g2_an = hbt_g2(cfg, arm="idler_heralded")
+    # its error is set by the coincidence count n12 (with none seen, z is the expected n12)
+    z["g2"] = (g2_mc.value - g2_an.value) / g2_mc.stderr
+    assert all(abs(v) <= 5.0 for v in z.values()), z
 
 
 class TestG2:
