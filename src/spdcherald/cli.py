@@ -127,6 +127,8 @@ def _counts_from_file(path: str):
         )
     except KeyError as exc:
         raise ValidationError(f"counts file {path!r} is missing the {exc} field") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"counts file {path!r}: {exc}") from exc
 
 
 def _sim_kwargs(run: dict) -> dict:
@@ -271,7 +273,7 @@ def _cmd_phasematch(scenario: Scenario, run: dict, out: Path) -> None:
     _write_csv(
         out / "tuning_curve.csv",
         ["signal_nm", "idler_nm", "mismatch_rad_per_mm"],
-        [[float(s), float(i), float(m)] for s, i, m in curve],
+        curve.tolist(),
     )
     print("collinear type-I phase matching")
     print(f"  triple          : {triple.pump_nm:.1f} -> {triple.signal_nm:.1f} + {triple.idler_nm:.1f} nm")
@@ -301,10 +303,12 @@ def _cmd_spectrum(scenario: Scenario, run: dict, out: Path) -> None:
         "signal_filter_fwhm_nm": cry.get("signal_fwhm_nm", 6.0),
     }
     _write_json(out / "spectrum.json", "spectrum", scenario, result, run)
-    rows = []
-    for i, s in enumerate(spectrum.signal_axis):
-        for j, w in enumerate(spectrum.idler_axis):
-            rows.append([float(s), float(w), float(spectrum.intensity[i, j])])
+    idler_axis = spectrum.idler_axis.tolist()
+    rows = [
+        [s, w, v]
+        for s, row in zip(spectrum.signal_axis.tolist(), spectrum.intensity.tolist())
+        for w, v in zip(idler_axis, row)
+    ]
     _write_csv(out / "spectrum.csv", ["signal_nm", "idler_nm", "intensity"], rows)
     print("joint spectral intensity")
     print(f"  peak            : ({peak_s:.2f}, {peak_i:.2f}) nm")

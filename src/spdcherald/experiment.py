@@ -166,8 +166,10 @@ class CountRates:
 
     def __post_init__(self):
         for name in ("signal_singles", "idler_singles", "coincidences", "trigger_rate", "gate_rate"):
+            require_finite(name, getattr(self, name))
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be >= 0")
+        require_finite("per_trigger_coincidence_prob", self.per_trigger_coincidence_prob)
 
     def to_dict(self) -> dict:
         return {

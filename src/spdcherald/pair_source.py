@@ -76,7 +76,11 @@ class PairNumberDistribution:
             return float(mu**n / (1.0 + mu) ** (n + 1))
         m = self.modes
         # negative binomial: M identical thermal modes of mean mu/M each
-        log_c = log_factorial(n + m - 1) - log_factorial(n) - log_factorial(m - 1)
+        if n + m - 1 > 170:
+            # the lgamma difference of two huge logs cancels; comb is exact
+            log_c = math.log(math.comb(n + m - 1, n))
+        else:
+            log_c = log_factorial(n + m - 1) - log_factorial(n) - log_factorial(m - 1)
         log_p = n * np.log(mu / m) - (n + m) * np.log1p(mu / m)
         return float(np.exp(log_c + log_p))
 

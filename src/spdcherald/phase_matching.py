@@ -23,6 +23,7 @@ from .errors import (
     NoPhaseMatchingError,
     ResolutionWarning,
     ValidationError,
+    require_finite,
 )
 
 
@@ -72,7 +73,8 @@ class CrystalSpec:
     def _check_window(self, wavelength_nm) -> None:
         lam = np.asarray(wavelength_nm, dtype=float) * 1e-3
         lo, hi = self.validity_window_um
-        if np.any(lam < lo) or np.any(lam > hi):
+        # written as "not inside" so that NaN fails the check
+        if not np.all((lam >= lo) & (lam <= hi)):
             raise DomainError(
                 f"wavelength outside the Sellmeier validity window "
                 f"[{lo * 1e3:.0f}, {hi * 1e3:.0f}] nm"
@@ -98,16 +100,23 @@ def index_extraordinary_at_angle(crystal: CrystalSpec, theta_deg, wavelength_nm)
     interpolates exactly between n_o at 0 deg and n_e at 90 deg.
     """
     theta = np.asarray(theta_deg, dtype=float)
-    if np.any(theta < 0.0) or np.any(theta > 90.0):
+    if not np.all((theta >= 0.0) & (theta <= 90.0)):
         raise DomainError(f"theta must lie in [0, 90] degrees, got {theta_deg}")
-    n_o = index_ordinary(crystal, wavelength_nm)
-    n_e = index_extraordinary_principal(crystal, wavelength_nm)
-    t = np.radians(theta)
-    inv_n2 = np.cos(t) ** 2 / n_o**2 + np.sin(t) ** 2 / n_e**2
-    n = 1.0 / np.sqrt(inv_n2)
-    # endpoints reduce to the principal indices without round-off
-    n = np.where(theta == 0.0, n_o, np.where(theta == 90.0, n_e, n))
+    crystal._check_window(wavelength_nm)
+    lam_um = np.asarray(wavelength_nm, dtype=float) * 1e-3
+    n_o = crystal.sellmeier_ordinary.index(lam_um)
+    n_e = crystal.sellmeier_extraordinary.index(lam_um)
+    n = _ellipsoid_index(n_o, n_e, theta)
+    if np.any((theta == 0.0) | (theta == 90.0)):
+        # endpoints reduce to the principal indices without round-off
+        n = np.where(theta == 0.0, n_o, np.where(theta == 90.0, n_e, n))
     return float(n) if n.ndim == 0 else n
+
+
+def _ellipsoid_index(n_o, n_e, theta_deg):
+    t = np.radians(theta_deg)
+    inv_n2 = np.cos(t) ** 2 / n_o**2 + np.sin(t) ** 2 / n_e**2
+    return 1.0 / np.sqrt(inv_n2)
 
 
 def idler_wavelength(pump_nm: float, signal_nm: float) -> float:
@@ -166,9 +175,20 @@ def collinear_pm_angle(crystal: CrystalSpec, triple: WavelengthTriple) -> float:
     Deterministic bisection on (0, 90) deg; the returned angle leaves a
     residual below ``PM_RESIDUAL_TOLERANCE * k_pump``.
     """
+    # only the pump index depends on theta: evaluate everything else once
+    pump = triple.pump_nm
+    n_o = index_ordinary(crystal, pump)
+    n_e = index_extraordinary_principal(crystal, pump)
+    k_s = 2.0 * np.pi * index_ordinary(crystal, triple.signal_nm) / triple.signal_nm
+    k_i = 2.0 * np.pi * index_ordinary(crystal, triple.idler_nm) / triple.idler_nm
+
+    def mismatch(theta: float) -> float:
+        k_p = 2.0 * np.pi * _ellipsoid_index(n_o, n_e, theta) / pump
+        return float(k_p - k_s - k_i)
+
     lo, hi = 1e-9, 90.0 - 1e-9
-    f_lo = collinear_mismatch(crystal, lo, triple)
-    f_hi = collinear_mismatch(crystal, hi, triple)
+    f_lo = mismatch(lo)
+    f_hi = mismatch(hi)
     if f_lo * f_hi > 0.0:
         raise NoPhaseMatchingError(
             f"no collinear phase-matching angle in (0, 90) deg: "
@@ -178,7 +198,7 @@ def collinear_pm_angle(crystal: CrystalSpec, triple: WavelengthTriple) -> float:
         )
     while hi - lo > PM_ANGLE_RESOLUTION_DEG * 1e-3:
         mid = 0.5 * (lo + hi)
-        f_mid = collinear_mismatch(crystal, mid, triple)
+        f_mid = mismatch(mid)
         if f_lo * f_mid <= 0.0:
             hi, f_hi = mid, f_mid
         else:
@@ -211,16 +231,20 @@ def tuning_curve(
     if n_points < 2:
         raise ValidationError(f"n_points must be >= 2, got {n_points}")
     lo, hi = signal_range_nm
-    if not (pump_nm < lo < hi):
-        raise ValidationError(f"signal range {signal_range_nm} must lie above the pump ({pump_nm} nm)")
+    if not (pump_nm < lo < hi < np.inf):
+        raise ValidationError(
+            f"signal range {signal_range_nm} must be finite and lie above the pump ({pump_nm} nm)"
+        )
     signals = np.linspace(lo, hi, int(n_points))
-    rows = np.empty((signals.size, 3))
-    for j, s in enumerate(signals):
-        i = idler_wavelength(pump_nm, s)
-        triple = WavelengthTriple(pump_nm, s, i) if s <= i else WavelengthTriple(pump_nm, i, s)
-        dk = collinear_mismatch(crystal, theta_deg, triple)
-        rows[j] = (s, i, dk * 1e6)  # rad/nm -> rad/mm
-    return rows
+    idlers = 1.0 / (1.0 / pump_nm - 1.0 / signals)
+    k_p = 2.0 * np.pi * index_extraordinary_at_angle(crystal, theta_deg, pump_nm) / pump_nm
+    k_s = 2.0 * np.pi * index_ordinary(crystal, signals) / signals
+    k_i = 2.0 * np.pi * index_ordinary(crystal, idlers) / idlers
+    # subtract the shorter wavelength's k first, as collinear_mismatch does
+    # on the ordered triple, so rows past degeneracy round the same way
+    short_first = signals <= idlers
+    dk = k_p - np.where(short_first, k_s, k_i) - np.where(short_first, k_i, k_s)
+    return np.column_stack((signals, idlers, dk * 1e6))  # rad/nm -> rad/mm
 
 
 @dataclass(frozen=True)
@@ -261,14 +285,14 @@ def joint_spectral_intensity(
     FWHM weights that detuning, and the crystal-length sinc^2 factor weighs
     the residual mismatch.  The result is normalized to a unit maximum.
     """
+    require_finite("pump centre wavelength", pump_center_nm)
     if not (pump_fwhm_nm > 0.0):
         raise ValidationError(f"pump FWHM must be > 0, got {pump_fwhm_nm}")
     sig = np.asarray(signal_axis_nm, dtype=float)
     idl = np.asarray(idler_axis_nm, dtype=float)
     if sig.size < 2 or idl.size < 2:
         raise ValidationError("spectral axes need at least two points")
-    S, I = np.meshgrid(sig, idl, indexing="ij")
-    nu_sum = 1.0 / S + 1.0 / I  # implied 1/lambda_pump, nm^-1
+    nu_sum = (1.0 / sig)[:, None] + (1.0 / idl)[None, :]  # implied 1/lambda_pump, nm^-1
     nu_0 = 1.0 / pump_center_nm
     # FWHM of the pump *intensity* spectrum mapped to 1/lambda units
     d_nu = pump_fwhm_nm / pump_center_nm**2
@@ -276,9 +300,9 @@ def joint_spectral_intensity(
 
     lam_pump = 1.0 / nu_sum
     n_p = index_extraordinary_at_angle(crystal, theta_deg, lam_pump)
-    n_s = index_ordinary(crystal, S)
-    n_i = index_ordinary(crystal, I)
-    dk = 2.0 * np.pi * (n_p * nu_sum - n_s / S - n_i / I)
+    n_over_s = index_ordinary(crystal, sig) / sig
+    n_over_i = index_ordinary(crystal, idl) / idl
+    dk = 2.0 * np.pi * (n_p * nu_sum - n_over_s[:, None] - n_over_i[None, :])
     x = dk * (crystal.length_mm * 1e6) / 2.0
     pm = np.sinc(x / np.pi) ** 2
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .experiment import HeraldedStats, SetupConfig, heralded_photon_statistics, simulate_counts
 from .pair_source import REFERENCE_CALIBRATION_PER_MW
 
@@ -30,6 +30,8 @@ class ChannelSpec:
     receiver_dark_per_pulse: float = 2.5e-4
 
     def __post_init__(self):
+        for name in ("loss_db_per_km", "receiver_efficiency", "receiver_dark_per_pulse"):
+            require_finite(name, getattr(self, name))
         if self.loss_db_per_km < 0.0:
             raise ValidationError(f"loss coefficient must be >= 0, got {self.loss_db_per_km}")
         if not (0.0 <= self.receiver_efficiency <= 1.0):

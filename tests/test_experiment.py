@@ -10,6 +10,7 @@ from spdcherald.detectors import ClickDetectorSpec, DeadTimeSpec
 from spdcherald.errors import EstimationError, ValidationError
 from spdcherald.experiment import (
     MC_BLOCK,
+    CountRates,
     HeraldedStats,
     SetupConfig,
     hbt_g2,
@@ -76,6 +77,23 @@ class TestConfigValidation:
     def test_non_finite_values_rejected(self, build, value):
         with pytest.raises(ValidationError, match="finite"):
             build(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "signal_singles",
+            "idler_singles",
+            "coincidences",
+            "trigger_rate",
+            "gate_rate",
+            "per_trigger_coincidence_prob",
+        ],
+    )
+    def test_non_finite_count_rates_rejected(self, field, value):
+        counts = simulate_counts(reference_setup())
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            replace(counts, **{field: value})
 
     def test_bad_law_rejected(self):
         with pytest.raises(ValidationError):

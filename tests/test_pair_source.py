@@ -104,6 +104,20 @@ class TestLogFactorial:
         assert np.max(np.abs(mm - po)) < 1e-6
 
 
+    def test_huge_mode_count_normalized_and_poissonian(self):
+        # ln C(n+m-1, n) as a difference of two lgamma values near 2e10 lost
+        # ~1e-6 to cancellation; the sum was 1 + 3.7e-8
+        m, mu = 10**9, 0.05
+        pmf = PairNumberDistribution("multimode_thermal", mu, modes=m).pmf_vector()
+        assert abs(pmf.sum() - 1.0) < 1e-12
+        n = np.arange(pmf.size)
+        poisson = PairNumberDistribution("poissonian", mu).pmf_vector(n_max=pmf.size - 1)
+        # leading terms of ln(negative binomial / Poisson); the rest is O(n^3 / m^2)
+        correction = np.exp(n * (n - 1) / (2 * m) - n * mu / m + mu**2 / (2 * m))
+        np.testing.assert_allclose(pmf, poisson * correction, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(pmf[:2], poisson[:2], rtol=1e-9, atol=0.0)
+
+
 class TestTruncation:
     @pytest.mark.parametrize("law,kept", [("thermal", 0.799), ("poissonian", 0.99983)])
     def test_warns_with_dropped_mass(self, law, kept):

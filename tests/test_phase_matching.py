@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import spdcherald.phase_matching as phase_matching
 from spdcherald.errors import (
     DomainError,
     EmptyMarginalError,
@@ -83,6 +84,30 @@ class TestIndices:
             index_extraordinary_at_angle(BBO, -1.0, 390.0)
         with pytest.raises(DomainError):
             index_extraordinary_at_angle(BBO, 91.0, 390.0)
+        with pytest.raises(DomainError):
+            index_extraordinary_at_angle(BBO, math.nan, 390.0)
+
+    @pytest.mark.parametrize("wavelength", [math.nan, np.array([521.0, math.nan])])
+    @pytest.mark.parametrize(
+        "index",
+        [
+            index_ordinary,
+            index_extraordinary_principal,
+            lambda crystal, lam: index_extraordinary_at_angle(crystal, 26.42, lam),
+        ],
+        ids=["ordinary", "principal", "at_angle"],
+    )
+    def test_nan_wavelength_outside_window(self, index, wavelength):
+        # NaN compares False both ways, so "below or above" let it through
+        with pytest.raises(DomainError, match="Sellmeier validity window"):
+            index(BBO, wavelength)
+
+    def test_endpoints_inside_array_exact(self):
+        thetas = np.array([0.0, 26.42, 90.0])
+        n = index_extraordinary_at_angle(BBO, thetas, 390.0)
+        assert n[0] == index_ordinary(BBO, 390.0)
+        assert n[1] == index_extraordinary_at_angle(BBO, 26.42, 390.0)
+        assert n[2] == index_extraordinary_principal(BBO, 390.0)
 
 
 class TestEnergyConservation:
@@ -137,6 +162,16 @@ class TestPhaseMatchingAngle:
     def test_deterministic(self):
         assert solved_angle() == solved_angle()
 
+    def test_bisection_hoists_the_angle_independent_indices(self, monkeypatch):
+        # only the residual postcondition goes through the public mismatch
+        calls = []
+        real = phase_matching.collinear_mismatch
+        monkeypatch.setattr(
+            phase_matching, "collinear_mismatch", lambda *a: calls.append(a) or real(*a)
+        )
+        assert collinear_pm_angle(BBO, TRIPLE) == pytest.approx(26.4155, abs=2e-3)
+        assert len(calls) == 1
+
     def test_no_root_reports_residuals(self):
         isotropic = CrystalSpec(
             sellmeier_ordinary=BBO.sellmeier_ordinary,
@@ -149,7 +184,38 @@ class TestPhaseMatchingAngle:
         assert err.value.residual_high is not None
 
 
+def curve_by_points(crystal, theta, pump, signal_range, n_points):
+    """Reference tuning curve: one public collinear_mismatch call per point."""
+    rows = []
+    for s in np.linspace(*signal_range, n_points):
+        i = idler_wavelength(pump, s)
+        triple = WavelengthTriple(pump, s, i) if s <= i else WavelengthTriple(pump, i, s)
+        rows.append((s, i, collinear_mismatch(crystal, theta, triple) * 1e6))
+    return np.array(rows)
+
+
 class TestTuningCurve:
+    @pytest.mark.parametrize(
+        "pump,signal_range",
+        # on the wide range some rows past degeneracy round differently when
+        # the longer wavelength's k is subtracted first
+        [(390.0, (480.0, 560.0)), (390.0, (740.0, 820.0)), (390.0, (600.0, 1000.0))],
+        ids=["nondegenerate", "across-degeneracy", "across-degeneracy-wide"],
+    )
+    @pytest.mark.parametrize("theta", [26.42, 29.9429])
+    def test_equals_pointwise_mismatch(self, theta, pump, signal_range):
+        curve = tuning_curve(BBO, theta, pump, signal_range, 201)
+        assert np.array_equal(curve, curve_by_points(BBO, theta, pump, signal_range, 201))
+
+    def test_makes_no_pointwise_mismatch_calls(self, monkeypatch):
+        calls = []
+        real = phase_matching.collinear_mismatch
+        monkeypatch.setattr(
+            phase_matching, "collinear_mismatch", lambda *a: calls.append(a) or real(*a)
+        )
+        tuning_curve(BBO, 26.42, 390.0, (480.0, 560.0), 201)
+        assert calls == []
+
     def test_zero_crossing_near_reference_signal(self):
         theta = solved_angle()
         curve = tuning_curve(BBO, theta, 390.0, (480.0, 560.0), 401)
@@ -189,6 +255,20 @@ class TestTuningCurve:
             tuning_curve(BBO, 26.42, 390.0, (480.0, 560.0), 1)
         with pytest.raises(ValidationError):
             tuning_curve(BBO, 26.42, 390.0, (380.0, 560.0), 10)
+        with pytest.raises(ValidationError, match="finite"):
+            tuning_curve(BBO, 26.42, 390.0, (480.0, math.inf), 10)
+        with pytest.raises(ValidationError):
+            tuning_curve(BBO, 26.42, math.nan, (480.0, 560.0), 10)
+
+    def test_nan_angle_rejected(self):
+        # a NaN angle used to give a curve of NaN mismatches without an error
+        with pytest.raises(DomainError):
+            tuning_curve(BBO, math.nan, 390.0, (480.0, 560.0), 10)
+
+    def test_idler_outside_window_rejected(self):
+        # idlers of signals just above the pump lie far beyond 3000 nm
+        with pytest.raises(DomainError):
+            tuning_curve(BBO, 26.42, 390.0, (400.0, 450.0), 10)
 
 
 class TestJointSpectrum:
@@ -248,6 +328,41 @@ class TestJointSpectrum:
             above = col >= 0.5 * col.max()
             widths[length] = above.sum() * (idler_fine[1] - idler_fine[0])
         assert widths[10.0] == pytest.approx(0.5 * widths[5.0], rel=0.05)
+
+    def test_equals_full_meshgrid_formula(self):
+        theta, pump, fwhm = solved_angle(), 390.0, 2.4
+        S, I = np.meshgrid(DEFAULT_SIGNAL_AXIS, DEFAULT_IDLER_AXIS, indexing="ij")
+        nu_sum = 1.0 / S + 1.0 / I
+        d_nu = fwhm / pump**2
+        envelope = np.exp(-4.0 * np.log(2.0) * ((nu_sum - 1.0 / pump) / d_nu) ** 2)
+        lam_pump = 1.0 / nu_sum
+        n_o = index_ordinary(BBO, lam_pump)
+        n_e = index_extraordinary_principal(BBO, lam_pump)
+        t = np.radians(theta)
+        n_p = 1.0 / np.sqrt(np.cos(t) ** 2 / n_o**2 + np.sin(t) ** 2 / n_e**2)
+        n_s = index_ordinary(BBO, S)
+        n_i = index_ordinary(BBO, I)
+        dk = 2.0 * np.pi * (n_p * nu_sum - n_s / S - n_i / I)
+        x = dk * (BBO.length_mm * 1e6) / 2.0
+        intensity = envelope * np.sinc(x / np.pi) ** 2
+        expected = intensity / intensity.max()
+        assert np.array_equal(self.make(theta_deg=theta).intensity, expected)
+
+    def test_nan_on_an_axis_rejected(self):
+        # a NaN grid point used to turn the whole normalized intensity into NaN
+        signal = DEFAULT_SIGNAL_AXIS.copy()
+        signal[5] = math.nan
+        with pytest.raises(DomainError, match="Sellmeier validity window"):
+            self.make(signal_axis_nm=signal)
+        idler = DEFAULT_IDLER_AXIS.copy()
+        idler[-1] = math.nan
+        with pytest.raises(DomainError, match="Sellmeier validity window"):
+            self.make(idler_axis_nm=idler)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_pump_centre_rejected(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            self.make(pump_center_nm=value)
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):

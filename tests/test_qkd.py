@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +118,14 @@ class TestMaxSecureDistance:
             ChannelSpec(-0.1, 0.1, 0.0)
         with pytest.raises(ValidationError):
             ChannelSpec(0.2, 1.5, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", ["loss_db_per_km", "receiver_efficiency", "receiver_dark_per_pulse"]
+    )
+    def test_channel_non_finite_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            replace(CHANNEL, **{field: value})
 
 
 class TestPumpSweep:

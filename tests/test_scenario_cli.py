@@ -146,6 +146,33 @@ class TestCli:
         assert record["result"]["mu"] == pytest.approx(0.0829, rel=1e-6)
         assert record["result"]["alpha_idler"] == pytest.approx(0.2200, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "name,text,field",
+        [
+            (
+                "counts.json",
+                '{"result": {"signal_singles_cps": NaN, "idler_singles_cps": 285.0, '
+                '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6}}',
+                "signal_singles",
+            ),
+            (
+                "counts.csv",
+                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
+                "291888.0,285.0,nan,217997.2,1e6\n",
+                "coincidences",
+            ),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_estimate_from_non_finite_counts_file_exits_2(self, tmp_path, capsys, name, text, field):
+        # json.loads parses NaN, and float("nan") is a float
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["estimate", BUNDLED, "--counts", str(path), "--out-dir", str(tmp_path / "est")])
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimate.json").exists()
+
     def test_wcp_compare(self, tmp_path):
         assert main(["wcp-compare", BUNDLED, "--out-dir", str(tmp_path)]) == 0
         record = json.loads((tmp_path / "wcp_compare.json").read_text())
