@@ -10,8 +10,8 @@ The inversion assumes poissonian pair statistics (the regime of a pulsed
 many-mode source at low mean pair number), which makes the forward count
 model exactly invertible in closed form: each click probability maps to a
 Bernoulli-survival exponent through a logarithm.  Dark counts are subtracted
-and afterpulse inflation divided out first; both corrections can be disabled
-for sensitivity studies.  A final fixed-point pass re-inverts the forward
+(the subtraction can be disabled for sensitivity studies) and afterpulse
+inflation divided out first.  A final fixed-point pass re-inverts the forward
 model at the estimate and applies the (multiplicative) residual correction;
 with the closed-form inversion this residual is numerically negligible and
 serves as a consistency guard.
@@ -107,13 +107,13 @@ def _check_unit_interval(value: float, what: str) -> float:
     return value
 
 
-def _invert(counts: CountRates, known: KnownLosses, subtract_dark: bool, correct_afterpulse: bool):
+def _invert(counts: CountRates, known: KnownLosses, subtract_dark: bool):
     """Closed-form inversion; returns (mu, alpha_signal, alpha_idler)."""
     if counts.trigger_rate <= 0.0 or counts.signal_singles <= 0.0:
         raise EstimationError("signal singles and trigger rate must be positive to invert")
     if counts.gate_rate <= 0.0:
         raise EstimationError("a positive gate rate is required to invert idler singles")
-    ap = 1.0 + (known.afterpulse_prob if correct_afterpulse else 0.0)
+    ap = 1.0 + known.afterpulse_prob
     d_s = known.dark_herald_rate / known.rep_rate_hz if subtract_dark else 0.0
     d_i = known.dark_idler_per_gate if subtract_dark else 0.0
 
@@ -180,7 +180,6 @@ def estimate_source(
     counts: CountRates,
     known: KnownLosses,
     subtract_dark: bool = True,
-    correct_afterpulse: bool = True,
     refine: bool = True,
 ) -> SourceEstimate:
     """Reconstruct (mu, alpha_signal, alpha_idler) and heralded P(n) from counts.
@@ -189,12 +188,12 @@ def estimate_source(
     the counts cannot be produced by any parameter set under the declared
     losses (e.g. singles below the dark floor, couplings outside [0, 1]).
     """
-    mu, alpha_s, alpha_i = _invert(counts, known, subtract_dark, correct_afterpulse)
+    mu, alpha_s, alpha_i = _invert(counts, known, subtract_dark)
     if refine:
         # one fixed-point pass: invert the forward model at the estimate and
         # divide out any residual bias of the inversion itself
         model_counts = simulate_counts(_setup_from(known, counts, mu, alpha_s, alpha_i))
-        mu_m, alpha_s_m, alpha_i_m = _invert(model_counts, known, subtract_dark, correct_afterpulse)
+        mu_m, alpha_s_m, alpha_i_m = _invert(model_counts, known, subtract_dark)
         mu = _guard_positive(mu * mu / mu_m, "mu")
         alpha_s = _check_unit_interval(alpha_s * alpha_s / alpha_s_m, "alpha_signal (refined)")
         alpha_i = _check_unit_interval(alpha_i * alpha_i / alpha_i_m, "alpha_idler (refined)")

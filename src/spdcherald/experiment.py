@@ -171,6 +171,18 @@ class CountRates:
                 raise ValidationError(f"{name} must be >= 0")
         require_finite("per_trigger_coincidence_prob", self.per_trigger_coincidence_prob)
 
+    @classmethod
+    def from_dict(cls, record) -> CountRates:
+        """Rates from a :meth:`to_dict` record; the per-trigger probability is derived."""
+        keys = ("signal_singles_cps", "idler_singles_cps", "coincidences_cps", "trigger_rate_cps", "gate_rate_hz")
+        try:
+            signal, idler, coinc, trigger, gate = (float(record[key]) for key in keys)
+        except KeyError as exc:
+            raise ValidationError(f"counts record is missing the {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"counts record must map each rate to a number: {exc}") from None
+        return cls(signal, idler, coinc, trigger, gate, coinc / trigger if trigger > 0 else 0.0)
+
     def to_dict(self) -> dict:
         return {
             "signal_singles_cps": self.signal_singles,

@@ -173,6 +173,18 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
     return out
 
 
+class Section(dict):
+    """A validated scenario mapping whose missing keys raise ValidationError
+    naming their dotted path."""
+
+    def __init__(self, data: dict, path: str):
+        super().__init__((k, Section(v, f"{path}{k}.") if isinstance(v, dict) else v) for k, v in data.items())
+        self.path = path
+
+    def __missing__(self, key):
+        raise ValidationError(f"scenario is missing the required key {self.path + key!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Parsed, validated scenario document."""
@@ -183,12 +195,8 @@ class Scenario:
     def run(self) -> dict:
         return self.data.get("run", {})
 
-    def section(self, name: str, required: bool = True) -> dict:
-        if name not in self.data:
-            if required:
-                raise ValidationError(f"scenario is missing the {name!r} section")
-            return {}
-        return self.data[name]
+    def section(self, name: str) -> Section:
+        return Section(self.data, "")[name]
 
     def sha256(self) -> str:
         return hashlib.sha256(
@@ -204,8 +212,8 @@ class Scenario:
         loss = self.section("losses")
         det = self.section("detectors")
         dt = self.section("dead_time")
-        herald = det.get("herald", {})
-        idler = det.get("idler", {})
+        herald = det["herald"]
+        idler = det["idler"]
         return SetupConfig(
             rep_rate_hz=src["rep_rate_hz"],
             mu=src["mu"],
@@ -251,17 +259,13 @@ class Scenario:
 
     def spectral_grid(self) -> tuple[np.ndarray, np.ndarray]:
         grid = self.section("crystal").get("grid", {})
-        sig = np.linspace(
-            grid.get("signal_min_nm", 481.0),
-            grid.get("signal_max_nm", 561.0),
-            int(grid.get("signal_points", 321)),
-        )
-        idl = np.linspace(
-            grid.get("idler_min_nm", 1471.0),
-            grid.get("idler_max_nm", 1671.0),
-            int(grid.get("idler_points", 161)),
-        )
-        return sig, idl
+        axes = []
+        for axis, low, high, default in (("signal", 481.0, 561.0, 321), ("idler", 1471.0, 1671.0, 161)):
+            points = grid.get(f"{axis}_points", default)
+            if points < 2:
+                raise ValidationError(f"scenario key 'crystal.grid.{axis}_points' must be >= 2, got {points}")
+            axes.append(np.linspace(grid.get(f"{axis}_min_nm", low), grid.get(f"{axis}_max_nm", high), points))
+        return tuple(axes)
 
     def to_channel(self) -> ChannelSpec:
         ch = self.section("channel")
@@ -275,17 +279,7 @@ class Scenario:
         return KnownLosses.from_setup(self.to_setup_config())
 
     def to_counts(self) -> CountRates:
-        cnt = self.section("counts")
-        trigger = cnt["trigger_rate_cps"]
-        coinc = cnt["coincidences_cps"]
-        return CountRates(
-            signal_singles=cnt["signal_singles_cps"],
-            idler_singles=cnt["idler_singles_cps"],
-            coincidences=coinc,
-            trigger_rate=trigger,
-            gate_rate=cnt["gate_rate_hz"],
-            per_trigger_coincidence_prob=coinc / trigger if trigger > 0 else 0.0,
-        )
+        return CountRates.from_dict(self.section("counts"))
 
 
 def parse_scenario(text: str, overrides: list[str] | None = None) -> Scenario:

@@ -7,9 +7,10 @@ import warnings
 import pytest
 import yaml
 
-from spdcherald.cli import main, run_scenario
+from spdcherald import cli
+from spdcherald.cli import COMMANDS, main, run_scenario
 from spdcherald.errors import ValidationError
-from spdcherald.experiment import reference_setup, simulate_counts
+from spdcherald.experiment import CountRates, reference_setup, simulate_counts
 from spdcherald.scenario import apply_overrides, load_scenario, parse_scenario
 
 BUNDLED = "paper.scenario"
@@ -74,6 +75,10 @@ class TestScenarioParsing:
         counts = load_scenario(BUNDLED).to_counts()
         assert counts.signal_singles == 2.90e5
         assert counts.per_trigger_coincidence_prob == pytest.approx(3053.0 / 2.16e5, rel=1e-12)
+
+    def test_count_rates_record_round_trip(self):
+        counts = simulate_counts(reference_setup())
+        assert CountRates.from_dict(counts.to_dict()) == counts
 
     def test_missing_file(self):
         with pytest.raises(ValidationError, match="not found"):
@@ -147,30 +152,46 @@ class TestCli:
         assert record["result"]["alpha_idler"] == pytest.approx(0.2200, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "name,text,field",
+        "name,text,message",
         [
             (
                 "counts.json",
                 '{"result": {"signal_singles_cps": NaN, "idler_singles_cps": 285.0, '
                 '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6}}',
-                "signal_singles",
+                "signal_singles must be finite",
             ),
             (
                 "counts.csv",
                 "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
                 "291888.0,285.0,nan,217997.2,1e6\n",
-                "coincidences",
+                "coincidences must be finite",
             ),
+            (
+                "counts.csv",
+                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
+                "291888.0,abc,3058.6,217997.2,1e6\n",
+                "could not convert string to float: 'abc'",
+            ),
+            (
+                "counts.json",
+                '{"result": {"signal_singles_cps": 291888.0, "idler_singles_cps": "many", '
+                '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6}}',
+                "could not convert string to float: 'many'",
+            ),
+            ("counts.json", "[291888.0, 285.0, 3058.6, 217997.2, 1e6]", "must map each rate to a number"),
+            ("counts.json", '{"result": {"signal_singles_cps": 291888.0,', "Expecting"),
         ],
-        ids=["json", "csv"],
+        ids=["json", "csv", "csv-non-numeric", "json-string", "json-list", "json-malformed"],
     )
-    def test_estimate_from_non_finite_counts_file_exits_2(self, tmp_path, capsys, name, text, field):
+    def test_estimate_from_non_finite_counts_file_exits_2(self, tmp_path, capsys, name, text, message):
         # json.loads parses NaN, and float("nan") is a float
         path = tmp_path / name
         path.write_text(text)
         code = main(["estimate", BUNDLED, "--counts", str(path), "--out-dir", str(tmp_path / "est")])
         assert code == 2
-        assert f"{field} must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert f"counts file {str(path)!r}" in err
         assert not (tmp_path / "est" / "estimate.json").exists()
 
     def test_wcp_compare(self, tmp_path):
@@ -274,6 +295,98 @@ class TestCli:
         run_scenario(BUNDLED, "phasematch", [], args)
         err = capsys.readouterr().err
         assert "sections not used" in err
+
+
+# what each subcommand writes; the README's "Command line" section lists the same
+ARTIFACTS = {
+    "simulate": (
+        "counts.json", "counts.csv",
+        ["signal_singles_cps", "idler_singles_cps", "coincidences_cps", "trigger_rate_cps",
+         "gate_rate_hz", "per_trigger_coincidence_prob"],
+    ),
+    "herald-stats": ("herald_stats.json", "herald_stats.csv", ["n", "probability"]),
+    "estimate": ("estimate.json", "estimate.csv", ["mu", "pair_rate_per_s", "alpha_signal", "alpha_idler"]),
+    "wcp-compare": (
+        "wcp_compare.json", "wcp_compare.csv",
+        ["p1", "mu_coherent", "p2_coherent", "p2_source", "suppression_ratio"],
+    ),
+    "sweep": ("sweep.json", "sweep.csv", ["mu", "pump_mW", "trigger_cps", "p1", "p2", "max_km"]),
+    "phasematch": ("phasematch.json", "tuning_curve.csv", ["signal_nm", "idler_nm", "mismatch_rad_per_mm"]),
+    "spectrum": ("spectrum.json", "spectrum.csv", ["signal_nm", "idler_nm", "intensity"]),
+    "g2": ("g2.json", "g2.csv", ["arm", "mode", "g2", "stderr"]),
+}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _strict_record(path):
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+class TestCommandTable:
+    def test_artifact_list_covers_the_table(self):
+        assert list(ARTIFACTS) == list(COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_each_command_writes_its_two_artifacts(self, tmp_path, capsys, command):
+        json_name, csv_name, header = ARTIFACTS[command]
+        assert main([command, BUNDLED, "--mode", "analytic", "--out-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([json_name, csv_name])
+        record = _strict_record(tmp_path / json_name)
+        assert record["command"] == command
+        assert set(record["provenance"]) == {"version", "config_sha256", "mode", "n_pulses", "seed"}
+        assert record["provenance"]["mode"] == "analytic"
+        with (tmp_path / csv_name).open() as fh:
+            assert next(csv.reader(fh)) == header
+        assert f"wrote {tmp_path / json_name} and {csv_name}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key,command",
+        [
+            ("crystal.signal_center_nm", "phasematch"),
+            ("source.rep_rate_hz", "simulate"),
+            ("losses.alpha_idler", "herald-stats"),
+            ("channel.receiver_efficiency", "sweep"),
+            ("counts.gate_rate_hz", "estimate"),
+            ("dead_time.tau_us", "g2"),
+        ],
+    )
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, key, command):
+        data = yaml.safe_load(bundled_text())
+        section, leaf = key.split(".")
+        del data[section][leaf]
+        path = tmp_path / "partial.scenario"
+        path.write_text(yaml.safe_dump(data))
+        assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"missing the required key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("key", ["crystal.grid.signal_points", "crystal.grid.idler_points"])
+    def test_negative_grid_size_exits_2(self, tmp_path, capsys, key):
+        argv = ["spectrum", BUNDLED, "--override", f"{key}=-3", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.json").exists()
+
+    def test_sweep_without_pump_calibration_writes_null(self, tmp_path):
+        argv = ["sweep", BUNDLED, "--override", "source.pairs_per_pulse_per_mw=0", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        rows = _strict_record(tmp_path / "sweep.json")["result"]["rows"]
+        assert len(rows) == 5
+        assert all(r["pump_power_mw"] is None and r["p1"] > 0.0 for r in rows)
+        with (tmp_path / "sweep.csv").open() as fh:
+            assert [r[1] for r in list(csv.reader(fh))[1:]] == ["nan"] * 5
+
+    def test_non_finite_result_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def nan_result(scenario, run):
+            return "g2.json", {"g2": float("nan")}, "g2.csv", ["g2"], [[0.0]], []
+
+        monkeypatch.setitem(cli.COMMANDS, "g2", (COMMANDS["g2"][0], nan_result))
+        assert main(["g2", BUNDLED, "--out-dir", str(tmp_path)]) == 3
+        assert "numerical error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_loads_no_scipy():
