@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 from .detectors import (
     ClickDetectorSpec,
     DeadTimeSpec,
-    afterpulse_inflation,
-    click_probability,
     dead_time_throughput,
     simulate_dead_time,
 )
@@ -23,7 +21,6 @@ from .errors import (
     ValidationError,
 )
 from .estimator import (
-    KnownLosses,
     SourceEstimate,
     WcpComparison,
     equivalent_wcp,
@@ -40,10 +37,8 @@ from .experiment import (
     simulate_counts,
 )
 from .pair_source import (
-    LossChannel,
     PairNumberDistribution,
     REFERENCE_CALIBRATION_PER_MW,
-    mean_pairs_from_pump,
     thin,
 )
 from .phase_matching import (
@@ -75,17 +70,13 @@ __all__ = [
     "__version__",
     # pair source
     "PairNumberDistribution",
-    "LossChannel",
     "thin",
-    "mean_pairs_from_pump",
     "REFERENCE_CALIBRATION_PER_MW",
     # detectors
     "ClickDetectorSpec",
     "DeadTimeSpec",
-    "click_probability",
     "dead_time_throughput",
     "simulate_dead_time",
-    "afterpulse_inflation",
     # phase matching
     "SellmeierCoefficients",
     "CrystalSpec",
@@ -110,7 +101,6 @@ __all__ = [
     "hbt_g2",
     "reference_setup",
     # estimator
-    "KnownLosses",
     "SourceEstimate",
     "WcpComparison",
     "estimate_source",

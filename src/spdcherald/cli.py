@@ -110,7 +110,7 @@ def _herald_stats(scenario: Scenario, run: dict) -> tuple:
 def _estimate(scenario: Scenario, run: dict) -> tuple:
     counts_file = run.get("counts_file")
     counts = _counts_from_file(counts_file) if counts_file else scenario.to_counts()
-    estimate = estimate_source(counts, scenario.to_known_losses())
+    estimate = estimate_source(counts, scenario.to_setup_config())
     return (
         "estimate.json", estimate.to_dict(),
         "estimate.csv", ["mu", "pair_rate_per_s", "alpha_signal", "alpha_idler"],

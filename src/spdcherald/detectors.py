@@ -87,29 +87,6 @@ class DeadTimeSpec:
         return self.tau_us * 1e-6
 
 
-def click_probability(
-    incident_pmf: np.ndarray,
-    spec: ClickDetectorSpec,
-    window_s: float | None = None,
-) -> float:
-    """Click probability per gate for a photon-number pmf at the detector.
-
-    Threshold response with independent dark counts:
-    ``p = 1 - (1 - p_dark) * sum_n pmf[n] (1 - eta)^n``, inflated by the
-    afterpulse term ``(1 + afterpulse_prob)``.
-    """
-    p = np.asarray(incident_pmf, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"incident pmf is not normalized (sum = {p.sum()!r})")
-    if np.any(p < -1e-15):
-        raise ValidationError("incident pmf has negative entries")
-    d = spec.dark_probability(window_s)
-    n = np.arange(p.size)
-    no_photon_click = float((p * (1.0 - spec.efficiency) ** n).sum())
-    prob = 1.0 - (1.0 - d) * no_photon_click
-    return min(prob * (1.0 + spec.afterpulse_prob), 1.0)
-
-
 def dead_time_throughput(input_rate: float, dt: DeadTimeSpec) -> float:
     """Output rate of a dead-time-limited stage fed at ``input_rate`` counts/s.
 
@@ -214,14 +191,3 @@ def simulate_dead_time(
     keep, _ = dead_time_filter(clicks, window, dt.model, NO_CLICK)
     return int(keep.sum()) / (n_pulses / rep_rate_hz)
 
-
-def afterpulse_inflation(base_rate: float, afterpulse_prob: float) -> float:
-    """Rate inflation from afterpulses triggering further afterpulses.
-
-    Geometric series: ``rate / (1 - p)``.
-    """
-    if not (0.0 <= afterpulse_prob < 1.0):
-        raise DomainError(f"afterpulse probability must lie in [0, 1), got {afterpulse_prob}")
-    if base_rate < 0.0:
-        raise DomainError(f"rate must be >= 0, got {base_rate}")
-    return base_rate / (1.0 - afterpulse_prob)

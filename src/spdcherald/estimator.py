@@ -1,73 +1,44 @@
 """Inverse problem: reconstruct source parameters from measured count rates.
 
 Given singles rates in both arms, the coincidence-per-trigger probability,
-and the known optical/detector parameters, the estimator recovers the mean
-pair number mu, the total pair rate, and both mode-coupling coefficients,
-then closes the loop by recomputing the heralded photon-number statistics
-through the forward model at the estimate.
+and the calibrated optics and detectors of a :class:`SetupConfig`, the
+estimator recovers the mean pair number mu, the total pair rate, and both
+mode-coupling coefficients, then closes the loop by computing the heralded
+photon-number statistics through the forward model at the estimate.
 
-The inversion assumes poissonian pair statistics (the regime of a pulsed
-many-mode source at low mean pair number), which makes the forward count
-model exactly invertible in closed form: each click probability maps to a
-Bernoulli-survival exponent through a logarithm.  Dark counts are subtracted
-(the subtraction can be disabled for sensitivity studies) and afterpulse
-inflation divided out first.  A final fixed-point pass re-inverts the forward
-model at the estimate and applies the (multiplicative) residual correction;
-with the closed-form inversion this residual is numerically negligible and
-serves as a consistency guard.
+The inversion is the exact inverse of the forward count model for the
+setup's own pair-number law.  Each click probability has the form
+``p = floor + (1 - d)(1 - G(1 - beta))``, with ``G`` the law's generating
+function and ``d`` the dark probability: the herald dark for signal singles,
+the per-gate dark for idler singles (after dividing out the afterpulse
+inflation ``1 + p_ap``), and the window dark for coincidences.  ``G^-1`` of
+the law turns each generating value into a mean detected pair number
+``x = mu * beta``: ``-ln g`` (poissonian), ``1/g - 1`` (thermal),
+``M expm1(-ln g / M)`` (M thermal modes).  Singles give ``mu beta_s`` and
+``mu beta_i``, coincidences ``mu beta_s beta_i``; their ratios give mu and
+both arm survivals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
-from .detectors import ClickDetectorSpec, DeadTimeSpec
 from .errors import DomainError, EstimationError, InfeasibleCountsError, ValidationError
-from .experiment import CountRates, HeraldedStats, SetupConfig, heralded_photon_statistics, simulate_counts
+from .experiment import CountRates, HeraldedStats, SetupConfig, heralded_photon_statistics
 
 
-@dataclass(frozen=True)
 class KnownLosses:
-    """Calibrated transmissions and detector parameters used for inversion."""
+    """Identity shim: the calibration is the :class:`SetupConfig` itself.
 
-    t_signal_optics: float = 0.466
-    t_idler_optics: float = 0.817
-    t_delay_fiber: float = 0.765
-    eta_herald: float = 0.547
-    eta_idler: float = 0.10
-    dark_herald_rate: float = 90.0
-    dark_idler_per_gate: float = 2.5e-4
-    rep_rate_hz: float = 8.2e7
-    afterpulse_prob: float = 1.0e-3
+    Its one caller is ``perfbench/ops.py``, ``KnownLosses.from_setup(config)``;
+    a later benchmark-only change deletes that call and this class.
+    """
 
-    def __post_init__(self):
-        for name in ("t_signal_optics", "t_idler_optics", "t_delay_fiber", "eta_herald", "eta_idler"):
-            value = getattr(self, name)
-            if not (0.0 < value <= 1.0):
-                raise ValidationError(f"{name} must lie in (0, 1], got {value}")
-        if not (0.0 <= self.dark_idler_per_gate < 1.0):
-            raise ValidationError(f"dark_idler_per_gate must lie in [0, 1), got {self.dark_idler_per_gate}")
-        if self.dark_herald_rate < 0.0:
-            raise ValidationError(f"dark_herald_rate must be >= 0, got {self.dark_herald_rate}")
-        if self.rep_rate_hz <= 0.0:
-            raise ValidationError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
-        if not (0.0 <= self.afterpulse_prob < 1.0):
-            raise ValidationError(f"afterpulse_prob must lie in [0, 1), got {self.afterpulse_prob}")
-
-    @classmethod
-    def from_setup(cls, config: SetupConfig) -> "KnownLosses":
-        return cls(
-            t_signal_optics=config.t_signal_optics,
-            t_idler_optics=config.t_idler_optics,
-            t_delay_fiber=config.t_delay_fiber,
-            eta_herald=config.herald.efficiency,
-            eta_idler=config.idler_detector.efficiency,
-            dark_herald_rate=config.herald.dark_rate_cps,
-            dark_idler_per_gate=config.idler_detector.dark_prob_per_gate,
-            rep_rate_hz=config.rep_rate_hz,
-            afterpulse_prob=config.idler_detector.afterpulse_prob,
-        )
+    @staticmethod
+    def from_setup(config: SetupConfig) -> SetupConfig:
+        return config
 
 
 @dataclass(frozen=True)
@@ -90,15 +61,31 @@ class SourceEstimate:
         }
 
 
-def _survival_exponent(p_click: float, dark: float, what: str) -> float:
-    """Solve ``p = 1 - (1 - dark) exp(-x)`` for the survival exponent x."""
-    if p_click <= dark:
+def _mean_detected(setup: SetupConfig, p_click: float, floor: float, dark: float, what: str) -> float:
+    """Solve ``p = floor + (1 - dark)(1 - G(1 - beta))`` for ``x = mu beta``."""
+    if p_click <= floor:
         raise InfeasibleCountsError(
-            f"{what}: click probability {p_click:.3e} does not exceed the dark floor {dark:.3e}"
+            f"{what}: click probability {p_click:.3e} does not exceed the dark floor {floor:.3e}"
         )
     if p_click >= 1.0:
         raise InfeasibleCountsError(f"{what}: click probability {p_click:.3e} must be < 1")
-    return -math.log((1.0 - p_click) / (1.0 - dark))
+    # 1 - g, kept apart from g so that small rates lose no digits
+    c = (p_click - floor) / (1.0 - dark)
+    if setup.law == "poissonian":
+        return -math.log1p(-c)
+    if setup.law == "thermal":
+        return c / (1.0 - c)
+    return setup.modes * math.expm1(-math.log1p(-c) / setup.modes)
+
+
+def _calibration(setup: SetupConfig, *fields: str) -> float:
+    """Product of an arm's calibrated transmissions and efficiency; zero is an input error."""
+    values = [attrgetter(name)(setup) for name in fields]
+    product = math.prod(values)
+    if product == 0.0:
+        named = [name for name, value in zip(fields, values) if value == 0.0] or fields
+        raise ValidationError(f"calibrated {' * '.join(named)} is 0, so the counts cannot be inverted")
+    return product
 
 
 def _check_unit_interval(value: float, what: str) -> float:
@@ -107,110 +94,56 @@ def _check_unit_interval(value: float, what: str) -> float:
     return value
 
 
-def _invert(counts: CountRates, known: KnownLosses, subtract_dark: bool):
-    """Closed-form inversion; returns (mu, alpha_signal, alpha_idler)."""
+def estimate_source(counts: CountRates, setup: SetupConfig) -> SourceEstimate:
+    """Reconstruct (mu, alpha_signal, alpha_idler) and heralded P(n) from counts.
+
+    ``setup`` supplies the repetition rate, the pair-number law and its modes,
+    the calibrated transmissions and efficiencies, the afterpulse
+    probability and the dark probabilities; its mu, couplings, dead time and
+    gate rate are ignored (the gate rate comes from ``counts``).
+
+    Raises :class:`InfeasibleCountsError` naming the violated bound whenever
+    the counts cannot be produced by any parameter set under the declared
+    losses (e.g. singles below the dark floor, couplings outside [0, 1]), and
+    :class:`ValidationError` naming a calibrated factor that is zero.
+    """
+    cal_s = _calibration(setup, "t_signal_optics", "herald.efficiency")
+    cal_i = _calibration(setup, "t_idler_optics", "t_delay_fiber", "idler_detector.efficiency")
     if counts.trigger_rate <= 0.0 or counts.signal_singles <= 0.0:
         raise EstimationError("signal singles and trigger rate must be positive to invert")
     if counts.gate_rate <= 0.0:
         raise EstimationError("a positive gate rate is required to invert idler singles")
-    ap = 1.0 + known.afterpulse_prob
-    d_s = known.dark_herald_rate / known.rep_rate_hz if subtract_dark else 0.0
-    d_i = known.dark_idler_per_gate if subtract_dark else 0.0
+    ap = 1.0 + setup.idler_detector.afterpulse_prob
+    d_s = setup.herald_dark_prob
+    d_i = setup.idler_detector.dark_prob_per_gate
+    d_w = setup.coincidence_dark_prob
 
-    p_sig = counts.signal_singles / known.rep_rate_hz
+    p_sig = counts.signal_singles / setup.rep_rate_hz
     if p_sig >= 1.0:
         raise InfeasibleCountsError(f"signal singles imply {p_sig:.3f} clicks per pulse (> 1)")
-    mu_beta_s = _survival_exponent(p_sig, d_s, "signal singles")
-
-    p_idl = (counts.idler_singles / counts.gate_rate) / ap
-    mu_beta_i = _survival_exponent(p_idl, d_i, "idler singles")
+    x_s = _mean_detected(setup, p_sig, d_s, d_s, "signal singles")
+    x_i = _mean_detected(setup, counts.idler_singles / counts.gate_rate / ap, d_i, d_i, "idler singles")
 
     p_ct = counts.per_trigger_coincidence_prob / ap
     if not (0.0 <= p_ct <= 1.0):
         raise InfeasibleCountsError(f"per-trigger coincidence probability {p_ct:.3e} outside [0, 1]")
-    p_coinc_and_herald = p_ct * p_sig
-    g = (1.0 - p_coinc_and_herald - d_i * (1.0 - p_sig)) / (1.0 - d_i)
-    if not (0.0 < g <= 1.0):
-        raise InfeasibleCountsError(
-            f"coincidences inconsistent with dark counts: survival generating value {g:.6f}"
-        )
-    mu_beta_s_beta_i = -math.log(g)
-    if mu_beta_s_beta_i > mu_beta_s:
-        raise InfeasibleCountsError(
-            "coincidence rate implies a conditional detection probability above 1"
-        )
+    # coincidence and herald: a window dark with any herald, or else a
+    # detected partner of a detected signal photon
+    x_si = _mean_detected(setup, p_ct * p_sig, d_w * p_sig, d_w, "coincidences")
 
-    beta_i = mu_beta_s_beta_i / mu_beta_s
-    denom_i = known.t_idler_optics * known.t_delay_fiber * known.eta_idler
-    alpha_i = _check_unit_interval(beta_i / denom_i, "alpha_idler")
-    if beta_i <= 0.0:
-        raise InfeasibleCountsError("coincidences are all accounted for by dark counts")
-    mu = mu_beta_i / beta_i
-    denom_s = known.t_signal_optics * known.eta_herald
-    alpha_s = _check_unit_interval(mu_beta_s / denom_s / mu, "alpha_signal")
-    return mu, alpha_s, alpha_i
-
-
-def _setup_from(known: KnownLosses, counts: CountRates, mu, alpha_s, alpha_i) -> SetupConfig:
-    herald = ClickDetectorSpec(
-        efficiency=known.eta_herald, mode="free_running", dark_rate_cps=known.dark_herald_rate
+    mu = x_s * x_i / x_si
+    alpha_s = _check_unit_interval(x_si / x_i / cal_s, "alpha_signal")
+    alpha_i = _check_unit_interval(x_si / x_s / cal_i, "alpha_idler")
+    heralded = heralded_photon_statistics(
+        replace(setup, mu=mu, alpha_signal=alpha_s, alpha_idler=alpha_i)
     )
-    idler = ClickDetectorSpec(
-        efficiency=known.eta_idler,
-        mode="gated",
-        dark_prob_per_gate=known.dark_idler_per_gate,
-        afterpulse_prob=known.afterpulse_prob,
-    )
-    return SetupConfig(
-        rep_rate_hz=known.rep_rate_hz,
-        mu=mu,
-        alpha_signal=alpha_s,
-        alpha_idler=alpha_i,
-        t_signal_optics=known.t_signal_optics,
-        t_idler_optics=known.t_idler_optics,
-        t_delay_fiber=known.t_delay_fiber,
-        herald=herald,
-        idler_detector=idler,
-        trigger_dead_time=DeadTimeSpec(tau_us=0.0),
-        gate_rate_hz=counts.gate_rate,
-    )
-
-
-def estimate_source(
-    counts: CountRates,
-    known: KnownLosses,
-    subtract_dark: bool = True,
-    refine: bool = True,
-) -> SourceEstimate:
-    """Reconstruct (mu, alpha_signal, alpha_idler) and heralded P(n) from counts.
-
-    Raises :class:`InfeasibleCountsError` naming the violated bound whenever
-    the counts cannot be produced by any parameter set under the declared
-    losses (e.g. singles below the dark floor, couplings outside [0, 1]).
-    """
-    mu, alpha_s, alpha_i = _invert(counts, known, subtract_dark)
-    if refine:
-        # one fixed-point pass: invert the forward model at the estimate and
-        # divide out any residual bias of the inversion itself
-        model_counts = simulate_counts(_setup_from(known, counts, mu, alpha_s, alpha_i))
-        mu_m, alpha_s_m, alpha_i_m = _invert(model_counts, known, subtract_dark)
-        mu = _guard_positive(mu * mu / mu_m, "mu")
-        alpha_s = _check_unit_interval(alpha_s * alpha_s / alpha_s_m, "alpha_signal (refined)")
-        alpha_i = _check_unit_interval(alpha_i * alpha_i / alpha_i_m, "alpha_idler (refined)")
-    heralded = heralded_photon_statistics(_setup_from(known, counts, mu, alpha_s, alpha_i))
     return SourceEstimate(
         mu=mu,
-        pair_rate=mu * known.rep_rate_hz,
+        pair_rate=mu * setup.rep_rate_hz,
         alpha_signal=alpha_s,
         alpha_idler=alpha_i,
         heralded=heralded,
     )
-
-
-def _guard_positive(value: float, what: str) -> float:
-    if not (value > 0.0) or not math.isfinite(value):
-        raise InfeasibleCountsError(f"{what} refined to a non-positive value {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -131,27 +131,13 @@ class PairNumberDistribution:
         return cls(law=data["law"], mean=data["mean"], modes=data.get("modes"))
 
 
-@dataclass(frozen=True)
-class LossChannel:
-    """A transmission element; photons survive it independently."""
-
-    transmission: float
-    label: str = ""
-
-    def __post_init__(self):
-        if not (0.0 <= self.transmission <= 1.0):
-            raise ValidationError(
-                f"transmission must lie in [0, 1], got {self.transmission} ({self.label or 'unnamed'})"
-            )
-
-
-def thin(pmf: np.ndarray, survival: float | LossChannel) -> np.ndarray:
+def thin(pmf: np.ndarray, survival: float) -> np.ndarray:
     """Binomial thinning of a photon-number pmf.
 
     ``out[k] = sum_n pmf[n] C(n,k) s^k (1-s)^(n-k)`` -- each photon survives
     independently with probability ``s``.  Normalization is preserved.
     """
-    s = survival.transmission if isinstance(survival, LossChannel) else float(survival)
+    s = float(survival)
     if not (0.0 <= s <= 1.0):
         raise ValidationError(f"survival probability must lie in [0, 1], got {s}")
     p = np.asarray(pmf, dtype=float)
@@ -168,18 +154,6 @@ def thin(pmf: np.ndarray, survival: float | LossChannel) -> np.ndarray:
     nk = np.where(lower, n - k, 0)
     log_b = lf[n] - lf[k] - lf[nk] + k * np.log(s) + nk * np.log1p(-s)
     return p @ np.where(lower, np.exp(log_b), 0.0)
-
-
-def mean_pairs_from_pump(pump_power_mw: float, calibration: float) -> float:
-    """Mean pairs per pulse from pump power; pair creation is linear in power.
-
-    ``calibration`` is pairs per pulse per mW of average pump power.
-    """
-    if pump_power_mw < 0.0:
-        raise DomainError(f"pump power must be >= 0, got {pump_power_mw} mW")
-    if calibration < 0.0:
-        raise DomainError(f"calibration must be >= 0, got {calibration}")
-    return calibration * pump_power_mw
 
 
 # Calibration reproducing the reference source: mu = 0.0829 at 240 mW.

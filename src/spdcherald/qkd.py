@@ -96,7 +96,8 @@ def max_secure_distance(
     Receiver dark counts appear on both sides of the bound -- an
     eavesdropper can neither suppress nor exploit them -- so the condition
     reduces to photon-borne detections >= multiphoton fraction, and the
-    distance is nonincreasing in the dark probability.
+    distance does not depend on the dark probability.  (An error-rate bound
+    that penalizes a noisy receiver is out of scope.)
 
     Returns 0 km with a flag when the condition already fails at zero
     distance, and the cap with a flag when it never fails below it.

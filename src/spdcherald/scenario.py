@@ -21,7 +21,6 @@ import yaml
 
 from .detectors import ClickDetectorSpec, DeadTimeSpec
 from .errors import ValidationError
-from .estimator import KnownLosses
 from .experiment import CountRates, SetupConfig
 from .phase_matching import CrystalSpec, SellmeierCoefficients
 from .qkd import ChannelSpec
@@ -274,9 +273,6 @@ class Scenario:
             receiver_efficiency=ch["receiver_efficiency"],
             receiver_dark_per_pulse=ch["receiver_dark_per_pulse"],
         )
-
-    def to_known_losses(self) -> KnownLosses:
-        return KnownLosses.from_setup(self.to_setup_config())
 
     def to_counts(self) -> CountRates:
         return CountRates.from_dict(self.section("counts"))

@@ -13,7 +13,7 @@ import pytest
 
 from spdcherald.detectors import DeadTimeSpec, dead_time_throughput
 from spdcherald.errors import ValidationError
-from spdcherald.estimator import KnownLosses, equivalent_wcp, estimate_source
+from spdcherald.estimator import equivalent_wcp, estimate_source
 from spdcherald.experiment import (
     hbt_g2,
     heralded_photon_statistics,
@@ -135,7 +135,7 @@ def test_criterion_05_p2_monte_carlo_cross_check(config, stats):
 
 
 def test_criterion_06_source_estimate(scenario):
-    est = estimate_source(scenario.to_counts(), scenario.to_known_losses())
+    est = estimate_source(scenario.to_counts(), scenario.to_setup_config())
     ok = (
         abs(est.mu / 0.0829 - 1.0) <= 0.05
         and abs(est.pair_rate / 6.8e6 - 1.0) <= 0.05
@@ -260,7 +260,7 @@ def test_criterion_11_property_suite(config, counts, mc_counts):
     rt_ok = True
     for mu in (0.01, 0.0829, 0.2):
         cfg = reference_setup(mu=mu)
-        est = estimate_source(simulate_counts(cfg), KnownLosses.from_setup(cfg))
+        est = estimate_source(simulate_counts(cfg), cfg)
         rt_ok &= abs(est.mu / mu - 1.0) < 0.01
         rt_ok &= abs(est.alpha_signal / cfg.alpha_signal - 1.0) < 0.01
         rt_ok &= abs(est.alpha_idler / cfg.alpha_idler - 1.0) < 0.01

@@ -6,22 +6,13 @@ import pytest
 from spdcherald.detectors import (
     ClickDetectorSpec,
     DeadTimeSpec,
-    afterpulse_inflation,
     bernoulli_positions,
-    click_probability,
     NO_CLICK,
     dead_time_filter,
     dead_time_throughput,
     simulate_dead_time,
 )
 from spdcherald.errors import DomainError, ValidationError
-from spdcherald.pair_source import PairNumberDistribution
-
-
-def gated(eta=0.10, dark=2.5e-4, afterpulse=0.0):
-    return ClickDetectorSpec(
-        efficiency=eta, mode="gated", dark_prob_per_gate=dark, afterpulse_prob=afterpulse
-    )
 
 
 class TestSpecValidation:
@@ -49,48 +40,6 @@ class TestSpecValidation:
             spec.dark_probability()
         per_pulse = spec.dark_probability(window_s=1.0 / 8.2e7)
         assert per_pulse == pytest.approx(90.0 / 8.2e7, rel=1e-6)
-
-
-class TestClickProbability:
-    def test_vacuum_gives_dark_only(self):
-        vacuum = np.array([1.0])
-        assert click_probability(vacuum, gated()) == pytest.approx(2.5e-4, rel=1e-12)
-
-    def test_single_photon_unit_efficiency(self):
-        one = np.array([0.0, 1.0])
-        spec = gated(eta=1.0, dark=0.0)
-        assert click_probability(one, spec) == 1.0
-
-    def test_gated_idler_reference_rate(self):
-        # delivered mean 1.14e-3 with efficiency already folded in upstream
-        pmf = PairNumberDistribution("poissonian", 1.14e-3).pmf_vector()
-        p = click_probability(pmf, gated(eta=1.0))
-        expected = 1.0 - (1.0 - 2.5e-4) * math.exp(-1.14e-3)
-        assert p == pytest.approx(expected, rel=1e-12)
-        assert p == pytest.approx(1.39e-3, rel=5e-3)
-        assert p * 205e3 == pytest.approx(285.0, rel=0.01)
-
-    def test_monotone_in_efficiency_dark_and_mean(self):
-        pmf = PairNumberDistribution("poissonian", 0.05).pmf_vector()
-        etas = [click_probability(pmf, gated(eta=e)) for e in (0.05, 0.1, 0.3, 0.9)]
-        assert sorted(etas) == etas
-        darks = [click_probability(pmf, gated(dark=d)) for d in (0.0, 1e-4, 1e-3, 1e-2)]
-        assert sorted(darks) == darks
-        means = [
-            click_probability(PairNumberDistribution("poissonian", m).pmf_vector(), gated())
-            for m in (0.001, 0.01, 0.1, 0.2)
-        ]
-        assert sorted(means) == means
-
-    def test_unnormalized_pmf_rejected(self):
-        with pytest.raises(ValidationError):
-            click_probability(np.array([0.5, 0.4]), gated())
-
-    def test_afterpulse_inflates(self):
-        pmf = PairNumberDistribution("poissonian", 0.01).pmf_vector()
-        base = click_probability(pmf, gated())
-        inflated = click_probability(pmf, gated(afterpulse=1e-3))
-        assert inflated == pytest.approx(base * 1.001, rel=1e-12)
 
 
 class TestDeadTime:
@@ -159,23 +108,6 @@ class TestDeadTime:
             DeadTimeSpec(model="other")
         with pytest.raises(DomainError):
             dead_time_throughput(-1.0, DeadTimeSpec())
-
-
-class TestAfterpulseInflation:
-    def test_geometric_series(self):
-        assert afterpulse_inflation(1000.0, 0.001) == pytest.approx(1001.0, abs=0.1)
-
-    def test_zero_identity(self):
-        assert afterpulse_inflation(123.4, 0.0) == 123.4
-
-    def test_half(self):
-        assert afterpulse_inflation(1000.0, 0.5) == 2000.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            afterpulse_inflation(1000.0, 1.0)
-        with pytest.raises(DomainError):
-            afterpulse_inflation(-1.0, 0.1)
 
 
 class TestDeadTimeFilter:

@@ -1,12 +1,14 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spdcherald.detectors import ClickDetectorSpec
-from spdcherald.errors import DomainError, EstimationError, InfeasibleCountsError
+import spdcherald.estimator as estimator
+import spdcherald.experiment as experiment
+from spdcherald.detectors import ClickDetectorSpec, DeadTimeSpec
+from spdcherald.errors import DomainError, EstimationError, InfeasibleCountsError, ValidationError
 from spdcherald.estimator import (
-    KnownLosses,
     WcpComparison,
     equivalent_wcp,
     estimate_source,
@@ -27,7 +29,7 @@ def reference_counts(scale=1.0, rep_scale=1.0):
 
 class TestEstimateFromReferenceCounts:
     def test_reference_inversion(self):
-        est = estimate_source(reference_counts(), KnownLosses())
+        est = estimate_source(reference_counts(), reference_setup())
         # frozen from the closed-form inversion oracle
         assert est.mu == pytest.approx(0.0822733, rel=1e-5)
         assert est.pair_rate == pytest.approx(6.7464e6, rel=1e-4)
@@ -35,32 +37,67 @@ class TestEstimateFromReferenceCounts:
         assert est.alpha_idler == pytest.approx(0.2216573, rel=1e-5)
 
     def test_reference_inversion_matches_published_values(self):
-        est = estimate_source(reference_counts(), KnownLosses())
+        est = estimate_source(reference_counts(), reference_setup())
         assert est.mu == pytest.approx(0.0829, rel=0.05)
         assert est.pair_rate == pytest.approx(6.8e6, rel=0.05)
         assert est.alpha_idler == pytest.approx(0.220, rel=0.10)
         assert est.alpha_signal == pytest.approx(0.169, rel=0.10)
 
     def test_pair_rate_definition(self):
-        est = estimate_source(reference_counts(), KnownLosses())
+        est = estimate_source(reference_counts(), reference_setup())
         assert est.pair_rate == pytest.approx(est.mu * 8.2e7, rel=1e-9)
 
     def test_heralded_closure(self):
-        est = estimate_source(reference_counts(), KnownLosses())
+        est = estimate_source(reference_counts(), reference_setup())
         assert abs(est.heralded.p.sum() - 1.0) < 1e-9
         assert est.heralded.probability(1) == pytest.approx(0.19, abs=0.01)
 
     def test_dark_subtraction_toggle(self):
-        on = estimate_source(reference_counts(), KnownLosses(), subtract_dark=True)
-        off = estimate_source(reference_counts(), KnownLosses(), subtract_dark=False)
-        assert off.mu != on.mu
-        assert off.mu == pytest.approx(on.mu, rel=0.05)
+        # the same counts against a setup that declares no dark counts: the
+        # idler darks, 18% of the idler clicks, are then read as photons
+        dark = estimate_source(reference_counts(), reference_setup())
+        quiet = estimate_source(
+            reference_counts(),
+            reference_setup(
+                herald=ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=0.0),
+                idler_detector=ClickDetectorSpec(
+                    efficiency=0.10, mode="gated", dark_prob_per_gate=0.0, afterpulse_prob=1.0e-3
+                ),
+            ),
+        )
+        assert quiet.mu == pytest.approx(0.09860023645, rel=1e-9)
+        assert quiet.mu / dark.mu == pytest.approx(1.198, rel=1e-3)
 
-    def test_refinement_is_stable(self):
-        raw = estimate_source(reference_counts(), KnownLosses(), refine=False)
-        refined = estimate_source(reference_counts(), KnownLosses(), refine=True)
-        assert refined.mu == pytest.approx(raw.mu, rel=1e-9)
-        assert refined.alpha_idler == pytest.approx(raw.alpha_idler, rel=1e-9)
+    def test_one_forward_call_per_inversion(self, monkeypatch):
+        calls = Counter()
+        for fn in (experiment.simulate_counts, experiment.heralded_photon_statistics):
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+
+            for module in (experiment, estimator):
+                if getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counted)
+        estimate_source(reference_counts(), reference_setup())
+        assert calls == {"heralded_photon_statistics": 1}
+
+    def test_ignores_the_setup_source_and_timing(self):
+        base = estimate_source(reference_counts(), reference_setup())
+        other = estimate_source(
+            reference_counts(),
+            reference_setup(
+                mu=0.5,
+                alpha_signal=0.9,
+                alpha_idler=0.01,
+                gate_rate_hz=1.0,
+                trigger_dead_time=DeadTimeSpec(tau_us=3.0, model="nonparalyzable"),
+            ),
+        )
+        assert other.mu == base.mu
+        assert other.alpha_signal == base.alpha_signal
+        assert other.alpha_idler == base.alpha_idler
+        assert (other.heralded.p == base.heralded.p).all()
 
 
 class TestRoundTrip:
@@ -69,32 +106,72 @@ class TestRoundTrip:
     def test_recovers_simulated_configuration(self, mu, alpha_s, alpha_i):
         cfg = reference_setup(mu=mu, alpha_signal=alpha_s, alpha_idler=alpha_i)
         counts = simulate_counts(cfg)
-        est = estimate_source(counts, KnownLosses.from_setup(cfg))
+        est = estimate_source(counts, cfg)
         assert est.mu == pytest.approx(mu, rel=1e-6)
         assert est.alpha_signal == pytest.approx(alpha_s, rel=1e-6)
         assert est.alpha_idler == pytest.approx(alpha_i, rel=1e-6)
 
     @given(
-        mu=st.floats(5e-3, 0.2),
+        law=st.sampled_from(["poissonian", "thermal", "multimode_thermal"]),
+        modes=st.integers(1, 10),
+        window=st.integers(1, 3),
+        herald_dark=st.floats(0.0, 1e4),
+        idler_dark=st.floats(0.0, 1e-3),
+        model=st.sampled_from(["paralyzable", "nonparalyzable"]),
+        mu=st.floats(5e-3, 0.6),
+    )
+    def test_round_trip_exact_for_every_setting(self, law, modes, window, herald_dark, idler_dark, model, mu):
+        cfg = reference_setup(
+            law=law,
+            modes=modes if law == "multimode_thermal" else None,
+            mu=mu,
+            coincidence_window=window,
+            herald=ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=herald_dark),
+            idler_detector=ClickDetectorSpec(
+                efficiency=0.10, mode="gated", dark_prob_per_gate=idler_dark, afterpulse_prob=1.0e-3
+            ),
+            trigger_dead_time=DeadTimeSpec(tau_us=1.0, model=model),
+        )
+        est = estimate_source(simulate_counts(cfg), cfg)
+        assert est.mu == pytest.approx(mu, rel=1e-9)
+        assert est.alpha_signal == pytest.approx(cfg.alpha_signal, rel=1e-9)
+        assert est.alpha_idler == pytest.approx(cfg.alpha_idler, rel=1e-9)
+
+    @given(
+        law=st.sampled_from(["poissonian", "thermal", "multimode_thermal"]),
+        mu=st.floats(5e-3, 0.6),
         alpha_s=st.floats(0.05, 0.9),
         alpha_i=st.floats(0.05, 0.9),
         t_idler=st.floats(0.4, 1.0),
+        window=st.integers(1, 3),
     )
-    def test_round_trip_within_one_percent(self, mu, alpha_s, alpha_i, t_idler):
+    def test_round_trip_across_couplings(self, law, mu, alpha_s, alpha_i, t_idler, window):
         cfg = reference_setup(
-            mu=mu, alpha_signal=alpha_s, alpha_idler=alpha_i, t_idler_optics=t_idler
+            law=law,
+            modes=3 if law == "multimode_thermal" else None,
+            mu=mu,
+            alpha_signal=alpha_s,
+            alpha_idler=alpha_i,
+            t_idler_optics=t_idler,
+            coincidence_window=window,
         )
-        est = estimate_source(simulate_counts(cfg), KnownLosses.from_setup(cfg))
-        assert abs(est.mu / mu - 1.0) < 0.01
-        assert abs(est.alpha_signal / alpha_s - 1.0) < 0.01
-        assert abs(est.alpha_idler / alpha_i - 1.0) < 0.01
+        est = estimate_source(simulate_counts(cfg), cfg)
+        # the forward click probabilities carry ~1e-16 absolute error (a
+        # truncated pmf sum), which is ~1e-8 of mu b_s b_i at the smallest
+        # couplings drawn here
+        assert est.mu == pytest.approx(mu, rel=1e-7)
+        assert est.alpha_signal == pytest.approx(alpha_s, rel=1e-7)
+        assert est.alpha_idler == pytest.approx(alpha_i, rel=1e-7)
 
     @pytest.mark.parametrize("factor", [0.5, 2.0, 10.0])
     def test_scale_invariance(self, factor):
-        base = estimate_source(reference_counts(), KnownLosses())
+        base = estimate_source(reference_counts(), reference_setup())
         scaled = estimate_source(
             reference_counts(scale=factor),
-            KnownLosses(rep_rate_hz=8.2e7 * factor, dark_herald_rate=90.0 * factor),
+            reference_setup(
+                rep_rate_hz=8.2e7 * factor,
+                herald=ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=90.0 * factor),
+            ),
         )
         assert scaled.mu == pytest.approx(base.mu, rel=1e-9)
         assert scaled.alpha_signal == pytest.approx(base.alpha_signal, rel=1e-9)
@@ -105,30 +182,50 @@ class TestInfeasibleCounts:
     def test_signal_below_dark_floor(self):
         counts = CountRates(10.0, 285.0, 3053.0, 2.16e5, 2.05e5, 3053.0 / 2.16e5)
         with pytest.raises(InfeasibleCountsError, match="dark floor"):
-            estimate_source(counts, KnownLosses())
+            estimate_source(counts, reference_setup())
 
     def test_idler_below_dark_floor(self):
         counts = CountRates(2.9e5, 10.0, 3053.0, 2.16e5, 2.05e5, 3053.0 / 2.16e5)
         with pytest.raises(InfeasibleCountsError, match="dark floor"):
-            estimate_source(counts, KnownLosses())
+            estimate_source(counts, reference_setup())
 
     def test_excess_coincidences(self):
         # conditional detection would exceed the idler singles budget
         counts = CountRates(2.9e5, 285.0, 2.1e5, 2.16e5, 2.05e5, 2.1e5 / 2.16e5)
         with pytest.raises(InfeasibleCountsError):
-            estimate_source(counts, KnownLosses())
+            estimate_source(counts, reference_setup())
 
     def test_coupling_above_unity(self):
         # signal singles far above what unit coupling could deliver at the
         # pair number implied by the other observables
         counts = CountRates(5.0e6, 285.0, 3053.0, 2.16e5, 2.05e5, 3053.0 / 2.16e5)
         with pytest.raises(InfeasibleCountsError, match="alpha"):
-            estimate_source(counts, KnownLosses())
+            estimate_source(counts, reference_setup())
+
+    @pytest.mark.parametrize(
+        "field,override",
+        [
+            ("t_signal_optics", {"t_signal_optics": 0.0}),
+            (
+                "herald.efficiency",
+                {"herald": ClickDetectorSpec(efficiency=0.0, mode="free_running", dark_rate_cps=90.0)},
+            ),
+            ("t_idler_optics", {"t_idler_optics": 0.0}),
+            ("t_delay_fiber", {"t_delay_fiber": 0.0}),
+            (
+                "idler_detector.efficiency",
+                {"idler_detector": ClickDetectorSpec(efficiency=0.0, mode="gated", dark_prob_per_gate=2.5e-4)},
+            ),
+        ],
+    )
+    def test_zero_calibration_is_a_named_input_error(self, field, override):
+        with pytest.raises(ValidationError, match=f"calibrated {field} is 0"):
+            estimate_source(reference_counts(), reference_setup(**override))
 
     def test_zero_rates_rejected(self):
         counts = CountRates(0.0, 285.0, 3053.0, 2.16e5, 2.05e5, 0.0)
         with pytest.raises(EstimationError):
-            estimate_source(counts, KnownLosses())
+            estimate_source(counts, reference_setup())
 
 
 class TestEquivalentWcp:

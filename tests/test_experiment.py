@@ -128,6 +128,36 @@ class TestAnalyticCounts:
         assert counts.idler_singles == pytest.approx(205000.0 * 2.5e-4 * 1.001, rel=1e-9)
         assert counts.per_trigger_coincidence_prob == pytest.approx(2.5e-4 * 1.001, rel=1e-6)
 
+    def test_idler_singles_closed_form(self):
+        # threshold click on a thinned poissonian, inflated by afterpulsing
+        cfg = reference_setup()
+        p_click = 1.0 - (1.0 - 2.5e-4) * math.exp(-cfg.mu * cfg.idler_click_survival)
+        counts = simulate_counts(cfg)
+        assert counts.idler_singles == pytest.approx(cfg.gate_rate_hz * p_click * 1.001, rel=1e-12)
+
+    def test_afterpulse_inflates_by_one_plus_p(self):
+        def counts(afterpulse):
+            idler = ClickDetectorSpec(
+                efficiency=0.10, mode="gated", dark_prob_per_gate=2.5e-4, afterpulse_prob=afterpulse
+            )
+            return simulate_counts(reference_setup(idler_detector=idler))
+
+        base, inflated = counts(0.0), counts(1.0e-3)
+        assert inflated.idler_singles == pytest.approx(base.idler_singles * 1.001, rel=1e-12)
+        assert inflated.coincidences == pytest.approx(base.coincidences * 1.001, rel=1e-12)
+
+    def test_idler_singles_monotone_in_efficiency_dark_and_mean(self):
+        def idler(eta=0.10, dark=2.5e-4, mu=0.0829):
+            spec = ClickDetectorSpec(efficiency=eta, mode="gated", dark_prob_per_gate=dark)
+            return simulate_counts(reference_setup(mu=mu, idler_detector=spec)).idler_singles
+
+        for rates in (
+            [idler(eta=e) for e in (0.05, 0.1, 0.3, 0.9)],
+            [idler(dark=d) for d in (0.0, 1e-4, 1e-3, 1e-2)],
+            [idler(mu=m) for m in (0.001, 0.01, 0.1, 0.2)],
+        ):
+            assert sorted(rates) == rates and len(set(rates)) == len(rates)
+
     def test_trigger_monotone_in_mu(self):
         triggers = [
             simulate_counts(reference_setup(mu=m)).trigger_rate

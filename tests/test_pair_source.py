@@ -8,11 +8,8 @@ from hypothesis import given, strategies as st
 from spdcherald.errors import DomainError, ResolutionWarning, ValidationError
 from spdcherald.pair_source import (
     MAX_PAIRS,
-    LossChannel,
     PairNumberDistribution,
-    REFERENCE_CALIBRATION_PER_MW,
     log_factorial,
-    mean_pairs_from_pump,
     thin,
 )
 
@@ -182,12 +179,6 @@ class TestThin:
         pmf = PairNumberDistribution(law, mu).pmf_vector()
         assert abs(thin(pmf, s).sum() - 1.0) < 1e-12
 
-    def test_accepts_loss_channel(self):
-        pmf = PairNumberDistribution("poissonian", 0.1).pmf_vector()
-        a = thin(pmf, LossChannel(0.5, "fiber"))
-        b = thin(pmf, 0.5)
-        assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("law,modes", [("poissonian", None), ("thermal", None), ("multimode_thermal", 3)])
     def test_matches_brute_force_for_every_law(self, law, modes):
         pmf = PairNumberDistribution(law, 0.9, modes).pmf_vector()
@@ -198,30 +189,3 @@ class TestThin:
         pmf = PairNumberDistribution("poissonian", 0.1).pmf_vector()
         with pytest.raises(ValidationError):
             thin(pmf, 1.5)
-
-
-class TestPumpCalibration:
-    def test_reference_point(self):
-        kappa = REFERENCE_CALIBRATION_PER_MW
-        assert kappa == pytest.approx(3.454e-4, rel=1e-3)
-        assert mean_pairs_from_pump(240.0, kappa) == pytest.approx(0.0829, rel=1e-12)
-
-    def test_zero_power(self):
-        assert mean_pairs_from_pump(0.0, REFERENCE_CALIBRATION_PER_MW) == 0.0
-
-    def test_linearity(self):
-        kappa = REFERENCE_CALIBRATION_PER_MW
-        assert mean_pairs_from_pump(480.0, kappa) == pytest.approx(0.1658, rel=1e-12)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(DomainError):
-            mean_pairs_from_pump(-1.0, REFERENCE_CALIBRATION_PER_MW)
-
-
-class TestLossChannel:
-    def test_valid(self):
-        assert LossChannel(0.766, "delay fiber").transmission == 0.766
-
-    def test_invalid(self):
-        with pytest.raises(ValidationError):
-            LossChannel(1.2)

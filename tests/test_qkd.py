@@ -128,6 +128,15 @@ class TestMaxSecureDistance:
             replace(CHANNEL, **{field: value})
 
 
+    def test_independent_of_receiver_dark(self):
+        # the dark probability is added to both sides of the bound
+        stats = heralded_photon_statistics(reference_setup())
+        distances = {
+            max_secure_distance(stats, ChannelSpec(0.2, 0.10, dark)).km for dark in (0.0, 2.5e-4, 0.9)
+        }
+        assert len(distances) == 1
+
+
 class TestPumpSweep:
     def test_reference_row(self):
         rows = pump_sweep(reference_setup(), [0.0829], CHANNEL)

@@ -135,13 +135,32 @@ class TestCli:
         record = json.loads((tmp_path / "estimate.json").read_text())
         assert record["result"]["mu"] == pytest.approx(0.0822733, rel=1e-4)
 
-    @pytest.mark.parametrize("artifact", ["counts.json", "counts.csv"])
-    def test_estimate_from_simulated_counts_file(self, tmp_path, artifact):
+    @pytest.mark.parametrize(
+        "artifact,overrides",
+        [
+            ("counts.json", []),
+            ("counts.csv", []),
+            ("counts.json", ["source.law=thermal", "detectors.coincidence_window_gates=3"]),
+            ("counts.csv", ["source.law=thermal", "detectors.coincidence_window_gates=3"]),
+            ("counts.json", ["source.law=multimode_thermal", "source.modes=3"]),
+            ("counts.csv", ["source.law=multimode_thermal", "source.modes=3"]),
+        ],
+        ids=[
+            "counts.json",
+            "counts.csv",
+            "counts.json-thermal-window-3",
+            "counts.csv-thermal-window-3",
+            "counts.json-multimode-3",
+            "counts.csv-multimode-3",
+        ],
+    )
+    def test_estimate_from_simulated_counts_file(self, tmp_path, artifact, overrides):
         # simulate -> estimate round trip through the emitted artifacts
-        assert main(["simulate", BUNDLED, "--out-dir", str(tmp_path)]) == 0
+        flags = [arg for entry in overrides for arg in ("--override", entry)]
+        assert main(["simulate", BUNDLED, *flags, "--out-dir", str(tmp_path)]) == 0
         code = main(
             [
-                "estimate", BUNDLED,
+                "estimate", BUNDLED, *flags,
                 "--counts", str(tmp_path / artifact),
                 "--out-dir", str(tmp_path / "est"),
             ]
@@ -149,6 +168,7 @@ class TestCli:
         assert code == 0
         record = json.loads((tmp_path / "est" / "estimate.json").read_text())
         assert record["result"]["mu"] == pytest.approx(0.0829, rel=1e-6)
+        assert record["result"]["alpha_signal"] == pytest.approx(0.1687, rel=1e-6)
         assert record["result"]["alpha_idler"] == pytest.approx(0.2200, rel=1e-6)
 
     @pytest.mark.parametrize(
@@ -252,6 +272,18 @@ class TestCli:
             ]
         )
         assert code == 3
+
+    def test_zero_calibration_exits_2(self, tmp_path, capsys):
+        code = main(
+            [
+                "estimate", BUNDLED,
+                "--override", "losses.t_idler_optics=0",
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "t_idler_optics is 0" in capsys.readouterr().err
+        assert not (tmp_path / "estimate.json").exists()
 
     def test_io_failure_exits_4(self, tmp_path):
         blocker = tmp_path / "blocker"
