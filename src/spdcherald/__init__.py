@@ -4,8 +4,9 @@ single-photon sources from parametric down-conversion."""
 __version__ = "0.1.0"
 
 from .detectors import (
-    ClickDetectorSpec,
     DeadTimeSpec,
+    FreeRunningDetector,
+    GatedDetector,
     dead_time_throughput,
     simulate_dead_time,
 )
@@ -73,7 +74,8 @@ __all__ = [
     "thin",
     "REFERENCE_CALIBRATION_PER_MW",
     # detectors
-    "ClickDetectorSpec",
+    "FreeRunningDetector",
+    "GatedDetector",
     "DeadTimeSpec",
     "dead_time_throughput",
     "simulate_dead_time",

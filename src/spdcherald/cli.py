@@ -251,7 +251,7 @@ _SETUP = frozenset({"source", "losses", "detectors", "dead_time", "run"})
 COMMANDS = {
     "simulate": (_SETUP, _simulate),
     "herald-stats": (_SETUP, _herald_stats),
-    "estimate": (frozenset({"counts", "source", "losses", "detectors", "run"}), _estimate),
+    "estimate": (_SETUP | {"counts"}, _estimate),
     "wcp-compare": (_SETUP, _wcp_compare),
     "sweep": (_SETUP | {"channel"}, _sweep),
     "phasematch": (frozenset({"crystal", "run"}), _phasematch),

@@ -1,8 +1,10 @@
 """Click-detector response and trigger dead-time throughput.
 
 Detectors are threshold ("click") devices: any number of incident photons
-produces at most one count per gate/pulse window.  Afterpulsing is modeled
-as rate inflation only; its temporal structure is out of scope.
+produces at most one count per gate/pulse window.  The herald detector runs
+free and the idler detector is gated, one type each.  Afterpulsing, on the
+gated idler detector, is modeled as rate inflation only; its temporal
+structure is out of scope.
 """
 
 from __future__ import annotations
@@ -14,58 +16,51 @@ import numpy as np
 
 from .errors import DomainError, ValidationError, require_finite
 
-DETECTOR_MODES = ("gated", "free_running")
 DEAD_TIME_MODELS = ("paralyzable", "nonparalyzable")
 NO_CLICK = -(10**18)  # dead-time state before the first click
 SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
 
 
-@dataclass(frozen=True)
-class ClickDetectorSpec:
-    """Efficiency, dark noise, and afterpulsing of a single-photon detector.
+def _check_efficiency(efficiency: float) -> None:
+    if not (0.0 <= efficiency <= 1.0):
+        raise ValidationError(f"efficiency must lie in [0, 1], got {efficiency}")
 
-    Gated detectors declare a dark probability per gate; free-running ones a
-    dark rate in counts/s.  Exactly one of the two must be set, matching the
-    operating mode.
-    """
+
+@dataclass(frozen=True)
+class FreeRunningDetector:
+    """A free-running click detector (the herald arm): efficiency and a
+    Poissonian dark rate in counts/s."""
 
     efficiency: float
-    mode: str = "gated"
-    dark_prob_per_gate: float | None = None
-    dark_rate_cps: float | None = None
-    afterpulse_prob: float = 0.0
-    gate_width_ns: float | None = None
+    dark_rate_cps: float
 
     def __post_init__(self):
-        if not (0.0 <= self.efficiency <= 1.0):
-            raise ValidationError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-        if self.mode not in DETECTOR_MODES:
-            raise ValidationError(f"unknown detector mode {self.mode!r}; expected one of {DETECTOR_MODES}")
+        _check_efficiency(self.efficiency)
+        require_finite("dark rate", self.dark_rate_cps)
+        if self.dark_rate_cps < 0.0:
+            raise ValidationError(f"dark rate must be >= 0, got {self.dark_rate_cps}")
+
+    def dark_probability(self, window_s: float) -> float:
+        """Dark-count probability in a window of ``window_s`` seconds,
+        ``1 - exp(-rate * T)``."""
+        return float(-np.expm1(-self.dark_rate_cps * window_s))
+
+
+@dataclass(frozen=True)
+class GatedDetector:
+    """A gated click detector (the idler arm): efficiency, a dark probability
+    per gate, and the afterpulse probability per click."""
+
+    efficiency: float
+    dark_prob_per_gate: float
+    afterpulse_prob: float = 0.0
+
+    def __post_init__(self):
+        _check_efficiency(self.efficiency)
+        if not (0.0 <= self.dark_prob_per_gate <= 1.0):
+            raise ValidationError(f"dark probability must lie in [0, 1], got {self.dark_prob_per_gate}")
         if not (0.0 <= self.afterpulse_prob < 1.0):
             raise ValidationError(f"afterpulse probability must lie in [0, 1), got {self.afterpulse_prob}")
-        if self.mode == "gated":
-            if self.dark_prob_per_gate is None or self.dark_rate_cps is not None:
-                raise ValidationError("gated mode requires dark_prob_per_gate (and no dark_rate_cps)")
-            if not (0.0 <= self.dark_prob_per_gate <= 1.0):
-                raise ValidationError(f"dark probability must lie in [0, 1], got {self.dark_prob_per_gate}")
-        else:
-            if self.dark_rate_cps is None or self.dark_prob_per_gate is not None:
-                raise ValidationError("free_running mode requires dark_rate_cps (and no dark_prob_per_gate)")
-            require_finite("dark rate", self.dark_rate_cps)
-            if self.dark_rate_cps < 0.0:
-                raise ValidationError(f"dark rate must be >= 0, got {self.dark_rate_cps}")
-
-    def dark_probability(self, window_s: float | None = None) -> float:
-        """Dark-count probability in one gate or one time window.
-
-        Free-running mode needs the window duration; dark arrivals are
-        Poissonian, so the per-window probability is ``1 - exp(-rate * T)``.
-        """
-        if self.mode == "gated":
-            return self.dark_prob_per_gate
-        if window_s is None:
-            raise ValidationError("free_running dark probability needs a window duration")
-        return float(-np.expm1(-self.dark_rate_cps * window_s))
 
 
 @dataclass(frozen=True)

@@ -35,14 +35,16 @@ bit-identical results, independent of how the blocks are scheduled.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .detectors import (
     NO_CLICK,
-    ClickDetectorSpec,
     DeadTimeSpec,
+    FreeRunningDetector,
+    GatedDetector,
     bernoulli_positions,
     check_seed,
     dead_time_filter,
@@ -56,20 +58,6 @@ from .pair_source import MAX_PAIRS, PairNumberDistribution, thin
 # scheduled.  Changing this constant changes the sampled stream.
 MC_BLOCK = 1 << 20
 MC_MIN_PULSES = 1_000_000
-
-
-def _default_herald_detector() -> ClickDetectorSpec:
-    return ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=90.0)
-
-
-def _default_idler_detector() -> ClickDetectorSpec:
-    return ClickDetectorSpec(
-        efficiency=0.10,
-        mode="gated",
-        dark_prob_per_gate=2.5e-4,
-        afterpulse_prob=1.0e-3,
-        gate_width_ns=1.0,
-    )
 
 
 @dataclass(frozen=True)
@@ -93,9 +81,9 @@ class SetupConfig:
     t_signal_optics: float = 0.466
     t_idler_optics: float = 0.817
     t_delay_fiber: float = 0.765
-    herald: ClickDetectorSpec = field(default_factory=_default_herald_detector)
-    idler_detector: ClickDetectorSpec = field(default_factory=_default_idler_detector)
-    trigger_dead_time: DeadTimeSpec = field(default_factory=DeadTimeSpec)
+    herald: FreeRunningDetector = FreeRunningDetector(efficiency=0.547, dark_rate_cps=90.0)
+    idler_detector: GatedDetector = GatedDetector(efficiency=0.10, dark_prob_per_gate=2.5e-4, afterpulse_prob=1.0e-3)
+    trigger_dead_time: DeadTimeSpec = DeadTimeSpec()
     gate_rate_hz: float = 205000.0
     coincidence_window: int = 1
 
@@ -112,15 +100,21 @@ class SetupConfig:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
         if self.coincidence_window < 1:
             raise ValidationError(f"coincidence window must be >= 1 gate, got {self.coincidence_window}")
-        if self.herald.mode != "free_running":
+        if not isinstance(self.herald, FreeRunningDetector):
             raise ValidationError("the herald detector runs free (gating is on the idler side)")
-        if self.idler_detector.mode != "gated":
+        if not isinstance(self.idler_detector, GatedDetector):
             raise ValidationError("the idler detector operates in gated mode")
         # validate the pair-number law eagerly
         self.pair_distribution()
 
     def pair_distribution(self) -> PairNumberDistribution:
         return PairNumberDistribution(law=self.law, mean=self.mu, modes=self.modes)
+
+    @cached_property
+    def pmf(self) -> np.ndarray:
+        """The truncated pair-number pmf, built (and any truncation warned of)
+        once per setup; every analytic and Monte Carlo path reads this one."""
+        return self.pair_distribution().pmf_vector()
 
     # --- per-photon survival probabilities of the two arms ---
     @property
@@ -144,7 +138,7 @@ class SetupConfig:
 
     @property
     def herald_dark_prob(self) -> float:
-        return self.herald.dark_probability(window_s=1.0 / self.rep_rate_hz)
+        return self.herald.dark_probability(1.0 / self.rep_rate_hz)
 
     @property
     def coincidence_dark_prob(self) -> float:
@@ -253,7 +247,7 @@ def _pgf(pmf: np.ndarray, x: float) -> float:
 
 def _analytic_probabilities(config: SetupConfig) -> dict:
     """Exact per-pulse click probabilities of the chain (threshold detectors)."""
-    pmf = config.pair_distribution().pmf_vector()
+    pmf = config.pmf
     bs = config.herald_survival
     bi = config.idler_click_survival
     ds = config.herald_dark_prob
@@ -272,7 +266,6 @@ def _analytic_probabilities(config: SetupConfig) -> dict:
         - dw * (1.0 - ds) * _pgf(pmf, 1.0 - bs)
     ) * ap
     return {
-        "pmf": pmf,
         "p_herald": p_herald,
         "p_idler_gate": min(p_idler_gate, 1.0),
         "p_coinc_and_herald": p_coinc_and_herald,
@@ -325,7 +318,7 @@ def heralded_photon_statistics(
     _validate_mc_args(mode, n_pulses, seed)
     if mode == "monte_carlo":
         return _heralded_stats_mc(config, int(n_pulses), int(seed))
-    pmf = config.pair_distribution().pmf_vector()
+    pmf = config.pmf
     bs = config.herald_survival
     b_out = config.output_survival
     ds = config.herald_dark_prob
@@ -418,7 +411,7 @@ def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int) -> Iterator[_Block
     numbers come from the zero-truncated pmf, the same truncated vector the
     analytic mode sums over.
     """
-    pmf = config.pair_distribution().pmf_vector()
+    pmf = config.pmf
     tail = np.cumsum(pmf[1:])
     cdf = tail / tail[-1] if tail.size else tail
     p_occupied = 1.0 - pmf[0]

@@ -109,9 +109,6 @@ class PairNumberDistribution:
             )
         return np.array(probs)
 
-    def mean_pairs(self) -> float:
-        return self.mean
-
     def second_order_coherence(self) -> float:
         """Unconditioned g2(0) of the law: <n(n-1)>/<n>^2, loss-invariant."""
         if self.law == "poissonian":
@@ -119,16 +116,6 @@ class PairNumberDistribution:
         if self.law == "thermal":
             return 2.0
         return 1.0 + 1.0 / self.modes
-
-    def to_dict(self) -> dict:
-        out = {"law": self.law, "mean": self.mean}
-        if self.modes is not None:
-            out["modes"] = self.modes
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PairNumberDistribution":
-        return cls(law=data["law"], mean=data["mean"], modes=data.get("modes"))
 
 
 def thin(pmf: np.ndarray, survival: float) -> np.ndarray:

@@ -13,7 +13,7 @@ the sinc^2 phase-matching factor of a crystal of finite length.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -254,8 +254,6 @@ class JointSpectrum:
     signal_axis: np.ndarray
     idler_axis: np.ndarray
     intensity: np.ndarray  # shape (signal, idler), max normalized to 1
-    pump_center_nm: float
-    pump_fwhm_nm: float
 
     def peak(self) -> tuple[float, float]:
         """(signal, idler) wavelengths of the intensity maximum."""
@@ -320,7 +318,7 @@ def joint_spectral_intensity(
             ResolutionWarning,
             stacklevel=2,
         )
-    return JointSpectrum(sig, idl, intensity, pump_center_nm, pump_fwhm_nm)
+    return JointSpectrum(sig, idl, intensity)
 
 
 def _fwhm(axis: np.ndarray, values: np.ndarray) -> float:

@@ -17,8 +17,8 @@ from .errors import ValidationError, require_finite
 from .experiment import HeraldedStats, SetupConfig, heralded_photon_statistics, simulate_counts
 from .pair_source import REFERENCE_CALIBRATION_PER_MW
 
-DEFAULT_DISTANCE_CAP_KM = 500.0
-DEFAULT_DISTANCE_RESOLUTION_KM = 0.1
+DISTANCE_CAP_KM = 500.0
+DISTANCE_RESOLUTION_KM = 0.1
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,6 @@ class SecureDistance:
     capped: bool = False
     insecure_at_zero: bool = False
 
-    def to_dict(self) -> dict:
-        return {"km": self.km, "capped": self.capped, "insecure_at_zero": self.insecure_at_zero}
-
 
 @dataclass(frozen=True)
 class TradeoffRow:
@@ -84,14 +81,10 @@ def expected_detection_probability(stats: HeraldedStats, channel: ChannelSpec, d
     return float((stats.p * (1.0 - (1.0 - eta) ** n)).sum()) + channel.receiver_dark_per_pulse
 
 
-def max_secure_distance(
-    stats: HeraldedStats,
-    channel: ChannelSpec,
-    cap_km: float = DEFAULT_DISTANCE_CAP_KM,
-    resolution_km: float = DEFAULT_DISTANCE_RESOLUTION_KM,
-) -> SecureDistance:
+def max_secure_distance(stats: HeraldedStats, channel: ChannelSpec) -> SecureDistance:
     """Largest distance where the detection probability beats the
-    multiphoton fraction, bisected to ``resolution_km`` and capped.
+    multiphoton fraction, bisected to :data:`DISTANCE_RESOLUTION_KM` and
+    capped at :data:`DISTANCE_CAP_KM`.
 
     Receiver dark counts appear on both sides of the bound -- an
     eavesdropper can neither suppress nor exploit them -- so the condition
@@ -109,10 +102,10 @@ def max_secure_distance(
 
     if not secure(0.0):
         return SecureDistance(0.0, insecure_at_zero=True)
-    if secure(cap_km):
-        return SecureDistance(cap_km, capped=True)
-    lo, hi = 0.0, cap_km
-    while hi - lo > resolution_km:
+    if secure(DISTANCE_CAP_KM):
+        return SecureDistance(DISTANCE_CAP_KM, capped=True)
+    lo, hi = 0.0, DISTANCE_CAP_KM
+    while hi - lo > DISTANCE_RESOLUTION_KM:
         mid = 0.5 * (lo + hi)
         if secure(mid):
             lo = mid

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .detectors import ClickDetectorSpec, DeadTimeSpec
+from .detectors import DeadTimeSpec, FreeRunningDetector, GatedDetector
 from .errors import ValidationError
 from .experiment import CountRates, SetupConfig
 from .phase_matching import CrystalSpec, SellmeierCoefficients
@@ -213,6 +213,17 @@ class Scenario:
         dt = self.section("dead_time")
         herald = det["herald"]
         idler = det["idler"]
+        # each arm has one operating mode; the model has no herald afterpulsing,
+        # and detectors.idler.gate_width_ns is descriptive
+        for arm, mode in (("herald", "free_running"), ("idler", "gated")):
+            given = det[arm].get("mode", mode)
+            if given != mode:
+                raise ValidationError(f"scenario key 'detectors.{arm}.mode' must be {mode!r}, got {given!r}")
+        if herald.get("afterpulse_prob", 0.0) != 0.0:
+            raise ValidationError(
+                f"scenario key 'detectors.herald.afterpulse_prob' must be 0 (the free-running "
+                f"herald detector has no afterpulse model), got {herald['afterpulse_prob']!r}"
+            )
         return SetupConfig(
             rep_rate_hz=src["rep_rate_hz"],
             mu=src["mu"],
@@ -223,18 +234,11 @@ class Scenario:
             t_signal_optics=loss["t_signal_optics"],
             t_idler_optics=loss["t_idler_optics"],
             t_delay_fiber=loss["t_delay_fiber"],
-            herald=ClickDetectorSpec(
-                efficiency=herald["efficiency"],
-                mode=herald.get("mode", "free_running"),
-                dark_rate_cps=herald.get("dark_rate_cps"),
-                afterpulse_prob=herald.get("afterpulse_prob", 0.0),
-            ),
-            idler_detector=ClickDetectorSpec(
+            herald=FreeRunningDetector(efficiency=herald["efficiency"], dark_rate_cps=herald["dark_rate_cps"]),
+            idler_detector=GatedDetector(
                 efficiency=idler["efficiency"],
-                mode=idler.get("mode", "gated"),
-                dark_prob_per_gate=idler.get("dark_prob_per_gate"),
+                dark_prob_per_gate=idler["dark_prob_per_gate"],
                 afterpulse_prob=idler.get("afterpulse_prob", 0.0),
-                gate_width_ns=idler.get("gate_width_ns"),
             ),
             trigger_dead_time=DeadTimeSpec(tau_us=dt["tau_us"], model=dt.get("model", "paralyzable")),
             gate_rate_hz=idler.get("gate_rate_hz", 205000.0),

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from spdcherald.detectors import (
-    ClickDetectorSpec,
     DeadTimeSpec,
+    FreeRunningDetector,
+    GatedDetector,
     bernoulli_positions,
     NO_CLICK,
     dead_time_filter,
@@ -16,29 +17,44 @@ from spdcherald.errors import DomainError, ValidationError
 
 
 class TestSpecValidation:
+    # each arm's type holds only the dark quantity its mode defines
     def test_gated_needs_per_gate_dark(self):
-        with pytest.raises(ValidationError):
-            ClickDetectorSpec(efficiency=0.5, mode="gated", dark_rate_cps=90.0)
+        with pytest.raises(TypeError):
+            GatedDetector(efficiency=0.5, dark_rate_cps=90.0)
 
     def test_free_running_needs_rate(self):
-        with pytest.raises(ValidationError):
-            ClickDetectorSpec(efficiency=0.5, mode="free_running", dark_prob_per_gate=1e-4)
+        with pytest.raises(TypeError):
+            FreeRunningDetector(efficiency=0.5, dark_prob_per_gate=1e-4)
 
     def test_both_darks_rejected(self):
-        with pytest.raises(ValidationError):
-            ClickDetectorSpec(
-                efficiency=0.5, mode="gated", dark_prob_per_gate=1e-4, dark_rate_cps=90.0
-            )
+        with pytest.raises(TypeError):
+            GatedDetector(efficiency=0.5, dark_prob_per_gate=1e-4, dark_rate_cps=90.0)
 
     def test_efficiency_range(self):
         with pytest.raises(ValidationError):
-            ClickDetectorSpec(efficiency=1.2, mode="gated", dark_prob_per_gate=0.0)
+            GatedDetector(efficiency=1.2, dark_prob_per_gate=0.0)
+        with pytest.raises(ValidationError):
+            FreeRunningDetector(efficiency=math.nan, dark_rate_cps=0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GatedDetector(efficiency=0.5, dark_prob_per_gate=1.5),
+            lambda: GatedDetector(efficiency=0.5, dark_prob_per_gate=math.nan),
+            lambda: GatedDetector(efficiency=0.5, dark_prob_per_gate=0.0, afterpulse_prob=1.0),
+            lambda: FreeRunningDetector(efficiency=0.5, dark_rate_cps=-1.0),
+        ],
+        ids=["dark_above_1", "dark_nan", "afterpulse_1", "negative_rate"],
+    )
+    def test_dark_and_afterpulse_ranges(self, build):
+        with pytest.raises(ValidationError):
+            build()
 
     def test_free_running_dark_needs_window(self):
-        spec = ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=90.0)
-        with pytest.raises(ValidationError):
+        spec = FreeRunningDetector(efficiency=0.547, dark_rate_cps=90.0)
+        with pytest.raises(TypeError):
             spec.dark_probability()
-        per_pulse = spec.dark_probability(window_s=1.0 / 8.2e7)
+        per_pulse = spec.dark_probability(1.0 / 8.2e7)
         assert per_pulse == pytest.approx(90.0 / 8.2e7, rel=1e-6)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import spdcherald.estimator as estimator
 import spdcherald.experiment as experiment
-from spdcherald.detectors import ClickDetectorSpec, DeadTimeSpec
+from spdcherald.detectors import DeadTimeSpec, FreeRunningDetector, GatedDetector
 from spdcherald.errors import DomainError, EstimationError, InfeasibleCountsError, ValidationError
 from spdcherald.estimator import (
     WcpComparison,
@@ -59,9 +59,9 @@ class TestEstimateFromReferenceCounts:
         quiet = estimate_source(
             reference_counts(),
             reference_setup(
-                herald=ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=0.0),
-                idler_detector=ClickDetectorSpec(
-                    efficiency=0.10, mode="gated", dark_prob_per_gate=0.0, afterpulse_prob=1.0e-3
+                herald=FreeRunningDetector(efficiency=0.547, dark_rate_cps=0.0),
+                idler_detector=GatedDetector(
+                    efficiency=0.10, dark_prob_per_gate=0.0, afterpulse_prob=1.0e-3
                 ),
             ),
         )
@@ -126,9 +126,9 @@ class TestRoundTrip:
             modes=modes if law == "multimode_thermal" else None,
             mu=mu,
             coincidence_window=window,
-            herald=ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=herald_dark),
-            idler_detector=ClickDetectorSpec(
-                efficiency=0.10, mode="gated", dark_prob_per_gate=idler_dark, afterpulse_prob=1.0e-3
+            herald=FreeRunningDetector(efficiency=0.547, dark_rate_cps=herald_dark),
+            idler_detector=GatedDetector(
+                efficiency=0.10, dark_prob_per_gate=idler_dark, afterpulse_prob=1.0e-3
             ),
             trigger_dead_time=DeadTimeSpec(tau_us=1.0, model=model),
         )
@@ -170,7 +170,7 @@ class TestRoundTrip:
             reference_counts(scale=factor),
             reference_setup(
                 rep_rate_hz=8.2e7 * factor,
-                herald=ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=90.0 * factor),
+                herald=FreeRunningDetector(efficiency=0.547, dark_rate_cps=90.0 * factor),
             ),
         )
         assert scaled.mu == pytest.approx(base.mu, rel=1e-9)
@@ -208,13 +208,13 @@ class TestInfeasibleCounts:
             ("t_signal_optics", {"t_signal_optics": 0.0}),
             (
                 "herald.efficiency",
-                {"herald": ClickDetectorSpec(efficiency=0.0, mode="free_running", dark_rate_cps=90.0)},
+                {"herald": FreeRunningDetector(efficiency=0.0, dark_rate_cps=90.0)},
             ),
             ("t_idler_optics", {"t_idler_optics": 0.0}),
             ("t_delay_fiber", {"t_delay_fiber": 0.0}),
             (
                 "idler_detector.efficiency",
-                {"idler_detector": ClickDetectorSpec(efficiency=0.0, mode="gated", dark_prob_per_gate=2.5e-4)},
+                {"idler_detector": GatedDetector(efficiency=0.0, dark_prob_per_gate=2.5e-4)},
             ),
         ],
     )

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spdcherald.detectors import ClickDetectorSpec, DeadTimeSpec
+from spdcherald.detectors import DeadTimeSpec, FreeRunningDetector, GatedDetector
 from spdcherald.errors import EstimationError, ValidationError
 from spdcherald.experiment import (
     MC_BLOCK,
@@ -36,9 +36,9 @@ MC_PULSES = 10_000_000
 def quiet_setup(**overrides):
     """Reference chain with dark counts and afterpulsing switched off."""
     base = dict(
-        herald=ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=0.0),
-        idler_detector=ClickDetectorSpec(
-            efficiency=0.10, mode="gated", dark_prob_per_gate=0.0, afterpulse_prob=0.0
+        herald=FreeRunningDetector(efficiency=0.547, dark_rate_cps=0.0),
+        idler_detector=GatedDetector(
+            efficiency=0.10, dark_prob_per_gate=0.0, afterpulse_prob=0.0
         ),
     )
     base.update(overrides)
@@ -58,9 +58,12 @@ class TestConfigValidation:
             reference_setup(t_delay_fiber=-0.1)
 
     def test_detector_modes_enforced(self):
-        gated = ClickDetectorSpec(efficiency=0.5, mode="gated", dark_prob_per_gate=1e-4)
-        with pytest.raises(ValidationError):
+        gated = GatedDetector(efficiency=0.5, dark_prob_per_gate=1e-4)
+        with pytest.raises(ValidationError, match="herald detector runs free"):
             reference_setup(herald=gated)
+        free = FreeRunningDetector(efficiency=0.5, dark_rate_cps=90.0)
+        with pytest.raises(ValidationError, match="idler detector operates in gated mode"):
+            reference_setup(idler_detector=free)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
@@ -70,7 +73,7 @@ class TestConfigValidation:
             lambda v: reference_setup(gate_rate_hz=v),
             lambda v: reference_setup(mu=v),
             lambda v: reference_setup(trigger_dead_time=DeadTimeSpec(tau_us=v)),
-            lambda v: ClickDetectorSpec(efficiency=0.5, mode="free_running", dark_rate_cps=v),
+            lambda v: FreeRunningDetector(efficiency=0.5, dark_rate_cps=v),
         ],
         ids=["rep_rate_hz", "gate_rate_hz", "mu", "tau_us", "dark_rate_cps"],
     )
@@ -137,8 +140,8 @@ class TestAnalyticCounts:
 
     def test_afterpulse_inflates_by_one_plus_p(self):
         def counts(afterpulse):
-            idler = ClickDetectorSpec(
-                efficiency=0.10, mode="gated", dark_prob_per_gate=2.5e-4, afterpulse_prob=afterpulse
+            idler = GatedDetector(
+                efficiency=0.10, dark_prob_per_gate=2.5e-4, afterpulse_prob=afterpulse
             )
             return simulate_counts(reference_setup(idler_detector=idler))
 
@@ -148,7 +151,7 @@ class TestAnalyticCounts:
 
     def test_idler_singles_monotone_in_efficiency_dark_and_mean(self):
         def idler(eta=0.10, dark=2.5e-4, mu=0.0829):
-            spec = ClickDetectorSpec(efficiency=eta, mode="gated", dark_prob_per_gate=dark)
+            spec = GatedDetector(efficiency=eta, dark_prob_per_gate=dark)
             return simulate_counts(reference_setup(mu=mu, idler_detector=spec)).idler_singles
 
         for rates in (
@@ -286,7 +289,7 @@ class TestMonteCarlo:
 
     def test_vacuum_heralds_only_dark_counts(self):
         cfg = reference_setup(
-            mu=0.0, herald=ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=9e4)
+            mu=0.0, herald=FreeRunningDetector(efficiency=0.547, dark_rate_cps=9e4)
         )
         n = 2_000_000
         mc = simulate_counts(cfg, mode="monte_carlo", n_pulses=n, seed=4)
@@ -301,7 +304,7 @@ class TestMonteCarlo:
     def test_negligible_dark_rate_gives_no_dark_herald(self):
         # 1e-12 cps is ~1.2e-20 per pulse: a gap between dark clicks far beyond int64
         cfg = reference_setup(
-            mu=0.0, herald=ClickDetectorSpec(efficiency=0.547, mode="free_running", dark_rate_cps=1e-12)
+            mu=0.0, herald=FreeRunningDetector(efficiency=0.547, dark_rate_cps=1e-12)
         )
         kw = dict(mode="monte_carlo", n_pulses=3 * MC_BLOCK, seed=8)
         mc = simulate_counts(cfg, **kw)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spdcherald.errors import ValidationError
+from spdcherald.errors import ResolutionWarning, ValidationError
 from spdcherald.experiment import HeraldedStats, heralded_photon_statistics, reference_setup
 from spdcherald.pair_source import PairNumberDistribution
 from spdcherald.qkd import (
@@ -172,6 +172,12 @@ class TestPumpSweep:
             pump_sweep(reference_setup(), [0.1, 0.05], CHANNEL)
         with pytest.raises(ValidationError):
             pump_sweep(reference_setup(), [-0.1], CHANNEL)
+
+    def test_truncated_row_warns_once(self):
+        # the row's counts and heralded statistics read one pmf of the setup
+        with pytest.warns(ResolutionWarning) as record:
+            pump_sweep(reference_setup(), [30.0], ChannelSpec())
+        assert [w.category for w in record] == [ResolutionWarning]
 
     def test_failed_row_is_reported(self, monkeypatch):
         import spdcherald.qkd as qkd_module

@@ -320,6 +320,23 @@ class TestCli:
         with pytest.raises(ValidationError, match=r"run.sweep_mu\[1\]"):
             parse_scenario(bundled_text(), overrides=["run.sweep_mu=[0.1, .nan]"])
 
+    def test_estimate_notes_only_the_sections_it_skips(self, tmp_path, capsys):
+        assert main(["estimate", BUNDLED, "--out-dir", str(tmp_path)]) == 0
+        assert "note: sections not used by 'estimate': channel, crystal\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "detectors.herald.mode=gated",
+            "detectors.idler.mode=free_running",
+            "detectors.herald.afterpulse_prob=0.5",
+        ],
+    )
+    def test_detector_key_the_model_cannot_take_exits_2(self, tmp_path, capsys, override):
+        assert main(["simulate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "counts.json").exists()
+
     def test_run_scenario_notes_unused_sections(self, tmp_path, capsys):
         import argparse
 
@@ -419,6 +436,64 @@ class TestCommandTable:
         assert main(["g2", BUNDLED, "--out-dir", str(tmp_path)]) == 3
         assert "numerical error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+# Numeric scenario leaves that no artifact reads, by design.
+DESCRIPTIVE_KEYS = {
+    # the sweep derives pump power from mu and source.pairs_per_pulse_per_mw
+    "source.pump_power_mw",
+    # the model counts per gate, whatever the gate's width
+    "detectors.idler.gate_width_ns",
+    # added to both sides of the security bound, so it cancels in max_secure_distance
+    "channel.receiver_dark_per_pulse",
+}
+
+
+def _numeric_leaves(node, path):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, f"{path}{key}.")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield f"{path}{key}", value
+
+
+MODEL_LEAVES = [
+    leaf
+    for section in ("source", "losses", "detectors", "dead_time", "channel")
+    for leaf in _numeric_leaves(load_scenario(BUNDLED).data[section], f"{section}.")
+]
+
+
+def _readers(key):
+    return [name for name, (sections, _) in COMMANDS.items() if key.split(".")[0] in sections]
+
+
+def _analytic_outputs(out_dir, command, overrides=()):
+    """Exit code and, on success, the JSON result and the CSV bytes (the
+    provenance hashes the scenario, so it changes with any override)."""
+    argv = [command, BUNDLED, "--mode", "analytic", "--out-dir", str(out_dir)]
+    code = main(argv + [arg for item in overrides for arg in ("--override", item)])
+    if code != 0:
+        return code, None
+    json_name, csv_name, _ = ARTIFACTS[command]
+    return code, (_strict_record(out_dir / json_name)["result"], (out_dir / csv_name).read_bytes())
+
+
+class TestEveryKeyIsRead:
+    @pytest.fixture(scope="class")
+    def bundled_outputs(self, tmp_path_factory):
+        return {c: _analytic_outputs(tmp_path_factory.mktemp(c), c) for c in _readers("source")}
+
+    def test_descriptive_keys_are_scenario_leaves(self):
+        assert DESCRIPTIVE_KEYS <= {key for key, _ in MODEL_LEAVES}
+
+    @pytest.mark.parametrize("key,value", MODEL_LEAVES, ids=[key for key, _ in MODEL_LEAVES])
+    def test_perturbed_key_changes_an_artifact_or_exits_2(self, tmp_path, capsys, bundled_outputs, key, value):
+        perturbed = value + 1 if isinstance(value, int) else value * 0.8 if value else 0.5
+        outputs = {c: _analytic_outputs(tmp_path / c, c, [f"{key}={perturbed!r}"]) for c in _readers(key)}
+        assert all(code in (0, 2) for code, _ in outputs.values()), outputs
+        changed = {c for c, out in outputs.items() if out != bundled_outputs[c]}
+        assert not changed if key in DESCRIPTIVE_KEYS else changed, (key, changed)
 
 
 def test_cli_import_loads_no_scipy():
