@@ -482,7 +482,8 @@ def _analytic_outputs(out_dir, command, overrides=()):
 class TestEveryKeyIsRead:
     @pytest.fixture(scope="class")
     def bundled_outputs(self, tmp_path_factory):
-        return {c: _analytic_outputs(tmp_path_factory.mktemp(c), c) for c in _readers("source")}
+        readers = {c for key, _ in MODEL_LEAVES for c in _readers(key)}
+        return {c: _analytic_outputs(tmp_path_factory.mktemp(c), c) for c in readers}
 
     def test_descriptive_keys_are_scenario_leaves(self):
         assert DESCRIPTIVE_KEYS <= {key for key, _ in MODEL_LEAVES}
