@@ -23,7 +23,7 @@ SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
 
 def _check_efficiency(efficiency: float) -> None:
     if not (0.0 <= efficiency <= 1.0):
-        raise ValidationError(f"efficiency must lie in [0, 1], got {efficiency}")
+        raise ValidationError(f"efficiency must lie in [0, 1], got {efficiency}", "efficiency")
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class FreeRunningDetector:
         _check_efficiency(self.efficiency)
         require_finite("dark rate", self.dark_rate_cps)
         if self.dark_rate_cps < 0.0:
-            raise ValidationError(f"dark rate must be >= 0, got {self.dark_rate_cps}")
+            raise ValidationError(f"dark rate must be >= 0, got {self.dark_rate_cps}", "dark_rate_cps")
 
     def dark_probability(self, window_s: float) -> float:
         """Dark-count probability in a window of ``window_s`` seconds,
@@ -58,9 +58,13 @@ class GatedDetector:
     def __post_init__(self):
         _check_efficiency(self.efficiency)
         if not (0.0 <= self.dark_prob_per_gate <= 1.0):
-            raise ValidationError(f"dark probability must lie in [0, 1], got {self.dark_prob_per_gate}")
+            raise ValidationError(
+                f"dark probability must lie in [0, 1], got {self.dark_prob_per_gate}", "dark_prob_per_gate"
+            )
         if not (0.0 <= self.afterpulse_prob < 1.0):
-            raise ValidationError(f"afterpulse probability must lie in [0, 1), got {self.afterpulse_prob}")
+            raise ValidationError(
+                f"afterpulse probability must lie in [0, 1), got {self.afterpulse_prob}", "afterpulse_prob"
+            )
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,11 @@ class DeadTimeSpec:
     def __post_init__(self):
         require_finite("dead time", self.tau_us)
         if self.tau_us < 0.0:
-            raise ValidationError(f"dead time must be >= 0, got {self.tau_us} us")
+            raise ValidationError(f"dead time must be >= 0, got {self.tau_us} us", "tau_us")
         if self.model not in DEAD_TIME_MODELS:
-            raise ValidationError(f"unknown dead-time model {self.model!r}; expected one of {DEAD_TIME_MODELS}")
+            raise ValidationError(
+                f"unknown dead-time model {self.model!r}; expected one of {DEAD_TIME_MODELS}", "model"
+            )
 
     @property
     def tau_s(self) -> float:
@@ -108,15 +114,22 @@ def dead_time_filter(clicks: np.ndarray, window: int, model: str, last: int) -> 
     none); the blocking click after them comes back with the keep mask, so a
     stream can be filtered block by block.
     """
-    if model == "paralyzable" or window == 0:  # the two models agree at zero
-        keep = np.diff(clicks, prepend=last) > window
+    keep = np.diff(clicks, prepend=last) > window  # past the previous click's window: kept by either model
+    if model == "paralyzable" or window == 0 or clicks.size == 0:  # the two models agree at zero
         return keep, int(clicks[-1]) if clicks.size else last
-    keep = np.zeros(clicks.size, dtype=bool)
-    for j, idx in enumerate(clicks.tolist()):
-        if idx - last > window:
-            keep[j] = True
-            last = idx
-    return keep, last
+    # Nonparalyzable: the first click past a survivor's window survives too.
+    # Pointer doubling marks those successors (round k reaches 2^k survivors
+    # on) until a round marks nothing new; index clicks.size stands for none.
+    jump = np.append(np.searchsorted(clicks, clicks + window + 1), clicks.size)
+    keep = np.append(keep, False)
+    keep[np.searchsorted(clicks, last + window + 1)] = True  # the first click past ``last``'s window
+    marked = 0
+    while np.count_nonzero(keep) > marked:
+        marked = np.count_nonzero(keep)
+        keep[jump[keep]] = True
+        jump = jump[jump]
+    survivors = np.flatnonzero(keep[:-1])
+    return keep[:-1], int(clicks[survivors[-1]]) if survivors.size else last
 
 
 def check_seed(seed: int | None) -> None:

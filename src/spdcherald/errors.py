@@ -12,7 +12,12 @@ class SpdcHeraldError(Exception):
 
 
 class ValidationError(SpdcHeraldError):
-    """Invalid configuration, scenario file, or argument."""
+    """Invalid configuration, scenario file, or argument; ``field`` names the
+    attribute at fault, where there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DomainError(ValidationError):

@@ -20,20 +20,23 @@ Model conventions
   stream; the surviving triggers are an unbiased sample of heralds, so
   per-trigger conditional quantities equal per-herald ones.
 
-The Monte Carlo mode simulates the identical chain event by event.  One
-sampler visits only the pulses that carry a pair, found by geometric gaps
-(Devroye 1986, ch. 2), and the herald dark clicks, a second gap stream.
-Per-pulse draws are made only where pulse order matters: heralds feed the
-dead time.  Tallies that do not depend on order (idler gate and window
-darks, afterpulses, HBT port clicks) are one binomial or multinomial draw
-per block and pair number, so empty pulses cost nothing each.  Count rates,
-heralded P(n) and g2 are reductions of that sampler.  Each block draws from
-its own counter-based substream, so fixed (config, n_pulses, seed) gives
-bit-identical results, independent of how the blocks are scheduled.
+The Monte Carlo mode simulates the identical chain from per-photon survival
+probabilities, never from the analytic sums.  Pulses are independent, so a
+block of pulses is drawn as tables indexed by pair number: one multinomial
+over the pmf gives the pulses with n pairs, and one more per n splits them
+into heralds whose partner is detected, heralds from a signal photon without
+a detected partner, dark-only heralds, and no herald.  Count rates, heralded
+P(n) and g2 are reductions of those tables.  Only the trigger dead time
+depends on pulse order, and it reads only the heralds: they take a uniform
+random subset of the block's pulses, so the cost scales with the heralds,
+not with the pulse count.  Each block draws from its own counter-based
+substream, so fixed (config, n_pulses, seed) gives bit-identical results,
+independent of how the blocks are scheduled.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -45,13 +48,12 @@ from .detectors import (
     DeadTimeSpec,
     FreeRunningDetector,
     GatedDetector,
-    bernoulli_positions,
     check_seed,
     dead_time_filter,
     dead_time_throughput,
 )
 from .errors import EstimationError, ValidationError, require_finite
-from .pair_source import MAX_PAIRS, PairNumberDistribution, thin
+from .pair_source import PairNumberDistribution, thin
 
 # Monte Carlo pulses are processed in fixed-size blocks; each block draws from
 # its own counter-based substream, so results do not depend on how blocks are
@@ -91,15 +93,17 @@ class SetupConfig:
         require_finite("repetition rate", self.rep_rate_hz)
         require_finite("gate rate", self.gate_rate_hz)
         if self.rep_rate_hz <= 0.0:
-            raise ValidationError(f"repetition rate must be > 0, got {self.rep_rate_hz}")
+            raise ValidationError(f"repetition rate must be > 0, got {self.rep_rate_hz}", "rep_rate_hz")
         if self.gate_rate_hz <= 0.0:
-            raise ValidationError(f"gate rate must be > 0, got {self.gate_rate_hz}")
+            raise ValidationError(f"gate rate must be > 0, got {self.gate_rate_hz}", "gate_rate_hz")
         for name in ("alpha_signal", "alpha_idler", "t_signal_optics", "t_idler_optics", "t_delay_fiber"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+                raise ValidationError(f"{name} must lie in [0, 1], got {value}", name)
         if self.coincidence_window < 1:
-            raise ValidationError(f"coincidence window must be >= 1 gate, got {self.coincidence_window}")
+            raise ValidationError(
+                f"coincidence window must be >= 1 gate, got {self.coincidence_window}", "coincidence_window"
+            )
         if not isinstance(self.herald, FreeRunningDetector):
             raise ValidationError("the herald detector runs free (gating is on the idler side)")
         if not isinstance(self.idler_detector, GatedDetector):
@@ -128,13 +132,9 @@ class SetupConfig:
         return self.alpha_idler * self.t_idler_optics
 
     @property
-    def downstream_survival(self) -> float:
-        """Source output -> idler detector click, given the photon got there."""
-        return self.t_delay_fiber * self.idler_detector.efficiency
-
-    @property
     def idler_click_survival(self) -> float:
-        return self.output_survival * self.downstream_survival
+        """Pair photon -> idler click: the output plane, then the delay fiber and the detector."""
+        return self.output_survival * (self.t_delay_fiber * self.idler_detector.efficiency)
 
     @property
     def herald_dark_prob(self) -> float:
@@ -372,74 +372,47 @@ def hbt_g2(
 # --------------------------------------------------------------------------
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    # Philox is counter based; jumped() yields a disjoint stream per block.
-    return np.random.Generator(np.random.Philox(key=seed).jumped(block_index))
-
-
-_PAIRS = np.arange(MAX_PAIRS + 1)  # every pair number a pulse can carry
-
-
-def _none_of(p: float) -> np.ndarray:
-    """Probability, per pair number n, that none of n independent trials of
-    probability ``p`` succeeds."""
-    return (1.0 - p) ** _PAIRS
+def _none_of(p: float, size: int) -> np.ndarray:
+    """Per pair number n < ``size``, the chance that none of n trials at ``p`` succeeds."""
+    return (1.0 - p) ** np.arange(size)
 
 
 @dataclass(frozen=True)
 class _Block:
-    """The pulses of one block that carry at least one pair."""
+    """One block's pulses, tallied by pair number n."""
 
     rng: np.random.Generator  # the block's substream, for the draws that follow
     start: int  # pulse index of the block's first pulse
     size: int
-    pulses: np.ndarray  # sorted indices within the block
-    pairs: np.ndarray  # pair number of each of those pulses (>= 1)
-
-    def pair_histogram(self, select: np.ndarray | slice = slice(None), empty: int = 0) -> np.ndarray:
-        """Number of selected occupied pulses per pair number, plus ``empty``
-        pulses without pairs."""
-        hist = np.bincount(self.pairs[select], minlength=_PAIRS.size)
-        hist[0] += empty
-        return hist
+    pulses: np.ndarray  # pulses with n pairs
+    partner: np.ndarray  # heralds whose detected signal photon has its partner detected too
+    signal: np.ndarray  # heralds with a detected signal photon but no detected partner
+    heralds: np.ndarray  # those two plus the herald detector's dark-only clicks
 
 
 def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int) -> Iterator[_Block]:
-    """The event-driven pulse train, block by block.
+    """The pulse train, block by block, as tables indexed by pair number.
 
-    Occupied pulses are found by geometric gaps at ``1 - pmf[0]``; their pair
-    numbers come from the zero-truncated pmf, the same truncated vector the
-    analytic mode sums over.
+    The pulses of a block with n pairs are one multinomial draw over the
+    truncated pmf; those of each n split into the herald classes by one more,
+    at the per-photon survivals: partner detected ``1 - (1 - b_s b_i)^n``,
+    signal only ``(1 - b_s b_i)^n - (1 - b_s)^n``, dark only ``(1 - b_s)^n
+    d_s``, no herald ``(1 - b_s)^n (1 - d_s)``.
     """
     pmf = config.pmf
-    tail = np.cumsum(pmf[1:])
-    cdf = tail / tail[-1] if tail.size else tail
-    p_occupied = 1.0 - pmf[0]
+    no_signal = _none_of(config.herald_survival, pmf.size)
+    no_partner = _none_of(config.herald_survival * config.idler_click_survival, pmf.size)
+    ds = config.herald_dark_prob
+    split = np.stack(
+        [1.0 - no_partner, np.maximum(no_partner - no_signal, 0.0), no_signal * ds, no_signal * (1.0 - ds)], axis=1
+    )
     for block, start in enumerate(range(0, n_pulses, MC_BLOCK)):
         size = min(MC_BLOCK, n_pulses - start)
-        rng = _block_rng(seed, block)
-        pulses = bernoulli_positions(rng, p_occupied, size)
-        pairs = 1 + np.searchsorted(cdf, rng.random(pulses.size), side="right")
-        yield _Block(rng, start, size, pulses, pairs)
-
-
-def _heralds(blk: _Block, config: SetupConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Herald clicks of a block.
-
-    One uniform ``u`` per occupied pulse decides whether a signal photon is
-    detected, ``u < 1 - (1 - b_s)^n``; callers reuse it for events nested in
-    that one.  Herald dark clicks are a second geometric-gap stream.  Returns
-    ``u``, which occupied pulses herald, and the positions of the dark
-    heralds on empty pulses.
-    """
-    u = blk.rng.random(blk.pulses.size)
-    heralded = u < 1.0 - _none_of(config.herald_survival)[blk.pairs]
-    dark = bernoulli_positions(blk.rng, config.herald_dark_prob, blk.size)
-    j = np.searchsorted(blk.pulses, dark)
-    on_pair = j < blk.pulses.size
-    on_pair[on_pair] = blk.pulses[j[on_pair]] == dark[on_pair]
-    heralded[j[on_pair]] = True
-    return u, heralded, dark[~on_pair]
+        # Philox is counter based; jumped() yields a disjoint stream per block
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(block))
+        pulses = rng.multinomial(size, pmf / pmf.sum())
+        partner, signal, dark, _ = rng.multinomial(pulses, split).T
+        yield _Block(rng, start, size, pulses, partner, signal, partner + signal + dark)
 
 
 def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountRates:
@@ -448,19 +421,14 @@ def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountR
     dw = config.coincidence_dark_prob
     ap = config.idler_detector.afterpulse_prob
     window = int(round(config.trigger_dead_time.tau_s * config.rep_rate_hz))
-    model = config.trigger_dead_time.model
-    # Per pair, the signal photon is detected with b_s and the idler photon
-    # with b_i, independently.  A pulse's herald photon (some signal detected)
-    # contains its partner event (some pair detected on both sides), so the
-    # herald's uniform u also decides the partner: u < 1 - (1 - b_s b_i)^n.
-    no_signal = _none_of(bs)
-    no_partner = _none_of(bs * bi)
-    no_idler = _none_of(bi)
+    # per pair, the signal photon is detected with b_s and the idler photon
+    # with b_i, independently
+    no_signal, no_partner, no_idler = (_none_of(p, config.pmf.size) for p in (bs, bs * bi, bi))
     # no idler photon given a signal photon without a detected partner:
     # P(signal, no idler) / P(signal, no partner), per pair number
     signal_only = no_partner - no_signal
     no_idler_given_signal = np.divide(
-        no_idler * (1.0 - no_signal), signal_only, out=np.ones(_PAIRS.size), where=signal_only > 0.0
+        no_idler * (1.0 - no_signal), signal_only, out=np.ones(no_idler.size), where=signal_only > 0.0
     )
     # idler gate silent (no photon, no dark) for pulses without a signal
     # photon (row 0) and with one but no detected partner (row 1)
@@ -472,27 +440,24 @@ def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountR
     heralds = triggers = coinc_counts = idler_counts = 0
     for blk in _mc_blocks(config, n_pulses, seed):
         rng = blk.rng
-        u, heralded, dark_only = _heralds(blk, config)
-        partner = u < 1.0 - no_partner[blk.pairs]
-        signal = u < 1.0 - no_signal[blk.pairs]
-
-        # triggers: the dead time acts on every herald in pulse order
-        at = np.concatenate([blk.pulses[heralded], dark_only])
-        tagged = np.concatenate([partner[heralded], np.zeros(dark_only.size, dtype=bool)])
-        order = np.argsort(at)
-        keep, last = dead_time_filter(at[order] + blk.start, window, model, last)
-        n_trig = int(keep.sum())
+        n_heralds = int(blk.heralds.sum())
+        tagged = int(blk.partner.sum())
+        # Pulses are independent, so given the tables the heralds sit on a
+        # uniform subset of the block's pulses; the dead time acts on them in
+        # order.  Which heralds survive does not depend on their class, so
+        # the partner-tagged triggers are a hypergeometric draw.
+        at = np.sort(rng.choice(blk.size, n_heralds, replace=False, shuffle=False))
+        keep, last = dead_time_filter(at + blk.start, window, config.trigger_dead_time.model, last)
+        n_trig = int(np.count_nonzero(keep))
+        coinc = int(rng.hypergeometric(tagged, n_heralds - tagged, n_trig))
         # a trigger without a detected partner coincides only with a window dark
-        coinc = int(tagged[order][keep].sum())
         coinc += int(rng.binomial(n_trig - coinc, dw))
 
         # one idler gate per pulse, counted per pair number and signal outcome
-        quiet_pulses = np.stack(
-            [blk.pair_histogram(~signal, empty=blk.size - blk.pulses.size), blk.pair_histogram(signal & ~partner)]
-        )
-        idler = int(partner.sum()) + int(rng.binomial(quiet_pulses, 1.0 - quiet_gate).sum())
+        quiet_pulses = np.stack([blk.pulses - blk.partner - blk.signal, blk.signal])
+        idler = tagged + int(rng.binomial(quiet_pulses, 1.0 - quiet_gate).sum())
 
-        heralds += at.size
+        heralds += n_heralds
         triggers += n_trig
         coinc_counts += coinc + int(rng.binomial(coinc, ap))
         idler_counts += idler + int(rng.binomial(idler, ap))
@@ -509,12 +474,14 @@ def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountR
 
 
 def _heralded_stats_mc(config: SetupConfig, n_pulses: int, seed: int) -> HeraldedStats:
-    hist = np.zeros(_PAIRS.size, dtype=np.int64)
+    # a herald's n pairs put Binomial(n, b_out) photons at the output plane
+    n, m = np.ogrid[: config.pmf.size, : config.pmf.size]
+    comb = np.array([[math.comb(i, j) for j in range(n.size)] for i in range(n.size)], dtype=float)
+    b = config.output_survival
+    output = comb * b**m * (1.0 - b) ** np.maximum(n - m, 0)
+    hist = np.zeros(n.size, dtype=np.int64)
     for blk in _mc_blocks(config, n_pulses, seed):
-        _, heralded, dark_only = _heralds(blk, config)
-        m = blk.rng.binomial(blk.pairs[heralded], config.output_survival)  # photons at the output
-        hist += np.bincount(m, minlength=hist.size)
-        hist[0] += dark_only.size
+        hist += blk.rng.multinomial(blk.heralds, output).sum(axis=0)
     heralds = int(hist.sum())
     if heralds == 0:
         raise EstimationError("no heralds in the Monte Carlo sample; cannot condition")
@@ -531,9 +498,9 @@ def _hbt_tally(rng: np.random.Generator, pulses: np.ndarray, pa: float, pb: floa
     ``dark``.  The windows of one pair number split into a-only, b-only, both
     and neither by one multinomial draw.
     """
-    quiet_a = (1.0 - dark) * _none_of(pa)
-    quiet_b = (1.0 - dark) * _none_of(pb)
-    quiet = (1.0 - dark) ** 2 * _none_of(pa + pb)
+    quiet_a = (1.0 - dark) * _none_of(pa, pulses.size)
+    quiet_b = (1.0 - dark) * _none_of(pb, pulses.size)
+    quiet = (1.0 - dark) ** 2 * _none_of(pa + pb, pulses.size)
     pvals = np.stack([quiet_b - quiet, quiet_a - quiet, 1.0 - quiet_a - quiet_b + quiet, quiet], axis=1)
     a_only, b_only, both, _ = rng.multinomial(pulses, np.maximum(pvals, 0.0)).sum(axis=0)
     return np.array([a_only + both, b_only + both, both])
@@ -542,21 +509,15 @@ def _hbt_tally(rng: np.random.Generator, pulses: np.ndarray, pa: float, pb: floa
 def _hbt_g2_mc(
     config: SetupConfig, arm: str, ratio: float, n_pulses: int, seed: int
 ) -> G2Result:
+    # signal arm: fiber-coupled signal light split on the HBT coupler, one
+    # herald-grade detector per port, every pulse a window; idler arm: ideal
+    # click detectors at the source output plane, the heralds the windows
+    signal_arm = arm == "signal_unconditioned"
+    b, dark = (config.herald_survival, config.herald_dark_prob) if signal_arm else (config.output_survival, 0.0)
     tally = np.zeros(3, dtype=np.int64)
     windows = 0
     for blk in _mc_blocks(config, n_pulses, seed):
-        if arm == "signal_unconditioned":
-            # fiber-coupled signal light split on the HBT coupler, one
-            # herald-grade detector per port; every pulse is a window
-            pulses = blk.pair_histogram(empty=blk.size - blk.pulses.size)
-            b = config.herald_survival
-            dark = config.herald_dark_prob
-        else:
-            # ideal click detectors at the source output plane; heralds are the windows
-            _, heralded, dark_only = _heralds(blk, config)
-            pulses = blk.pair_histogram(heralded, empty=dark_only.size)
-            b = config.output_survival
-            dark = 0.0
+        pulses = blk.pulses if signal_arm else blk.heralds
         tally += _hbt_tally(blk.rng, pulses, b * ratio, b * (1.0 - ratio), dark)
         windows += int(pulses.sum())
     n1, n2, n12 = (int(v) for v in tally)

@@ -53,15 +53,15 @@ class PairNumberDistribution:
 
     def __post_init__(self):
         if self.law not in LAWS:
-            raise ValidationError(f"unknown pair-number law {self.law!r}; expected one of {LAWS}")
+            raise ValidationError(f"unknown pair-number law {self.law!r}; expected one of {LAWS}", "law")
         require_finite("mean pair number", self.mean)
         if not (self.mean >= 0.0):
-            raise ValidationError(f"mean pair number must be >= 0, got {self.mean}")
+            raise ValidationError(f"mean pair number must be >= 0, got {self.mean}", "mean")
         if self.law == "multimode_thermal":
             if self.modes is None or self.modes < 1:
-                raise ValidationError("multimode_thermal requires modes >= 1")
+                raise ValidationError("multimode_thermal requires modes >= 1", "modes")
         elif self.modes is not None:
-            raise ValidationError(f"modes is only meaningful for multimode_thermal, got law {self.law!r}")
+            raise ValidationError(f"modes is only meaningful for multimode_thermal, got law {self.law!r}", "modes")
 
     def pmf(self, n: int) -> float:
         """Probability of exactly ``n`` pairs in one pulse."""

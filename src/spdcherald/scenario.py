@@ -172,6 +172,15 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
     return out
 
 
+# scenario keys of the fields a SetupConfig (or its pair law) validates, bar the ``losses`` ones
+_SETUP_KEYS = {
+    **{field: f"source.{field}" for field in ("rep_rate_hz", "law", "modes")},
+    "mean": "source.mu",
+    "gate_rate_hz": "detectors.idler.gate_rate_hz",
+    "coincidence_window": "detectors.coincidence_window_gates",
+}
+
+
 class Section(dict):
     """A validated scenario mapping whose missing keys raise ValidationError
     naming their dotted path."""
@@ -182,6 +191,16 @@ class Section(dict):
 
     def __missing__(self, key):
         raise ValidationError(f"scenario is missing the required key {self.path + key!r}")
+
+
+def _build(cls, section: Section, *required: str, **optional):
+    """``cls`` from a section's ``required`` and ``optional`` (defaulted) keys; a range error names its key."""
+    try:
+        return cls(**{key: section[key] for key in required}, **{k: section.get(k, v) for k, v in optional.items()})
+    except ValidationError as exc:
+        if exc.field is None:
+            raise
+        raise ValidationError(f"scenario key {section.path + exc.field!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -224,26 +243,28 @@ class Scenario:
                 f"scenario key 'detectors.herald.afterpulse_prob' must be 0 (the free-running "
                 f"herald detector has no afterpulse model), got {herald['afterpulse_prob']!r}"
             )
-        return SetupConfig(
-            rep_rate_hz=src["rep_rate_hz"],
-            mu=src["mu"],
-            law=src.get("law", "poissonian"),
-            modes=src.get("modes"),
-            alpha_signal=loss["alpha_signal"],
-            alpha_idler=loss["alpha_idler"],
-            t_signal_optics=loss["t_signal_optics"],
-            t_idler_optics=loss["t_idler_optics"],
-            t_delay_fiber=loss["t_delay_fiber"],
-            herald=FreeRunningDetector(efficiency=herald["efficiency"], dark_rate_cps=herald["dark_rate_cps"]),
-            idler_detector=GatedDetector(
-                efficiency=idler["efficiency"],
-                dark_prob_per_gate=idler["dark_prob_per_gate"],
-                afterpulse_prob=idler.get("afterpulse_prob", 0.0),
-            ),
-            trigger_dead_time=DeadTimeSpec(tau_us=dt["tau_us"], model=dt.get("model", "paralyzable")),
-            gate_rate_hz=idler.get("gate_rate_hz", 205000.0),
-            coincidence_window=det.get("coincidence_window_gates", 1),
-        )
+        try:
+            return SetupConfig(
+                rep_rate_hz=src["rep_rate_hz"],
+                mu=src["mu"],
+                law=src.get("law", "poissonian"),
+                modes=src.get("modes"),
+                alpha_signal=loss["alpha_signal"],
+                alpha_idler=loss["alpha_idler"],
+                t_signal_optics=loss["t_signal_optics"],
+                t_idler_optics=loss["t_idler_optics"],
+                t_delay_fiber=loss["t_delay_fiber"],
+                herald=_build(FreeRunningDetector, herald, "efficiency", "dark_rate_cps"),
+                idler_detector=_build(GatedDetector, idler, "efficiency", "dark_prob_per_gate", afterpulse_prob=0.0),
+                trigger_dead_time=_build(DeadTimeSpec, dt, "tau_us", model="paralyzable"),
+                gate_rate_hz=idler.get("gate_rate_hz", 205000.0),
+                coincidence_window=det.get("coincidence_window_gates", 1),
+            )
+        except ValidationError as exc:
+            if exc.field is None:
+                raise
+            key = _SETUP_KEYS.get(exc.field, f"losses.{exc.field}")
+            raise ValidationError(f"scenario key {key!r}: {exc}") from None
 
     def to_crystal(self) -> CrystalSpec:
         cry = self.section("crystal")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spdcherald.detectors import (
     DeadTimeSpec,
@@ -161,6 +162,34 @@ class TestDeadTimeFilter:
             parts.append(keep)
         assert np.array_equal(np.concatenate(parts), whole)
         assert 0 < whole.sum() < clicks.size
+
+    @settings(max_examples=400)
+    @given(
+        gaps=st.sampled_from([3, 40, 400]).flatmap(lambda most: st.lists(st.integers(1, most), max_size=300)),
+        start=st.integers(0, 10**6),
+        window=st.integers(0, 200),
+        offset=st.one_of(st.none(), st.integers(1, 250)),
+    )
+    def test_nonparalyzable_matches_the_per_click_loop(self, gaps, start, window, offset):
+        # empty, single-click, dense (gaps of 1-3) and sparse streams; the
+        # blocking click before them is none or up to 250 pulses before the first
+        clicks = start + np.cumsum(np.array(gaps, dtype=np.int64))
+        last = NO_CLICK if offset is None else start + 1 - offset
+        keep, after = dead_time_filter(clicks, window, "nonparalyzable", last)
+        expected_keep, expected_after = _nonparalyzable_loop(clicks, window, last)
+        assert keep.dtype == bool and np.array_equal(keep, expected_keep)
+        assert after == expected_after and type(after) is int
+
+
+def _nonparalyzable_loop(clicks, window, last):
+    """The per-click loop ``dead_time_filter`` ran for a nonparalyzable stage
+    before pointer doubling, kept verbatim as its oracle."""
+    keep = np.zeros(clicks.size, dtype=bool)
+    for j, idx in enumerate(clicks.tolist()):
+        if idx - last > window:
+            keep[j] = True
+            last = idx
+    return keep, last
 
 
 class TestBernoulliPositions:

@@ -337,6 +337,20 @@ class TestCli:
         assert override.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "counts.json").exists()
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "detectors.idler.efficiency=1.5",
+            "dead_time.tau_us=-1",
+            "losses.alpha_signal=1.5",
+            "detectors.idler.dark_prob_per_gate=2",
+        ],
+    )
+    def test_out_of_range_value_exits_2_naming_its_key(self, tmp_path, capsys, override):
+        assert main(["simulate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
+        assert f"scenario key {override.split('=')[0]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "counts.json").exists()
+
     def test_run_scenario_notes_unused_sections(self, tmp_path, capsys):
         import argparse
 
