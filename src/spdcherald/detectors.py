@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DomainError, ValidationError, require_finite
 
 DEAD_TIME_MODELS = ("paralyzable", "nonparalyzable")
-NO_CLICK = -(10**18)  # dead-time state before the first click
 SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
 
 
@@ -104,34 +103,6 @@ def dead_time_throughput(input_rate: float, dt: DeadTimeSpec) -> float:
     return input_rate / (1.0 + input_rate * tau)
 
 
-def dead_time_filter(clicks: np.ndarray, window: int, model: str, last: int) -> tuple[np.ndarray, int]:
-    """Which clicks survive a dead time of ``window`` pulses.
-
-    ``clicks`` are increasing pulse indices; a click survives when the last
-    blocking click lies more than ``window`` pulses before it.  A paralyzable
-    stage is blocked by every click, a nonparalyzable one only by survivors.
-    ``last`` is the blocking click before ``clicks`` (:data:`NO_CLICK` for
-    none); the blocking click after them comes back with the keep mask, so a
-    stream can be filtered block by block.
-    """
-    keep = np.diff(clicks, prepend=last) > window  # past the previous click's window: kept by either model
-    if model == "paralyzable" or window == 0 or clicks.size == 0:  # the two models agree at zero
-        return keep, int(clicks[-1]) if clicks.size else last
-    # Nonparalyzable: the first click past a survivor's window survives too.
-    # Pointer doubling marks those successors (round k reaches 2^k survivors
-    # on) until a round marks nothing new; index clicks.size stands for none.
-    jump = np.append(np.searchsorted(clicks, clicks + window + 1), clicks.size)
-    keep = np.append(keep, False)
-    keep[np.searchsorted(clicks, last + window + 1)] = True  # the first click past ``last``'s window
-    marked = 0
-    while np.count_nonzero(keep) > marked:
-        marked = np.count_nonzero(keep)
-        keep[jump[keep]] = True
-        jump = jump[jump]
-    survivors = np.flatnonzero(keep[:-1])
-    return keep[:-1], int(clicks[survivors[-1]]) if survivors.size else last
-
-
 def check_seed(seed: int | None) -> None:
     """Raise :class:`ValidationError` unless ``seed`` is a Philox key."""
     if seed is None:
@@ -140,35 +111,58 @@ def check_seed(seed: int | None) -> None:
         raise ValidationError(f"Monte Carlo seed must lie in [0, 2**128), got {seed}")
 
 
-def bernoulli_positions(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
-    """Sorted indices of the successes among ``size`` Bernoulli(``p``) trials.
+def dead_time_window(dt: DeadTimeSpec, rep_rate_hz: float, n_pulses: int) -> int:
+    """The dead time in pulses, ``round(tau * rep_rate)``, clamped to ``n_pulses``
+    (a window past the train's end blocks what any longer one would)."""
+    return int(round(min(dt.tau_s * rep_rate_hz, n_pulses)))
 
-    Draws the geometric gaps between successes (Devroye, *Non-Uniform Random
-    Variate Generation*, 1986, ch. 2), so the cost scales with the number of
-    successes rather than with ``size``.  A gap is ``1 + floor(E / q)`` with
-    ``E`` standard exponential and ``q = -ln(1 - p)``.
+
+def bernoulli_positions(rng: np.random.Generator, p: float, size: int, skip: int = 0) -> np.ndarray:
+    """Sorted indices of the successes among ``size`` Bernoulli(``p``) trials,
+    where the ``skip`` trials after each success are not run.
+
+    Draws the gaps between successes (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, ch. 2), so the cost scales with the number of
+    successes rather than with ``size``.  A gap is ``skip + 1 + floor(E / q)``
+    with ``E`` standard exponential and ``q = -ln(1 - p)``.
     """
     if p <= 0.0 or size <= 0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
-        return np.arange(size, dtype=np.int64)
+        return np.arange(0, size, skip + 1, dtype=np.int64)
     q = -math.log1p(-p)
     # a gap past the end is as good as any longer one; capping E there keeps
-    # every gap within size + 2, so the int64 cast and the cumsum stay in range
-    # however small p is
+    # every gap within size + skip + 2, so the int64 cast and the cumsum stay
+    # in range however small p is
     cap = (size + 1) * q
     found = []
-    last = -1  # the last success so far
+    last = -1 - skip  # the last success so far; the first trial is run
     while True:
         # enough gaps to pass the end in one draw, bar a 6-sigma shortfall
-        mean = p * (size - 1 - last)
+        mean = p * (size - 1 - last) / (1.0 + p * skip)
         e = rng.standard_exponential(int(mean + 6.0 * math.sqrt(mean)) + 16)
-        at = last + np.cumsum((np.minimum(e, cap) / q).astype(np.int64) + 1)
+        at = last + np.cumsum((np.minimum(e, cap) / q).astype(np.int64) + (1 + skip))
         if at[-1] >= size:
             found.append(at[: np.searchsorted(at, size)])
             return np.concatenate(found)
         found.append(at)
         last = int(at[-1])
+
+
+def nonparalyzable_walk(rng: np.random.Generator, p: float, size: int, window: int, last: int) -> tuple[int, int, int]:
+    """Clicks, triggers and the last trigger among ``size`` pulses that click
+    with probability ``p``, behind a nonparalyzable dead time of ``window``.
+
+    The triggers are a renewal process (Müller, NIM 112, 47, 1973), drawn by
+    :func:`bernoulli_positions` with a skip of ``window``; the clicks in dead
+    pulses are one binomial draw.  ``last`` indexes the trigger before
+    (``-window - 1`` for none) from the first pulse, as the returned one
+    does, so a train can be walked block by block."""
+    live = min(max(last + window + 1, 0), size)  # the pulses before it are in the window of ``last``
+    at = live + bernoulli_positions(rng, p, size - live, window)
+    # the triggers' windows, the last one cut at the end
+    dead = live + window * at.size - (max(int(at[-1]) + window + 1 - size, 0) if at.size else 0)
+    return at.size + int(rng.binomial(dead, p)), at.size, int(at[-1]) if at.size else last
 
 
 def simulate_dead_time(
@@ -180,10 +174,10 @@ def simulate_dead_time(
 ) -> float:
     """Monte Carlo dead-time throughput on a discrete pulse train.
 
-    Clicks arrive as Bernoulli events at the pulse rate; a click survives the
-    dead time when no blocking click fell within the preceding
-    ``round(tau * rep_rate)`` pulses.  Reproducible for a fixed seed.
-    """
+    Clicks are Bernoulli events, one chance per pulse.  A paralyzable stage
+    triggers on a click more than ``round(tau * rep_rate)`` pulses after the
+    one before, a nonparalyzable one on each step of
+    :func:`nonparalyzable_walk`.  Reproducible for a fixed seed."""
     require_finite("input rate", input_rate)
     if input_rate < 0.0:
         raise DomainError(f"input rate must be >= 0, got {input_rate}")
@@ -194,8 +188,10 @@ def simulate_dead_time(
     if p_click > 1.0:
         raise DomainError("input rate exceeds one click per pulse")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    clicks = bernoulli_positions(rng, p_click, int(n_pulses))
-    window = int(round(dt.tau_s * rep_rate_hz))
-    keep, _ = dead_time_filter(clicks, window, dt.model, NO_CLICK)
-    return int(keep.sum()) / (n_pulses / rep_rate_hz)
-
+    n = int(n_pulses)
+    window = dead_time_window(dt, rep_rate_hz, n)
+    if dt.model == "paralyzable":
+        triggers = np.count_nonzero(np.diff(bernoulli_positions(rng, p_click, n), prepend=-window - 1) > window)
+    else:
+        triggers = nonparalyzable_walk(rng, p_click, n, window, -window - 1)[1]
+    return int(triggers) / (n_pulses / rep_rate_hz)

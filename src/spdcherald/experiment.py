@@ -21,17 +21,14 @@ Model conventions
   per-trigger conditional quantities equal per-herald ones.
 
 The Monte Carlo mode simulates the identical chain from per-photon survival
-probabilities, never from the analytic sums.  Pulses are independent, so a
-block of pulses is drawn as tables indexed by pair number: one multinomial
-over the pmf gives the pulses with n pairs, and one more per n splits them
-into heralds whose partner is detected, heralds from a signal photon without
-a detected partner, dark-only heralds, and no herald.  Count rates, heralded
-P(n) and g2 are reductions of those tables.  Only the trigger dead time
-depends on pulse order, and it reads only the heralds: they take a uniform
-random subset of the block's pulses, so the cost scales with the heralds,
-not with the pulse count.  Each block draws from its own counter-based
-substream, so fixed (config, n_pulses, seed) gives bit-identical results,
-independent of how the blocks are scheduled.
+probabilities, never from the analytic sums.  Each block of pulses draws its
+heralds first, with the triggers a nonparalyzable dead time passes as a
+renewal walk over the triggers alone; given the herald count, multinomials
+by pair number give the herald classes and the other pulses.  Count rates,
+heralded P(n) and g2 are reductions of these tables, so all three condition
+on the same heralds.  Each block draws from its own counter-based substream
+and only the dead time is carried between blocks, so fixed (config,
+n_pulses, seed) gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -44,13 +41,13 @@ from functools import cached_property
 import numpy as np
 
 from .detectors import (
-    NO_CLICK,
     DeadTimeSpec,
     FreeRunningDetector,
     GatedDetector,
     check_seed,
-    dead_time_filter,
     dead_time_throughput,
+    dead_time_window,
+    nonparalyzable_walk,
 )
 from .errors import EstimationError, ValidationError, require_finite
 from .pair_source import PairNumberDistribution, thin
@@ -379,40 +376,56 @@ def _none_of(p: float, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Block:
-    """One block's pulses, tallied by pair number n."""
+    """One block's pulses, tallied by pair number n, and its triggers."""
 
     rng: np.random.Generator  # the block's substream, for the draws that follow
-    start: int  # pulse index of the block's first pulse
-    size: int
+    triggers: int | None  # heralds that pass the trigger dead time (None: not counted)
     pulses: np.ndarray  # pulses with n pairs
     partner: np.ndarray  # heralds whose detected signal photon has its partner detected too
     signal: np.ndarray  # heralds with a detected signal photon but no detected partner
     heralds: np.ndarray  # those two plus the herald detector's dark-only clicks
 
 
-def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int) -> Iterator[_Block]:
-    """The pulse train, block by block, as tables indexed by pair number.
+def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int, triggers: bool = False) -> Iterator[_Block]:
+    """The pulse train by block: the herald count H, then tables by pair number n given H.
 
-    The pulses of a block with n pairs are one multinomial draw over the
-    truncated pmf; those of each n split into the herald classes by one more,
-    at the per-photon survivals: partner detected ``1 - (1 - b_s b_i)^n``,
-    signal only ``(1 - b_s b_i)^n - (1 - b_s)^n``, dark only ``(1 - b_s)^n
-    d_s``, no herald ``(1 - b_s)^n (1 - d_s)``.
-    """
-    pmf = config.pmf
+    A pulse with n pairs heralds with its partner detected at ``1 - (1 - b_s
+    b_i)^n``, from a signal photon without one at ``(1 - b_s b_i)^n - (1 -
+    b_s)^n`` and dark only at ``(1 - b_s)^n d_s``; ``p_h`` sums these over
+    the pmf.  Behind a nonparalyzable dead time, :func:`nonparalyzable_walk`
+    draws H and the triggers.  Behind a paralyzable one H is Binomial(size,
+    p_h), and only ``triggers`` places the heralds, after the tables, on a
+    uniform subset of the block: one more than W pulses after the last
+    triggers."""
+    pmf = config.pmf / config.pmf.sum()
     no_signal = _none_of(config.herald_survival, pmf.size)
     no_partner = _none_of(config.herald_survival * config.idler_click_survival, pmf.size)
     ds = config.herald_dark_prob
-    split = np.stack(
-        [1.0 - no_partner, np.maximum(no_partner - no_signal, 0.0), no_signal * ds, no_signal * (1.0 - ds)], axis=1
-    )
+    herald = pmf[:, None] * np.stack([1.0 - no_partner, np.maximum(no_partner - no_signal, 0.0), no_signal * ds], 1)
+    no_herald = pmf * no_signal * (1.0 - ds)
+    p_herald = min(float(herald.sum()), 1.0)  # an ulp above 1 when every pulse heralds
+    # the laws of a herald's and another pulse's (n, class); "or 1": a law that never occurs is drawn zero times
+    given_herald, given_none = herald.ravel() / (p_herald or 1.0), no_herald / (no_herald.sum() or 1.0)
+    paralyzable = config.trigger_dead_time.model == "paralyzable"
+    window = dead_time_window(config.trigger_dead_time, config.rep_rate_hz, n_pulses)
+    last = -window - 1  # the last blocking herald, relative to the block's first pulse
     for block, start in enumerate(range(0, n_pulses, MC_BLOCK)):
         size = min(MC_BLOCK, n_pulses - start)
-        # Philox is counter based; jumped() yields a disjoint stream per block
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(block))
-        pulses = rng.multinomial(size, pmf / pmf.sum())
-        partner, signal, dark, _ = rng.multinomial(pulses, split).T
-        yield _Block(rng, start, size, pulses, partner, signal, partner + signal + dark)
+        # counter word 2 = block is Philox's jumped(block): a disjoint stream per block
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block, 0]))
+        if paralyzable:
+            n_heralds, n_trig = int(rng.binomial(size, p_herald)), None
+        else:
+            n_heralds, n_trig, last = nonparalyzable_walk(rng, p_herald, size, window, last)
+        partner, signal, dark = rng.multinomial(n_heralds, given_herald).reshape(-1, 3).T
+        heralds = partner + signal + dark
+        pulses = heralds + rng.multinomial(size - n_heralds, given_none)
+        if paralyzable and triggers:
+            at = np.sort(rng.choice(size, n_heralds, replace=False, shuffle=False))
+            n_trig = int(np.count_nonzero(np.diff(at, prepend=last) > window))
+            last = int(at[-1]) if n_heralds else last
+        last -= size
+        yield _Block(rng, n_trig, pulses, partner, signal, heralds)
 
 
 def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountRates:
@@ -420,7 +433,6 @@ def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountR
     bi = config.idler_click_survival
     dw = config.coincidence_dark_prob
     ap = config.idler_detector.afterpulse_prob
-    window = int(round(config.trigger_dead_time.tau_s * config.rep_rate_hz))
     # per pair, the signal photon is detected with b_s and the idler photon
     # with b_i, independently
     no_signal, no_partner, no_idler = (_none_of(p, config.pmf.size) for p in (bs, bs * bi, bi))
@@ -435,30 +447,24 @@ def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountR
     quiet_gate = (1.0 - config.idler_detector.dark_prob_per_gate) * np.stack(
         [no_idler, np.minimum(no_idler_given_signal, 1.0)]
     )
-    last = NO_CLICK  # herald -> trigger dead-time state, carried across blocks
 
     heralds = triggers = coinc_counts = idler_counts = 0
-    for blk in _mc_blocks(config, n_pulses, seed):
+    for blk in _mc_blocks(config, n_pulses, seed, triggers=True):
         rng = blk.rng
         n_heralds = int(blk.heralds.sum())
         tagged = int(blk.partner.sum())
-        # Pulses are independent, so given the tables the heralds sit on a
-        # uniform subset of the block's pulses; the dead time acts on them in
-        # order.  Which heralds survive does not depend on their class, so
-        # the partner-tagged triggers are a hypergeometric draw.
-        at = np.sort(rng.choice(blk.size, n_heralds, replace=False, shuffle=False))
-        keep, last = dead_time_filter(at + blk.start, window, config.trigger_dead_time.model, last)
-        n_trig = int(np.count_nonzero(keep))
-        coinc = int(rng.hypergeometric(tagged, n_heralds - tagged, n_trig))
+        # which heralds pass the dead time does not depend on their class,
+        # so the partner-tagged triggers are a hypergeometric draw
+        coinc = int(rng.hypergeometric(tagged, n_heralds - tagged, blk.triggers))
         # a trigger without a detected partner coincides only with a window dark
-        coinc += int(rng.binomial(n_trig - coinc, dw))
+        coinc += int(rng.binomial(blk.triggers - coinc, dw))
 
         # one idler gate per pulse, counted per pair number and signal outcome
         quiet_pulses = np.stack([blk.pulses - blk.partner - blk.signal, blk.signal])
         idler = tagged + int(rng.binomial(quiet_pulses, 1.0 - quiet_gate).sum())
 
         heralds += n_heralds
-        triggers += n_trig
+        triggers += blk.triggers
         coinc_counts += coinc + int(rng.binomial(coinc, ap))
         idler_counts += idler + int(rng.binomial(idler, ap))
 
@@ -506,9 +512,7 @@ def _hbt_tally(rng: np.random.Generator, pulses: np.ndarray, pa: float, pb: floa
     return np.array([a_only + both, b_only + both, both])
 
 
-def _hbt_g2_mc(
-    config: SetupConfig, arm: str, ratio: float, n_pulses: int, seed: int
-) -> G2Result:
+def _hbt_g2_mc(config: SetupConfig, arm: str, ratio: float, n_pulses: int, seed: int) -> G2Result:
     # signal arm: fiber-coupled signal light split on the HBT coupler, one
     # herald-grade detector per port, every pulse a window; idler arm: ideal
     # click detectors at the source output plane, the heralds the windows

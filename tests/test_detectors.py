@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from spdcherald.detectors import (
+    DEAD_TIME_MODELS,
     DeadTimeSpec,
     FreeRunningDetector,
     GatedDetector,
     bernoulli_positions,
-    NO_CLICK,
-    dead_time_filter,
     dead_time_throughput,
+    dead_time_window,
+    nonparalyzable_walk,
     simulate_dead_time,
 )
 from spdcherald.errors import DomainError, ValidationError
@@ -118,6 +118,19 @@ class TestDeadTime:
         sigma = math.sqrt(closed * duration) / duration
         assert abs(mc - closed) < 3.0 * sigma
 
+    def test_window_is_clamped_to_the_train(self):
+        assert dead_time_window(DeadTimeSpec(1.0), 8.2e7, 10**6) == 82
+        assert dead_time_window(DeadTimeSpec(1e20), 8.2e7, 10**5) == 10**5
+        assert dead_time_window(DeadTimeSpec(1.7e308), 8.2e7, 10**5) == 10**5  # tau * rep is inf
+
+    @pytest.mark.parametrize("model", DEAD_TIME_MODELS)
+    def test_dead_time_longer_than_the_run_keeps_the_first_click(self, model):
+        # a window of 8.2e21 pulses, past int64 once added to a pulse index;
+        # nothing blocks the first click
+        n, rep = 100_000, 8.2e7
+        rate = simulate_dead_time(1e6, DeadTimeSpec(1e20, model), rep, n, seed=1)
+        assert rate == 1 / (n / rep)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             DeadTimeSpec(tau_us=-1.0)
@@ -127,63 +140,52 @@ class TestDeadTime:
             dead_time_throughput(-1.0, DeadTimeSpec())
 
 
-class TestDeadTimeFilter:
-    CLICKS = np.array([0, 3, 5, 10, 12, 20])
-
+class TestNonparalyzableWalk:
     @pytest.mark.parametrize(
-        "model,expected",
+        "last,expected",
         [
-            # every click restarts the dead window
-            ("paralyzable", [True, False, False, True, False, True]),
-            # only accepted clicks restart it
-            ("nonparalyzable", [True, False, True, True, False, True]),
+            # every pulse clicks; the triggers are 0, 5, 10 and 15
+            (-5, (20, 4, 15)),
+            # a trigger two pulses before blocks the first three
+            (-2, (20, 4, 18)),
         ],
     )
-    def test_hand_worked_stream(self, model, expected):
-        keep, last = dead_time_filter(self.CLICKS, 4, model, NO_CLICK)
-        assert keep.tolist() == expected
-        assert last == 20
+    def test_hand_worked_train(self, last, expected):
+        rng = np.random.Generator(np.random.Philox(key=1))
+        assert nonparalyzable_walk(rng, 1.0, 20, 4, last) == expected
 
-    @pytest.mark.parametrize("model", ["paralyzable", "nonparalyzable"])
-    def test_zero_window_and_empty_stream(self, model):
-        keep, last = dead_time_filter(self.CLICKS, 0, model, NO_CLICK)
-        assert keep.all() and last == 20
-        keep, last = dead_time_filter(self.CLICKS[:0], 4, model, 7)
-        assert keep.size == 0 and last == 7
+    def test_zero_window_and_empty_train(self):
+        rng = np.random.Generator(np.random.Philox(key=1))
+        assert nonparalyzable_walk(rng, 1.0, 20, 0, -1) == (20, 20, 19)
+        assert nonparalyzable_walk(rng, 0.5, 0, 4, -3) == (0, 0, -3)
+        assert nonparalyzable_walk(rng, 0.0, 20, 4, -5) == (0, 0, -5)
 
-    @pytest.mark.parametrize("model", ["paralyzable", "nonparalyzable"])
-    def test_blockwise_equals_whole_stream(self, model):
-        rng = np.random.default_rng(1)
-        clicks = np.sort(rng.choice(20_000, 3_000, replace=False))
-        whole, _ = dead_time_filter(clicks, 9, model, NO_CLICK)
-        parts, last = [], NO_CLICK
-        for block in np.array_split(clicks, 11):
-            keep, last = dead_time_filter(block, 9, model, last)
-            parts.append(keep)
-        assert np.array_equal(np.concatenate(parts), whole)
-        assert 0 < whole.sum() < clicks.size
-
-    @settings(max_examples=400)
-    @given(
-        gaps=st.sampled_from([3, 40, 400]).flatmap(lambda most: st.lists(st.integers(1, most), max_size=300)),
-        start=st.integers(0, 10**6),
-        window=st.integers(0, 200),
-        offset=st.one_of(st.none(), st.integers(1, 250)),
-    )
-    def test_nonparalyzable_matches_the_per_click_loop(self, gaps, start, window, offset):
-        # empty, single-click, dense (gaps of 1-3) and sparse streams; the
-        # blocking click before them is none or up to 250 pulses before the first
-        clicks = start + np.cumsum(np.array(gaps, dtype=np.int64))
-        last = NO_CLICK if offset is None else start + 1 - offset
-        keep, after = dead_time_filter(clicks, window, "nonparalyzable", last)
-        expected_keep, expected_after = _nonparalyzable_loop(clicks, window, last)
-        assert keep.dtype == bool and np.array_equal(keep, expected_keep)
-        assert after == expected_after and type(after) is int
+    @pytest.mark.parametrize("p,window", [(0.3, 3), (0.05, 82), (0.9, 7)])
+    def test_walk_matches_the_per_click_rule(self, p, window):
+        # explicit Bernoulli trains through the per-click rule, against the
+        # walk over the whole train and over it in 7 blocks, on 300 seeds
+        size, seeds = 1000, 300
+        blocks = np.diff(np.linspace(0, size, 8).astype(int))
+        rule, whole, parts = (np.zeros((seeds, 2)) for _ in range(3))
+        for seed in range(seeds):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            clicks = np.flatnonzero(rng.random(size) < p)
+            rule[seed] = clicks.size, _nonparalyzable_loop(clicks, window, -window - 1)[0].sum()
+            whole[seed] = nonparalyzable_walk(rng, p, size, window, -window - 1)[:2]
+            last = -window - 1
+            for block in blocks:
+                n_clicks, n_trig, last = nonparalyzable_walk(rng, p, int(block), window, last)
+                parts[seed] += n_clicks, n_trig
+                last -= int(block)
+        for walked in (whole, parts):
+            z = (walked.mean(axis=0) - rule.mean(axis=0)) / np.sqrt((walked.var(axis=0) + rule.var(axis=0)) / seeds)
+            assert np.all(np.abs(z) <= 5.0), z
+        assert abs(whole[:, 0].mean() - p * size) <= 5.0 * math.sqrt(p * (1.0 - p) * size / seeds)
 
 
 def _nonparalyzable_loop(clicks, window, last):
-    """The per-click loop ``dead_time_filter`` ran for a nonparalyzable stage
-    before pointer doubling, kept verbatim as its oracle."""
+    """The per-click rule of a nonparalyzable stage: a click triggers when
+    the last trigger lies more than ``window`` pulses before it."""
     keep = np.zeros(clicks.size, dtype=bool)
     for j, idx in enumerate(clicks.tolist()):
         if idx - last > window:
@@ -218,6 +220,15 @@ class TestBernoulliPositions:
         rng = np.random.Generator(np.random.Philox(key=1))
         assert np.array_equal(bernoulli_positions(rng, 1.0, 7), np.arange(7))
         assert bernoulli_positions(rng, 0.5, 0).size == 0
+        assert np.array_equal(bernoulli_positions(rng, 1.0, 7, skip=2), [0, 3, 6])
+
+    @pytest.mark.parametrize("p,skip", [(0.3, 3), (0.05, 82), (1e-20, 1 << 20)])
+    def test_skip_leaves_out_the_trials_after_each_success(self, p, skip):
+        rng = np.random.Generator(np.random.Philox(key=4))
+        for _ in range(200):
+            at = bernoulli_positions(rng, p, 5000, skip)
+            assert at.dtype == np.int64 and (at.size == 0 or 0 <= at[0] <= at[-1] < 5000)
+            assert np.all(np.diff(at) > skip)
 
 
 class TestSimulateDeadTimeValidation:

@@ -1,13 +1,14 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spdcherald import experiment, pair_source
-from spdcherald.detectors import DeadTimeSpec, FreeRunningDetector, GatedDetector
+from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec, FreeRunningDetector, GatedDetector
 from spdcherald.errors import EstimationError, ValidationError
 from spdcherald.experiment import (
     HBT_ARMS,
@@ -443,11 +444,10 @@ class TestOneKernel:
 
     def test_block_tables_partition_the_pulses(self):
         n = 2 * MC_BLOCK + 12_345
-        blocks = list(_mc_blocks(self.CFG, n, seed=5))
-        assert [b.start for b in blocks] == [0, MC_BLOCK, 2 * MC_BLOCK]
-        assert sum(b.size for b in blocks) == n
+        blocks = list(_mc_blocks(self.CFG, n, seed=5, triggers=True))
+        assert [b.pulses.sum() for b in blocks] == [MC_BLOCK, MC_BLOCK, 12_345]
         for b in blocks:
-            assert b.pulses.sum() == b.size
+            assert 0 < b.triggers < b.heralds.sum()
             # partner, signal only, dark only and no herald, per pair number
             classes = np.stack([b.partner, b.signal, b.heralds - b.partner - b.signal, b.pulses - b.heralds])
             assert classes.min() >= 0 and np.array_equal(classes.sum(axis=0), b.pulses)
@@ -463,6 +463,57 @@ class TestOneKernel:
         assert np.all(np.abs(per_n - np.round(per_n)) < 1e-9), per_n
         other = heralded_photon_statistics(self.CFG, mode="monte_carlo", n_pulses=3_000_000, seed=22).p * heralds
         assert not np.all(np.abs(other - np.round(other)) < 1e-9)
+
+    @pytest.mark.parametrize("model", DEAD_TIME_MODELS)
+    @pytest.mark.parametrize("block,n", [(MC_BLOCK, 3 * MC_BLOCK + 777), (1000, 1_000_000)])
+    def test_herald_process_follows_the_pulse_train_laws(self, monkeypatch, model, block, n):
+        # heralds at p_h per pulse; triggers at p / (1 + pW), whose gaps W +
+        # Geometric(p) give the renewal variance, or at p (1 - p)^W; with
+        # 1000-pulse blocks a dead time lost at the joins would show
+        monkeypatch.setattr(experiment, "MC_BLOCK", block)
+        cfg = replace(self.CFG, trigger_dead_time=DeadTimeSpec(1.0, model))
+        p = simulate_counts(cfg).signal_singles / cfg.rep_rate_hz
+        w = round(cfg.trigger_dead_time.tau_s * cfg.rep_rate_hz)
+        blocks = list(_mc_blocks(cfg, n, seed=17, triggers=True))
+        heralds = sum(int(b.heralds.sum()) for b in blocks)
+        triggers = sum(b.triggers for b in blocks)
+        assert abs(_count_z(heralds, p * n, n * p * (1.0 - p))) <= 5.0
+        if model == "nonparalyzable":
+            gap = w + 1.0 / p
+            z = _count_z(triggers, n / gap, n * (1.0 - p) / p**2 / gap**3)
+        else:
+            z = _count_z(triggers, n * p * (1.0 - p) ** w, n * p * (1.0 - p) ** w)
+        assert abs(z) <= 5.0, z
+
+    def test_zero_herald_probability_divides_by_nothing(self):
+        cfg = quiet_setup(mu=0.0)  # no pair and no dark count: p_h = 0
+        kw = dict(mode="monte_carlo", n_pulses=MC_BLOCK + 5, seed=2)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = list(_mc_blocks(cfg, kw["n_pulses"], kw["seed"], triggers=True))
+            mc = simulate_counts(cfg, **kw)
+        assert [(b.heralds.sum(), b.triggers, b.pulses[0]) for b in blocks] == [(0, 0, MC_BLOCK), (0, 0, 5)]
+        assert mc.signal_singles == mc.trigger_rate == mc.coincidences == 0.0
+
+    @pytest.mark.parametrize("model,triggers", [("paralyzable", 1), ("nonparalyzable", -(-1_000_000 // 83))])
+    def test_every_pulse_heralds(self, model, triggers):
+        # 1e20 dark counts per second: the herald probability sums to an ulp above 1
+        cfg = reference_setup(
+            herald=FreeRunningDetector(efficiency=0.547, dark_rate_cps=1e20), trigger_dead_time=DeadTimeSpec(1.0, model)
+        )
+        mc = simulate_counts(cfg, mode="monte_carlo", n_pulses=1_000_000, seed=1)
+        assert mc.signal_singles == cfg.rep_rate_hz
+        assert mc.trigger_rate * 1_000_000 / cfg.rep_rate_hz == pytest.approx(triggers, rel=1e-12)
+
+    @pytest.mark.parametrize("model", DEAD_TIME_MODELS)
+    def test_dead_time_longer_than_the_run_keeps_one_trigger(self, model):
+        # a window of 8.2e21 pulses, past int64 once added to a pulse index;
+        # nothing blocks the first herald
+        cfg = replace(self.CFG, trigger_dead_time=DeadTimeSpec(1e20, model))
+        n = 2 * MC_BLOCK + 3
+        assert sum(b.triggers for b in _mc_blocks(cfg, n, seed=6, triggers=True)) == 1
+        mc = simulate_counts(cfg, mode="monte_carlo", n_pulses=n, seed=6)
+        assert mc.trigger_rate * n / cfg.rep_rate_hz == pytest.approx(1.0, rel=1e-12)
 
     def test_monte_carlo_never_reaches_the_analytic_path(self, monkeypatch):
         def analytic(*args, **kwargs):

@@ -118,6 +118,17 @@ class TestCli:
         assert main(args + ["--out-dir", str(b)]) == 0
         assert (a / "counts.json").read_bytes() == (b / "counts.json").read_bytes()
 
+    @pytest.mark.parametrize("model", ["paralyzable", "nonparalyzable"])
+    def test_dead_time_longer_than_the_run(self, tmp_path, model):
+        # 1e20 us is 8.2e21 pulses, past int64 once added to a pulse index
+        args = [
+            "simulate", BUNDLED, "--mode", "monte_carlo", "--pulses", "1000000", "--seed", "1",
+            "--override", "dead_time.tau_us=1e20", "--override", f"dead_time.model={model}",
+        ]
+        assert main(args + ["--out-dir", str(tmp_path)]) == 0
+        rates = json.loads((tmp_path / "counts.json").read_text())["result"]
+        assert rates["trigger_rate_cps"] == 8.2e7 / 1_000_000  # the first herald only
+
     def test_herald_stats_and_override(self, tmp_path, capsys):
         code = main(
             [
