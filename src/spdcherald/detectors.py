@@ -18,6 +18,9 @@ from .errors import DomainError, ValidationError, require_finite
 
 DEAD_TIME_MODELS = ("paralyzable", "nonparalyzable")
 SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
+# numpy's hypergeometric takes fewer than 1e9 good and bad items, so a longer
+# train is walked in chunks of this many pulses
+WALK_CHUNK = 1 << 29
 
 
 def _check_efficiency(efficiency: float) -> None:
@@ -117,31 +120,30 @@ def dead_time_window(dt: DeadTimeSpec, rep_rate_hz: float, n_pulses: int) -> int
     return int(round(min(dt.tau_s * rep_rate_hz, n_pulses)))
 
 
-def bernoulli_positions(rng: np.random.Generator, p: float, size: int, skip: int = 0) -> np.ndarray:
-    """Sorted indices of the successes among ``size`` Bernoulli(``p``) trials,
-    where the ``skip`` trials after each success are not run.
+def bernoulli_positions(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """Sorted indices of the successes among ``size`` Bernoulli(``p``) trials.
 
     Draws the gaps between successes (Devroye, *Non-Uniform Random Variate
     Generation*, 1986, ch. 2), so the cost scales with the number of
-    successes rather than with ``size``.  A gap is ``skip + 1 + floor(E / q)``
-    with ``E`` standard exponential and ``q = -ln(1 - p)``.
+    successes rather than with ``size``.  A gap is ``1 + floor(E / q)`` with
+    ``E`` standard exponential and ``q = -ln(1 - p)``.
     """
     if p <= 0.0 or size <= 0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
-        return np.arange(0, size, skip + 1, dtype=np.int64)
+        return np.arange(size, dtype=np.int64)
     q = -math.log1p(-p)
     # a gap past the end is as good as any longer one; capping E there keeps
-    # every gap within size + skip + 2, so the int64 cast and the cumsum stay
-    # in range however small p is
+    # every gap within size + 2, so the int64 cast and the cumsum stay in
+    # range however small p is
     cap = (size + 1) * q
     found = []
-    last = -1 - skip  # the last success so far; the first trial is run
+    last = -1  # the last success so far
     while True:
         # enough gaps to pass the end in one draw, bar a 6-sigma shortfall
-        mean = p * (size - 1 - last) / (1.0 + p * skip)
+        mean = p * (size - 1 - last)
         e = rng.standard_exponential(int(mean + 6.0 * math.sqrt(mean)) + 16)
-        at = last + np.cumsum((np.minimum(e, cap) / q).astype(np.int64) + (1 + skip))
+        at = last + np.cumsum((np.minimum(e, cap) / q).astype(np.int64) + 1)
         if at[-1] >= size:
             found.append(at[: np.searchsorted(at, size)])
             return np.concatenate(found)
@@ -153,16 +155,40 @@ def nonparalyzable_walk(rng: np.random.Generator, p: float, size: int, window: i
     """Clicks, triggers and the last trigger among ``size`` pulses that click
     with probability ``p``, behind a nonparalyzable dead time of ``window``.
 
-    The triggers are a renewal process (Müller, NIM 112, 47, 1973), drawn by
-    :func:`bernoulli_positions` with a skip of ``window``; the clicks in dead
-    pulses are one binomial draw.  ``last`` indexes the trigger before
-    (``-window - 1`` for none) from the first pulse, as the returned one
-    does, so a train can be walked block by block."""
-    live = min(max(last + window + 1, 0), size)  # the pulses before it are in the window of ``last``
-    at = live + bernoulli_positions(rng, p, size - live, window)
-    # the triggers' windows, the last one cut at the end
-    dead = live + window * at.size - (max(int(at[-1]) + window + 1 - size, 0) if at.size else 0)
-    return at.size + int(rng.binomial(dead, p)), at.size, int(at[-1]) if at.size else last
+    The triggers are a renewal process (Müller, NIM 112, 47, 1973): the live
+    pulses run Bernoulli trials one by one, and a success triggers and puts
+    the next ``window`` pulses in its window.  After m trials with B(m)
+    successes the walk has used ``m + window * B(m)`` pulses, so the trials
+    run are the first m + 1, m the largest with ``m + window * B(m)`` below
+    the live pulses r.  A binomial bridge finds m without placing a trigger:
+    B(r) is Binomial(r, p), and bisection draws each B(mid) given its
+    neighbours as a hypergeometric, about log2(r) scalar draws in all.  The
+    clicks in the other pulses, all in a window, are one binomial draw.
+
+    ``last`` indexes the trigger before (``-window - 1`` for none) from the
+    first pulse, as the returned one does, so a train can be walked block by
+    block.  The returned one is where a trigger would have to lie to carry
+    the same window into the next block: the true last trigger, unless its
+    window ends before the block does."""
+    carried = min(max(last + window + 1, 0), size)  # the first pulses, in the window of ``last``
+    r = size - carried
+    lo, b_lo, hi, b_hi = 0, 0, r, int(rng.binomial(r, p))
+    if window and b_hi:
+        # invariant: trial lo + 1 runs and trial hi + 1 does not
+        while hi - lo > 1:
+            mid, good = (lo + hi) // 2, b_hi - b_lo
+            if 0 < good < hi - lo:
+                b_mid = b_lo + int(rng.hypergeometric(good, hi - lo - good, mid - lo))
+            else:  # all trials between fail, or all succeed
+                b_mid = b_lo + (mid - lo if good else 0)
+            if mid + window * b_mid < r:
+                lo, b_lo = mid, b_mid
+            else:
+                hi, b_hi = mid, b_mid
+    # hi trials ran with b_hi triggers; the last window spills this far past the block
+    spill = hi + window * b_hi - r
+    clicks = b_hi + int(rng.binomial(size - hi, p))  # every pulse but a trial lies in a window
+    return clicks, b_hi, size + spill - window - 1 if b_hi else last
 
 
 def simulate_dead_time(
@@ -176,8 +202,9 @@ def simulate_dead_time(
 
     Clicks are Bernoulli events, one chance per pulse.  A paralyzable stage
     triggers on a click more than ``round(tau * rep_rate)`` pulses after the
-    one before, a nonparalyzable one on each step of
-    :func:`nonparalyzable_walk`.  Reproducible for a fixed seed."""
+    one before, a nonparalyzable one as :func:`nonparalyzable_walk` draws,
+    over the train in chunks of :data:`WALK_CHUNK` pulses.  Reproducible for
+    a fixed seed."""
     require_finite("input rate", input_rate)
     if input_rate < 0.0:
         raise DomainError(f"input rate must be >= 0, got {input_rate}")
@@ -193,5 +220,10 @@ def simulate_dead_time(
     if dt.model == "paralyzable":
         triggers = np.count_nonzero(np.diff(bernoulli_positions(rng, p_click, n), prepend=-window - 1) > window)
     else:
-        triggers = nonparalyzable_walk(rng, p_click, n, window, -window - 1)[1]
+        triggers, last = 0, -window - 1
+        for start in range(0, n, WALK_CHUNK):
+            size = min(WALK_CHUNK, n - start)
+            _, n_trig, last = nonparalyzable_walk(rng, p_click, size, window, last)
+            triggers += n_trig
+            last -= size
     return int(triggers) / (n_pulses / rep_rate_hz)

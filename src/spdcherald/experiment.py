@@ -22,18 +22,18 @@ Model conventions
 
 The Monte Carlo mode simulates the identical chain from per-photon survival
 probabilities, never from the analytic sums.  Each block of pulses draws its
-heralds first, with the triggers a nonparalyzable dead time passes as a
-renewal walk over the triggers alone; given the herald count, multinomials
-by pair number give the herald classes and the other pulses.  Count rates,
-heralded P(n) and g2 are reductions of these tables, so all three condition
-on the same heralds.  Each block draws from its own counter-based substream
-and only the dead time is carried between blocks, so fixed (config,
-n_pulses, seed) gives bit-identical results.
+heralds first: behind a nonparalyzable dead time,
+:func:`~spdcherald.detectors.nonparalyzable_walk` draws the herald and
+trigger counts.  Given the herald count, multinomials by pair number give
+the herald classes and the other pulses.  Count rates, heralded P(n) and g2
+are reductions of these tables, so all three condition on the same heralds.
+Each block draws from its own counter-based substream and only the dead
+time is carried between blocks, so fixed (config, n_pulses, seed) gives
+bit-identical results.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -374,16 +374,39 @@ def _none_of(p: float, size: int) -> np.ndarray:
     return (1.0 - p) ** np.arange(size)
 
 
+def _binomial_coefficients(size: int) -> np.ndarray:
+    """C(n, m) for n, m < ``size``, as floats.
+
+    The Pascal triangle is summed in int64, exact while C(size - 1, .) stays
+    below 2**63, which holds up to size 67; a pmf has at most MAX_PAIRS + 1
+    = 65 entries."""
+    comb = np.zeros((size, size), dtype=np.int64)
+    comb[:, 0] = 1
+    for n in range(1, size):
+        comb[n, 1:] = comb[n - 1, 1:] + comb[n - 1, :-1]
+    return comb.astype(float)
+
+
 @dataclass(frozen=True)
 class _Block:
     """One block's pulses, tallied by pair number n, and its triggers."""
 
-    rng: np.random.Generator  # the block's substream, for the draws that follow
     triggers: int | None  # heralds that pass the trigger dead time (None: not counted)
     pulses: np.ndarray  # pulses with n pairs
     partner: np.ndarray  # heralds whose detected signal photon has its partner detected too
     signal: np.ndarray  # heralds with a detected signal photon but no detected partner
     heralds: np.ndarray  # those two plus the herald detector's dark-only clicks
+    substream: np.random.Generator  # on the bit generator every block of the run shares
+    index: int  # the block's place in the run
+    drawn: list[int]  # [the index of the run's latest block], shared by its blocks
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The block's substream, for the draws that follow; valid only until
+        the next block is drawn, which resets the shared bit generator."""
+        if self.drawn[0] != self.index:
+            raise RuntimeError(f"block {self.index}'s substream was reset for block {self.drawn[0]}")
+        return self.substream
 
 
 def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int, triggers: bool = False) -> Iterator[_Block]:
@@ -393,10 +416,10 @@ def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int, triggers: bool = F
     b_i)^n``, from a signal photon without one at ``(1 - b_s b_i)^n - (1 -
     b_s)^n`` and dark only at ``(1 - b_s)^n d_s``; ``p_h`` sums these over
     the pmf.  Behind a nonparalyzable dead time, :func:`nonparalyzable_walk`
-    draws H and the triggers.  Behind a paralyzable one H is Binomial(size,
-    p_h), and only ``triggers`` places the heralds, after the tables, on a
-    uniform subset of the block: one more than W pulses after the last
-    triggers."""
+    draws H and the trigger count.  Behind a paralyzable one H is
+    Binomial(size, p_h), and only ``triggers`` places the heralds, after the
+    tables, on a uniform subset of the block: one more than W pulses after
+    the last triggers."""
     pmf = config.pmf / config.pmf.sum()
     no_signal = _none_of(config.herald_survival, pmf.size)
     no_partner = _none_of(config.herald_survival * config.idler_click_survival, pmf.size)
@@ -409,10 +432,18 @@ def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int, triggers: bool = F
     paralyzable = config.trigger_dead_time.model == "paralyzable"
     window = dead_time_window(config.trigger_dead_time, config.rep_rate_hz, n_pulses)
     last = -window - 1  # the last blocking herald, relative to the block's first pulse
+    # a new Philox draws OS entropy for a seed sequence that a key overrides,
+    # so one serves the run and only its counter is set per block
+    bits = np.random.Philox(key=seed)
+    state = bits.state
+    drawn = [0]
     for block, start in enumerate(range(0, n_pulses, MC_BLOCK)):
         size = min(MC_BLOCK, n_pulses - start)
         # counter word 2 = block is Philox's jumped(block): a disjoint stream per block
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block, 0]))
+        state["state"]["counter"][:] = [0, 0, block, 0]
+        bits.state = state
+        rng = np.random.Generator(bits)
+        drawn[0] = block
         if paralyzable:
             n_heralds, n_trig = int(rng.binomial(size, p_herald)), None
         else:
@@ -425,7 +456,7 @@ def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int, triggers: bool = F
             n_trig = int(np.count_nonzero(np.diff(at, prepend=last) > window))
             last = int(at[-1]) if n_heralds else last
         last -= size
-        yield _Block(rng, n_trig, pulses, partner, signal, heralds)
+        yield _Block(n_trig, pulses, partner, signal, heralds, rng, block, drawn)
 
 
 def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountRates:
@@ -482,9 +513,8 @@ def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountR
 def _heralded_stats_mc(config: SetupConfig, n_pulses: int, seed: int) -> HeraldedStats:
     # a herald's n pairs put Binomial(n, b_out) photons at the output plane
     n, m = np.ogrid[: config.pmf.size, : config.pmf.size]
-    comb = np.array([[math.comb(i, j) for j in range(n.size)] for i in range(n.size)], dtype=float)
     b = config.output_survival
-    output = comb * b**m * (1.0 - b) ** np.maximum(n - m, 0)
+    output = _binomial_coefficients(n.size) * b**m * (1.0 - b) ** np.maximum(n - m, 0)
     hist = np.zeros(n.size, dtype=np.int64)
     for blk in _mc_blocks(config, n_pulses, seed):
         hist += blk.rng.multinomial(blk.heralds, output).sum(axis=0)

@@ -1,10 +1,14 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spdcherald.detectors import (
     DEAD_TIME_MODELS,
+    WALK_CHUNK,
     DeadTimeSpec,
     FreeRunningDetector,
     GatedDetector,
@@ -131,6 +135,18 @@ class TestDeadTime:
         rate = simulate_dead_time(1e6, DeadTimeSpec(1e20, model), rep, n, seed=1)
         assert rate == 1 / (n / rep)
 
+    def test_nonparalyzable_train_past_the_hypergeometric_limit(self):
+        # numpy's hypergeometric takes fewer than 1e9 items, so 2**31 pulses
+        # are walked in chunks that carry the window from one to the next
+        n, rep, rate = 2**31, 8.2e7, 2.9e5
+        assert WALK_CHUNK < 1e9 < n
+        mc = simulate_dead_time(rate, DeadTimeSpec(1.0, "nonparalyzable"), rep, n, seed=12)
+        # renewal gaps of W + Geometric(p): p / (1 + pW) per pulse
+        p, w = rate / rep, 82
+        gap = w + 1.0 / p
+        sigma = math.sqrt(n * (1.0 - p) / p**2 / gap**3)
+        assert abs(mc * n / rep - n / gap) <= 5.0 * sigma
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             DeadTimeSpec(tau_us=-1.0)
@@ -194,6 +210,57 @@ def _nonparalyzable_loop(clicks, window, last):
     return keep, last
 
 
+def _exact_law(p, size, window, carry):
+    """The joint law of clicks, triggers and the window carried out, over
+    every Bernoulli(``p``) train of ``size`` pulses through the per-click
+    rule, with ``carry`` pulses of a window carried in."""
+    law = Counter()
+    for train in itertools.product((0, 1), repeat=size):
+        clicks = np.flatnonzero(train)
+        keep, last = _nonparalyzable_loop(clicks, window, carry - window - 1)
+        cell = clicks.size, int(keep.sum()), max(last + window + 1 - size, 0)
+        law[cell] += p**clicks.size * (1.0 - p) ** (size - clicks.size)
+    return law
+
+
+class TestBinomialBridge:
+    @pytest.mark.parametrize("window", [0, 1, 3])
+    def test_joint_law_of_every_short_train(self, window):
+        # the carried window is absent (0), partial, the whole block or
+        # longer than it; 4000 walks per case against the enumerated law
+        p, draws = 0.35, 4000
+        rng = np.random.Generator(np.random.Philox(key=window))
+        for size, carry in itertools.product((1, 2, 3, 4, 7, 10), range(window + 1)):
+            law = _exact_law(p, size, window, carry)
+            seen = Counter()
+            for _ in range(draws):
+                clicks, triggers, last = nonparalyzable_walk(rng, p, size, window, carry - window - 1)
+                seen[clicks, triggers, max(last + window + 1 - size, 0)] += 1
+            assert set(seen) <= set(law), (size, carry, set(seen) - set(law))
+            for cell, prob in law.items():
+                z = (seen[cell] - draws * prob) / (math.sqrt(draws * prob * (1.0 - prob)) or 1.0)
+                assert abs(z) <= 5.0, (size, carry, cell, z)
+
+    @given(
+        size=st.integers(0, 1 << 22),
+        window=st.integers(0, 1 << 22),
+        carry=st.integers(0, 1 << 22),
+    )
+    def test_every_pulse_clicking(self, size, window, carry):
+        # at p = 1 the triggers are every (W + 1)-th live pulse from the first
+        carry = min(carry, window)
+        rng = np.random.Generator(np.random.Philox(key=1))
+        clicks, triggers, last = nonparalyzable_walk(rng, 1.0, size, window, carry - window - 1)
+        live = size - min(carry, size)
+        assert clicks == size
+        assert triggers == -(-live // (window + 1))
+        if triggers:
+            assert last == size - live + (triggers - 1) * (window + 1)
+            assert max(last + window + 1 - size, 0) == triggers * (window + 1) - live
+        else:
+            assert last == carry - window - 1
+
+
 class TestBernoulliPositions:
     def test_event_count_is_binomial(self):
         rng = np.random.Generator(np.random.Philox(key=3))
@@ -220,15 +287,6 @@ class TestBernoulliPositions:
         rng = np.random.Generator(np.random.Philox(key=1))
         assert np.array_equal(bernoulli_positions(rng, 1.0, 7), np.arange(7))
         assert bernoulli_positions(rng, 0.5, 0).size == 0
-        assert np.array_equal(bernoulli_positions(rng, 1.0, 7, skip=2), [0, 3, 6])
-
-    @pytest.mark.parametrize("p,skip", [(0.3, 3), (0.05, 82), (1e-20, 1 << 20)])
-    def test_skip_leaves_out_the_trials_after_each_success(self, p, skip):
-        rng = np.random.Generator(np.random.Philox(key=4))
-        for _ in range(200):
-            at = bernoulli_positions(rng, p, 5000, skip)
-            assert at.dtype == np.int64 and (at.size == 0 or 0 <= at[0] <= at[-1] < 5000)
-            assert np.all(np.diff(at) > skip)
 
 
 class TestSimulateDeadTimeValidation:

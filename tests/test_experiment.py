@@ -14,6 +14,7 @@ from spdcherald.experiment import (
     HBT_ARMS,
     MC_BLOCK,
     CountRates,
+    G2Result,
     HeraldedStats,
     SetupConfig,
     _mc_blocks,
@@ -250,6 +251,29 @@ class TestMonteCarlo:
         c = simulate_counts(cfg, mode="monte_carlo", n_pulses=1_000_000, seed=10)
         assert a != c
 
+    def test_paralyzable_stream_is_pinned(self):
+        # the reference setup's MC results on seed 2026, frozen: one block,
+        # then counts and P(n) over four blocks, whose substreams are counters 0-3
+        cfg = reference_setup()
+        kw = dict(mode="monte_carlo", n_pulses=1_000_000, seed=2026)
+        assert simulate_counts(cfg, **kw) == CountRates(
+            294134.0, 280.235, 4100.0, 218120.0, 205000.0, 0.018796992481203006
+        )
+        assert heralded_photon_statistics(cfg, **kw).p.tolist() == [
+            0.8023417897964873, 0.19598550320602173, 0.0016727069974909396
+        ]
+        assert hbt_g2(cfg, arm="signal_unconditioned", **kw) == G2Result(
+            1.8116664069944817, 0.7420450395404604, "signal_unconditioned", "monte_carlo"
+        )
+        assert hbt_g2(cfg, arm="idler_heralded", **kw) == G2Result(
+            0.06033438740496535, 0.04290971285543325, "idler_heralded", "monte_carlo"
+        )
+        kw["n_pulses"] = 3 * MC_BLOCK + 5
+        assert simulate_counts(cfg, **kw).coincidences == 3466.9185210569362
+        assert heralded_photon_statistics(cfg, **kw).p.tolist() == [
+            0.8040164963241886, 0.19347319347319347, 0.002510310202617895
+        ]
+
     def test_counts_agree_with_analytic_within_3_sigma(self):
         cfg = reference_setup()
         mc = simulate_counts(cfg, mode="monte_carlo", n_pulses=MC_PULSES, seed=42)
@@ -454,6 +478,13 @@ class TestOneKernel:
             assert b.partner[0] == b.signal[0] == 0  # no pair, no photon
             assert b.heralds[0] > 0 and b.partner.sum() > 0  # dark heralds and partners both occur
 
+    def test_a_block_draws_only_until_the_next_is_drawn(self):
+        # the blocks of a run share one bit generator, reset per block
+        first, *_, latest = _mc_blocks(self.CFG, 2 * MC_BLOCK + 5, seed=5)
+        assert latest.rng.bit_generator.state["state"]["counter"][2] == 2
+        with pytest.raises(RuntimeError, match="reset for block 2"):
+            first.rng.random()
+
     def test_reductions_condition_on_the_same_heralds(self):
         kw = dict(mode="monte_carlo", n_pulses=3_000_000, seed=21)
         heralds = simulate_counts(self.CFG, **kw).signal_singles * kw["n_pulses"] / self.CFG.rep_rate_hz
@@ -484,6 +515,12 @@ class TestOneKernel:
         else:
             z = _count_z(triggers, n * p * (1.0 - p) ** w, n * p * (1.0 - p) ** w)
         assert abs(z) <= 5.0, z
+
+    def test_binomial_coefficients_are_exact(self):
+        # up to the pmf's 65 entries and past them, against math.comb rounded once
+        for size in (1, 2, 36, 65, 67):
+            exact = [[float(math.comb(n, m)) for m in range(size)] for n in range(size)]
+            assert experiment._binomial_coefficients(size).tolist() == exact, size
 
     def test_zero_herald_probability_divides_by_nothing(self):
         cfg = quiet_setup(mu=0.0)  # no pair and no dark count: p_h = 0
