@@ -252,7 +252,8 @@ def _analytic_probabilities(config: SetupConfig) -> dict:
     dw = config.coincidence_dark_prob
     ap = 1.0 + config.idler_detector.afterpulse_prob
 
-    p_herald = 1.0 - (1.0 - ds) * _pgf(pmf, 1.0 - bs)
+    no_signal = _pgf(pmf, 1.0 - bs)  # no detected signal photon
+    p_herald = 1.0 - (1.0 - ds) * no_signal
     p_idler_gate = (1.0 - (1.0 - di) * _pgf(pmf, 1.0 - bi)) * ap
     # coincidence AND herald, heralded-pair convention: the partner photon of
     # at least one detected signal photon is itself detected, or the idler
@@ -260,7 +261,7 @@ def _analytic_probabilities(config: SetupConfig) -> dict:
     p_coinc_and_herald = (
         1.0
         - (1.0 - dw) * _pgf(pmf, 1.0 - bs * bi)
-        - dw * (1.0 - ds) * _pgf(pmf, 1.0 - bs)
+        - dw * (1.0 - ds) * no_signal
     ) * ap
     return {
         "p_herald": p_herald,
@@ -525,21 +526,18 @@ def _heralded_stats_mc(config: SetupConfig, n_pulses: int, seed: int) -> Heralde
     return HeraldedStats(p=hist[: last + 1] / heralds)
 
 
-def _hbt_tally(rng: np.random.Generator, pulses: np.ndarray, pa: float, pb: float, dark: float) -> np.ndarray:
-    """Singles and coincidences ``[n1, n2, n12]`` of two click detectors
-    behind a splitter.
+def _hbt_ports(size: int, pa: float, pb: float, dark: float) -> np.ndarray:
+    """Per pair number n < ``size``, the chances that a window's two click
+    detectors behind a splitter fire a only, b only, both and neither.
 
-    ``pulses[n]`` windows hold n pairs; each pair's photon clicks port a with
-    ``pa`` or port b with ``pb``, and each port also clicks dark with
-    ``dark``.  The windows of one pair number split into a-only, b-only, both
-    and neither by one multinomial draw.
+    Each pair's photon clicks port a with ``pa`` or port b with ``pb``, and
+    each port also clicks dark with ``dark``.
     """
-    quiet_a = (1.0 - dark) * _none_of(pa, pulses.size)
-    quiet_b = (1.0 - dark) * _none_of(pb, pulses.size)
-    quiet = (1.0 - dark) ** 2 * _none_of(pa + pb, pulses.size)
+    quiet_a = (1.0 - dark) * _none_of(pa, size)
+    quiet_b = (1.0 - dark) * _none_of(pb, size)
+    quiet = (1.0 - dark) ** 2 * _none_of(pa + pb, size)
     pvals = np.stack([quiet_b - quiet, quiet_a - quiet, 1.0 - quiet_a - quiet_b + quiet, quiet], axis=1)
-    a_only, b_only, both, _ = rng.multinomial(pulses, np.maximum(pvals, 0.0)).sum(axis=0)
-    return np.array([a_only + both, b_only + both, both])
+    return np.maximum(pvals, 0.0)
 
 
 def _hbt_g2_mc(config: SetupConfig, arm: str, ratio: float, n_pulses: int, seed: int) -> G2Result:
@@ -548,11 +546,14 @@ def _hbt_g2_mc(config: SetupConfig, arm: str, ratio: float, n_pulses: int, seed:
     # click detectors at the source output plane, the heralds the windows
     signal_arm = arm == "signal_unconditioned"
     b, dark = (config.herald_survival, config.herald_dark_prob) if signal_arm else (config.output_survival, 0.0)
-    tally = np.zeros(3, dtype=np.int64)
+    ports = _hbt_ports(config.pmf.size, b * ratio, b * (1.0 - ratio), dark)
+    tally = np.zeros(3, dtype=np.int64)  # singles n1, n2 and coincidences n12
     windows = 0
     for blk in _mc_blocks(config, n_pulses, seed):
         pulses = blk.pulses if signal_arm else blk.heralds
-        tally += _hbt_tally(blk.rng, pulses, b * ratio, b * (1.0 - ratio), dark)
+        # the windows of one pair number split into the port outcomes by one multinomial draw
+        a_only, b_only, both, _ = blk.rng.multinomial(pulses, ports).sum(axis=0)
+        tally += [a_only + both, b_only + both, both]
         windows += int(pulses.sum())
     n1, n2, n12 = (int(v) for v in tally)
     if n1 == 0 or n2 == 0:

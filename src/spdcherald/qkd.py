@@ -9,9 +9,8 @@ amplification are out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import ValidationError, require_finite
 from .experiment import HeraldedStats, SetupConfig, heralded_photon_statistics, simulate_counts
@@ -71,20 +70,27 @@ class TradeoffRow:
 
 def multiphoton_fraction(stats: HeraldedStats) -> float:
     """Probability of delivering more than one photon per heralded pulse."""
-    return float(stats.p[2:].sum()) if stats.p.size > 2 else 0.0
+    return math.fsum(stats.p.tolist()[2:])
 
 
 def expected_detection_probability(stats: HeraldedStats, channel: ChannelSpec, distance_km: float) -> float:
-    """Receiver click probability per heralded pulse at a given distance."""
-    eta = channel.transmission(distance_km) * channel.receiver_efficiency
-    n = np.arange(stats.p.size)
-    return float((stats.p * (1.0 - (1.0 - eta) ** n)).sum()) + channel.receiver_dark_per_pulse
+    """Receiver click probability per heralded pulse at a given distance.
+
+    Evaluated in Python floats: P(n) has at most 65 entries, too few for
+    numpy's per-call overhead to pay off."""
+    miss = 1.0 - channel.transmission(distance_km) * channel.receiver_efficiency
+    detected, none_of_n = 0.0, 1.0
+    for p_n in stats.p.tolist():
+        detected += p_n * (1.0 - none_of_n)
+        none_of_n *= miss
+    return detected + channel.receiver_dark_per_pulse
 
 
 def max_secure_distance(stats: HeraldedStats, channel: ChannelSpec) -> SecureDistance:
     """Largest distance where the detection probability beats the
     multiphoton fraction, bisected to :data:`DISTANCE_RESOLUTION_KM` and
-    capped at :data:`DISTANCE_CAP_KM`.
+    capped at :data:`DISTANCE_CAP_KM`.  Thirteen halvings of [0, cap] make
+    the result the last secure point of a grid of cap / 2**13 km (0.061 km).
 
     Receiver dark counts appear on both sides of the bound -- an
     eavesdropper can neither suppress nor exploit them -- so the condition
@@ -96,9 +102,10 @@ def max_secure_distance(stats: HeraldedStats, channel: ChannelSpec) -> SecureDis
     distance, and the cap with a flag when it never fails below it.
     """
 
+    threshold = multiphoton_fraction(stats) + channel.receiver_dark_per_pulse
+
     def secure(distance_km: float) -> bool:
-        p_exp = expected_detection_probability(stats, channel, distance_km)
-        return p_exp >= multiphoton_fraction(stats) + channel.receiver_dark_per_pulse
+        return expected_detection_probability(stats, channel, distance_km) >= threshold
 
     if not secure(0.0):
         return SecureDistance(0.0, insecure_at_zero=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spdcherald import experiment, pair_source
-from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec, FreeRunningDetector, GatedDetector
+from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec, FreeRunningDetector, GatedDetector, dead_time_window
 from spdcherald.errors import EstimationError, ValidationError
 from spdcherald.experiment import (
     HBT_ARMS,
@@ -379,6 +379,12 @@ def _counts_and_pn_z(cfg: SetupConfig, n: int, seed: int) -> dict:
     p_herald = an.signal_singles / cfg.rep_rate_hz
     p_gate = an.idler_singles / an.gate_rate / (1.0 + ap)  # click probability per gate
     triggers = an.trigger_rate * duration
+    if cfg.trigger_dead_time.model == "nonparalyzable":
+        # a renewal count: gaps of W + Geometric(p_h) pulses
+        gap = dead_time_window(cfg.trigger_dead_time, cfg.rep_rate_hz, n) + 1.0 / p_herald
+        trigger_var = n * (1.0 - p_herald) / p_herald**2 / gap**3
+    else:
+        trigger_var = triggers
     p_coinc = an.per_trigger_coincidence_prob / (1.0 + ap)
     # a count is a click plus, with probability ap, its afterpulse
     z = {
@@ -388,7 +394,7 @@ def _counts_and_pn_z(cfg: SetupConfig, n: int, seed: int) -> dict:
             an.idler_singles / an.gate_rate * n,
             n * (p_gate * (1.0 + 3.0 * ap) - (p_gate * (1.0 + ap)) ** 2),
         ),
-        "trigger_rate": _count_z(mc.trigger_rate * duration, triggers, triggers),
+        "trigger_rate": _count_z(mc.trigger_rate * duration, triggers, trigger_var),
         "coincidences": _count_z(
             mc.coincidences * duration, an.coincidences * duration, triggers * p_coinc * (1.0 + 3.0 * ap)
         ),

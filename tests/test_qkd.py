@@ -1,5 +1,8 @@
+import ast
+import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +10,10 @@ from hypothesis import given, strategies as st
 
 from spdcherald.errors import ResolutionWarning, ValidationError
 from spdcherald.experiment import HeraldedStats, heralded_photon_statistics, reference_setup
-from spdcherald.pair_source import PairNumberDistribution
+from spdcherald.pair_source import LAWS, PairNumberDistribution
 from spdcherald.qkd import (
+    DISTANCE_CAP_KM,
+    DISTANCE_RESOLUTION_KM,
     ChannelSpec,
     expected_detection_probability,
     max_secure_distance,
@@ -135,6 +140,94 @@ class TestMaxSecureDistance:
             max_secure_distance(stats, ChannelSpec(0.2, 0.10, dark)).km for dark in (0.0, 2.5e-4, 0.9)
         }
         assert len(distances) == 1
+
+
+def numpy_fraction(stats: HeraldedStats) -> float:
+    """The multiphoton fraction as the earlier numpy qkd module summed it."""
+    return float(stats.p[2:].sum()) if stats.p.size > 2 else 0.0
+
+
+def numpy_detection(stats: HeraldedStats, channel: ChannelSpec, distance_km: float) -> float:
+    """The detection probability as the earlier numpy qkd module evaluated it."""
+    eta = channel.transmission(distance_km) * channel.receiver_efficiency
+    n = np.arange(stats.p.size)
+    return float((stats.p * (1.0 - (1.0 - eta) ** n)).sum()) + channel.receiver_dark_per_pulse
+
+
+def numpy_secure_distance(stats: HeraldedStats, channel: ChannelSpec) -> tuple[float, bool, bool]:
+    """(km, capped, insecure at zero) by the same bisection on the numpy
+    predicate: the reference for the Python-float one."""
+
+    def secure(distance_km):
+        dark = channel.receiver_dark_per_pulse
+        return numpy_detection(stats, channel, distance_km) >= numpy_fraction(stats) + dark
+
+    if not secure(0.0):
+        return 0.0, False, True
+    if secure(DISTANCE_CAP_KM):
+        return DISTANCE_CAP_KM, True, False
+    lo, hi = 0.0, DISTANCE_CAP_KM
+    while hi - lo > DISTANCE_RESOLUTION_KM:
+        mid = 0.5 * (lo + hi)
+        if secure(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, False, False
+
+
+def grid_stats(law: str, mu: float) -> HeraldedStats:
+    return heralded_photon_statistics(reference_setup(law=law, mu=mu, modes=3 if law == "multimode_thermal" else None))
+
+
+GRID_LAWS_AND_MU = list(itertools.product(LAWS, (0.01, 0.1, 0.6)))
+# the reference channel, zero loss (capped), zero dark, and a weak receiver
+# (insecure at zero above the lowest mu)
+GRID_CHANNELS = [CHANNEL, ChannelSpec(0.0, 0.10, 2.5e-4), ChannelSpec(0.2, 0.10, 0.0), ChannelSpec(0.2, 0.002, 2.5e-4)]
+GRID_STEP_KM = DISTANCE_CAP_KM / 2**13
+
+
+class TestSecureDistanceGrid:
+    """The bisection's 13 halvings of [0, cap] land on a grid of cap / 2**13
+    km; the distance is the last grid point where the predicate holds."""
+
+    @pytest.mark.parametrize("law,mu", GRID_LAWS_AND_MU)
+    def test_last_secure_grid_point(self, law, mu):
+        stats = grid_stats(law, mu)
+        for channel in GRID_CHANNELS:
+            result = max_secure_distance(stats, channel)
+            assert (result.km, result.capped, result.insecure_at_zero) == numpy_secure_distance(stats, channel)
+            if result.capped or result.insecure_at_zero:
+                continue
+            threshold = multiphoton_fraction(stats) + channel.receiver_dark_per_pulse
+            k = result.km / GRID_STEP_KM
+            assert k == int(k) and 0 <= k < 2**13
+            assert expected_detection_probability(stats, channel, result.km) >= threshold
+            assert expected_detection_probability(stats, channel, result.km + GRID_STEP_KM) < threshold
+
+    def test_cases_cover_every_outcome(self):
+        outcomes = set()
+        for law, mu in GRID_LAWS_AND_MU:
+            for channel in GRID_CHANNELS:
+                result = max_secure_distance(grid_stats(law, mu), channel)
+                outcomes.add("capped" if result.capped else "insecure" if result.insecure_at_zero else "interior")
+        assert outcomes == {"capped", "insecure", "interior"}
+
+    def test_fraction_and_detection_match_numpy(self):
+        stats = grid_stats("thermal", 0.6)
+        assert multiphoton_fraction(stats) == pytest.approx(numpy_fraction(stats), rel=1e-14)
+        for km in (0.0, 12.5, 100.0):
+            assert expected_detection_probability(stats, CHANNEL, km) == pytest.approx(
+                numpy_detection(stats, CHANNEL, km), rel=1e-14
+            )
+
+    def test_imports_no_numpy(self):
+        import spdcherald.qkd as qkd_module
+
+        tree = ast.parse(Path(qkd_module.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+        assert not any(name.split(".")[0] == "numpy" for name in imported), imported
 
 
 class TestPumpSweep:
