@@ -39,10 +39,18 @@ class SellmeierCoefficients:
     c: float
     d: float
 
-    def index(self, wavelength_um):
-        lam2 = np.asarray(wavelength_um, dtype=float) ** 2
-        n2 = self.a + self.b / (lam2 - self.c) - self.d * lam2
-        return np.sqrt(n2)
+    def index(self, wavelength_um, out=None, scratch=None):
+        """Refractive index at wavelengths in micrometres.
+
+        ``out`` and ``scratch``, arrays of the wavelengths' shape, take the
+        result and lambda^2 in place of fresh arrays.
+        """
+        lam2 = np.square(np.asarray(wavelength_um, dtype=float), out=scratch)
+        n2 = np.subtract(lam2, self.c, out=out)
+        n2 = np.divide(self.b, n2, out=out)
+        n2 = np.add(self.a, n2, out=out)
+        n2 = np.subtract(n2, np.multiply(self.d, lam2, out=scratch), out=out)
+        return np.sqrt(n2, out=out)
 
 
 # beta-barium borate dispersion, Kato, IEEE J. Quantum Electron. 22, 1013 (1986)
@@ -70,27 +78,31 @@ class CrystalSpec:
         if not (0.0 < lo < hi):
             raise ValidationError(f"invalid Sellmeier validity window {self.validity_window_um}")
 
-    def _check_window(self, wavelength_nm) -> None:
-        lam = np.asarray(wavelength_nm, dtype=float) * 1e-3
+    def _checked_um(self, wavelength_nm, out=None):
+        """Wavelengths in nm as micrometres, all inside the Sellmeier validity window.
+
+        ``out``, an array of the wavelengths' shape (it may be
+        ``wavelength_nm``), takes the result in place of a fresh array.
+        """
+        lam = np.multiply(np.asarray(wavelength_nm, dtype=float), 1e-3, out=out)
         lo, hi = self.validity_window_um
         # written as "not inside" so that NaN fails the check
-        if not np.all((lam >= lo) & (lam <= hi)):
+        if not ((lam >= lo) & (lam <= hi)).all():
             raise DomainError(
                 f"wavelength outside the Sellmeier validity window "
                 f"[{lo * 1e3:.0f}, {hi * 1e3:.0f}] nm"
             )
+        return lam
 
 
 def index_ordinary(crystal: CrystalSpec, wavelength_nm):
     """Ordinary refractive index n_o at a vacuum wavelength in nm."""
-    crystal._check_window(wavelength_nm)
-    return crystal.sellmeier_ordinary.index(np.asarray(wavelength_nm, dtype=float) * 1e-3)
+    return crystal.sellmeier_ordinary.index(crystal._checked_um(wavelength_nm))
 
 
 def index_extraordinary_principal(crystal: CrystalSpec, wavelength_nm):
     """Principal extraordinary index n_e (propagation at 90 deg to the axis)."""
-    crystal._check_window(wavelength_nm)
-    return crystal.sellmeier_extraordinary.index(np.asarray(wavelength_nm, dtype=float) * 1e-3)
+    return crystal.sellmeier_extraordinary.index(crystal._checked_um(wavelength_nm))
 
 
 def index_extraordinary_at_angle(crystal: CrystalSpec, theta_deg, wavelength_nm):
@@ -99,21 +111,36 @@ def index_extraordinary_at_angle(crystal: CrystalSpec, theta_deg, wavelength_nm)
     Index ellipsoid: ``1/n(theta)^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2``;
     interpolates exactly between n_o at 0 deg and n_e at 90 deg.
     """
-    theta = np.asarray(theta_deg, dtype=float)
-    if not np.all((theta >= 0.0) & (theta <= 90.0)):
-        raise DomainError(f"theta must lie in [0, 90] degrees, got {theta_deg}")
-    crystal._check_window(wavelength_nm)
-    lam_um = np.asarray(wavelength_nm, dtype=float) * 1e-3
-    n_o = crystal.sellmeier_ordinary.index(lam_um)
-    n_e = crystal.sellmeier_extraordinary.index(lam_um)
-    n = _ellipsoid_index(n_o, n_e, theta)
-    if np.any((theta == 0.0) | (theta == 90.0)):
-        # endpoints reduce to the principal indices without round-off
-        n = np.where(theta == 0.0, n_o, np.where(theta == 90.0, n_e, n))
+    theta = _checked_theta(theta_deg)
+    n = _index_at_angle(crystal, theta, crystal._checked_um(wavelength_nm))
     return float(n) if n.ndim == 0 else n
 
 
+def _checked_theta(theta_deg) -> np.ndarray:
+    theta = np.asarray(theta_deg, dtype=float)
+    if not ((theta >= 0.0) & (theta <= 90.0)).all():
+        raise DomainError(f"theta must lie in [0, 90] degrees, got {theta_deg}")
+    return theta
+
+
+def _index_at_angle(crystal: CrystalSpec, theta, wavelength_um, n_o=None, n_e=None, scratch=None):
+    """Extraordinary-wave index at a checked angle and checked wavelengths in um.
+
+    ``n_o``, ``n_e`` and ``scratch``, arrays of the wavelengths' shape, take
+    the principal indices and lambda^2 in place of fresh arrays.
+    """
+    n_o = crystal.sellmeier_ordinary.index(wavelength_um, out=n_o, scratch=scratch)
+    n_e = crystal.sellmeier_extraordinary.index(wavelength_um, out=n_e, scratch=scratch)
+    n = _ellipsoid_index(n_o, n_e, theta)
+    if ((theta == 0.0) | (theta == 90.0)).any():
+        # endpoints reduce to the principal indices without round-off
+        n = np.where(theta == 0.0, n_o, np.where(theta == 90.0, n_e, n))
+    return n
+
+
 def _ellipsoid_index(n_o, n_e, theta_deg):
+    # Operators, not ufuncs into buffers: the angle search calls this on
+    # numpy scalars, where a ufunc call costs about ten times an operator.
     t = np.radians(theta_deg)
     inv_n2 = np.cos(t) ** 2 / n_o**2 + np.sin(t) ** 2 / n_e**2
     return 1.0 / np.sqrt(inv_n2)
@@ -268,6 +295,12 @@ class JointSpectrum:
         return self.intensity.sum(axis=1)
 
 
+# Cells per row block of the joint spectrum: 64 KB per block buffer, small
+# enough to stay in cache and to be reused without page faults, and large
+# enough that the per-block call overhead stays small.
+JSI_BLOCK_CELLS = 8192
+
+
 def joint_spectral_intensity(
     crystal: CrystalSpec,
     theta_deg: float,
@@ -290,25 +323,52 @@ def joint_spectral_intensity(
     idl = np.asarray(idler_axis_nm, dtype=float)
     if sig.size < 2 or idl.size < 2:
         raise ValidationError("spectral axes need at least two points")
-    nu_sum = (1.0 / sig)[:, None] + (1.0 / idl)[None, :]  # implied 1/lambda_pump, nm^-1
+    theta = _checked_theta(theta_deg)
+    inv_s, inv_i = 1.0 / sig, 1.0 / idl
+    n_over_s = index_ordinary(crystal, sig) / sig
+    n_over_i = index_ordinary(crystal, idl) / idl
     nu_0 = 1.0 / pump_center_nm
     # FWHM of the pump *intensity* spectrum mapped to 1/lambda units
     d_nu = pump_fwhm_nm / pump_center_nm**2
-    envelope = np.exp(-4.0 * np.log(2.0) * ((nu_sum - nu_0) / d_nu) ** 2)
+    fwhm_scale = -4.0 * np.log(2.0)
 
-    lam_pump = 1.0 / nu_sum
-    n_p = index_extraordinary_at_angle(crystal, theta_deg, lam_pump)
-    n_over_s = index_ordinary(crystal, sig) / sig
-    n_over_i = index_ordinary(crystal, idl) / idl
-    dk = 2.0 * np.pi * (n_p * nu_sum - n_over_s[:, None] - n_over_i[None, :])
-    x = dk * (crystal.length_mm * 1e6) / 2.0
-    pm = np.sinc(x / np.pi) ** 2
-
-    intensity = envelope * pm
+    # Row blocks of JSI_BLOCK_CELLS cells, each in the same few buffers, with
+    # every step and its rounding as on the whole grid.
+    intensity = np.empty((sig.size, idl.size))
+    rows = max(1, JSI_BLOCK_CELLS // idl.size)
+    buffers = np.empty((4, rows, idl.size))
+    for start in range(0, sig.size, rows):
+        block = slice(start, start + rows)
+        out = intensity[block]
+        nu, lam, n_o, n_e = buffers[:, : len(out)]
+        np.add(inv_s[block, None], inv_i, out=nu)  # implied 1/lambda_pump, nm^-1
+        lam = crystal._checked_um(np.divide(1.0, nu, out=lam), out=lam)
+        # x = dk L / 2, dk = 2 pi (n_p / l_p - n_o(l_s) / l_s - n_o(l_i) / l_i)
+        x = _index_at_angle(crystal, theta, lam, n_o=n_o, n_e=n_e, scratch=out)
+        x *= nu
+        x -= n_over_s[block, None]
+        x -= n_over_i
+        x *= 2.0 * np.pi
+        x *= crystal.length_mm * 1e6
+        x /= 2.0
+        # sinc(x / pi)^2 by np.sinc's own steps: y = pi * (x / pi), sin(y) / y, y = 0 -> eps
+        x /= np.pi
+        x *= np.pi
+        np.copyto(x, np.finfo(float).eps, where=x == 0.0)
+        pm = np.sin(x, out=lam)
+        pm /= x
+        np.square(pm, out=pm)
+        # Gaussian pump envelope
+        np.subtract(nu, nu_0, out=out)
+        out /= d_nu
+        np.square(out, out=out)
+        out *= fwhm_scale
+        np.exp(out, out=out)
+        out *= pm
     peak_val = intensity.max()
     if peak_val <= 0.0:
         raise ValidationError("grid does not overlap the phase-matched region")
-    intensity = intensity / peak_val
+    intensity /= peak_val
 
     # resolution check: the ridge must span >= 3 idler cells at half maximum
     col = intensity[int(np.argmax(intensity.max(axis=1)))]
@@ -349,7 +409,8 @@ def heralded_marginal_bandwidth(
     Models the effective spectral acceptance of the heralding arm (filter
     stack plus fiber mode selection) as a single Gaussian bandpass.
     """
-    if filter_fwhm_nm <= 0.0:
+    require_finite("filter centre wavelength", filter_center_nm)
+    if not (filter_fwhm_nm > 0.0):
         raise ValidationError(f"filter FWHM must be > 0, got {filter_fwhm_nm}")
     weights = np.exp(
         -4.0 * np.log(2.0) * ((spectrum.signal_axis - filter_center_nm) / filter_fwhm_nm) ** 2

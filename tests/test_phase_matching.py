@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -329,9 +330,16 @@ class TestJointSpectrum:
             widths[length] = above.sum() * (idler_fine[1] - idler_fine[0])
         assert widths[10.0] == pytest.approx(0.5 * widths[5.0], rel=0.05)
 
-    def test_equals_full_meshgrid_formula(self):
+    # rows per block on the default idler axis
+    BLOCK_ROWS = phase_matching.JSI_BLOCK_CELLS // DEFAULT_IDLER_AXIS.size
+
+    @pytest.mark.parametrize("rows", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, DEFAULT_SIGNAL_AXIS.size])
+    def test_equals_full_meshgrid_formula(self, rows):
         theta, pump, fwhm = solved_angle(), 390.0, 2.4
-        S, I = np.meshgrid(DEFAULT_SIGNAL_AXIS, DEFAULT_IDLER_AXIS, indexing="ij")
+        # signal rows centred on the 521 nm ridge
+        start = (DEFAULT_SIGNAL_AXIS.size - rows) // 2
+        signal = DEFAULT_SIGNAL_AXIS[start : start + rows]
+        S, I = np.meshgrid(signal, DEFAULT_IDLER_AXIS, indexing="ij")
         nu_sum = 1.0 / S + 1.0 / I
         d_nu = fwhm / pump**2
         envelope = np.exp(-4.0 * np.log(2.0) * ((nu_sum - 1.0 / pump) / d_nu) ** 2)
@@ -346,14 +354,26 @@ class TestJointSpectrum:
         x = dk * (BBO.length_mm * 1e6) / 2.0
         intensity = envelope * np.sinc(x / np.pi) ** 2
         expected = intensity / intensity.max()
-        assert np.array_equal(self.make(theta_deg=theta).intensity, expected)
+        assert np.array_equal(self.make(theta_deg=theta, signal_axis_nm=signal).intensity, expected)
+
+    def test_memory_stays_per_block(self):
+        # whole-grid temporaries used to peak at 10x the result
+        theta = solved_angle()
+        tracemalloc.start()
+        try:
+            spectrum = self.make(theta_deg=theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * spectrum.intensity.nbytes
 
     def test_nan_on_an_axis_rejected(self):
         # a NaN grid point used to turn the whole normalized intensity into NaN
-        signal = DEFAULT_SIGNAL_AXIS.copy()
-        signal[5] = math.nan
-        with pytest.raises(DomainError, match="Sellmeier validity window"):
-            self.make(signal_axis_nm=signal)
+        for row in (5, -1):  # -1: only the last row block holds it
+            signal = DEFAULT_SIGNAL_AXIS.copy()
+            signal[row] = math.nan
+            with pytest.raises(DomainError, match="Sellmeier validity window"):
+                self.make(signal_axis_nm=signal)
         idler = DEFAULT_IDLER_AXIS.copy()
         idler[-1] = math.nan
         with pytest.raises(DomainError, match="Sellmeier validity window"):
@@ -410,8 +430,9 @@ class TestHeraldedMarginal:
         spectrum = joint_spectral_intensity(
             BBO, solved_angle(), 390.0, 2.4, DEFAULT_SIGNAL_AXIS, DEFAULT_IDLER_AXIS
         )
-        with pytest.raises(ValidationError):
-            heralded_marginal_bandwidth(spectrum, 521.0, 0.0)
+        for centre, width in ((521.0, 0.0), (521.0, -6.0), (521.0, math.nan), (math.nan, 6.0), (math.inf, 6.0)):
+            with pytest.raises(ValidationError):
+                heralded_marginal_bandwidth(spectrum, centre, width)
 
 
 class TestCrystalValidation:
