@@ -35,7 +35,7 @@ bit-identical results.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -190,16 +190,20 @@ class HeraldedStats:
     """Photon-number probabilities at the source output, given a herald."""
 
     p: np.ndarray
+    values: list[float] = field(init=False, repr=False, compare=False)  # p as Python floats, for scalar loops
 
     def __post_init__(self):
         arr = np.asarray(self.p, dtype=float)
         object.__setattr__(self, "p", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("heralded statistics must be a non-empty vector")
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+        values = arr.tolist()
+        # written as "inside" so that NaN fails the check
+        if not all(-1e-12 <= v <= 1.0 + 1e-12 for v in values):
             raise ValidationError("heralded probabilities must lie in [0, 1]")
         if abs(arr.sum() - 1.0) > 1e-9:
             raise ValidationError(f"heralded probabilities must sum to 1, got {arr.sum()!r}")
+        object.__setattr__(self, "values", values)
 
     def probability(self, n: int) -> float:
         return float(self.p[n]) if n < self.p.size else 0.0
@@ -237,37 +241,28 @@ def _validate_mc_args(mode: str, n_pulses, seed) -> None:
             raise ValidationError(f"monte_carlo mode requires n_pulses >= {MC_MIN_PULSES}")
 
 
-def _pgf(pmf: np.ndarray, x: float) -> float:
-    """E[x^n] over a truncated pair-number pmf."""
-    return float((pmf * x ** np.arange(pmf.size)).sum())
+def _pgf(pmf: np.ndarray, x: list[float]) -> list[float]:
+    """E[x^n] over a truncated pair-number pmf at each point of ``x``, in one power call."""
+    return (pmf * np.array(x)[:, None] ** np.arange(pmf.size)).sum(axis=1).tolist()
 
 
 def _analytic_probabilities(config: SetupConfig) -> dict:
     """Exact per-pulse click probabilities of the chain (threshold detectors)."""
-    pmf = config.pmf
     bs = config.herald_survival
     bi = config.idler_click_survival
     ds = config.herald_dark_prob
-    di = config.idler_detector.dark_prob_per_gate
     dw = config.coincidence_dark_prob
     ap = 1.0 + config.idler_detector.afterpulse_prob
 
-    no_signal = _pgf(pmf, 1.0 - bs)  # no detected signal photon
+    # no detected signal photon, no detected idler photon, no detected pair
+    no_signal, no_idler, no_pair = _pgf(config.pmf, [1.0 - bs, 1.0 - bi, 1.0 - bs * bi])
     p_herald = 1.0 - (1.0 - ds) * no_signal
-    p_idler_gate = (1.0 - (1.0 - di) * _pgf(pmf, 1.0 - bi)) * ap
+    p_idler_gate = (1.0 - (1.0 - config.idler_detector.dark_prob_per_gate) * no_idler) * ap
     # coincidence AND herald, heralded-pair convention: the partner photon of
     # at least one detected signal photon is itself detected, or the idler
     # gate fires dark; a dark herald can only coincide with a dark idler.
-    p_coinc_and_herald = (
-        1.0
-        - (1.0 - dw) * _pgf(pmf, 1.0 - bs * bi)
-        - dw * (1.0 - ds) * no_signal
-    ) * ap
-    return {
-        "p_herald": p_herald,
-        "p_idler_gate": min(p_idler_gate, 1.0),
-        "p_coinc_and_herald": p_coinc_and_herald,
-    }
+    p_coinc_and_herald = (1.0 - (1.0 - dw) * no_pair - dw * (1.0 - ds) * no_signal) * ap
+    return {"p_herald": p_herald, "p_idler_gate": min(p_idler_gate, 1.0), "p_coinc_and_herald": p_coinc_and_herald}
 
 
 def simulate_counts(
@@ -317,18 +312,15 @@ def heralded_photon_statistics(
     if mode == "monte_carlo":
         return _heralded_stats_mc(config, int(n_pulses), int(seed))
     pmf = config.pmf
-    bs = config.herald_survival
-    b_out = config.output_survival
-    ds = config.herald_dark_prob
-    herald_given_n = 1.0 - (1.0 - ds) * (1.0 - bs) ** np.arange(pmf.size)
-    p_herald = float((pmf * herald_given_n).sum())
+    heralding = pmf * (1.0 - (1.0 - config.herald_dark_prob) * _none_of(config.herald_survival, pmf.size))
+    p_herald = float(heralding.sum())
     if p_herald <= 0.0:
         raise EstimationError("herald probability is zero; cannot condition on a herald")
     # photons at the output are an independent thinning of the same pairs
-    p_m = thin(pmf * herald_given_n, b_out) / p_herald
+    p_m = thin(heralding, config.output_survival) / p_herald
     # trim the all-but-zero tail; renormalize within the stated tolerance
-    last = int(np.max(np.nonzero(p_m > 1e-15)[0])) if np.any(p_m > 1e-15) else 0
-    p_m = p_m[: last + 1]
+    kept = np.flatnonzero(p_m > 1e-15)
+    p_m = p_m[: kept[-1] + 1 if kept.size else 1]
     return HeraldedStats(p=p_m / p_m.sum())
 
 

@@ -11,15 +11,18 @@ the mean pair number ``mu``.  Three laws are supported:
 Loss (coupling, bulk optics, detector efficiency) acts by binomial thinning:
 every photon survives independently with the channel transmission.
 
-Factorials come from :func:`log_factorial` (exact integer factorials), so the
-module needs only numpy and the standard library.
+Factorials come from a table of :func:`log_factorial` (exact integer factorials),
+so the module needs only numpy and the standard library.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,6 +44,14 @@ def log_factorial(n: int) -> float:
     170! ``lgamma`` is accurate and keeps large mode counts cheap.
     """
     return math.log(math.factorial(n)) if n <= 170 else math.lgamma(n + 1.0)
+
+
+_LOG_FACTORIAL = np.array([log_factorial(n) for n in range(171)])
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """``ln n!`` for n < ``size``, from a table while n! fits a float."""
+    return _LOG_FACTORIAL[:size] if size <= 171 else np.array([log_factorial(n) for n in range(size)])
 
 
 @dataclass(frozen=True)
@@ -65,24 +76,30 @@ class PairNumberDistribution:
 
     def pmf(self, n: int) -> float:
         """Probability of exactly ``n`` pairs in one pulse."""
-        if n < 0:
-            raise DomainError(f"pair count must be >= 0, got {n}")
+        return float(self._head(n + 1)[n])
+
+    def _head(self, size: int) -> np.ndarray:
+        """``pmf(0..size-1)``: the one formula of each law."""
+        if size < 1:
+            raise DomainError(f"pair count must be >= 0, got {size - 1}")
         mu = self.mean
         if mu == 0.0:
-            return 1.0 if n == 0 else 0.0
-        if self.law == "poissonian":
-            return float(np.exp(n * np.log(mu) - mu - log_factorial(n)))
+            return np.eye(1, size)[0]
         if self.law == "thermal":
-            return float(mu**n / (1.0 + mu) ** (n + 1))
-        m = self.modes
+            # Python floats: libm pow, which numpy's power does not match bit for bit
+            return np.array([mu**n / (1.0 + mu) ** (n + 1) for n in range(size)])
+        n = np.arange(size)
+        if self.law == "poissonian":
+            return np.exp(n * np.log(mu) - mu - _log_factorials(size))
+        m, lf = self.modes, _LOG_FACTORIAL
         # negative binomial: M identical thermal modes of mean mu/M each
-        if n + m - 1 > 170:
-            # the lgamma difference of two huge logs cancels; comb is exact
-            log_c = math.log(math.comb(n + m - 1, n))
-        else:
-            log_c = log_factorial(n + m - 1) - log_factorial(n) - log_factorial(m - 1)
-        log_p = n * np.log(mu / m) - (n + m) * np.log1p(mu / m)
-        return float(np.exp(log_c + log_p))
+        if size + m - 2 <= 170:  # n + M - 1 <= 170 for every n < size: all from the table
+            log_c, n_plus_m = (lf[m - 1 : m - 1 + size] - lf[:size]) - lf[m - 1], n + m
+        else:  # past 170! the lgamma difference of two huge logs cancels; comb is exact
+            log_c = [math.log(math.comb(k + m - 1, k)) if k + m - 1 > 170 else (lf[k + m - 1] - lf[k]) - lf[m - 1]
+                     for k in range(size)]
+            n_plus_m = np.array(range(m, m + size), dtype=float)
+        return np.exp(log_c + (n * np.log(mu / m) - n_plus_m * np.log1p(mu / m)))
 
     def pmf_vector(self, n_max: int | None = None) -> np.ndarray:
         """Truncated pmf ``p[0..N]`` with tail mass below :data:`TAIL_MASS`.
@@ -92,22 +109,25 @@ class PairNumberDistribution:
         tail mass if that is above :data:`TAIL_MASS`.
         """
         if n_max is not None:
-            return np.array([self.pmf(n) for n in range(n_max + 1)])
-        probs = [self.pmf(0)]
-        total = probs[0]
-        n = 0
-        while total < 1.0 - TAIL_MASS and n < MAX_PAIRS:
-            n += 1
-            probs.append(self.pmf(n))
-            total += probs[-1]
-        if total < 1.0 - TAIL_MASS:
+            return self._head(n_max + 1)
+        # a first length from the thermal tail (mu/(1+mu))^(n+1), the longest of the three laws
+        mu = self.mean
+        size = math.ceil(math.log(TAIL_MASS) / math.log(mu / (1.0 + mu))) + 2 if 0.0 < mu < 1.0 else MAX_PAIRS + 1
+        probs = self._head(size)
+        # running totals added in sequence: the first to reach 1 - TAIL_MASS ends the pmf
+        total = list(accumulate(probs.tolist()))
+        if total[-1] < 1.0 - TAIL_MASS and size <= MAX_PAIRS:  # the first length fell short
+            probs = self._head(MAX_PAIRS + 1)
+            total = list(accumulate(probs.tolist()))
+        n = min(bisect_left(total, 1.0 - TAIL_MASS), MAX_PAIRS)
+        if total[n] < 1.0 - TAIL_MASS:
             warnings.warn(
                 f"{self.law} pmf at mean {self.mean} truncated at {MAX_PAIRS} pairs; "
-                f"dropped tail mass {1.0 - total:.3g}",
+                f"dropped tail mass {1.0 - total[n]:.3g}",
                 ResolutionWarning,
                 stacklevel=2,
             )
-        return np.array(probs)
+        return probs[: n + 1]
 
     def second_order_coherence(self) -> float:
         """Unconditioned g2(0) of the law: <n(n-1)>/<n>^2, loss-invariant."""
@@ -134,13 +154,19 @@ def thin(pmf: np.ndarray, survival: float) -> np.ndarray:
         out = np.zeros_like(p)
         out[0] = p.sum()
         return out
-    lf = np.array([log_factorial(i) for i in range(p.size)])
-    n = np.arange(p.size)[:, None]
-    k = n.T
-    lower = k <= n
-    nk = np.where(lower, n - k, 0)
-    log_b = lf[n] - lf[k] - lf[nk] + k * np.log(s) + nk * np.log1p(-s)
-    return p @ np.where(lower, np.exp(log_b), 0.0)
+    grid = _log_binomial_grid if p.size <= MAX_PAIRS + 1 else _log_binomial_grid.__wrapped__
+    log_c, k, n_minus_k = grid(p.size)
+    return p @ np.exp(log_c + k * np.log(s) + n_minus_k * np.log1p(-s))
+
+
+@functools.lru_cache(maxsize=None)
+def _log_binomial_grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ln C(n, k)`` as ``(lf[n] - lf[k]) - lf[n-k]``, -inf above the diagonal
+    (k > n), the row of k, and ``n - k``, 0 there; built once per size up to MAX_PAIRS + 1."""
+    lf = _log_factorials(size)
+    n, k = np.ogrid[:size, :size]
+    n_minus_k = np.maximum(n - k, 0)
+    return np.where(k <= n, (lf[n] - lf[k]) - lf[n_minus_k], -np.inf), k, n_minus_k
 
 
 # Calibration reproducing the reference source: mu = 0.0829 at 240 mW.

@@ -231,8 +231,9 @@ def collinear_pm_angle(crystal: CrystalSpec, triple: WavelengthTriple) -> float:
         else:
             lo, f_lo = mid, f_mid
     theta = 0.5 * (lo + hi)
-    k_pump = 2.0 * np.pi * index_extraordinary_at_angle(crystal, theta, triple.pump_nm) / triple.pump_nm
-    residual = collinear_mismatch(crystal, theta, triple)
+    # theta lies strictly inside (0, 90): the ellipsoid index needs no endpoint case
+    k_pump = 2.0 * np.pi * _ellipsoid_index(n_o, n_e, theta) / pump
+    residual = float(k_pump - k_s - k_i)
     if abs(residual) > PM_RESIDUAL_TOLERANCE * k_pump:
         raise NoPhaseMatchingError(
             f"bisection converged to theta = {theta:.4f} deg but the residual "

@@ -70,7 +70,7 @@ class TradeoffRow:
 
 def multiphoton_fraction(stats: HeraldedStats) -> float:
     """Probability of delivering more than one photon per heralded pulse."""
-    return math.fsum(stats.p.tolist()[2:])
+    return math.fsum(stats.values[2:])
 
 
 def expected_detection_probability(stats: HeraldedStats, channel: ChannelSpec, distance_km: float) -> float:
@@ -80,7 +80,7 @@ def expected_detection_probability(stats: HeraldedStats, channel: ChannelSpec, d
     numpy's per-call overhead to pay off."""
     miss = 1.0 - channel.transmission(distance_km) * channel.receiver_efficiency
     detected, none_of_n = 0.0, 1.0
-    for p_n in stats.p.tolist():
+    for p_n in stats.values:
         detected += p_n * (1.0 - none_of_n)
         none_of_n *= miss
     return detected + channel.receiver_dark_per_pulse

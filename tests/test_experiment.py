@@ -232,6 +232,58 @@ class TestHeraldedStats:
         with pytest.raises(ValidationError):
             HeraldedStats(p=np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN failed every comparison, so [nan, 0.5, 0.5] passed as a pmf
+        with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
+            HeraldedStats(p=np.array([bad, 0.5, 0.5]))
+        with pytest.raises(ValidationError):
+            HeraldedStats(p=np.array([0.5, 0.5, bad]))
+
+
+def pgf_per_point(pmf, x):
+    """E[x^n] at one point: the generating function one power call at a time."""
+    return float((pmf * x ** np.arange(pmf.size)).sum())
+
+
+def heralded_reference(cfg):
+    """P(n) at the output given a herald, with every intermediate built in turn."""
+    pmf = cfg.pmf
+    herald_given_n = 1.0 - (1.0 - cfg.herald_dark_prob) * (1.0 - cfg.herald_survival) ** np.arange(pmf.size)
+    p_herald = float((pmf * herald_given_n).sum())
+    p_m = pair_source.thin(pmf * herald_given_n, cfg.output_survival) / p_herald
+    last = int(np.max(np.nonzero(p_m > 1e-15)[0])) if np.any(p_m > 1e-15) else 0
+    p_m = p_m[: last + 1]
+    return p_m / p_m.sum()
+
+
+@pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
+class TestAnalyticBitIdentity:
+    """The analytic core evaluated in one pass equals the per-step references bit for bit;
+    mu = 5 truncates the thermal and multimode laws."""
+
+    CASES = [
+        dict(law=law, modes=modes, mu=mu, coincidence_window=window)
+        for (law, modes), window in zip(
+            [("poissonian", None), ("thermal", None), ("multimode_thermal", 3), ("multimode_thermal", 160)], (1, 2, 3, 1)
+        )
+        for mu in (1e-4, 0.003, 0.0829, 0.4, 1.0, 5.0)
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_generating_values(self, case):
+        cfg = reference_setup(**case)
+        bs, bi = cfg.herald_survival, cfg.idler_click_survival
+        got = experiment._pgf(cfg.pmf, [1.0 - bs, 1.0 - bi, 1.0 - bs * bi])
+        assert got == [pgf_per_point(cfg.pmf, x) for x in (1.0 - bs, 1.0 - bi, 1.0 - bs * bi)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_heralded_statistics(self, case):
+        cfg = reference_setup(**case)
+        assert np.array_equal(heralded_photon_statistics(cfg).p, heralded_reference(cfg))
+        lossless = replace(cfg, alpha_idler=1.0, t_idler_optics=1.0)
+        assert np.array_equal(heralded_photon_statistics(lossless).p, heralded_reference(lossless))
+
 
 class TestMonteCarlo:
     def test_requires_seed_and_pulses(self):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spdcherald import pair_source
 from spdcherald.errors import DomainError, ResolutionWarning, ValidationError
 from spdcherald.pair_source import (
     MAX_PAIRS,
+    TAIL_MASS,
     PairNumberDistribution,
     log_factorial,
     thin,
@@ -189,3 +191,140 @@ class TestThin:
         pmf = PairNumberDistribution("poissonian", 0.1).pmf_vector()
         with pytest.raises(ValidationError):
             thin(pmf, 1.5)
+
+
+# --- the scalar pmf loop and the log-space thinning written out once more, as
+# references that the vectorised laws and the cached grids must match bit for bit
+
+
+def scalar_pmf(dist, n):
+    """One pmf entry from numpy scalars, the law's formula written per entry."""
+    mu, m = dist.mean, dist.modes
+    if mu == 0.0:
+        return 1.0 if n == 0 else 0.0
+    if dist.law == "poissonian":
+        return float(np.exp(n * np.log(mu) - mu - log_factorial(n)))
+    if dist.law == "thermal":
+        return float(mu**n / (1.0 + mu) ** (n + 1))
+    if n + m - 1 > 170:
+        log_c = math.log(math.comb(n + m - 1, n))
+    else:
+        log_c = log_factorial(n + m - 1) - log_factorial(n) - log_factorial(m - 1)
+    log_p = n * np.log(mu / m) - (n + m) * np.log1p(mu / m)
+    return float(np.exp(log_c + log_p))
+
+
+def scalar_pmf_vector(dist):
+    """The adaptive truncation as a loop: extend while the running total is short."""
+    probs = [scalar_pmf(dist, 0)]
+    total, n = probs[0], 0
+    while total < 1.0 - TAIL_MASS and n < MAX_PAIRS:
+        n += 1
+        probs.append(scalar_pmf(dist, n))
+        total += probs[-1]
+    return np.array(probs), total
+
+
+def log_space_thin(pmf, s):
+    """Thinning from a log-binomial grid built afresh on every call."""
+    p = np.asarray(pmf, dtype=float)
+    if s == 1.0:
+        return p.copy()
+    if s == 0.0:
+        out = np.zeros_like(p)
+        out[0] = p.sum()
+        return out
+    lf = np.array([log_factorial(i) for i in range(p.size)])
+    n = np.arange(p.size)[:, None]
+    k = n.T
+    lower = k <= n
+    nk = np.where(lower, n - k, 0)
+    log_b = lf[n] - lf[k] - lf[nk] + k * np.log(s) + nk * np.log1p(-s)
+    return p @ np.where(lower, np.exp(log_b), 0.0)
+
+
+LAWS_AND_MODES = [("poissonian", None), ("thermal", None), ("multimode_thermal", 3)]
+MU_GRID = [0.0, *np.logspace(-4, math.log10(30.0), 25).tolist()]
+
+
+def assert_adaptive_pmf_matches_the_loop(law, modes, mu):
+    dist = PairNumberDistribution(law, mu, modes)
+    expected, total = scalar_pmf_vector(dist)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        got = dist.pmf_vector()
+    assert np.array_equal(got, expected)
+    assert [str(w.message) for w in record] == (
+        []
+        if total >= 1.0 - TAIL_MASS
+        else [f"{law} pmf at mean {mu} truncated at {MAX_PAIRS} pairs; dropped tail mass {1.0 - total:.3g}"]
+    )
+    # stacklevel 2: the warning names the caller of pmf_vector
+    assert [w.filename for w in record] == [__file__] * len(record)
+    return record
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("law,modes", LAWS_AND_MODES)
+    @pytest.mark.parametrize("mu", MU_GRID)
+    def test_adaptive_pmf_and_its_warning(self, law, modes, mu):
+        assert_adaptive_pmf_matches_the_loop(law, modes, mu)
+
+    def test_first_length_short_then_every_term(self):
+        # rounding in ln C(n + M - 1, n) leaves this sum 1.1e-15 short of 1: the
+        # first length does not reach 1 - TAIL_MASS, all MAX_PAIRS + 1 terms are
+        # taken and the truncation is warned of
+        record = assert_adaptive_pmf_matches_the_loop("multimode_thermal", 10**5, 0.9275587785042025)
+        assert len(record) == 1
+
+    @pytest.mark.parametrize("law,modes", LAWS_AND_MODES)
+    @pytest.mark.parametrize("mu", MU_GRID[::4])
+    def test_fixed_truncation_past_every_table(self, law, modes, mu):
+        dist = PairNumberDistribution(law, mu, modes)
+        for n_max in range(81):
+            expected = np.array([scalar_pmf(dist, n) for n in range(n_max + 1)])
+            assert np.array_equal(dist.pmf_vector(n_max=n_max), expected)
+        assert dist.pmf(200) == scalar_pmf(dist, 200)
+
+    @pytest.mark.parametrize("modes", range(150, 176))
+    def test_mode_counts_across_the_exact_factorial_switch(self, modes):
+        # n + modes - 1 crosses 170 inside the pmf: table entries below, comb above
+        for mu in (0.01, 0.5, 25.0):
+            dist = PairNumberDistribution("multimode_thermal", mu, modes)
+            assert np.array_equal(dist.pmf_vector(n_max=80), [scalar_pmf(dist, n) for n in range(81)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ResolutionWarning)
+                assert np.array_equal(dist.pmf_vector(), scalar_pmf_vector(dist)[0])
+
+    @pytest.mark.parametrize("law,modes", LAWS_AND_MODES)
+    @pytest.mark.parametrize("mu", MU_GRID[1::3])
+    @pytest.mark.parametrize("s", [0.0, 1e-9, 0.5, 1.0, 0.37])
+    def test_thin_matches_the_log_space_reference(self, law, modes, mu, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            pmf = PairNumberDistribution(law, mu, modes).pmf_vector()
+        assert np.array_equal(thin(pmf, s), log_space_thin(pmf, s))
+
+    @pytest.mark.parametrize("size", range(1, 81))
+    def test_thin_every_size(self, size):
+        pmf = np.random.default_rng(size).random(size)
+        pmf /= pmf.sum()
+        for s in (1e-9, 0.2, 0.5, 0.999):
+            assert np.array_equal(thin(pmf, s), log_space_thin(pmf, s))
+
+    def test_grid_cache_holds_only_pmf_sizes(self):
+        pair_source._log_binomial_grid.cache_clear()
+        thin(np.full(MAX_PAIRS + 2, 1.0 / (MAX_PAIRS + 2)), 0.5)
+        assert pair_source._log_binomial_grid.cache_info().currsize == 0
+        for _ in range(2):
+            thin(np.full(MAX_PAIRS + 1, 1.0 / (MAX_PAIRS + 1)), 0.5)
+        info = pair_source._log_binomial_grid.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+
+
+class TestNegativeTruncation:
+    @pytest.mark.parametrize("n_max", [-1, -5])
+    def test_negative_n_max_rejected(self, n_max):
+        # a negative n_max returned an empty pmf
+        with pytest.raises(DomainError, match=f"got {n_max}"):
+            PairNumberDistribution("poissonian", 0.1).pmf_vector(n_max=n_max)
