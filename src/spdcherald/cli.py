@@ -260,6 +260,20 @@ COMMANDS = {
 }
 
 
+# the scenario key, and the option that can stand in for it, of each argument a
+# subcommand hands the model as read; a range error of one names the key, or
+# the option where the option gave the value
+_FIELD_KEYS = {
+    "pump_fwhm_nm": ("crystal.pump_fwhm_nm", None),
+    "filter_fwhm_nm": ("crystal.signal_fwhm_nm", None),
+    "mode": ("run.mode", "mode"),
+    "n_pulses": ("run.n_pulses", "pulses"),
+    "seed": ("run.seed", "seed"),
+    "arm": ("run.g2_arm", None),
+    "splitter_ratio": ("run.splitter_ratio", None),
+}
+
+
 def run_scenario(path: str, subcommand: str, overrides: list[str] | None = None, args=None) -> int:
     """Execute one subcommand against a scenario file and write its artifacts; returns the exit code."""
     if args is None:
@@ -273,7 +287,14 @@ def run_scenario(path: str, subcommand: str, overrides: list[str] | None = None,
     out_dir = Path(args.out_dir or os.environ.get(OUTPUT_DIR_ENV) or run.get("outputs") or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    json_name, result, csv_name, header, rows, summary = compute(scenario, run)
+    try:
+        json_name, result, csv_name, header, rows, summary = compute(scenario, run)
+    except ValidationError as exc:
+        if exc.field not in _FIELD_KEYS:
+            raise
+        key, option = _FIELD_KEYS[exc.field]
+        name = f"option '--{option}'" if option and getattr(args, option) is not None else f"scenario key {key!r}"
+        raise ValidationError(f"{name}: {exc}") from None
     record = {
         "command": subcommand,
         "provenance": {
@@ -305,17 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Heralded single-photon source simulation and estimation toolkit",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    # the arguments every subcommand takes, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("scenario", help="scenario file path or bundled name (e.g. paper.scenario)")
+    common.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a scenario entry, e.g. source.mu=0.1")
+    common.add_argument("--mode", choices=["analytic", "monte_carlo"], default=None)
+    common.add_argument("--pulses", type=int, default=None, help="Monte Carlo pulse count")
+    common.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
+    common.add_argument("--out-dir", default=None,
+                        help=f"output directory (default: ${OUTPUT_DIR_ENV} or the scenario's run.outputs)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} analysis")
-        p.add_argument("scenario", help="scenario file path or bundled name (e.g. paper.scenario)")
-        p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a scenario entry, e.g. source.mu=0.1")
-        p.add_argument("--mode", choices=["analytic", "monte_carlo"], default=None)
-        p.add_argument("--pulses", type=int, default=None, help="Monte Carlo pulse count")
-        p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
-        p.add_argument("--out-dir", default=None,
-                       help=f"output directory (default: ${OUTPUT_DIR_ENV} or the scenario's run.outputs)")
+        p = sub.add_parser(name, help=f"run the {name} analysis", parents=[common])
         if name == "estimate":
             p.add_argument(
                 "--counts", default=None, metavar="FILE",

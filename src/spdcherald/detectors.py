@@ -109,9 +109,9 @@ def dead_time_throughput(input_rate: float, dt: DeadTimeSpec) -> float:
 def check_seed(seed: int | None) -> None:
     """Raise :class:`ValidationError` unless ``seed`` is a Philox key."""
     if seed is None:
-        raise ValidationError("Monte Carlo requires an explicit seed (reproducibility)")
+        raise ValidationError("Monte Carlo requires an explicit seed (reproducibility)", "seed")
     if not (0 <= seed < SEED_LIMIT):
-        raise ValidationError(f"Monte Carlo seed must lie in [0, 2**128), got {seed}")
+        raise ValidationError(f"Monte Carlo seed must lie in [0, 2**128), got {seed}", "seed")
 
 
 def dead_time_window(dt: DeadTimeSpec, rep_rate_hz: float, n_pulses: int) -> int:

@@ -234,11 +234,11 @@ HBT_ARMS = ("signal_unconditioned", "idler_heralded")
 
 def _validate_mc_args(mode: str, n_pulses, seed) -> None:
     if mode not in ("analytic", "monte_carlo"):
-        raise ValidationError(f"unknown mode {mode!r}; expected 'analytic' or 'monte_carlo'")
+        raise ValidationError(f"unknown mode {mode!r}; expected 'analytic' or 'monte_carlo'", "mode")
     if mode == "monte_carlo":
         check_seed(seed)
         if n_pulses is None or n_pulses < MC_MIN_PULSES:
-            raise ValidationError(f"monte_carlo mode requires n_pulses >= {MC_MIN_PULSES}")
+            raise ValidationError(f"monte_carlo mode requires n_pulses >= {MC_MIN_PULSES}", "n_pulses")
 
 
 def _pgf(pmf: np.ndarray, x: list[float]) -> list[float]:
@@ -340,9 +340,9 @@ def hbt_g2(
     click-based ``p_12 / (p_1 p_2)`` over same-pulse windows.
     """
     if arm not in HBT_ARMS:
-        raise ValidationError(f"unknown HBT arm {arm!r}; expected one of {HBT_ARMS}")
+        raise ValidationError(f"unknown HBT arm {arm!r}; expected one of {HBT_ARMS}", "arm")
     if not (0.0 < splitter_ratio < 1.0):
-        raise ValidationError(f"splitter ratio must lie in (0, 1), got {splitter_ratio}")
+        raise ValidationError(f"splitter ratio must lie in (0, 1), got {splitter_ratio}", "splitter_ratio")
     _validate_mc_args(mode, n_pulses, seed)
     if mode == "monte_carlo":
         return _hbt_g2_mc(config, arm, splitter_ratio, int(n_pulses), int(seed))

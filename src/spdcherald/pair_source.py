@@ -120,7 +120,8 @@ class PairNumberDistribution:
             probs = self._head(MAX_PAIRS + 1)
             total = list(accumulate(probs.tolist()))
         n = min(bisect_left(total, 1.0 - TAIL_MASS), MAX_PAIRS)
-        if total[n] < 1.0 - TAIL_MASS:
+        # a shortfall of a few ulps can be rounding in large terms: warn only if the tail is real
+        if total[n] < 1.0 - TAIL_MASS and self._tail_bound(MAX_PAIRS + 1) >= TAIL_MASS:
             warnings.warn(
                 f"{self.law} pmf at mean {self.mean} truncated at {MAX_PAIRS} pairs; "
                 f"dropped tail mass {1.0 - total[n]:.3g}",
@@ -128,6 +129,16 @@ class PairNumberDistribution:
                 stacklevel=2,
             )
         return probs[: n + 1]
+
+    def _tail_bound(self, size: int) -> float:
+        """An upper bound on the mass at ``size`` pairs and beyond.
+
+        The ratio of successive terms never grows with n under any of the
+        three laws, so the tail is at most a geometric series in the ratio of
+        its first two terms.  An underflowed first term bounds nothing.
+        """
+        first, second = self._head(size + 2)[size:].tolist()
+        return first / (1.0 - second / first) if 0.0 < first and second < first else math.inf
 
     def second_order_coherence(self) -> float:
         """Unconditioned g2(0) of the law: <n(n-1)>/<n>^2, loss-invariant."""

@@ -71,9 +71,9 @@ class CrystalSpec:
 
     def __post_init__(self):
         if self.length_mm <= 0.0:
-            raise ValidationError(f"crystal length must be > 0, got {self.length_mm} mm")
+            raise ValidationError(f"crystal length must be > 0, got {self.length_mm} mm", "length_mm")
         if not (0.0 <= self.cut_angle_deg <= 90.0):
-            raise ValidationError(f"cut angle must lie in [0, 90] degrees, got {self.cut_angle_deg}")
+            raise ValidationError(f"cut angle must lie in [0, 90] degrees, got {self.cut_angle_deg}", "cut_angle_deg")
         lo, hi = self.validity_window_um
         if not (0.0 < lo < hi):
             raise ValidationError(f"invalid Sellmeier validity window {self.validity_window_um}")
@@ -319,7 +319,7 @@ def joint_spectral_intensity(
     """
     require_finite("pump centre wavelength", pump_center_nm)
     if not (pump_fwhm_nm > 0.0):
-        raise ValidationError(f"pump FWHM must be > 0, got {pump_fwhm_nm}")
+        raise ValidationError(f"pump FWHM must be > 0, got {pump_fwhm_nm}", "pump_fwhm_nm")
     sig = np.asarray(signal_axis_nm, dtype=float)
     idl = np.asarray(idler_axis_nm, dtype=float)
     if sig.size < 2 or idl.size < 2:
@@ -412,7 +412,7 @@ def heralded_marginal_bandwidth(
     """
     require_finite("filter centre wavelength", filter_center_nm)
     if not (filter_fwhm_nm > 0.0):
-        raise ValidationError(f"filter FWHM must be > 0, got {filter_fwhm_nm}")
+        raise ValidationError(f"filter FWHM must be > 0, got {filter_fwhm_nm}", "filter_fwhm_nm")
     weights = np.exp(
         -4.0 * np.log(2.0) * ((spectrum.signal_axis - filter_center_nm) / filter_fwhm_nm) ** 2
     )

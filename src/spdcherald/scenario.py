@@ -9,6 +9,7 @@ dotted path.  The bundled ``paper.scenario`` carries the reference setup.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -103,6 +104,17 @@ SCHEMA = {
     },
 }
 
+# libyaml's scanner where PyYAML was built with it; both keep the safe
+# constructor and the YAML 1.1 resolver, so they build the same data
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _load_yaml(text: str, what: str = "scenario"):
+    try:
+        return yaml.load(text, Loader=_LOADER)
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"{what} is not valid YAML: {exc}") from exc
+
 
 def _coerce(value, kind: str, dotted: str):
     if kind == "float":
@@ -168,7 +180,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
                 raise ValidationError(f"override path {path!r} crosses a scalar")
-        node[keys[-1]] = yaml.safe_load(raw)
+        node[keys[-1]] = _load_yaml(raw, f"override {item!r}")
     return out
 
 
@@ -214,7 +226,8 @@ class Scenario:
         return self.data.get("run", {})
 
     def section(self, name: str) -> Section:
-        return Section(self.data, "")[name]
+        # only the requested section is wrapped; a missing one raises in Section.__missing__
+        return Section({key: value for key, value in self.data.items() if key == name}, "")[name]
 
     def sha256(self) -> str:
         return hashlib.sha256(
@@ -268,17 +281,18 @@ class Scenario:
 
     def to_crystal(self) -> CrystalSpec:
         cry = self.section("crystal")
-        kwargs = {}
-        if "sellmeier_ordinary" in cry:
-            kwargs["sellmeier_ordinary"] = SellmeierCoefficients(*cry["sellmeier_ordinary"])
-        if "sellmeier_extraordinary" in cry:
-            kwargs["sellmeier_extraordinary"] = SellmeierCoefficients(*cry["sellmeier_extraordinary"])
-        if "name" in cry:
-            kwargs["name"] = cry["name"]
-        return CrystalSpec(
-            length_mm=cry.get("length_mm", 5.0),
-            cut_angle_deg=cry.get("cut_angle_deg", 26.42),
-            **kwargs,
+        sellmeier = {}
+        for key in ("sellmeier_ordinary", "sellmeier_extraordinary"):
+            if key in cry:
+                if len(cry[key]) != 4:
+                    raise ValidationError(
+                        f"scenario key {cry.path + key!r}: a Sellmeier set is 4 numbers (a, b, c, d), "
+                        f"got {len(cry[key])}"
+                    )
+                sellmeier[key] = SellmeierCoefficients(*cry[key])
+        return _build(
+            functools.partial(CrystalSpec, **sellmeier), cry,
+            length_mm=5.0, cut_angle_deg=26.42, name=CrystalSpec.name,
         )
 
     def spectral_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -304,10 +318,7 @@ class Scenario:
 
 
 def parse_scenario(text: str, overrides: list[str] | None = None) -> Scenario:
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"scenario is not valid YAML: {exc}") from exc
+    data = _load_yaml(text)
     if not isinstance(data, dict):
         raise ValidationError("scenario must be a mapping of sections")
     if overrides:

@@ -7,7 +7,7 @@ import warnings
 import pytest
 import yaml
 
-from spdcherald import cli
+from spdcherald import cli, scenario as scenario_module
 from spdcherald.cli import COMMANDS, main, run_scenario
 from spdcherald.errors import ValidationError
 from spdcherald.experiment import CountRates, reference_setup, simulate_counts
@@ -83,6 +83,73 @@ class TestScenarioParsing:
     def test_missing_file(self):
         with pytest.raises(ValidationError, match="not found"):
             load_scenario("nonexistent.scenario")
+
+
+OVERRIDE_VALUES = ["0.1", "[0.01, 0.02]", "1e-3", "2.5e+5", ".inf", "~", "yes", "multimode_thermal"]
+
+
+def _parsed(text, overrides):
+    """repr of the scenario data, or of the validation error, so types count as well as values."""
+    try:
+        return repr(parse_scenario(text, overrides).data)
+    except ValidationError as exc:
+        return f"ValidationError({exc})"
+
+
+class TestLoader:
+    """The scenario loader (libyaml's where PyYAML has it) builds what PyYAML's
+    pure-Python loader builds."""
+
+    @pytest.mark.parametrize("value", OVERRIDE_VALUES)
+    def test_value_loads_as_with_the_python_loader(self, value):
+        loaded = yaml.load(value, Loader=scenario_module._LOADER)
+        assert repr(loaded) == repr(yaml.load(value, Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("key", ["source.mu", "source.law", "source.modes", "run.sweep_mu", "crystal.name"])
+    def test_scenario_parses_as_with_the_python_loader(self, monkeypatch, key):
+        text = bundled_text()
+        got = [_parsed(text, [])] + [_parsed(text, [f"{key}={value}"]) for value in OVERRIDE_VALUES]
+        monkeypatch.setattr(scenario_module, "_LOADER", yaml.SafeLoader)
+        assert got == [_parsed(text, [])] + [_parsed(text, [f"{key}={value}"]) for value in OVERRIDE_VALUES]
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_tab_after_the_key_is_separation(self):
+        # YAML allows a tab as separation whitespace; PyYAML's Python scanner rejects it
+        text = bundled_text().replace("  mu: 0.0829", "  mu:\t0.1")
+        assert "mu:\t0.1" in text
+        assert parse_scenario(text).section("source")["mu"] == 0.1
+        with pytest.raises(yaml.YAMLError, match="found character '\\\\t'"):
+            yaml.load(text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("sweep_mu: [0.02, 0.04, 0.0829, 0.1658, 0.25]", "sweep_mu: [0.02, 0.04, 0.0829"),
+            ("  mu: 0.0829", "     mu: 0.0829"),
+            ("  law: poissonian", "  law: !!python/object:os.system poissonian"),
+        ],
+        ids=["unclosed_flow_sequence", "bad_indentation", "python_object_tag"],
+    )
+    def test_invalid_yaml_exits_2(self, tmp_path, capsys, old, new):
+        path = tmp_path / "bad.scenario"
+        path.write_text(bundled_text().replace(old, new))
+        assert new in path.read_text()
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "validation error: scenario is not valid YAML" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_override_yaml_exits_2_naming_it(self, tmp_path, capsys):
+        assert main(["simulate", BUNDLED, "--override", "run.sweep_mu=[0.1", "--out-dir", str(tmp_path)]) == 2
+        assert "override 'run.sweep_mu=[0.1' is not valid YAML" in capsys.readouterr().err
+        assert not (tmp_path / "counts.json").exists()
+
+    def test_missing_section_named(self):
+        scenario = parse_scenario(bundled_text())
+        del scenario.data["channel"]
+        with pytest.raises(ValidationError, match="^scenario is missing the required key 'channel'$"):
+            scenario.section("channel")
+        assert scenario.section("source").path == "source."
+        assert scenario.section("detectors")["idler"].path == "detectors.idler."
 
 
 class TestCli:
@@ -317,7 +384,9 @@ class TestCli:
     def test_out_of_range_seed_exits_2(self, tmp_path, capsys, how):
         argv = ["simulate", BUNDLED, "--mode", "monte_carlo", "--pulses", "1000000", *how]
         assert main([*argv, "--out-dir", str(tmp_path)]) == 2
-        assert "seed must lie in [0, 2**128)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "seed must lie in [0, 2**128)" in err
+        assert ("option '--seed'" if how[0] == "--seed" else "scenario key 'run.seed'") in err
         assert not (tmp_path / "counts.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", ".nan", "inf", "-.inf", "1e999"])
@@ -361,6 +430,33 @@ class TestCli:
         assert main(["simulate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
         assert f"scenario key {override.split('=')[0]!r}" in capsys.readouterr().err
         assert not (tmp_path / "counts.json").exists()
+
+    @pytest.mark.parametrize(
+        "command,override",
+        [
+            ("spectrum", "crystal.pump_fwhm_nm=0"),
+            ("spectrum", "crystal.signal_fwhm_nm=0"),
+            ("phasematch", "crystal.length_mm=0"),
+            ("phasematch", "crystal.cut_angle_deg=100"),
+            ("phasematch", "crystal.sellmeier_ordinary=[2.7359, 0.01878, 0.01822]"),
+            ("simulate", "run.seed=-1"),
+            ("simulate", "run.n_pulses=5"),
+            ("simulate", "run.mode=fast"),
+            ("g2", "run.g2_arm=both"),
+            ("g2", "run.splitter_ratio=1"),
+        ],
+    )
+    def test_model_range_error_exits_2_naming_its_key(self, tmp_path, capsys, command, override):
+        mode = ["--mode", "monte_carlo"] if override.startswith(("run.seed", "run.n_pulses", "run.g2")) else []
+        argv = [command, BUNDLED, *mode, "--override", override, "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"validation error: scenario key {override.split('=')[0]!r}: " in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_pulses_option_named(self, tmp_path, capsys):
+        argv = ["g2", BUNDLED, "--mode", "monte_carlo", "--pulses", "5", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "validation error: option '--pulses': monte_carlo mode requires" in capsys.readouterr().err
 
     def test_run_scenario_notes_unused_sections(self, tmp_path, capsys):
         import argparse
