@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .errors import NumericalError, SpdcHeraldError, ValidationError
 from .estimator import equivalent_wcp, estimate_source
-from .experiment import CountRates, hbt_g2, heralded_photon_statistics, simulate_counts
+from .experiment import CountRates, _validate_mc_args, hbt_g2, heralded_photon_statistics, simulate_counts
 from .phase_matching import (
     WavelengthTriple,
     collinear_mismatch,
@@ -43,6 +43,7 @@ def _run_params(scenario: Scenario, args) -> dict:
         if value is not None:
             run[key] = value
     run.setdefault("mode", "analytic")
+    _validate_mc_args(run["mode"], run.get("n_pulses"), run.get("seed"))
     if run["mode"] == "analytic":
         # seed/pulses are irrelevant to analytic output; keep records stable
         run["n_pulses"] = None
@@ -260,9 +261,9 @@ COMMANDS = {
 }
 
 
-# the scenario key, and the option that can stand in for it, of each argument a
-# subcommand hands the model as read; a range error of one names the key, or
-# the option where the option gave the value
+# the scenario key, and the option that can stand in for it, of each run value
+# and each argument a subcommand hands the model as read; a range error of one
+# names the key, or the option where the option gave the value
 _FIELD_KEYS = {
     "pump_fwhm_nm": ("crystal.pump_fwhm_nm", None),
     "filter_fwhm_nm": ("crystal.signal_fwhm_nm", None),
@@ -283,11 +284,10 @@ def run_scenario(path: str, subcommand: str, overrides: list[str] | None = None,
     unused = sorted(set(scenario.data) - sections)
     if unused:
         sys.stderr.write(f"note: sections not used by {subcommand!r}: {', '.join(unused)}\n")
-    run = _run_params(scenario, args)
-    out_dir = Path(args.out_dir or os.environ.get(OUTPUT_DIR_ENV) or run.get("outputs") or "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     try:
+        run = _run_params(scenario, args)
+        out_dir = Path(args.out_dir or os.environ.get(OUTPUT_DIR_ENV) or run.get("outputs") or "out")
+        out_dir.mkdir(parents=True, exist_ok=True)
         json_name, result, csv_name, header, rows, summary = compute(scenario, run)
     except ValidationError as exc:
         if exc.field not in _FIELD_KEYS:

@@ -18,6 +18,11 @@ from .errors import DomainError, ValidationError, require_finite
 
 DEAD_TIME_MODELS = ("paralyzable", "nonparalyzable")
 SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
+# Monte Carlo pulses are processed in fixed-size blocks, so memory is per
+# block.  The experiment's Monte Carlo draws each block from its own
+# counter-based substream, so its results do not depend on how blocks are
+# scheduled.  Changing this constant changes the sampled stream.
+MC_BLOCK = 1 << 20
 # numpy's hypergeometric takes fewer than 1e9 good and bad items, so a longer
 # train is walked in chunks of this many pulses
 WALK_CHUNK = 1 << 29
@@ -120,37 +125,6 @@ def dead_time_window(dt: DeadTimeSpec, rep_rate_hz: float, n_pulses: int) -> int
     return int(round(min(dt.tau_s * rep_rate_hz, n_pulses)))
 
 
-def bernoulli_positions(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
-    """Sorted indices of the successes among ``size`` Bernoulli(``p``) trials.
-
-    Draws the gaps between successes (Devroye, *Non-Uniform Random Variate
-    Generation*, 1986, ch. 2), so the cost scales with the number of
-    successes rather than with ``size``.  A gap is ``1 + floor(E / q)`` with
-    ``E`` standard exponential and ``q = -ln(1 - p)``.
-    """
-    if p <= 0.0 or size <= 0:
-        return np.empty(0, dtype=np.int64)
-    if p >= 1.0:
-        return np.arange(size, dtype=np.int64)
-    q = -math.log1p(-p)
-    # a gap past the end is as good as any longer one; capping E there keeps
-    # every gap within size + 2, so the int64 cast and the cumsum stay in
-    # range however small p is
-    cap = (size + 1) * q
-    found = []
-    last = -1  # the last success so far
-    while True:
-        # enough gaps to pass the end in one draw, bar a 6-sigma shortfall
-        mean = p * (size - 1 - last)
-        e = rng.standard_exponential(int(mean + 6.0 * math.sqrt(mean)) + 16)
-        at = last + np.cumsum((np.minimum(e, cap) / q).astype(np.int64) + 1)
-        if at[-1] >= size:
-            found.append(at[: np.searchsorted(at, size)])
-            return np.concatenate(found)
-        found.append(at)
-        last = int(at[-1])
-
-
 def nonparalyzable_walk(rng: np.random.Generator, p: float, size: int, window: int, last: int) -> tuple[int, int, int]:
     """Clicks, triggers and the last trigger among ``size`` pulses that click
     with probability ``p``, behind a nonparalyzable dead time of ``window``.
@@ -191,6 +165,20 @@ def nonparalyzable_walk(rng: np.random.Generator, p: float, size: int, window: i
     return clicks, b_hi, size + spill - window - 1 if b_hi else last
 
 
+def paralyzable_triggers(rng: np.random.Generator, clicks: int, size: int, window: int, last: int) -> tuple[int, int]:
+    """Triggers and the last click when ``clicks`` clicks fall among ``size``
+    pulses, behind a paralyzable dead time of ``window``.
+
+    The clicks take a uniform subset of the pulses, and one triggers when the
+    click before it lies more than ``window`` pulses back: every click, not
+    only a trigger, restarts the window.  ``last`` indexes the click before
+    from the first pulse, as the returned one does, so a train can be walked
+    block by block."""
+    at = np.sort(rng.choice(size, clicks, replace=False, shuffle=False))
+    triggers = int(np.count_nonzero(np.diff(at, prepend=last) > window))
+    return triggers, int(at[-1]) if clicks else last
+
+
 def simulate_dead_time(
     input_rate: float,
     dt: DeadTimeSpec,
@@ -200,14 +188,18 @@ def simulate_dead_time(
 ) -> float:
     """Monte Carlo dead-time throughput on a discrete pulse train.
 
-    Clicks are Bernoulli events, one chance per pulse.  A paralyzable stage
-    triggers on a click more than ``round(tau * rep_rate)`` pulses after the
-    one before, a nonparalyzable one as :func:`nonparalyzable_walk` draws,
-    over the train in chunks of :data:`WALK_CHUNK` pulses.  Reproducible for
-    a fixed seed."""
+    Clicks are Bernoulli events, one chance per pulse, and the window is
+    ``round(tau * rep_rate)`` pulses.  The train is walked in blocks that
+    carry the window from one to the next, so memory is per block: a
+    paralyzable stage draws each :data:`MC_BLOCK`-pulse block's click count
+    as a binomial and triggers as :func:`paralyzable_triggers` places them, a
+    nonparalyzable one as :func:`nonparalyzable_walk` draws over blocks of
+    :data:`WALK_CHUNK` pulses.  Reproducible for a fixed seed."""
     require_finite("input rate", input_rate)
     if input_rate < 0.0:
         raise DomainError(f"input rate must be >= 0, got {input_rate}")
+    if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0.0):
+        raise ValidationError(f"rep_rate_hz must be finite and > 0, got {rep_rate_hz}", "rep_rate_hz")
     if n_pulses < 1:
         raise ValidationError("n_pulses must be >= 1")
     check_seed(seed)
@@ -217,13 +209,15 @@ def simulate_dead_time(
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = int(n_pulses)
     window = dead_time_window(dt, rep_rate_hz, n)
-    if dt.model == "paralyzable":
-        triggers = np.count_nonzero(np.diff(bernoulli_positions(rng, p_click, n), prepend=-window - 1) > window)
-    else:
-        triggers, last = 0, -window - 1
-        for start in range(0, n, WALK_CHUNK):
-            size = min(WALK_CHUNK, n - start)
+    paralyzable = dt.model == "paralyzable"
+    block = MC_BLOCK if paralyzable else WALK_CHUNK
+    triggers, last = 0, -window - 1
+    for start in range(0, n, block):
+        size = min(block, n - start)
+        if paralyzable:
+            n_trig, last = paralyzable_triggers(rng, int(rng.binomial(size, p_click)), size, window, last)
+        else:
             _, n_trig, last = nonparalyzable_walk(rng, p_click, size, window, last)
-            triggers += n_trig
-            last -= size
-    return int(triggers) / (n_pulses / rep_rate_hz)
+        triggers += n_trig
+        last -= size
+    return triggers / (n_pulses / rep_rate_hz)

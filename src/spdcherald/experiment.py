@@ -24,8 +24,10 @@ The Monte Carlo mode simulates the identical chain from per-photon survival
 probabilities, never from the analytic sums.  Each block of pulses draws its
 heralds first: behind a nonparalyzable dead time,
 :func:`~spdcherald.detectors.nonparalyzable_walk` draws the herald and
-trigger counts.  Given the herald count, multinomials by pair number give
-the herald classes and the other pulses.  Count rates, heralded P(n) and g2
+trigger counts; behind a paralyzable one a binomial draws the herald count
+and :func:`~spdcherald.detectors.paralyzable_triggers` counts the triggers
+last.  Given the herald count, multinomials by pair number give the herald
+classes and the other pulses.  Count rates, heralded P(n) and g2
 are reductions of these tables, so all three condition on the same heralds.
 Each block draws from its own counter-based substream and only the dead
 time is carried between blocks, so fixed (config, n_pulses, seed) gives
@@ -41,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .detectors import (
+    MC_BLOCK,
     DeadTimeSpec,
     FreeRunningDetector,
     GatedDetector,
@@ -48,14 +51,11 @@ from .detectors import (
     dead_time_throughput,
     dead_time_window,
     nonparalyzable_walk,
+    paralyzable_triggers,
 )
 from .errors import EstimationError, ValidationError, require_finite
 from .pair_source import PairNumberDistribution, thin
 
-# Monte Carlo pulses are processed in fixed-size blocks; each block draws from
-# its own counter-based substream, so results do not depend on how blocks are
-# scheduled.  Changing this constant changes the sampled stream.
-MC_BLOCK = 1 << 20
 MC_MIN_PULSES = 1_000_000
 
 
@@ -410,9 +410,8 @@ def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int, triggers: bool = F
     b_s)^n`` and dark only at ``(1 - b_s)^n d_s``; ``p_h`` sums these over
     the pmf.  Behind a nonparalyzable dead time, :func:`nonparalyzable_walk`
     draws H and the trigger count.  Behind a paralyzable one H is
-    Binomial(size, p_h), and only ``triggers`` places the heralds, after the
-    tables, on a uniform subset of the block: one more than W pulses after
-    the last triggers."""
+    Binomial(size, p_h), and only ``triggers`` counts the triggers, after the
+    tables, as :func:`paralyzable_triggers` places the heralds."""
     pmf = config.pmf / config.pmf.sum()
     no_signal = _none_of(config.herald_survival, pmf.size)
     no_partner = _none_of(config.herald_survival * config.idler_click_survival, pmf.size)
@@ -445,9 +444,7 @@ def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int, triggers: bool = F
         heralds = partner + signal + dark
         pulses = heralds + rng.multinomial(size - n_heralds, given_none)
         if paralyzable and triggers:
-            at = np.sort(rng.choice(size, n_heralds, replace=False, shuffle=False))
-            n_trig = int(np.count_nonzero(np.diff(at, prepend=last) > window))
-            last = int(at[-1]) if n_heralds else last
+            n_trig, last = paralyzable_triggers(rng, n_heralds, size, window, last)
         last -= size
         yield _Block(n_trig, pulses, partner, signal, heralds, rng, block, drawn)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,14 +9,15 @@ from hypothesis import given, strategies as st
 
 from spdcherald.detectors import (
     DEAD_TIME_MODELS,
+    MC_BLOCK,
     WALK_CHUNK,
     DeadTimeSpec,
     FreeRunningDetector,
     GatedDetector,
-    bernoulli_positions,
     dead_time_throughput,
     dead_time_window,
     nonparalyzable_walk,
+    paralyzable_triggers,
     simulate_dead_time,
 )
 from spdcherald.errors import DomainError, ValidationError
@@ -147,6 +149,14 @@ class TestDeadTime:
         sigma = math.sqrt(n * (1.0 - p) / p**2 / gap**3)
         assert abs(mc * n / rep - n / gap) <= 5.0 * sigma
 
+    @pytest.mark.parametrize("p,expected", [(0.0, 0), (5e-324, 0), (1.0, 1)])
+    def test_paralyzable_edge_probabilities(self, p, expected):
+        # at p = 1 every click restarts the window, so only the first triggers;
+        # the train spans several blocks, which carry the window across
+        n, rep = 3 * MC_BLOCK + 5, 1.0
+        rate = simulate_dead_time(p * rep, DeadTimeSpec(3e6, "paralyzable"), rep, n, seed=4)
+        assert rate == expected / (n / rep)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             DeadTimeSpec(tau_us=-1.0)
@@ -154,6 +164,39 @@ class TestDeadTime:
             DeadTimeSpec(model="other")
         with pytest.raises(DomainError):
             dead_time_throughput(-1.0, DeadTimeSpec())
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestParalyzableMemory:
+    """The paralyzable oracle walks the train block by block, so its memory
+    is per block, not per click of the train."""
+
+    def test_dense_train_stays_within_a_few_blocks(self):
+        # 2**24 pulses at p = 0.3 are 5e6 clicks, 40 MiB of positions at once
+        rep = 8.2e7
+        _, peak = _traced_peak(
+            lambda: simulate_dead_time(0.3 * rep, DeadTimeSpec(1.0, "paralyzable"), rep, 1 << 24, seed=3)
+        )
+        assert peak < 16 * 2**20
+
+    def test_long_train_at_the_reference_rate(self):
+        n, rep, w = 2**31, 8.2e7, 82
+        p = 3.54e-3
+        rate, peak = _traced_peak(lambda: simulate_dead_time(p * rep, DeadTimeSpec(1.0, "paralyzable"), rep, n, seed=6))
+        assert peak < 4 * 2**20
+        # a pulse triggers with q = p (1 - p)^W; two triggers within W pulses
+        # exclude each other (covariance -q^2) and farther ones are independent
+        q = p * (1.0 - p) ** w
+        sigma = math.sqrt(n * q * (1.0 - (2 * w + 1) * q))
+        assert abs(rate * n / rep - n * q) <= 5.0 * sigma
 
 
 class TestNonparalyzableWalk:
@@ -186,7 +229,7 @@ class TestNonparalyzableWalk:
         for seed in range(seeds):
             rng = np.random.Generator(np.random.Philox(key=seed))
             clicks = np.flatnonzero(rng.random(size) < p)
-            rule[seed] = clicks.size, _nonparalyzable_loop(clicks, window, -window - 1)[0].sum()
+            rule[seed] = clicks.size, _per_click_rule(clicks, window, -window - 1)[0].sum()
             whole[seed] = nonparalyzable_walk(rng, p, size, window, -window - 1)[:2]
             last = -window - 1
             for block in blocks:
@@ -199,42 +242,54 @@ class TestNonparalyzableWalk:
         assert abs(whole[:, 0].mean() - p * size) <= 5.0 * math.sqrt(p * (1.0 - p) * size / seeds)
 
 
-def _nonparalyzable_loop(clicks, window, last):
-    """The per-click rule of a nonparalyzable stage: a click triggers when
-    the last trigger lies more than ``window`` pulses before it."""
+def _per_click_rule(clicks, window, last, model="nonparalyzable"):
+    """The per-click rule of a dead-time stage: a click triggers when the
+    last trigger (nonparalyzable) or the last click (paralyzable) lies more
+    than ``window`` pulses before it.  Returns the triggers and that last
+    trigger or click."""
     keep = np.zeros(clicks.size, dtype=bool)
     for j, idx in enumerate(clicks.tolist()):
-        if idx - last > window:
-            keep[j] = True
+        keep[j] = idx - last > window
+        if keep[j] or model == "paralyzable":
             last = idx
     return keep, last
 
 
-def _exact_law(p, size, window, carry):
+def _exact_law(p, size, window, carry, model):
     """The joint law of clicks, triggers and the window carried out, over
     every Bernoulli(``p``) train of ``size`` pulses through the per-click
-    rule, with ``carry`` pulses of a window carried in."""
+    rule of ``model``, with ``carry`` pulses of a window carried in."""
     law = Counter()
     for train in itertools.product((0, 1), repeat=size):
         clicks = np.flatnonzero(train)
-        keep, last = _nonparalyzable_loop(clicks, window, carry - window - 1)
+        keep, last = _per_click_rule(clicks, window, carry - window - 1, model)
         cell = clicks.size, int(keep.sum()), max(last + window + 1 - size, 0)
         law[cell] += p**clicks.size * (1.0 - p) ** (size - clicks.size)
     return law
 
 
+def _trigger_stage(rng, p, size, window, last, model):
+    """One block through the trigger stage of ``model``, as the Monte Carlo
+    draws it: (clicks, triggers, last)."""
+    if model == "nonparalyzable":
+        return nonparalyzable_walk(rng, p, size, window, last)
+    clicks = int(rng.binomial(size, p))
+    return (clicks, *paralyzable_triggers(rng, clicks, size, window, last))
+
+
 class TestBinomialBridge:
+    @pytest.mark.parametrize("model", DEAD_TIME_MODELS)
     @pytest.mark.parametrize("window", [0, 1, 3])
-    def test_joint_law_of_every_short_train(self, window):
+    def test_joint_law_of_every_short_train(self, window, model):
         # the carried window is absent (0), partial, the whole block or
-        # longer than it; 4000 walks per case against the enumerated law
+        # longer than it; 4000 draws per case against the enumerated law
         p, draws = 0.35, 4000
         rng = np.random.Generator(np.random.Philox(key=window))
         for size, carry in itertools.product((1, 2, 3, 4, 7, 10), range(window + 1)):
-            law = _exact_law(p, size, window, carry)
+            law = _exact_law(p, size, window, carry, model)
             seen = Counter()
             for _ in range(draws):
-                clicks, triggers, last = nonparalyzable_walk(rng, p, size, window, carry - window - 1)
+                clicks, triggers, last = _trigger_stage(rng, p, size, window, carry - window - 1, model)
                 seen[clicks, triggers, max(last + window + 1 - size, 0)] += 1
             assert set(seen) <= set(law), (size, carry, set(seen) - set(law))
             for cell, prob in law.items():
@@ -261,39 +316,18 @@ class TestBinomialBridge:
             assert last == carry - window - 1
 
 
-class TestBernoulliPositions:
-    def test_event_count_is_binomial(self):
-        rng = np.random.Generator(np.random.Philox(key=3))
-        size, p, reps = 400, 0.03, 4000
-        draws = [bernoulli_positions(rng, p, size) for _ in range(reps)]
-        for at in draws[:50]:
-            assert at.dtype == np.int64
-            assert np.all(np.diff(at) > 0) and (at.size == 0 or 0 <= at[0] <= at[-1] < size)
-        counts = np.array([at.size for at in draws])
-        mean, var = size * p, size * p * (1.0 - p)
-        assert abs(counts.mean() - mean) < 5.0 * math.sqrt(var / reps)
-        assert counts.var() / var == pytest.approx(1.0, abs=0.1)
-        # every position is equally likely
-        hits = np.bincount(np.concatenate(draws), minlength=size)
-        assert abs(hits[: size // 2].sum() - hits[size // 2 :].sum()) < 5.0 * math.sqrt(hits.sum())
-
-    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 1e-20])
-    def test_vanishing_probability_gives_no_event(self, p):
-        # the gaps here are far beyond int64; capped, they must neither overflow nor loop
-        rng = np.random.Generator(np.random.Philox(key=1))
-        assert bernoulli_positions(rng, p, 1 << 20).size == 0
-
-    def test_certain_event_at_every_position(self):
-        rng = np.random.Generator(np.random.Philox(key=1))
-        assert np.array_equal(bernoulli_positions(rng, 1.0, 7), np.arange(7))
-        assert bernoulli_positions(rng, 0.5, 0).size == 0
-
-
 class TestSimulateDeadTimeValidation:
     @pytest.mark.parametrize("seed", [-1, 2**128, None])
     def test_invalid_seed(self, seed):
         with pytest.raises(ValidationError, match="seed"):
             simulate_dead_time(2.9e5, DeadTimeSpec(), 8.2e7, 1000, seed=seed)
+
+    @pytest.mark.parametrize("model", DEAD_TIME_MODELS)
+    @pytest.mark.parametrize("rep", [math.nan, math.inf, 0.0, -8.2e7])
+    def test_invalid_rep_rate(self, rep, model):
+        with pytest.raises(ValidationError, match="rep_rate_hz") as info:
+            simulate_dead_time(2.9e5, DeadTimeSpec(1.0, model), rep, 1000, seed=1)
+        assert info.value.field == "rep_rate_hz"
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_rate(self, rate):

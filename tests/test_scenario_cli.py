@@ -458,6 +458,24 @@ class TestCli:
         assert main(argv) == 2
         assert "validation error: option '--pulses': monte_carlo mode requires" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "sweep", "phasematch", "spectrum"])
+    @pytest.mark.parametrize(
+        "extra,name",
+        [
+            (["--override", "run.mode=foo"], "scenario key 'run.mode'"),
+            (["--override", "run.mode=monte_carlo", "--override", "run.seed=-5"], "scenario key 'run.seed'"),
+            (["--override", "run.mode=monte_carlo", "--override", "run.n_pulses=5"], "scenario key 'run.n_pulses'"),
+            (["--mode", "monte_carlo", "--pulses", "5"], "option '--pulses'"),
+            (["--mode", "monte_carlo", "--seed", "-5"], "option '--seed'"),
+        ],
+        ids=["run.mode", "run.seed", "run.n_pulses", "--pulses", "--seed"],
+    )
+    def test_run_values_are_checked_where_unused(self, tmp_path, capsys, command, extra, name):
+        # a subcommand that never runs the Monte Carlo still records its run values
+        assert main([command, BUNDLED, *extra, "--out-dir", str(tmp_path)]) == 2
+        assert f"validation error: {name}: " in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_run_scenario_notes_unused_sections(self, tmp_path, capsys):
         import argparse
 
