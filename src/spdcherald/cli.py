@@ -267,6 +267,7 @@ COMMANDS = {
 _FIELD_KEYS = {
     "pump_fwhm_nm": ("crystal.pump_fwhm_nm", None),
     "filter_fwhm_nm": ("crystal.signal_fwhm_nm", None),
+    "mu": ("source.mu", None),
     "mode": ("run.mode", "mode"),
     "n_pulses": ("run.n_pulses", "pulses"),
     "seed": ("run.seed", "seed"),
@@ -320,7 +321,13 @@ def run_scenario(path: str, subcommand: str, overrides: list[str] | None = None,
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given ``command``, of that one alone.
+
+    argparse hands every argument after the subcommand to the subcommand's
+    parser, so the others are only named (in the usage line and errors) and
+    take no arguments of their own.
+    """
     parser = argparse.ArgumentParser(
         prog="spdcherald",
         description="Heralded single-photon source simulation and estimation toolkit",
@@ -338,6 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"output directory (default: ${OUTPUT_DIR_ENV} or the scenario's run.outputs)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
+        if command not in (None, name):
+            sub.add_parser(name, help=f"run the {name} analysis", add_help=False)
+            continue
         p = sub.add_parser(name, help=f"run the {name} analysis", parents=[common])
         if name == "estimate":
             p.add_argument(
@@ -348,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return run_scenario(args.scenario, args.command, args.override, args)
     except ValidationError as exc:

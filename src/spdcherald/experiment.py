@@ -36,7 +36,7 @@ bit-identical results.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -54,7 +54,7 @@ from .detectors import (
     paralyzable_triggers,
 )
 from .errors import EstimationError, ValidationError, require_finite
-from .pair_source import PairNumberDistribution, thin
+from .pair_source import PairNumberDistribution, power_table, thin
 
 MC_MIN_PULSES = 1_000_000
 
@@ -85,6 +85,7 @@ class SetupConfig:
     trigger_dead_time: DeadTimeSpec = DeadTimeSpec()
     gate_rate_hz: float = 205000.0
     coincidence_window: int = 1
+    _distribution: PairNumberDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_finite("repetition rate", self.rep_rate_hz)
@@ -105,17 +106,27 @@ class SetupConfig:
             raise ValidationError("the herald detector runs free (gating is on the idler side)")
         if not isinstance(self.idler_detector, GatedDetector):
             raise ValidationError("the idler detector operates in gated mode")
-        # validate the pair-number law eagerly
-        self.pair_distribution()
+        # the pair-number law, validated eagerly and kept
+        object.__setattr__(self, "_distribution", PairNumberDistribution(self.law, self.mu, self.modes))
+
+    def with_mu(self, mu: float) -> SetupConfig:
+        """This setup at mean pair number ``mu``, equal to ``dataclasses.replace(self, mu=mu)``;
+        only the pair-number law, the one part that changed, is validated again."""
+        distribution = PairNumberDistribution(self.law, mu, self.modes)
+        config = object.__new__(type(self))
+        state = vars(config)
+        state.update(vars(self), mu=mu, _distribution=distribution)
+        state.pop("pmf", None)  # this setup's cached pmf, at its own mu
+        return config
 
     def pair_distribution(self) -> PairNumberDistribution:
-        return PairNumberDistribution(law=self.law, mean=self.mu, modes=self.modes)
+        return self._distribution
 
     @cached_property
     def pmf(self) -> np.ndarray:
         """The truncated pair-number pmf, built (and any truncation warned of)
         once per setup; every analytic and Monte Carlo path reads this one."""
-        return self.pair_distribution().pmf_vector()
+        return self._distribution.pmf_vector()
 
     # --- per-photon survival probabilities of the two arms ---
     @property
@@ -241,9 +252,9 @@ def _validate_mc_args(mode: str, n_pulses, seed) -> None:
             raise ValidationError(f"monte_carlo mode requires n_pulses >= {MC_MIN_PULSES}", "n_pulses")
 
 
-def _pgf(pmf: np.ndarray, x: list[float]) -> list[float]:
-    """E[x^n] over a truncated pair-number pmf at each point of ``x``, in one power call."""
-    return (pmf * np.array(x)[:, None] ** np.arange(pmf.size)).sum(axis=1).tolist()
+def _pgf(pmf: np.ndarray, x: Sequence[float]) -> list[float]:
+    """E[x^n] over a truncated pair-number pmf at each point of ``x``, from one power table."""
+    return (pmf * power_table(tuple(x), pmf.size)).sum(axis=1).tolist()
 
 
 def _analytic_probabilities(config: SetupConfig) -> dict:
@@ -255,7 +266,7 @@ def _analytic_probabilities(config: SetupConfig) -> dict:
     ap = 1.0 + config.idler_detector.afterpulse_prob
 
     # no detected signal photon, no detected idler photon, no detected pair
-    no_signal, no_idler, no_pair = _pgf(config.pmf, [1.0 - bs, 1.0 - bi, 1.0 - bs * bi])
+    no_signal, no_idler, no_pair = _pgf(config.pmf, (1.0 - bs, 1.0 - bi, 1.0 - bs * bi))
     p_herald = 1.0 - (1.0 - ds) * no_signal
     p_idler_gate = (1.0 - (1.0 - config.idler_detector.dark_prob_per_gate) * no_idler) * ap
     # coincidence AND herald, heralded-pair convention: the partner photon of
@@ -363,8 +374,9 @@ def hbt_g2(
 
 
 def _none_of(p: float, size: int) -> np.ndarray:
-    """Per pair number n < ``size``, the chance that none of n trials at ``p`` succeeds."""
-    return (1.0 - p) ** np.arange(size)
+    """Per pair number n < ``size``, the chance that none of n trials at ``p``
+    succeeds; a read-only row of the cached power table."""
+    return power_table((1.0 - p,), size)[0]
 
 
 def _binomial_coefficients(size: int) -> np.ndarray:
@@ -412,7 +424,14 @@ def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int, triggers: bool = F
     draws H and the trigger count.  Behind a paralyzable one H is
     Binomial(size, p_h), and only ``triggers`` counts the triggers, after the
     tables, as :func:`paralyzable_triggers` places the heralds."""
-    pmf = config.pmf / config.pmf.sum()
+    kept = config.pmf.sum()
+    if not kept > 0.0:
+        raise ValidationError(
+            f"the {config.law} pmf at mean {config.mu} underflows to 0 at every one of its "
+            f"{config.pmf.size} pair numbers, so the Monte Carlo has none to draw",
+            "mu",
+        )
+    pmf = config.pmf / kept
     no_signal = _none_of(config.herald_survival, pmf.size)
     no_partner = _none_of(config.herald_survival * config.idler_click_survival, pmf.size)
     ds = config.herald_dark_prob

@@ -10,7 +10,7 @@ amplification are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ValidationError, require_finite
 from .experiment import HeraldedStats, SetupConfig, heralded_photon_statistics, simulate_counts
@@ -130,7 +130,8 @@ def pump_sweep(
     """Source rate versus multiphoton contamination across pump powers.
 
     Each row re-runs the analytic forward model (dead time included) at one
-    mean pair number; pump power follows from the linear calibration.  A
+    mean pair number, on ``base_config.with_mu``, so only the pair-number law
+    is validated again; pump power follows from the linear calibration.  A
     failing row is reported with its error message instead of being dropped.
     """
     mu_list = [float(m) for m in mu_values]
@@ -142,7 +143,7 @@ def pump_sweep(
     for mu in mu_list:
         pump_mw = mu / pairs_per_pulse_per_mw if pairs_per_pulse_per_mw > 0 else float("nan")
         try:
-            config = replace(base_config, mu=mu)
+            config = base_config.with_mu(mu)
             counts = simulate_counts(config, mode="analytic")
             stats = heralded_photon_statistics(config, mode="analytic")
             distance = max_secure_distance(stats, channel)

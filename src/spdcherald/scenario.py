@@ -104,6 +104,11 @@ SCHEMA = {
     },
 }
 
+# joint-spectrum cells a scenario's grid may ask for: 2048 x 2048, 81 times the
+# bundled 321 x 161 grid.  At the bound the spectrum subcommand writes a 0.2 GB
+# spectrum.csv and peaks at about 0.65 GB resident.
+MAX_GRID_CELLS = 2**22
+
 # libyaml's scanner where PyYAML was built with it; both keep the safe
 # constructor and the YAML 1.1 resolver, so they build the same data
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -297,13 +302,20 @@ class Scenario:
 
     def spectral_grid(self) -> tuple[np.ndarray, np.ndarray]:
         grid = self.section("crystal").get("grid", {})
-        axes = []
-        for axis, low, high, default in (("signal", 481.0, 561.0, 321), ("idler", 1471.0, 1671.0, 161)):
-            points = grid.get(f"{axis}_points", default)
+        signal, idler = grid.get("signal_points", 321), grid.get("idler_points", 161)
+        for axis, points in (("signal", signal), ("idler", idler)):
             if points < 2:
                 raise ValidationError(f"scenario key 'crystal.grid.{axis}_points' must be >= 2, got {points}")
-            axes.append(np.linspace(grid.get(f"{axis}_min_nm", low), grid.get(f"{axis}_max_nm", high), points))
-        return tuple(axes)
+        # checked before any array is built: a typo in a point count asked numpy for gigabytes
+        if signal * idler > MAX_GRID_CELLS:
+            raise ValidationError(
+                f"scenario keys 'crystal.grid.signal_points' x 'crystal.grid.idler_points' ask for "
+                f"{signal} x {idler} cells; at most {MAX_GRID_CELLS} are allowed"
+            )
+        return (
+            np.linspace(grid.get("signal_min_nm", 481.0), grid.get("signal_max_nm", 561.0), signal),
+            np.linspace(grid.get("idler_min_nm", 1471.0), grid.get("idler_max_nm", 1671.0), idler),
+        )
 
     def to_channel(self) -> ChannelSpec:
         ch = self.section("channel")

@@ -107,6 +107,33 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             reference_setup(law="gaussian")
 
+    @pytest.mark.parametrize("law,modes", [("poissonian", None), ("thermal", None), ("multimode_thermal", 3)])
+    def test_with_mu_equals_replace(self, law, modes):
+        base = reference_setup(law=law, modes=modes, coincidence_window=2)
+        base.pmf  # cached at the base's mu, and not carried over
+        row = base.with_mu(0.4)
+        expected = replace(base, mu=0.4)
+        assert row == expected and repr(row) == repr(expected)
+        assert row.pair_distribution() == expected.pair_distribution()
+        assert np.array_equal(row.pmf, expected.pmf)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -1.0])
+    def test_with_mu_rejects_what_replace_rejects(self, mu):
+        with pytest.raises(ValidationError) as expected:
+            replace(reference_setup(), mu=mu)
+        with pytest.raises(ValidationError) as got:
+            reference_setup().with_mu(mu)
+        assert (str(got.value), got.value.field) == (str(expected.value), expected.value.field)
+
+    def test_with_mu_checks_only_the_pair_law(self, monkeypatch):
+        base = reference_setup()
+
+        def check(self):
+            raise AssertionError("every field was checked again")
+
+        monkeypatch.setattr(SetupConfig, "__post_init__", check)
+        assert base.with_mu(0.2).mu == 0.2
+
 
 class TestAnalyticCounts:
     def test_reference_rates(self):

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec
 from spdcherald.errors import ResolutionWarning, ValidationError
-from spdcherald.experiment import HeraldedStats, heralded_photon_statistics, reference_setup
-from spdcherald.pair_source import LAWS, PairNumberDistribution
+from spdcherald.experiment import HeraldedStats, heralded_photon_statistics, reference_setup, simulate_counts
+from spdcherald.pair_source import LAWS, REFERENCE_CALIBRATION_PER_MW, PairNumberDistribution
 from spdcherald.qkd import (
     DISTANCE_CAP_KM,
     DISTANCE_RESOLUTION_KM,
     ChannelSpec,
+    TradeoffRow,
     expected_detection_probability,
     max_secure_distance,
     multiphoton_fraction,
@@ -230,7 +232,47 @@ class TestSecureDistanceGrid:
         assert not any(name.split(".")[0] == "numpy" for name in imported), imported
 
 
+def reference_sweep(base, mu_values, channel):
+    """pump_sweep's rows, each from a config built by dataclasses.replace."""
+    rows = []
+    for mu in mu_values:
+        pump_mw = mu / REFERENCE_CALIBRATION_PER_MW
+        try:
+            config = replace(base, mu=mu)
+            counts = simulate_counts(config, mode="analytic")
+            stats = heralded_photon_statistics(config, mode="analytic")
+            distance = max_secure_distance(stats, channel)
+        except Exception as exc:  # noqa: BLE001 - an error row, as in pump_sweep
+            nan = float("nan")
+            rows.append(TradeoffRow(mu, pump_mw, nan, nan, nan, nan, error=f"{type(exc).__name__}: {exc}"))
+            continue
+        rows.append(
+            TradeoffRow(
+                mu, pump_mw, counts.trigger_rate, stats.probability(1), stats.probability(2),
+                distance.km, distance.capped, distance.insecure_at_zero,
+            )
+        )
+    return rows
+
+
 class TestPumpSweep:
+    @pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
+    @pytest.mark.parametrize("model", DEAD_TIME_MODELS)
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "law,modes", [("poissonian", None), ("thermal", None), ("multimode_thermal", 3), ("multimode_thermal", 160)]
+    )
+    def test_rows_equal_rows_from_replaced_configs(self, law, modes, window, model):
+        # mu = 5 truncates the thermal laws; poissonian mu = 1e3 fails in the model
+        # and mu = inf in the config, so every law has an error row
+        base = reference_setup(
+            law=law, modes=modes, coincidence_window=window, trigger_dead_time=DeadTimeSpec(1.0, model)
+        )
+        mu_values = [1e-4, 0.003, 0.0829, 0.4, 1.0, 5.0, 1e3, math.inf]
+        rows = pump_sweep(base, mu_values, CHANNEL)
+        assert repr(rows) == repr(reference_sweep(base, mu_values, CHANNEL))
+        assert rows[-1].error == "ValidationError: mean pair number must be finite, got inf"
+
     def test_reference_row(self):
         rows = pump_sweep(reference_setup(), [0.0829], CHANNEL)
         row = rows[0]

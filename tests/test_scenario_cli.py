@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -485,6 +486,39 @@ class TestCli:
         assert "sections not used" in err
 
 
+class TestParser:
+    """main builds the shared arguments only for the subcommand its first argument
+    names; argparse must answer every line as the full tree does."""
+
+    EXITS = [
+        ["--help"], ["--version"], ["bogus"], ["--help", "simulate"], ["simulate"],
+        ["simulate", BUNDLED, "--counts", "x.json"], ["simulate", BUNDLED, "--bogus"],
+        ["estimate", BUNDLED, "--counts"], ["g2", BUNDLED, "--mode", "fast"], ["sweep", BUNDLED, "--pulses", "x"],
+        *([name, "--help"] for name in COMMANDS),
+    ]
+
+    @pytest.mark.parametrize("argv", EXITS, ids=" ".join)
+    def test_exits_as_the_full_tree(self, capsys, argv):
+        outcomes = []
+        for parse in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [name, BUNDLED, "--override", "source.mu=0.1", "--mode", "monte_carlo", "--pulses", "1000000",
+             "--seed", "3", "--out-dir", "out"]
+            for name in COMMANDS
+        ] + [["estimate", BUNDLED, "--counts", "counts.json"]],
+        ids=lambda argv: " ".join(argv[:1] + argv[2:3]),
+    )
+    def test_parses_as_the_full_tree(self, argv):
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
 # what each subcommand writes; the README's "Command line" section lists the same
 ARTIFACTS = {
     "simulate": (
@@ -557,6 +591,45 @@ class TestCommandTable:
         assert main(argv) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "spectrum.json").exists()
+
+    @pytest.mark.parametrize("key", ["crystal.grid.signal_points", "crystal.grid.idler_points"])
+    def test_oversized_grid_exits_2_allocating_nothing(self, tmp_path, capsys, key):
+        # 10**9 points on one axis asked numpy for gigabytes
+        override = f"{key}={10**9}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=key):
+                load_scenario(BUNDLED, [override]).spectral_grid()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert main(["spectrum", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
+        assert f"{key!r}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_grid_cell_bound(self):
+        square = load_scenario(BUNDLED, ["crystal.grid.signal_points=2048", "crystal.grid.idler_points=2048"])
+        assert [axis.size for axis in square.spectral_grid()] == [2048, 2048]
+        assert 2048 * 2048 == scenario_module.MAX_GRID_CELLS
+        wider = load_scenario(BUNDLED, ["crystal.grid.signal_points=2048", "crystal.grid.idler_points=2049"])
+        with pytest.raises(ValidationError, match="at most 4194304"):
+            wider.spectral_grid()
+
+    @pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
+    @pytest.mark.parametrize(
+        "command,extra",
+        [("simulate", []), ("herald-stats", []), ("wcp-compare", []), ("g2", []),
+         ("g2", ["--override", "run.g2_arm=idler_heralded"])],
+    )
+    def test_monte_carlo_of_an_underflowed_pmf_exits_2(self, tmp_path, capsys, command, extra):
+        # at mu = 1e3 every term of the poissonian pmf underflows to 0; the Monte
+        # Carlo drew from 0 / 0 and died in numpy with a traceback
+        argv = [command, BUNDLED, "--mode", "monte_carlo", "--pulses", "1000000", "--seed", "1",
+                "--override", "source.mu=1e3", *extra, "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "validation error: scenario key 'source.mu': the poissonian pmf at mean 1000.0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_sweep_without_pump_calibration_writes_null(self, tmp_path):
         argv = ["sweep", BUNDLED, "--override", "source.pairs_per_pulse_per_mw=0", "--out-dir", str(tmp_path)]
