@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, require_finite
+from .errors import DomainError, ValidationError, require_finite, require_integer
 
 DEAD_TIME_MODELS = ("paralyzable", "nonparalyzable")
 SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
@@ -115,6 +115,7 @@ def check_seed(seed: int | None) -> None:
     """Raise :class:`ValidationError` unless ``seed`` is a Philox key."""
     if seed is None:
         raise ValidationError("Monte Carlo requires an explicit seed (reproducibility)", "seed")
+    require_integer("seed", seed)
     if not (0 <= seed < SEED_LIMIT):
         raise ValidationError(f"Monte Carlo seed must lie in [0, 2**128), got {seed}", "seed")
 
@@ -200,14 +201,14 @@ def simulate_dead_time(
         raise DomainError(f"input rate must be >= 0, got {input_rate}")
     if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0.0):
         raise ValidationError(f"rep_rate_hz must be finite and > 0, got {rep_rate_hz}", "rep_rate_hz")
-    if n_pulses < 1:
-        raise ValidationError("n_pulses must be >= 1")
+    n = require_integer("n_pulses", n_pulses)
+    if n < 1:
+        raise ValidationError("n_pulses must be >= 1", "n_pulses")
     check_seed(seed)
     p_click = input_rate / rep_rate_hz
     if p_click > 1.0:
         raise DomainError("input rate exceeds one click per pulse")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    n = int(n_pulses)
     window = dead_time_window(dt, rep_rate_hz, n)
     paralyzable = dt.model == "paralyzable"
     block = MC_BLOCK if paralyzable else WALK_CHUNK

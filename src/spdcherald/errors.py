@@ -5,6 +5,7 @@ failures exit 3, I/O failures exit 4.
 """
 
 import math
+import operator
 
 
 class SpdcHeraldError(Exception):
@@ -28,6 +29,15 @@ def require_finite(name: str, value: float) -> None:
     """Raise :class:`ValidationError` when ``value`` is NaN or infinite."""
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")
+
+
+def require_integer(name: str, value) -> int:
+    """``value`` as an int, or a :class:`ValidationError` naming ``name`` unless
+    it is a Python or numpy integer (nothing is truncated silently)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}", name) from None
 
 
 class NumericalError(SpdcHeraldError):

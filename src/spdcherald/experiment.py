@@ -21,22 +21,24 @@ Model conventions
   per-trigger conditional quantities equal per-herald ones.
 
 The Monte Carlo mode simulates the identical chain from per-photon survival
-probabilities, never from the analytic sums.  Each block of pulses draws its
-heralds first: behind a nonparalyzable dead time,
+probabilities, never from the analytic sums.  One pass, :func:`_mc_tally`,
+walks the pulse train block by block, and each block draws its heralds
+first: behind a nonparalyzable dead time,
 :func:`~spdcherald.detectors.nonparalyzable_walk` draws the herald and
 trigger counts; behind a paralyzable one a binomial draws the herald count
 and :func:`~spdcherald.detectors.paralyzable_triggers` counts the triggers
 last.  Given the herald count, multinomials by pair number give the herald
-classes and the other pulses.  Count rates, heralded P(n) and g2
-are reductions of these tables, so all three condition on the same heralds.
-Each block draws from its own counter-based substream and only the dead
-time is carried between blocks, so fixed (config, n_pulses, seed) gives
-bit-identical results.
+classes and the other pulses.  The pass then makes the draws of the one
+reduction asked for and adds them to a record of integer tallies; count
+rates, heralded P(n) and g2 are arithmetic on that record, and all three
+condition on the same heralds.  Each block draws from its own counter-based
+substream and only the dead time is carried between blocks, so fixed
+(config, n_pulses, seed) gives bit-identical results.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -53,7 +55,7 @@ from .detectors import (
     nonparalyzable_walk,
     paralyzable_triggers,
 )
-from .errors import EstimationError, ValidationError, require_finite
+from .errors import EstimationError, ValidationError, require_finite, require_integer
 from .pair_source import PairNumberDistribution, power_table, thin
 
 MC_MIN_PULSES = 1_000_000
@@ -248,7 +250,7 @@ def _validate_mc_args(mode: str, n_pulses, seed) -> None:
         raise ValidationError(f"unknown mode {mode!r}; expected 'analytic' or 'monte_carlo'", "mode")
     if mode == "monte_carlo":
         check_seed(seed)
-        if n_pulses is None or n_pulses < MC_MIN_PULSES:
+        if n_pulses is None or require_integer("n_pulses", n_pulses) < MC_MIN_PULSES:
             raise ValidationError(f"monte_carlo mode requires n_pulses >= {MC_MIN_PULSES}", "n_pulses")
 
 
@@ -290,7 +292,16 @@ def simulate_counts(
     """
     _validate_mc_args(mode, n_pulses, seed)
     if mode == "monte_carlo":
-        return _simulate_counts_mc(config, int(n_pulses), int(seed))
+        tally = _mc_tally(config, n_pulses, seed, "counts")
+        duration = tally.pulses / config.rep_rate_hz
+        return CountRates(
+            signal_singles=tally.heralds / duration,
+            idler_singles=(tally.idler_clicks / tally.pulses) * config.gate_rate_hz,
+            coincidences=tally.coincidences / duration,
+            trigger_rate=tally.triggers / duration,
+            gate_rate=config.gate_rate_hz,
+            per_trigger_coincidence_prob=tally.coincidences / tally.triggers if tally.triggers else 0.0,
+        )
     probs = _analytic_probabilities(config)
     signal_singles = config.rep_rate_hz * probs["p_herald"]
     trigger_rate = dead_time_throughput(signal_singles, config.trigger_dead_time)
@@ -321,7 +332,10 @@ def heralded_photon_statistics(
     """
     _validate_mc_args(mode, n_pulses, seed)
     if mode == "monte_carlo":
-        return _heralded_stats_mc(config, int(n_pulses), int(seed))
+        tally = _mc_tally(config, n_pulses, seed, "photons")
+        if tally.heralds == 0:
+            raise EstimationError("no heralds in the Monte Carlo sample; cannot condition")
+        return HeraldedStats(p=tally.photons[: np.flatnonzero(tally.photons)[-1] + 1] / tally.heralds)
     pmf = config.pmf
     heralding = pmf * (1.0 - (1.0 - config.herald_dark_prob) * _none_of(config.herald_survival, pmf.size))
     p_herald = float(heralding.sum())
@@ -356,7 +370,13 @@ def hbt_g2(
         raise ValidationError(f"splitter ratio must lie in (0, 1), got {splitter_ratio}", "splitter_ratio")
     _validate_mc_args(mode, n_pulses, seed)
     if mode == "monte_carlo":
-        return _hbt_g2_mc(config, arm, splitter_ratio, int(n_pulses), int(seed))
+        t = _mc_tally(config, n_pulses, seed, arm, splitter_ratio)
+        if t.n1 == 0 or t.n2 == 0:
+            raise EstimationError(f"zero singles on an HBT output ({t.n1}, {t.n2}); cannot estimate g2")
+        g2 = t.n12 * t.windows / (t.n1 * t.n2)
+        # an upper-bound style error when no coincidences were seen
+        stderr = g2 * float(np.sqrt(1.0 / t.n12 + 1.0 / t.n1 + 1.0 / t.n2)) if t.n12 else t.windows / (t.n1 * t.n2)
+        return G2Result(float(g2), float(stderr), arm, mode)
     if arm == "signal_unconditioned":
         if config.mu <= 0.0:
             raise EstimationError("signal arm flux is zero; g2 is undefined")
@@ -392,38 +412,41 @@ def _binomial_coefficients(size: int) -> np.ndarray:
     return comb.astype(float)
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One block's pulses, tallied by pair number n, and its triggers."""
+@dataclass
+class _Tally:
+    """Integer tallies of one Monte Carlo pass over ``pulses`` pulses.  Every
+    pass counts the heralds; the other fields are its reduction's, zero (or
+    None) under the others."""
 
-    triggers: int | None  # heralds that pass the trigger dead time (None: not counted)
-    pulses: np.ndarray  # pulses with n pairs
-    partner: np.ndarray  # heralds whose detected signal photon has its partner detected too
-    signal: np.ndarray  # heralds with a detected signal photon but no detected partner
-    heralds: np.ndarray  # those two plus the herald detector's dark-only clicks
-    substream: np.random.Generator  # on the bit generator every block of the run shares
-    index: int  # the block's place in the run
-    drawn: list[int]  # [the index of the run's latest block], shared by its blocks
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The block's substream, for the draws that follow; valid only until
-        the next block is drawn, which resets the shared bit generator."""
-        if self.drawn[0] != self.index:
-            raise RuntimeError(f"block {self.index}'s substream was reset for block {self.drawn[0]}")
-        return self.substream
+    pulses: int
+    heralds: int = 0
+    triggers: int = 0  # counts: heralds that pass the trigger dead time
+    coincidences: int = 0  # counts, afterpulses included
+    idler_clicks: int = 0  # counts, one idler gate per pulse, afterpulses included
+    photons: np.ndarray | None = None  # photons: heralds by photon number at the output plane
+    n1: int = 0  # an HBT arm: port a's clicks, port b's, both ports' and the windows
+    n2: int = 0
+    n12: int = 0
+    windows: int = 0
 
 
-def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int, triggers: bool = False) -> Iterator[_Block]:
-    """The pulse train by block: the herald count H, then tables by pair number n given H.
+def _mc_tally(config: SetupConfig, n_pulses: int, seed: int, reduction: str, ratio: float = 0.5) -> _Tally:
+    """The pulse train by block: the herald count H, then tables by pair
+    number n given H, then the draws of ``reduction`` alone, tallied.
 
     A pulse with n pairs heralds with its partner detected at ``1 - (1 - b_s
     b_i)^n``, from a signal photon without one at ``(1 - b_s b_i)^n - (1 -
     b_s)^n`` and dark only at ``(1 - b_s)^n d_s``; ``p_h`` sums these over
     the pmf.  Behind a nonparalyzable dead time, :func:`nonparalyzable_walk`
     draws H and the trigger count.  Behind a paralyzable one H is
-    Binomial(size, p_h), and only ``triggers`` counts the triggers, after the
-    tables, as :func:`paralyzable_triggers` places the heralds."""
+    Binomial(size, p_h), and only the "counts" reduction counts the triggers,
+    after the tables, as :func:`paralyzable_triggers` places the heralds.
+
+    ``reduction`` is "counts" (triggers, coincidences and idler clicks),
+    "photons" (the heralds' photon numbers at the output plane) or an HBT
+    arm behind a splitter of ``ratio``.  Each block draws from its own
+    substream, so which reduction is asked changes none of the tables."""
+    n_pulses, seed = int(n_pulses), int(seed)
     kept = config.pmf.sum()
     if not kept > 0.0:
         raise ValidationError(
@@ -440,6 +463,39 @@ def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int, triggers: bool = F
     p_herald = min(float(herald.sum()), 1.0)  # an ulp above 1 when every pulse heralds
     # the laws of a herald's and another pulse's (n, class); "or 1": a law that never occurs is drawn zero times
     given_herald, given_none = herald.ravel() / (p_herald or 1.0), no_herald / (no_herald.sum() or 1.0)
+
+    tally = _Tally(n_pulses)
+    if reduction == "counts":
+        # per pair, the signal photon is detected with b_s and the idler
+        # photon with b_i, independently
+        no_idler = _none_of(config.idler_click_survival, pmf.size)
+        # no idler photon given a signal photon without a detected partner:
+        # P(signal, no idler) / P(signal, no partner), per pair number
+        signal_only = no_partner - no_signal
+        no_idler_given_signal = np.divide(
+            no_idler * (1.0 - no_signal), signal_only, out=np.ones(pmf.size), where=signal_only > 0.0
+        )
+        # idler gate firing (photon or dark) for pulses without a signal
+        # photon (row 0) and with one but no detected partner (row 1)
+        loud_gate = 1.0 - (1.0 - config.idler_detector.dark_prob_per_gate) * np.stack(
+            [no_idler, np.minimum(no_idler_given_signal, 1.0)]
+        )
+        dw = config.coincidence_dark_prob
+        ap = config.idler_detector.afterpulse_prob
+    elif reduction == "photons":
+        # a herald's n pairs put Binomial(n, b_out) photons at the output plane
+        n, m = np.ogrid[: pmf.size, : pmf.size]
+        b = config.output_survival
+        output = _binomial_coefficients(pmf.size) * b**m * (1.0 - b) ** np.maximum(n - m, 0)
+        tally.photons = np.zeros(pmf.size, dtype=np.int64)
+    else:
+        # signal arm: fiber-coupled signal light split on the HBT coupler, one
+        # herald-grade detector per port, every pulse a window; idler arm: ideal
+        # click detectors at the source output plane, the heralds the windows
+        signal_arm = reduction == "signal_unconditioned"
+        b, dark = (config.herald_survival, config.herald_dark_prob) if signal_arm else (config.output_survival, 0.0)
+        ports = _hbt_ports(pmf.size, b * ratio, b * (1.0 - ratio), dark)
+
     paralyzable = config.trigger_dead_time.model == "paralyzable"
     window = dead_time_window(config.trigger_dead_time, config.rep_rate_hz, n_pulses)
     last = -window - 1  # the last blocking herald, relative to the block's first pulse
@@ -447,91 +503,47 @@ def _mc_blocks(config: SetupConfig, n_pulses: int, seed: int, triggers: bool = F
     # so one serves the run and only its counter is set per block
     bits = np.random.Philox(key=seed)
     state = bits.state
-    drawn = [0]
     for block, start in enumerate(range(0, n_pulses, MC_BLOCK)):
         size = min(MC_BLOCK, n_pulses - start)
         # counter word 2 = block is Philox's jumped(block): a disjoint stream per block
         state["state"]["counter"][:] = [0, 0, block, 0]
         bits.state = state
         rng = np.random.Generator(bits)
-        drawn[0] = block
         if paralyzable:
-            n_heralds, n_trig = int(rng.binomial(size, p_herald)), None
+            n_heralds = int(rng.binomial(size, p_herald))
         else:
             n_heralds, n_trig, last = nonparalyzable_walk(rng, p_herald, size, window, last)
         partner, signal, dark = rng.multinomial(n_heralds, given_herald).reshape(-1, 3).T
         heralds = partner + signal + dark
         pulses = heralds + rng.multinomial(size - n_heralds, given_none)
-        if paralyzable and triggers:
-            n_trig, last = paralyzable_triggers(rng, n_heralds, size, window, last)
+        tally.heralds += n_heralds
+        if reduction == "counts":
+            if paralyzable:
+                n_trig, last = paralyzable_triggers(rng, n_heralds, size, window, last)
+            tagged = int(partner.sum())
+            # which heralds pass the dead time does not depend on their class,
+            # so the partner-tagged triggers are a hypergeometric draw
+            coinc = int(rng.hypergeometric(tagged, n_heralds - tagged, n_trig))
+            # a trigger without a detected partner coincides only with a window dark
+            coinc += int(rng.binomial(n_trig - coinc, dw))
+            # one idler gate per pulse, counted per pair number and signal outcome
+            quiet_pulses = np.stack([pulses - partner - signal, signal])
+            idler = tagged + int(rng.binomial(quiet_pulses, loud_gate).sum())
+            tally.triggers += n_trig
+            tally.coincidences += coinc + int(rng.binomial(coinc, ap))
+            tally.idler_clicks += idler + int(rng.binomial(idler, ap))
+        elif reduction == "photons":
+            tally.photons += rng.multinomial(heralds, output).sum(axis=0)
+        else:
+            windows = pulses if signal_arm else heralds
+            # the windows of one pair number split into the port outcomes by one multinomial draw
+            a_only, b_only, both, _ = rng.multinomial(windows, ports).sum(axis=0).tolist()
+            tally.n1 += a_only + both
+            tally.n2 += b_only + both
+            tally.n12 += both
+            tally.windows += int(windows.sum())
         last -= size
-        yield _Block(n_trig, pulses, partner, signal, heralds, rng, block, drawn)
-
-
-def _simulate_counts_mc(config: SetupConfig, n_pulses: int, seed: int) -> CountRates:
-    bs = config.herald_survival
-    bi = config.idler_click_survival
-    dw = config.coincidence_dark_prob
-    ap = config.idler_detector.afterpulse_prob
-    # per pair, the signal photon is detected with b_s and the idler photon
-    # with b_i, independently
-    no_signal, no_partner, no_idler = (_none_of(p, config.pmf.size) for p in (bs, bs * bi, bi))
-    # no idler photon given a signal photon without a detected partner:
-    # P(signal, no idler) / P(signal, no partner), per pair number
-    signal_only = no_partner - no_signal
-    no_idler_given_signal = np.divide(
-        no_idler * (1.0 - no_signal), signal_only, out=np.ones(no_idler.size), where=signal_only > 0.0
-    )
-    # idler gate silent (no photon, no dark) for pulses without a signal
-    # photon (row 0) and with one but no detected partner (row 1)
-    quiet_gate = (1.0 - config.idler_detector.dark_prob_per_gate) * np.stack(
-        [no_idler, np.minimum(no_idler_given_signal, 1.0)]
-    )
-
-    heralds = triggers = coinc_counts = idler_counts = 0
-    for blk in _mc_blocks(config, n_pulses, seed, triggers=True):
-        rng = blk.rng
-        n_heralds = int(blk.heralds.sum())
-        tagged = int(blk.partner.sum())
-        # which heralds pass the dead time does not depend on their class,
-        # so the partner-tagged triggers are a hypergeometric draw
-        coinc = int(rng.hypergeometric(tagged, n_heralds - tagged, blk.triggers))
-        # a trigger without a detected partner coincides only with a window dark
-        coinc += int(rng.binomial(blk.triggers - coinc, dw))
-
-        # one idler gate per pulse, counted per pair number and signal outcome
-        quiet_pulses = np.stack([blk.pulses - blk.partner - blk.signal, blk.signal])
-        idler = tagged + int(rng.binomial(quiet_pulses, 1.0 - quiet_gate).sum())
-
-        heralds += n_heralds
-        triggers += blk.triggers
-        coinc_counts += coinc + int(rng.binomial(coinc, ap))
-        idler_counts += idler + int(rng.binomial(idler, ap))
-
-    duration = n_pulses / config.rep_rate_hz
-    return CountRates(
-        signal_singles=heralds / duration,
-        idler_singles=(idler_counts / n_pulses) * config.gate_rate_hz,
-        coincidences=coinc_counts / duration,
-        trigger_rate=triggers / duration,
-        gate_rate=config.gate_rate_hz,
-        per_trigger_coincidence_prob=coinc_counts / triggers if triggers else 0.0,
-    )
-
-
-def _heralded_stats_mc(config: SetupConfig, n_pulses: int, seed: int) -> HeraldedStats:
-    # a herald's n pairs put Binomial(n, b_out) photons at the output plane
-    n, m = np.ogrid[: config.pmf.size, : config.pmf.size]
-    b = config.output_survival
-    output = _binomial_coefficients(n.size) * b**m * (1.0 - b) ** np.maximum(n - m, 0)
-    hist = np.zeros(n.size, dtype=np.int64)
-    for blk in _mc_blocks(config, n_pulses, seed):
-        hist += blk.rng.multinomial(blk.heralds, output).sum(axis=0)
-    heralds = int(hist.sum())
-    if heralds == 0:
-        raise EstimationError("no heralds in the Monte Carlo sample; cannot condition")
-    last = int(np.max(np.nonzero(hist)[0]))
-    return HeraldedStats(p=hist[: last + 1] / heralds)
+    return tally
 
 
 def _hbt_ports(size: int, pa: float, pb: float, dark: float) -> np.ndarray:
@@ -546,33 +558,6 @@ def _hbt_ports(size: int, pa: float, pb: float, dark: float) -> np.ndarray:
     quiet = (1.0 - dark) ** 2 * _none_of(pa + pb, size)
     pvals = np.stack([quiet_b - quiet, quiet_a - quiet, 1.0 - quiet_a - quiet_b + quiet, quiet], axis=1)
     return np.maximum(pvals, 0.0)
-
-
-def _hbt_g2_mc(config: SetupConfig, arm: str, ratio: float, n_pulses: int, seed: int) -> G2Result:
-    # signal arm: fiber-coupled signal light split on the HBT coupler, one
-    # herald-grade detector per port, every pulse a window; idler arm: ideal
-    # click detectors at the source output plane, the heralds the windows
-    signal_arm = arm == "signal_unconditioned"
-    b, dark = (config.herald_survival, config.herald_dark_prob) if signal_arm else (config.output_survival, 0.0)
-    ports = _hbt_ports(config.pmf.size, b * ratio, b * (1.0 - ratio), dark)
-    tally = np.zeros(3, dtype=np.int64)  # singles n1, n2 and coincidences n12
-    windows = 0
-    for blk in _mc_blocks(config, n_pulses, seed):
-        pulses = blk.pulses if signal_arm else blk.heralds
-        # the windows of one pair number split into the port outcomes by one multinomial draw
-        a_only, b_only, both, _ = blk.rng.multinomial(pulses, ports).sum(axis=0)
-        tally += [a_only + both, b_only + both, both]
-        windows += int(pulses.sum())
-    n1, n2, n12 = (int(v) for v in tally)
-    if n1 == 0 or n2 == 0:
-        raise EstimationError(f"zero singles on an HBT output ({n1}, {n2}); cannot estimate g2")
-    g2 = n12 * windows / (n1 * n2)
-    if n12 == 0:
-        # upper-bound style error when no coincidences were seen
-        stderr = windows / (n1 * n2)
-    else:
-        stderr = g2 * float(np.sqrt(1.0 / n12 + 1.0 / n1 + 1.0 / n2))
-    return G2Result(float(g2), float(stderr), arm, "monte_carlo")
 
 
 def reference_setup(**overrides) -> SetupConfig:

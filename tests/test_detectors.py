@@ -322,6 +322,18 @@ class TestSimulateDeadTimeValidation:
         with pytest.raises(ValidationError, match="seed"):
             simulate_dead_time(2.9e5, DeadTimeSpec(), 8.2e7, 1000, seed=seed)
 
+    @pytest.mark.parametrize(
+        "pulses,seed,field", [(1000.7, 1, "n_pulses"), (math.inf, 1, "n_pulses"), (1000, 1.5, "seed")]
+    )
+    def test_non_integral_run_values(self, pulses, seed, field):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer") as info:
+            simulate_dead_time(2.9e5, DeadTimeSpec(), 8.2e7, pulses, seed=seed)
+        assert info.value.field == field
+
+    def test_numpy_integer_run_values(self):
+        rate = simulate_dead_time(2.9e5, DeadTimeSpec(), 8.2e7, np.int64(100_000), seed=np.int64(3))
+        assert rate == simulate_dead_time(2.9e5, DeadTimeSpec(), 8.2e7, 100_000, seed=3)
+
     @pytest.mark.parametrize("model", DEAD_TIME_MODELS)
     @pytest.mark.parametrize("rep", [math.nan, math.inf, 0.0, -8.2e7])
     def test_invalid_rep_rate(self, rep, model):

@@ -17,7 +17,7 @@ from spdcherald.experiment import (
     G2Result,
     HeraldedStats,
     SetupConfig,
-    _mc_blocks,
+    _mc_tally,
     hbt_g2,
     heralded_photon_statistics,
     reference_setup,
@@ -322,6 +322,27 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             simulate_counts(cfg, mode="other")
 
+    @pytest.mark.parametrize(
+        "pulses,seed,field",
+        [(1_000_000.7, 1, "n_pulses"), (math.inf, 1, "n_pulses"), (2e6, 1, "n_pulses"), (1_000_000, 1.5, "seed")],
+    )
+    def test_non_integral_run_values_are_rejected(self, pulses, seed, field):
+        # neither truncated to an int nor left to overflow in the conversion
+        kw = dict(mode="monte_carlo", n_pulses=pulses, seed=seed)
+        for run in (
+            lambda: simulate_counts(reference_setup(), **kw),
+            lambda: heralded_photon_statistics(reference_setup(), **kw),
+            lambda: hbt_g2(reference_setup(), **kw),
+        ):
+            with pytest.raises(ValidationError, match=f"{field} must be an integer") as info:
+                run()
+            assert info.value.field == field
+
+    def test_numpy_integer_run_values_are_accepted(self):
+        kw = dict(mode="monte_carlo", n_pulses=1_000_000, seed=9)
+        numpy_kw = dict(mode="monte_carlo", n_pulses=np.int64(1_000_000), seed=np.uint32(9))
+        assert simulate_counts(reference_setup(), **numpy_kw) == simulate_counts(reference_setup(), **kw)
+
     def test_bit_identical_for_fixed_seed(self):
         cfg = reference_setup()
         a = simulate_counts(cfg, mode="monte_carlo", n_pulses=1_000_000, seed=9)
@@ -352,6 +373,37 @@ class TestMonteCarlo:
         assert heralded_photon_statistics(cfg, **kw).p.tolist() == [
             0.8040164963241886, 0.19347319347319347, 0.002510310202617895
         ]
+
+    def test_nonparalyzable_stream_is_pinned(self):
+        # as above, behind a nonparalyzable dead time and an uneven splitter: one block, then four
+        cfg = reference_setup(trigger_dead_time=DeadTimeSpec(1.0, "nonparalyzable"))
+        kw = dict(mode="monte_carlo", n_pulses=1_000_000, seed=2026)
+        assert simulate_counts(cfg, **kw) == CountRates(
+            291674.0, 290.075, 4100.0, 225828.0, 205000.0, 0.01815541031227306
+        )
+        assert heralded_photon_statistics(cfg, **kw).p.tolist() == [
+            0.8161371942648299, 0.1810514478493112, 0.0028113578858588698
+        ]
+        assert hbt_g2(cfg, arm="signal_unconditioned", splitter_ratio=0.3, **kw) == G2Result(
+            0.361619186067536, 0.3618524017540742, "signal_unconditioned", "monte_carlo"
+        )
+        assert hbt_g2(cfg, arm="idler_heralded", splitter_ratio=0.3, **kw) == G2Result(
+            0.12872445656107506, 0.07517349574713388, "idler_heralded", "monte_carlo"
+        )
+        kw["n_pulses"] = 3 * MC_BLOCK + 5
+        assert simulate_counts(cfg, **kw) == CountRates(
+            290074.20528061345, 284.45675459423927, 3571.1867472541376, 225115.10035975717, 205000.0,
+            0.01586382584529875,
+        )
+        assert heralded_photon_statistics(cfg, **kw).p.tolist() == [
+            0.8164090582314881, 0.18134435657800144, 0.002156721782890007, 8.986340762041697e-05
+        ]
+        assert hbt_g2(cfg, arm="signal_unconditioned", splitter_ratio=0.3, **kw) == G2Result(
+            0.23750494151869292, 0.1680120797802119, "signal_unconditioned", "monte_carlo"
+        )
+        assert hbt_g2(cfg, arm="idler_heralded", splitter_ratio=0.3, **kw) == G2Result(
+            0.25385307268153, 0.05671218229797745, "idler_heralded", "monte_carlo"
+        )
 
     def test_counts_agree_with_analytic_within_3_sigma(self):
         cfg = reference_setup()
@@ -551,30 +603,32 @@ def test_paralyzable_trigger_rate_at_dense_mu():
 class TestOneKernel:
     CFG = reference_setup(law="thermal", mu=0.6, herald=FreeRunningDetector(efficiency=0.547, dark_rate_cps=9e4))
 
-    def test_block_tables_partition_the_pulses(self):
-        n = 2 * MC_BLOCK + 12_345
-        blocks = list(_mc_blocks(self.CFG, n, seed=5, triggers=True))
-        assert [b.pulses.sum() for b in blocks] == [MC_BLOCK, MC_BLOCK, 12_345]
-        for b in blocks:
-            assert 0 < b.triggers < b.heralds.sum()
-            # partner, signal only, dark only and no herald, per pair number
-            classes = np.stack([b.partner, b.signal, b.heralds - b.partner - b.signal, b.pulses - b.heralds])
-            assert classes.min() >= 0 and np.array_equal(classes.sum(axis=0), b.pulses)
-            assert b.partner[0] == b.signal[0] == 0  # no pair, no photon
-            assert b.heralds[0] > 0 and b.partner.sum() > 0  # dark heralds and partners both occur
+    REDUCTIONS = ("counts", "photons", *HBT_ARMS)
 
-    def test_a_block_draws_only_until_the_next_is_drawn(self):
-        # the blocks of a run share one bit generator, reset per block
-        first, *_, latest = _mc_blocks(self.CFG, 2 * MC_BLOCK + 5, seed=5)
-        assert latest.rng.bit_generator.state["state"]["counter"][2] == 2
-        with pytest.raises(RuntimeError, match="reset for block 2"):
-            first.rng.random()
+    def test_tallies_partition_the_pulses(self):
+        # run-level, over three blocks: every pulse is a window of the signal
+        # arm, and every herald one of the idler arm and one photon number
+        n = 2 * MC_BLOCK + 12_345
+        counts, photons, signal, idler = (_mc_tally(self.CFG, n, 5, r) for r in self.REDUCTIONS)
+        heralds = counts.heralds
+        assert {t.pulses for t in (counts, photons, signal, idler)} == {n}
+        assert 0 < counts.triggers < heralds < n
+        assert 0 < counts.coincidences < counts.triggers and 0 < counts.idler_clicks < n
+        assert photons.photons.sum() == heralds and photons.photons[1] > 0
+        assert signal.windows == n and idler.windows == heralds
+        for t in (signal, idler):
+            assert 0 < t.n12 < min(t.n1, t.n2) and max(t.n1, t.n2) < t.windows
+        # a pass tallies only its own reduction
+        assert counts.photons is None and counts.windows == 0
+        assert photons.triggers == photons.coincidences == photons.idler_clicks == photons.windows == 0
+        assert signal.triggers == 0 and signal.photons is None
 
     def test_reductions_condition_on_the_same_heralds(self):
         kw = dict(mode="monte_carlo", n_pulses=3_000_000, seed=21)
         heralds = simulate_counts(self.CFG, **kw).signal_singles * kw["n_pulses"] / self.CFG.rep_rate_hz
-        tables = sum(int(b.heralds.sum()) for b in _mc_blocks(self.CFG, kw["n_pulses"], kw["seed"]))
-        assert heralds == pytest.approx(tables, rel=0, abs=1e-9)
+        for reduction in self.REDUCTIONS:
+            tally = _mc_tally(self.CFG, kw["n_pulses"], kw["seed"], reduction)
+            assert heralds == pytest.approx(tally.heralds, rel=0, abs=1e-9), reduction
         per_n = heralded_photon_statistics(self.CFG, **kw).p * heralds
         assert np.all(np.abs(per_n - np.round(per_n)) < 1e-9), per_n
         other = heralded_photon_statistics(self.CFG, mode="monte_carlo", n_pulses=3_000_000, seed=22).p * heralds
@@ -590,15 +644,13 @@ class TestOneKernel:
         cfg = replace(self.CFG, trigger_dead_time=DeadTimeSpec(1.0, model))
         p = simulate_counts(cfg).signal_singles / cfg.rep_rate_hz
         w = round(cfg.trigger_dead_time.tau_s * cfg.rep_rate_hz)
-        blocks = list(_mc_blocks(cfg, n, seed=17, triggers=True))
-        heralds = sum(int(b.heralds.sum()) for b in blocks)
-        triggers = sum(b.triggers for b in blocks)
-        assert abs(_count_z(heralds, p * n, n * p * (1.0 - p))) <= 5.0
+        tally = _mc_tally(cfg, n, 17, "counts")
+        assert abs(_count_z(tally.heralds, p * n, n * p * (1.0 - p))) <= 5.0
         if model == "nonparalyzable":
             gap = w + 1.0 / p
-            z = _count_z(triggers, n / gap, n * (1.0 - p) / p**2 / gap**3)
+            z = _count_z(tally.triggers, n / gap, n * (1.0 - p) / p**2 / gap**3)
         else:
-            z = _count_z(triggers, n * p * (1.0 - p) ** w, n * p * (1.0 - p) ** w)
+            z = _count_z(tally.triggers, n * p * (1.0 - p) ** w, n * p * (1.0 - p) ** w)
         assert abs(z) <= 5.0, z
 
     def test_binomial_coefficients_are_exact(self):
@@ -612,9 +664,12 @@ class TestOneKernel:
         kw = dict(mode="monte_carlo", n_pulses=MC_BLOCK + 5, seed=2)
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            blocks = list(_mc_blocks(cfg, kw["n_pulses"], kw["seed"], triggers=True))
+            tallies = [_mc_tally(cfg, kw["n_pulses"], kw["seed"], r) for r in self.REDUCTIONS]
             mc = simulate_counts(cfg, **kw)
-        assert [(b.heralds.sum(), b.triggers, b.pulses[0]) for b in blocks] == [(0, 0, MC_BLOCK), (0, 0, 5)]
+        # run-level, over two blocks: no herald, no trigger, every pulse a vacuum window
+        assert [t.heralds for t in tallies] == [0, 0, 0, 0] and tallies[0].triggers == 0
+        assert tallies[1].photons.tolist() == [0] and tallies[2].windows == MC_BLOCK + 5
+        assert tallies[2].n1 == tallies[2].n2 == tallies[3].windows == 0
         assert mc.signal_singles == mc.trigger_rate == mc.coincidences == 0.0
 
     @pytest.mark.parametrize("model,triggers", [("paralyzable", 1), ("nonparalyzable", -(-1_000_000 // 83))])
@@ -633,7 +688,7 @@ class TestOneKernel:
         # nothing blocks the first herald
         cfg = replace(self.CFG, trigger_dead_time=DeadTimeSpec(1e20, model))
         n = 2 * MC_BLOCK + 3
-        assert sum(b.triggers for b in _mc_blocks(cfg, n, seed=6, triggers=True)) == 1
+        assert _mc_tally(cfg, n, 6, "counts").triggers == 1
         mc = simulate_counts(cfg, mode="monte_carlo", n_pulses=n, seed=6)
         assert mc.trigger_rate * n / cfg.rep_rate_hz == pytest.approx(1.0, rel=1e-12)
 

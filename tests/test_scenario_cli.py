@@ -608,6 +608,25 @@ class TestCommandTable:
         assert f"{key!r}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_spectrum_csv_is_streamed(self, tmp_path, capsys):
+        # 25,000 cells: holding a Python row per cell peaked at 3.2 MiB, the
+        # streamed rows at 0.75 MiB, most of it the spectrum's own arrays
+        argv = [
+            "spectrum", BUNDLED, "--override", "crystal.grid.signal_points=10",
+            "--override", "crystal.grid.idler_points=2500", "--out-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0  # warms the caches, which would count otherwise
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, peak
+        assert "grid            : 25000 cells" in capsys.readouterr().out
+        with (tmp_path / "spectrum.csv").open() as fh:
+            assert sum(1 for _ in fh) == 1 + 25_000
+
     def test_grid_cell_bound(self):
         square = load_scenario(BUNDLED, ["crystal.grid.signal_points=2048", "crystal.grid.idler_points=2048"])
         assert [axis.size for axis in square.spectral_grid()] == [2048, 2048]
