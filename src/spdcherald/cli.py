@@ -32,22 +32,26 @@ from .phase_matching import (
     tuning_curve,
 )
 from .qkd import multiphoton_fraction, pump_sweep
-from .scenario import Scenario, load_scenario
+from .scenario import SCHEMA, Scenario, load_scenario, named
 
 OUTPUT_DIR_ENV = "SPDCHERALD_OUT"
 
 
+# the run keys an option can stand in for, and the option; a range error of
+# one names the option where the option gave the value
+_OPTIONS = {"mode": "mode", "n_pulses": "pulses", "seed": "seed"}
+
+
 def _run_params(scenario: Scenario, args) -> dict:
-    run = dict(scenario.run)
-    for key, value in (("mode", args.mode), ("n_pulses", args.pulses), ("seed", args.seed)):
-        if value is not None:
-            run[key] = value
-    run.setdefault("mode", "analytic")
-    _validate_mc_args(run["mode"], run.get("n_pulses"), run.get("seed"))
+    section = scenario.section("run")
+    run = {key: section[key] for key in SCHEMA["run"]}
+    for key, option in _OPTIONS.items():
+        if getattr(args, option) is not None:
+            run[key] = getattr(args, option)
+    _validate_mc_args(run["mode"], run["n_pulses"], run["seed"])
     if run["mode"] == "analytic":
         # seed/pulses are irrelevant to analytic output; keep records stable
-        run["n_pulses"] = None
-        run["seed"] = None
+        run["n_pulses"] = run["seed"] = None
     run["counts_file"] = getattr(args, "counts", None)
     return run
 
@@ -73,7 +77,7 @@ def _counts_from_file(path: str) -> CountRates:
 
 
 def _sim_kwargs(run: dict) -> dict:
-    return {"mode": run["mode"], "n_pulses": run.get("n_pulses"), "seed": run.get("seed")}
+    return {"mode": run["mode"], "n_pulses": run["n_pulses"], "seed": run["seed"]}
 
 
 def _phase_matched(scenario: Scenario) -> tuple:
@@ -109,7 +113,7 @@ def _herald_stats(scenario: Scenario, run: dict) -> tuple:
 
 
 def _estimate(scenario: Scenario, run: dict) -> tuple:
-    counts_file = run.get("counts_file")
+    counts_file = run["counts_file"]
     counts = _counts_from_file(counts_file) if counts_file else scenario.to_counts()
     estimate = estimate_source(counts, scenario.to_setup_config())
     return (
@@ -150,9 +154,9 @@ def _sweep(scenario: Scenario, run: dict) -> tuple:
     src = scenario.section("source")
     rows = pump_sweep(
         scenario.to_setup_config(),
-        run.get("sweep_mu") or [src["mu"]],
+        run["sweep_mu"] or [src["mu"]],
         scenario.to_channel(),
-        pairs_per_pulse_per_mw=src.get("pairs_per_pulse_per_mw", 0.0) or 0.0,
+        pairs_per_pulse_per_mw=src["pairs_per_pulse_per_mw"],
     )
     summary = [
         "pump-power tradeoff sweep",
@@ -203,7 +207,7 @@ def _spectrum(scenario: Scenario, run: dict) -> tuple:
     spectrum = joint_spectral_intensity(
         crystal, theta, triple.pump_nm, cry["pump_fwhm_nm"], sig_axis, idl_axis
     )
-    filter_fwhm = cry.get("signal_fwhm_nm", 6.0)
+    filter_fwhm = cry["signal_fwhm_nm"]
     fwhm = heralded_marginal_bandwidth(spectrum, triple.signal_nm, filter_fwhm)
     peak_s, peak_i = spectrum.peak()
     result = {
@@ -234,8 +238,8 @@ def _spectrum(scenario: Scenario, run: dict) -> tuple:
 def _g2(scenario: Scenario, run: dict) -> tuple:
     g2 = hbt_g2(
         scenario.to_setup_config(),
-        arm=run.get("g2_arm", "signal_unconditioned"),
-        splitter_ratio=run.get("splitter_ratio", 0.5),
+        arm=run["g2_arm"],
+        splitter_ratio=run["splitter_ratio"],
         **_sim_kwargs(run),
     )
     d = {"arm": g2.arm, "mode": g2.mode, "g2": g2.value, "stderr": g2.stderr}
@@ -262,21 +266,6 @@ COMMANDS = {
 }
 
 
-# the scenario key, and the option that can stand in for it, of each run value
-# and each argument a subcommand hands the model as read; a range error of one
-# names the key, or the option where the option gave the value
-_FIELD_KEYS = {
-    "pump_fwhm_nm": ("crystal.pump_fwhm_nm", None),
-    "filter_fwhm_nm": ("crystal.signal_fwhm_nm", None),
-    "mu": ("source.mu", None),
-    "mode": ("run.mode", "mode"),
-    "n_pulses": ("run.n_pulses", "pulses"),
-    "seed": ("run.seed", "seed"),
-    "arm": ("run.g2_arm", None),
-    "splitter_ratio": ("run.splitter_ratio", None),
-}
-
-
 def run_scenario(path: str, subcommand: str, overrides: list[str] | None = None, args=None) -> int:
     """Execute one subcommand against a scenario file and write its artifacts; returns the exit code."""
     if args is None:
@@ -288,23 +277,22 @@ def run_scenario(path: str, subcommand: str, overrides: list[str] | None = None,
         sys.stderr.write(f"note: sections not used by {subcommand!r}: {', '.join(unused)}\n")
     try:
         run = _run_params(scenario, args)
-        out_dir = Path(args.out_dir or os.environ.get(OUTPUT_DIR_ENV) or run.get("outputs") or "out")
+        out_dir = Path(args.out_dir or os.environ.get(OUTPUT_DIR_ENV) or run["outputs"])
         out_dir.mkdir(parents=True, exist_ok=True)
         json_name, result, csv_name, header, rows, summary = compute(scenario, run)
     except ValidationError as exc:
-        if exc.field not in _FIELD_KEYS:
-            raise
-        key, option = _FIELD_KEYS[exc.field]
-        name = f"option '--{option}'" if option and getattr(args, option) is not None else f"scenario key {key!r}"
-        raise ValidationError(f"{name}: {exc}") from None
+        option = _OPTIONS.get(exc.field)
+        if option and getattr(args, option) is not None:
+            raise ValidationError(f"option '--{option}': {exc}") from None
+        raise named(exc) from None
     record = {
         "command": subcommand,
         "provenance": {
             "version": __version__,
             "config_sha256": scenario.sha256(),
-            "mode": run.get("mode"),
-            "n_pulses": run.get("n_pulses"),
-            "seed": run.get("seed"),
+            "mode": run["mode"],
+            "n_pulses": run["n_pulses"],
+            "seed": run["seed"],
         },
         "result": result,
     }

@@ -56,7 +56,7 @@ from .detectors import (
     paralyzable_triggers,
 )
 from .errors import EstimationError, ValidationError, require_finite, require_integer
-from .pair_source import PairNumberDistribution, power_table, thin
+from .pair_source import MAX_PAIRS, PairNumberDistribution, power_table, thin
 
 MC_MIN_PULSES = 1_000_000
 
@@ -172,7 +172,7 @@ class CountRates:
         for name in ("signal_singles", "idler_singles", "coincidences", "trigger_rate", "gate_rate"):
             require_finite(name, getattr(self, name))
             if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0")
+                raise ValidationError(f"{name} must be >= 0", name)
         require_finite("per_trigger_coincidence_prob", self.per_trigger_coincidence_prob)
 
     @classmethod
@@ -447,14 +447,15 @@ def _mc_tally(config: SetupConfig, n_pulses: int, seed: int, reduction: str, rat
     arm behind a splitter of ``ratio``.  Each block draws from its own
     substream, so which reduction is asked changes none of the tables."""
     n_pulses, seed = int(n_pulses), int(seed)
-    kept = config.pmf.sum()
-    if not kept > 0.0:
+    # the pmf is normalised below, so a truncated law would be redrawn from its head alone
+    dropped = config.pair_distribution().dropped_mass(config.pmf)
+    if dropped:
         raise ValidationError(
-            f"the {config.law} pmf at mean {config.mu} underflows to 0 at every one of its "
-            f"{config.pmf.size} pair numbers, so the Monte Carlo has none to draw",
+            f"the {config.law} pmf at mean {config.mu} is cut at MAX_PAIRS = {MAX_PAIRS} pairs, "
+            f"dropping tail mass {dropped:.3g}; the Monte Carlo draws only from a whole law",
             "mu",
         )
-    pmf = config.pmf / kept
+    pmf = config.pmf / config.pmf.sum()
     no_signal = _none_of(config.herald_survival, pmf.size)
     no_partner = _none_of(config.herald_survival * config.idler_click_survival, pmf.size)
     ds = config.herald_dark_prob

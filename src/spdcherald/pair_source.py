@@ -121,16 +121,26 @@ class PairNumberDistribution:
         if total[-1] < 1.0 - TAIL_MASS and size <= MAX_PAIRS:  # the first length fell short
             probs = self._head(MAX_PAIRS + 1)
             total = list(accumulate(probs.tolist()))
-        n = min(bisect_left(total, 1.0 - TAIL_MASS), MAX_PAIRS)
-        # a shortfall of a few ulps can be rounding in large terms: warn only if the tail is real
-        if total[n] < 1.0 - TAIL_MASS and self._tail_bound(MAX_PAIRS + 1) >= TAIL_MASS:
+        probs = probs[: min(bisect_left(total, 1.0 - TAIL_MASS), MAX_PAIRS) + 1]
+        dropped = self.dropped_mass(probs)
+        if dropped:
             warnings.warn(
-                f"{self.law} pmf at mean {self.mean} truncated at {MAX_PAIRS} pairs; "
-                f"dropped tail mass {1.0 - total[n]:.3g}",
+                f"{self.law} pmf at mean {self.mean} truncated at {MAX_PAIRS} pairs; dropped tail mass {dropped:.3g}",
                 ResolutionWarning,
                 stacklevel=2,
             )
-        return probs[: n + 1]
+        return probs
+
+    def dropped_mass(self, probs: np.ndarray) -> float:
+        """The tail mass past :data:`MAX_PAIRS` pairs that :meth:`pmf_vector`'s
+        adaptive ``probs`` leaves out, or 0.0 where it keeps all but
+        :data:`TAIL_MASS`.  Only a pmf cut at MAX_PAIRS can fall short, and a
+        shortfall of a few ulps can be rounding in large terms: it counts only
+        where the tail is real."""
+        if probs.size <= MAX_PAIRS:
+            return 0.0
+        kept = list(accumulate(probs.tolist()))[-1]  # in sequence, as pmf_vector's running totals
+        return 1.0 - kept if kept < 1.0 - TAIL_MASS and self._tail_bound(MAX_PAIRS + 1) >= TAIL_MASS else 0.0
 
     def _tail_bound(self, size: int) -> float:
         """An upper bound on the mass at ``size`` pairs and beyond.

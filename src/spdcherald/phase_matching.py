@@ -150,7 +150,7 @@ def idler_wavelength(pump_nm: float, signal_nm: float) -> float:
     """Idler wavelength fixed by energy conservation: 1/l_i = 1/l_p - 1/l_s."""
     if signal_nm <= pump_nm:
         raise DomainError(
-            f"signal ({signal_nm} nm) must be longer than the pump ({pump_nm} nm); no physical idler"
+            f"signal ({signal_nm} nm) must be longer than the pump ({pump_nm} nm); no physical idler", "pump_nm"
         )
     return 1.0 / (1.0 / pump_nm - 1.0 / signal_nm)
 
@@ -164,10 +164,12 @@ class WavelengthTriple:
     idler_nm: float
 
     def __post_init__(self):
+        # blamed on the pump: for a given signal it sets whether an idler exists
         if not (self.pump_nm < self.signal_nm <= self.idler_nm):
             raise ValidationError(
                 f"expected pump < signal <= idler, got "
-                f"({self.pump_nm}, {self.signal_nm}, {self.idler_nm}) nm"
+                f"({self.pump_nm}, {self.signal_nm}, {self.idler_nm}) nm",
+                "pump_nm",
             )
         lhs = 1.0 / self.pump_nm
         rhs = 1.0 / self.signal_nm + 1.0 / self.idler_nm

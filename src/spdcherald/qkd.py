@@ -32,12 +32,15 @@ class ChannelSpec:
         for name in ("loss_db_per_km", "receiver_efficiency", "receiver_dark_per_pulse"):
             require_finite(name, getattr(self, name))
         if self.loss_db_per_km < 0.0:
-            raise ValidationError(f"loss coefficient must be >= 0, got {self.loss_db_per_km}")
+            raise ValidationError(f"loss coefficient must be >= 0, got {self.loss_db_per_km}", "loss_db_per_km")
         if not (0.0 <= self.receiver_efficiency <= 1.0):
-            raise ValidationError(f"receiver efficiency must lie in [0, 1], got {self.receiver_efficiency}")
+            raise ValidationError(
+                f"receiver efficiency must lie in [0, 1], got {self.receiver_efficiency}", "receiver_efficiency"
+            )
         if not (0.0 <= self.receiver_dark_per_pulse <= 1.0):
             raise ValidationError(
-                f"receiver dark probability must lie in [0, 1], got {self.receiver_dark_per_pulse}"
+                f"receiver dark probability must lie in [0, 1], got {self.receiver_dark_per_pulse}",
+                "receiver_dark_per_pulse",
             )
 
     def transmission(self, distance_km: float) -> float:
@@ -136,9 +139,9 @@ def pump_sweep(
     """
     mu_list = [float(m) for m in mu_values]
     if any(m <= 0.0 for m in mu_list):
-        raise ValidationError("mu values must be positive")
+        raise ValidationError("mu values must be positive", "mu_values")
     if sorted(mu_list) != mu_list:
-        raise ValidationError("mu values must be sorted ascending")
+        raise ValidationError("mu values must be sorted ascending", "mu_values")
     rows: list[TradeoffRow] = []
     for mu in mu_list:
         pump_mw = mu / pairs_per_pulse_per_mw if pairs_per_pulse_per_mw > 0 else float("nan")

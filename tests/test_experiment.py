@@ -9,7 +9,7 @@ import pytest
 
 from spdcherald import experiment, pair_source
 from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec, FreeRunningDetector, GatedDetector, dead_time_window
-from spdcherald.errors import EstimationError, ValidationError
+from spdcherald.errors import EstimationError, ResolutionWarning, ValidationError
 from spdcherald.experiment import (
     HBT_ARMS,
     MC_BLOCK,
@@ -337,6 +337,37 @@ class TestMonteCarlo:
             with pytest.raises(ValidationError, match=f"{field} must be an integer") as info:
                 run()
             assert info.value.field == field
+
+    @pytest.mark.parametrize(
+        "law,mu,modes,truncated",
+        [
+            ("thermal", 1.43, None, False),
+            ("thermal", 1.45, None, True),
+            ("multimode_thermal", 2.52, 2, False),
+            ("multimode_thermal", 2.54, 2, True),
+            ("poissonian", 19.8, None, False),
+            ("poissonian", 20.0, None, True),
+            ("thermal", 30.0, None, True),
+            # terms that sum short of 1 - TAIL_MASS by rounding alone
+            ("multimode_thermal", 0.9275587785042025, 10**5, False),
+            ("poissonian", 17.73813145632555, None, False),
+        ],
+    )
+    def test_refuses_exactly_the_laws_the_pmf_truncates(self, law, mu, modes, truncated):
+        # the Monte Carlo renormalised a truncated pmf and drew from its head alone
+        config = reference_setup(law=law, mu=mu, modes=modes)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config.pmf
+        assert [w.category for w in caught] == [ResolutionWarning] * truncated
+        kw = dict(mode="monte_carlo", n_pulses=1_000_000, seed=1)
+        for reduction in (simulate_counts, heralded_photon_statistics, hbt_g2):
+            if truncated:
+                with pytest.raises(ValidationError, match=r"is cut at MAX_PAIRS = 64 pairs, dropping tail mass") as info:
+                    reduction(config, **kw)
+                assert info.value.field == "mu"
+            else:
+                reduction(config, **kw)
 
     def test_numpy_integer_run_values_are_accepted(self):
         kw = dict(mode="monte_carlo", n_pulses=1_000_000, seed=9)

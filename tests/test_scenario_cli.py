@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
@@ -445,6 +446,14 @@ class TestCli:
             ("simulate", "run.mode=fast"),
             ("g2", "run.g2_arm=both"),
             ("g2", "run.splitter_ratio=1"),
+            ("sweep", "channel.loss_db_per_km=-1"),
+            ("sweep", "channel.receiver_efficiency=2"),
+            ("sweep", "channel.receiver_dark_per_pulse=2"),
+            ("sweep", "run.sweep_mu=[-1]"),
+            ("sweep", "run.sweep_mu=[0.2, 0.1]"),
+            ("estimate", "counts.signal_singles_cps=-1"),
+            ("phasematch", "crystal.pump_center_nm=2000"),
+            ("phasematch", "crystal.pump_center_nm=100"),
         ],
     )
     def test_model_range_error_exits_2_naming_its_key(self, tmp_path, capsys, command, override):
@@ -650,6 +659,18 @@ class TestCommandTable:
         assert "validation error: scenario key 'source.mu': the poissonian pmf at mean 1000.0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
+    @pytest.mark.parametrize("law,mu,code", [("thermal", "30", 2), ("poissonian", "65", 2), ("thermal", "1.4", 0)])
+    def test_monte_carlo_of_a_truncated_pmf_exits_2(self, tmp_path, capsys, law, mu, code):
+        # it drew from the renormalised head of the law and exited 0
+        argv = ["simulate", BUNDLED, "--mode", "monte_carlo", "--pulses", "1000000", "--seed", "1",
+                "--override", f"source.law={law}", "--override", f"source.mu={mu}", "--out-dir", str(tmp_path)]
+        assert main(argv) == code
+        if code:
+            assert (f"validation error: scenario key 'source.mu': the {law} pmf at mean {float(mu)} is cut at "
+                    "MAX_PAIRS = 64 pairs, dropping tail mass") in capsys.readouterr().err
+            assert not any(tmp_path.iterdir())
+
     def test_sweep_without_pump_calibration_writes_null(self, tmp_path):
         argv = ["sweep", BUNDLED, "--override", "source.pairs_per_pulse_per_mw=0", "--out-dir", str(tmp_path)]
         assert main(argv) == 0
@@ -726,6 +747,88 @@ class TestEveryKeyIsRead:
         assert all(code in (0, 2) for code, _ in outputs.values()), outputs
         changed = {c for c, out in outputs.items() if out != bundled_outputs[c]}
         assert not changed if key in DESCRIPTIVE_KEYS else changed, (key, changed)
+
+
+def _optional_leaves():
+    return [(key, leaf) for key, leaf in scenario_module.leaves() if leaf.default is not scenario_module.REQUIRED]
+
+
+def _set(data, key, value=None, drop=False):
+    *sections, leaf = key.split(".")
+    node = data
+    for section in sections:
+        node = node.setdefault(section, {})
+    if drop:
+        node.pop(leaf, None)
+    else:
+        node[leaf] = list(value) if isinstance(value, tuple) else value
+
+
+def _without_empty_sections(node):
+    return {k: _without_empty_sections(v) if isinstance(v, dict) else v for k, v in node.items() if v != {}}
+
+
+def _models(scenario):
+    return (
+        scenario.to_setup_config(), scenario.to_crystal(), scenario.to_channel(), scenario.to_counts(),
+        [axis.tolist() for axis in scenario.spectral_grid()],
+    )
+
+
+class TestSchema:
+    """SCHEMA declares each key once: its kind, its default and the model field it feeds."""
+
+    def test_omitted_defaults_build_what_stated_defaults_build(self, tmp_path):
+        omitted, stated = yaml.safe_load(bundled_text()), yaml.safe_load(bundled_text())
+        for key, leaf in _optional_leaves():
+            _set(omitted, key, drop=True)
+            _set(stated, key, leaf.default)
+        omitted = _without_empty_sections(omitted)
+        assert "run" not in omitted and "grid" not in omitted["crystal"]
+        outputs = []
+        for name, data in (("omitted", omitted), ("stated", stated)):
+            path = tmp_path / f"{name}.scenario"
+            path.write_text(yaml.safe_dump(data))
+            scenario = load_scenario(path)
+            results = {}
+            for command, (json_name, csv_name, _) in ARTIFACTS.items():
+                out = tmp_path / name / command
+                assert main([command, str(path), "--out-dir", str(out)]) == 0
+                results[command] = (_strict_record(out / json_name)["result"], (out / csv_name).read_bytes())
+            outputs.append((_models(scenario), results))
+            # a default is read, never written into the scenario
+            assert scenario.data == yaml.safe_load(path.read_text())
+        assert outputs[0] == outputs[1]
+
+    def test_descriptive_keys_are_the_schemas(self):
+        assert DESCRIPTIVE_KEYS == {key for key, leaf in scenario_module.leaves() if leaf.descriptive}
+
+    def test_readme_table_is_the_schema(self):
+        rows = ["| Key | Kind | Default | Model field |", "| --- | --- | --- | --- |"]
+        for key, leaf in scenario_module.leaves():
+            default = leaf.default
+            if default is scenario_module.REQUIRED:
+                default = "required"
+            elif default is None:
+                default = "none"
+            else:
+                default = f"`{list(default) if isinstance(default, tuple) else default}`"
+            feeds = ", ".join([f"`{leaf.field}`"] * bool(leaf.field) + ["descriptive"] * leaf.descriptive) or "—"
+            rows.append(f"| `{key}` | {leaf.kind} | {default} | {feeds} |")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert "\n".join(rows) + "\n\n" in readme
+
+    def test_each_model_field_names_its_key(self):
+        fed = [(key, leaf.field) for key, leaf in scenario_module.leaves() if leaf.field]
+        fields = [field for _, field in fed]
+        # one key per field, but for the two detectors' efficiencies, told apart by their section
+        assert {field for field in fields if fields.count(field) > 1} == {"efficiency"}
+        for key, field in fed + [("source.mu", "mean")]:
+            within = key.rsplit(".", 1)[0] + "." if field == "efficiency" else ""
+            named = scenario_module.named(ValidationError("out of range", field), within)
+            assert str(named) == f"scenario key {key!r}: out of range"
+        unnamed = ValidationError("out of range")
+        assert scenario_module.named(unnamed) is unnamed
 
 
 def test_cli_import_loads_no_scipy():
