@@ -12,7 +12,9 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import NumericalError, SpdcHeraldError, ValidationError
+from .errors import DomainError, EstimationError, NumericalError, SpdcHeraldError, ValidationError
 from .estimator import equivalent_wcp, estimate_source
 from .experiment import CountRates, _validate_mc_args, hbt_g2, heralded_photon_statistics, simulate_counts
 from .phase_matching import (
@@ -32,7 +34,7 @@ from .phase_matching import (
     tuning_curve,
 )
 from .qkd import multiphoton_fraction, pump_sweep
-from .scenario import SCHEMA, Scenario, load_scenario, named
+from .scenario import SCHEMA, Scenario, keyed, load_scenario, named
 
 OUTPUT_DIR_ENV = "SPDCHERALD_OUT"
 
@@ -80,12 +82,30 @@ def _sim_kwargs(run: dict) -> dict:
     return {"mode": run["mode"], "n_pulses": run["n_pulses"], "seed": run["seed"]}
 
 
+# the keys that set the wavelengths a crystal relation checks
+_CENTRES = ("crystal.pump_center_nm", "crystal.signal_center_nm")
+_GRID_RANGE = tuple(f"crystal.grid.{axis}_{end}_nm" for axis in ("signal", "idler") for end in ("min", "max"))
+
+
+@contextlib.contextmanager
+def _relation(*keys: str):
+    """A ValidationError that names no field, raised inside, names ``keys``:
+    the values it rejects are derived from theirs."""
+    try:
+        yield
+    except ValidationError as exc:
+        if exc.field is not None:
+            raise
+        raise keyed(exc, *keys) from None
+
+
 def _phase_matched(scenario: Scenario) -> tuple:
     """The crystal section, the crystal, its pump/signal triple and their collinear angle."""
     cry = scenario.section("crystal")
     crystal = scenario.to_crystal()
     triple = WavelengthTriple.from_pump_signal(cry["pump_center_nm"], cry["signal_center_nm"])
-    return cry, crystal, triple, collinear_pm_angle(crystal, triple)
+    with _relation(*_CENTRES):  # the idler follows from both centres
+        return cry, crystal, triple, collinear_pm_angle(crystal, triple)
 
 
 def _simulate(scenario: Scenario, run: dict) -> tuple:
@@ -134,6 +154,11 @@ def _estimate(scenario: Scenario, run: dict) -> tuple:
 def _wcp_compare(scenario: Scenario, run: dict) -> tuple:
     stats = heralded_photon_statistics(scenario.to_setup_config(), **_sim_kwargs(run))
     p1, p2 = stats.probability(1), stats.probability(2)
+    if p1 == 0.0 or p2 == 0.0:
+        # valid inputs can herald no photon, or a P(2) below the 1e-15 that P(n) resolves
+        raise EstimationError(
+            f"heralded P(1) = {p1:.6g} and P(2) = {p2:.6g}: matching a coherent source needs both positive"
+        )
     comparison = equivalent_wcp(p1, p2_source=p2)
     return (
         "wcp_compare.json", {"p1": p1, "p2_source": p2, **comparison.to_dict()},
@@ -183,7 +208,8 @@ def _sweep(scenario: Scenario, run: dict) -> tuple:
 def _phasematch(scenario: Scenario, run: dict) -> tuple:
     _, crystal, triple, theta = _phase_matched(scenario)
     signal = triple.signal_nm
-    curve = tuning_curve(crystal, theta, triple.pump_nm, (signal - 40.0, signal + 40.0), 201)
+    with _relation(*_CENTRES):  # the curve's signal range and its idlers follow from both centres
+        curve = tuning_curve(crystal, theta, triple.pump_nm, (signal - 40.0, signal + 40.0), 201)
     result = {
         **vars(triple),
         "phase_matching_angle_deg": theta,
@@ -204,9 +230,18 @@ def _phasematch(scenario: Scenario, run: dict) -> tuple:
 def _spectrum(scenario: Scenario, run: dict) -> tuple:
     cry, crystal, triple, theta = _phase_matched(scenario)
     sig_axis, idl_axis = scenario.spectral_grid()
-    spectrum = joint_spectral_intensity(
-        crystal, theta, triple.pump_nm, cry["pump_fwhm_nm"], sig_axis, idl_axis
-    )
+    try:
+        spectrum = joint_spectral_intensity(
+            crystal, theta, triple.pump_nm, cry["pump_fwhm_nm"], sig_axis, idl_axis
+        )
+    except DomainError as exc:  # a grid wavelength, or the pump a grid cell implies, outside the window
+        raise keyed(exc, *_GRID_RANGE) from None
+    except ValidationError as exc:
+        if exc.field is not None:
+            raise
+        # the pump envelope and the crystal's sinc^2 ridge vanish on every grid cell
+        keys = (*_GRID_RANGE, "crystal.pump_center_nm", "crystal.pump_fwhm_nm", "crystal.length_mm")
+        raise keyed(exc, *keys) from None
     filter_fwhm = cry["signal_fwhm_nm"]
     fwhm = heralded_marginal_bandwidth(spectrum, triple.signal_nm, filter_fwhm)
     peak_s, peak_i = spectrum.peak()
@@ -346,9 +381,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per subcommand name (or None), at most len(COMMANDS) + 1: argparse
+# changes no parser while parsing, so main reuses it across calls in a process.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return run_scenario(args.scenario, args.command, args.override, args)
     except ValidationError as exc:

@@ -14,9 +14,10 @@ class SpdcHeraldError(Exception):
 
 class ValidationError(SpdcHeraldError):
     """Invalid configuration, scenario file, or argument; ``field`` names the
-    attribute at fault, where there is one."""
+    attribute at fault, where there is one, or is a tuple of the attributes
+    whose values together are at fault."""
 
-    def __init__(self, message: str, field: str | None = None):
+    def __init__(self, message: str, field: str | tuple[str, ...] | None = None):
         super().__init__(message)
         self.field = field
 

@@ -83,8 +83,8 @@ def _calibration(setup: SetupConfig, *fields: str) -> float:
     values = [attrgetter(name)(setup) for name in fields]
     product = math.prod(values)
     if product == 0.0:
-        named = [name for name, value in zip(fields, values) if value == 0.0] or fields
-        raise ValidationError(f"calibrated {' * '.join(named)} is 0, so the counts cannot be inverted")
+        named = tuple(name for name, value in zip(fields, values) if value == 0.0) or fields
+        raise ValidationError(f"calibrated {' * '.join(named)} is 0, so the counts cannot be inverted", named)
     return product
 
 

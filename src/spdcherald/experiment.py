@@ -38,6 +38,7 @@ substream and only the dead time is carried between blocks, so fixed
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -154,6 +155,8 @@ class SetupConfig:
     def coincidence_dark_prob(self) -> float:
         """Idler dark probability within the coincidence window (in gates)."""
         d = self.idler_detector.dark_prob_per_gate
+        if d >= 1.0:  # dark in every gate; log1p(-1) would divide by zero
+            return 1.0
         return float(-np.expm1(self.coincidence_window * np.log1p(-d))) if d > 0 else 0.0
 
 
@@ -173,7 +176,12 @@ class CountRates:
             require_finite(name, getattr(self, name))
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be >= 0", name)
-        require_finite("per_trigger_coincidence_prob", self.per_trigger_coincidence_prob)
+        # coincidences over a subnormal trigger rate overflow
+        if not math.isfinite(self.per_trigger_coincidence_prob):
+            raise ValidationError(
+                f"per_trigger_coincidence_prob must be finite, got {self.per_trigger_coincidence_prob}",
+                ("coincidences", "trigger_rate"),
+            )
 
     @classmethod
     def from_dict(cls, record) -> CountRates:

@@ -87,10 +87,11 @@ class CrystalSpec:
         lam = np.multiply(np.asarray(wavelength_nm, dtype=float), 1e-3, out=out)
         lo, hi = self.validity_window_um
         # written as "not inside" so that NaN fails the check
-        if not ((lam >= lo) & (lam <= hi)).all():
+        inside = (lam >= lo) & (lam <= hi)
+        if not inside.all():
             raise DomainError(
-                f"wavelength outside the Sellmeier validity window "
-                f"[{lo * 1e3:.0f}, {hi * 1e3:.0f}] nm"
+                f"wavelength {np.ravel(lam)[np.argmin(inside)] * 1e3:.6g} nm outside the Sellmeier "
+                f"validity window [{lo * 1e3:.0f}, {hi * 1e3:.0f}] nm"
             )
         return lam
 
@@ -327,12 +328,16 @@ def joint_spectral_intensity(
     if sig.size < 2 or idl.size < 2:
         raise ValidationError("spectral axes need at least two points")
     theta = _checked_theta(theta_deg)
-    inv_s, inv_i = 1.0 / sig, 1.0 / idl
+    # the axes are checked against the validity window before any reciprocal:
+    # a zero or subnormal wavelength would divide by zero or overflow
     n_over_s = index_ordinary(crystal, sig) / sig
     n_over_i = index_ordinary(crystal, idl) / idl
+    inv_s, inv_i = 1.0 / sig, 1.0 / idl
     nu_0 = 1.0 / pump_center_nm
     # FWHM of the pump *intensity* spectrum mapped to 1/lambda units
     d_nu = pump_fwhm_nm / pump_center_nm**2
+    if d_nu == 0.0:
+        raise ValidationError(f"pump FWHM {pump_fwhm_nm} nm underflows to 0 in 1/nm units", "pump_fwhm_nm")
     fwhm_scale = -4.0 * np.log(2.0)
 
     # Row blocks of JSI_BLOCK_CELLS cells, each in the same few buffers, with
@@ -361,11 +366,13 @@ def joint_spectral_intensity(
         pm = np.sin(x, out=lam)
         pm /= x
         np.square(pm, out=pm)
-        # Gaussian pump envelope
-        np.subtract(nu, nu_0, out=out)
-        out /= d_nu
-        np.square(out, out=out)
-        out *= fwhm_scale
+        # Gaussian pump envelope; far from a narrow pump the exponent overflows
+        # to -inf, and exp(-inf) = 0 is the envelope's limit
+        with np.errstate(over="ignore"):
+            np.subtract(nu, nu_0, out=out)
+            out /= d_nu
+            np.square(out, out=out)
+            out *= fwhm_scale
         np.exp(out, out=out)
         out *= pm
     peak_val = intensity.max()
@@ -415,9 +422,10 @@ def heralded_marginal_bandwidth(
     require_finite("filter centre wavelength", filter_center_nm)
     if not (filter_fwhm_nm > 0.0):
         raise ValidationError(f"filter FWHM must be > 0, got {filter_fwhm_nm}", "filter_fwhm_nm")
-    weights = np.exp(
-        -4.0 * np.log(2.0) * ((spectrum.signal_axis - filter_center_nm) / filter_fwhm_nm) ** 2
-    )
+    # far from a narrow filter the exponent overflows to -inf: exp(-inf) = 0 is the limit
+    with np.errstate(over="ignore"):
+        exponent = -4.0 * np.log(2.0) * ((spectrum.signal_axis - filter_center_nm) / filter_fwhm_nm) ** 2
+    weights = np.exp(exponent)
     marginal = spectrum.idler_marginal(weights)
     if marginal.max() <= 1e-12 * spectrum.intensity.max():
         raise EmptyMarginalError(

@@ -12,9 +12,11 @@ which is never written into the data, so a scenario hashes as it is written.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
+import pickle
 from dataclasses import astuple, dataclass
 from importlib import resources
 from pathlib import Path
@@ -136,14 +138,33 @@ def leaves(node: dict = SCHEMA, path: str = ""):
             yield f"{path}{key}", sub
 
 
-def named(exc: ValidationError, within: str = "") -> ValidationError:
-    """``exc`` naming the scenario key that feeds its field, the one under
-    ``within`` where several do (both detectors have an efficiency), or
-    ``exc`` itself where none does."""
-    field = "mu" if exc.field == "mean" else exc.field  # SetupConfig hands mu to its pair law as the law's mean
-    keys = [key for key, leaf in leaves() if field and leaf.field == field]
+def keyed(exc: Exception, *keys: str) -> ValidationError:
+    """``exc`` as a ValidationError naming the scenario ``keys`` at fault."""
+    listed = ", ".join(map(repr, keys[:-1])) + " and " * (len(keys) > 1) + repr(keys[-1])
+    return ValidationError(f"scenario key{'s' * (len(keys) > 1)} {listed}: {exc}")
+
+
+# the sections that feed SetupConfig's detectors, for a field such as herald.efficiency
+_PARTS = {"herald": "detectors.herald.", "idler_detector": "detectors.idler."}
+
+
+def _key(field: str, within: str) -> str | None:
+    part, _, field = field.rpartition(".")
+    within = _PARTS.get(part, within)
+    field = "mu" if field == "mean" else field  # SetupConfig hands mu to its pair law as the law's mean
+    keys = [key for key, leaf in leaves() if leaf.field == field]
     keys = [key for key in keys if key.startswith(within)] or keys
-    return ValidationError(f"scenario key {keys[0]!r}: {exc}") if len(keys) == 1 else exc
+    return keys[0] if len(keys) == 1 else None
+
+
+def named(exc: ValidationError, within: str = "") -> ValidationError:
+    """``exc`` naming the scenario key that feeds its field (each of its
+    fields, where it holds a tuple), the one under ``within`` where several
+    do (both detectors have an efficiency), or ``exc`` itself where a field
+    is fed by no key."""
+    fields = exc.field if isinstance(exc.field, tuple) else (exc.field,)
+    keys = [_key(field, within) for field in fields if field]
+    return keyed(exc, *keys) if keys and None not in keys else exc
 
 
 # joint-spectrum cells a scenario's grid may ask for: 2048 x 2048, 81 times the
@@ -156,9 +177,23 @@ MAX_GRID_CELLS = 2**22
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
+# Distinct texts a process keeps parsed: a scan re-reads one scenario and a few
+# override values, so one document and its overrides stay cached.
+YAML_CACHE_TEXTS = 64
+
+
+@functools.lru_cache(maxsize=YAML_CACHE_TEXTS)
+def _parsed(text: str, loader) -> bytes:
+    # pickled, so that no load can change what the next one gets; unpickling
+    # copies the safe loader's plain data in a seventh of deepcopy's time
+    return pickle.dumps(yaml.load(text, Loader=loader), pickle.HIGHEST_PROTOCOL)
+
+
 def _load_yaml(text: str, what: str = "scenario"):
+    """``text`` parsed, as data of the caller's own; a YAML error, never
+    cached, is a ValidationError naming ``what``."""
     try:
-        return yaml.load(text, Loader=_LOADER)
+        return pickle.loads(_parsed(text, _LOADER))
     except yaml.YAMLError as exc:
         raise ValidationError(f"{what} is not valid YAML: {exc}") from exc
 
@@ -217,8 +252,12 @@ def _validate_keys(data: dict, schema: dict, path: str = "") -> None:
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
-    """Apply ``section.key=value`` overrides; values are parsed as YAML."""
-    out = copy.deepcopy(data)
+    """A copy of ``data`` with ``section.key=value`` overrides applied; values are parsed as YAML."""
+    return _override(copy.deepcopy(data), overrides)
+
+
+def _override(out: dict, overrides: list[str]) -> dict:
+    """``out`` with the overrides applied in place."""
     for item in overrides:
         if "=" not in item:
             raise ValidationError(f"override {item!r} is not of the form path=value")
@@ -338,7 +377,7 @@ def parse_scenario(text: str, overrides: list[str] | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("scenario must be a mapping of sections")
     if overrides:
-        data = apply_overrides(data, overrides)
+        data = _override(data, overrides)  # data is this call's own copy
     _validate_keys(data, SCHEMA)
     return Scenario(data=data)
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import subprocess
@@ -152,6 +153,83 @@ class TestLoader:
             scenario.section("channel")
         assert scenario.section("source").path == "source."
         assert scenario.section("detectors")["idler"].path == "detectors.idler."
+
+
+def _written(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())} if out.exists() else {}
+
+
+def _artifacts(argv, out):
+    """Exit code and the bytes of each artifact of ``main(argv)`` written into ``out``."""
+    return main([*argv, "--out-dir", str(out)]), _written(out)
+
+
+class TestParseCache:
+    """A process parses each distinct YAML text once; each load gets data of its own."""
+
+    GRID = "crystal.grid={signal_points: 11.0}"
+
+    def test_mutating_a_load_leaves_the_next_load(self):
+        overrides = [self.GRID, "run.sweep_mu=[0.1, 0.2]"]
+        first = parse_scenario(bundled_text(), overrides)
+        expected = copy.deepcopy(first.data)
+        assert expected["crystal"]["grid"] == {"signal_points": 11}
+        first.data["crystal"]["grid"]["signal_points"] = 99
+        first.data["run"]["sweep_mu"].append(0.3)
+        first.data["source"]["mu"] = 5.0
+        assert parse_scenario(bundled_text(), overrides).data == expected
+        # validation coerced the load's own copy, never the cached value
+        assert repr(scenario_module._load_yaml("{signal_points: 11.0}")) == "{'signal_points': 11.0}"
+
+    def test_apply_overrides_leaves_its_argument(self):
+        data = yaml.safe_load(bundled_text())
+        before = copy.deepcopy(data)
+        out = apply_overrides(data, ["source.mu=0.2", self.GRID])
+        assert data == before
+        assert (out["source"]["mu"], out["crystal"]["grid"]) == (0.2, {"signal_points": 11.0})
+
+    def test_invalid_yaml_raises_the_same_error_each_time(self):
+        bad_text = bundled_text().replace("  mu: 0.0829", "     mu: 0.0829")
+        for text, overrides in [(bad_text, []), (bundled_text(), ["source.mu=[0.1"])]:
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ValidationError, match="is not valid YAML") as exc:
+                    parse_scenario(text, overrides)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+
+    def test_a_rewritten_file_is_parsed_again(self, tmp_path):
+        path = tmp_path / "edited.scenario"
+        path.write_text(bundled_text())
+        assert load_scenario(path).section("source")["mu"] == 0.0829
+        path.write_text(bundled_text().replace("  mu: 0.0829", "  mu: 0.1"))
+        assert load_scenario(path).section("source")["mu"] == 0.1
+
+    def test_an_override_never_reaches_a_later_call(self, tmp_path, capsys):
+        plain = _artifacts(["simulate", BUNDLED], tmp_path / "before")
+        assert _artifacts(["simulate", BUNDLED, "--override", "source.mu=0.2"], tmp_path / "override") != plain
+        assert _artifacts(["simulate", BUNDLED], tmp_path / "after") == plain
+
+    def test_one_process_writes_what_fresh_processes_write(self, tmp_path, capsys):
+        argvs = [
+            ["simulate", BUNDLED, "--override", "source.mu=0.2"],
+            ["spectrum", BUNDLED, "--override", self.GRID],
+            ["herald-stats", BUNDLED],
+            ["estimate", BUNDLED, "--override", "detectors.herald.efficiency=0"],
+            ["g2", BUNDLED, "--mode", "monte_carlo", "--pulses", "1000000", "--seed", "2",
+             "--override", "source.law=thermal"],
+            ["simulate", BUNDLED],
+        ]
+        rounds = [[_artifacts(argv, tmp_path / f"{r}-{i}") for i, argv in enumerate(argvs)] for r in range(2)]
+        fresh = []
+        for i, argv in enumerate(argvs):
+            out = tmp_path / f"fresh-{i}"
+            code = subprocess.run(
+                [sys.executable, "-m", "spdcherald.cli", *argv, "--out-dir", str(out)], capture_output=True
+            ).returncode
+            fresh.append((code, _written(out)))
+        assert [code for code, _ in fresh] == [0, 0, 0, 2, 0, 0]
+        assert rounds[0] == rounds[1] == fresh
 
 
 class TestCli:
@@ -364,6 +442,42 @@ class TestCli:
         assert code == 2
         assert "t_idler_optics is 0" in capsys.readouterr().err
         assert not (tmp_path / "estimate.json").exists()
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ["losses.t_signal_optics"],
+            ["detectors.herald.efficiency"],
+            ["losses.t_idler_optics"],
+            ["losses.t_delay_fiber"],
+            ["detectors.idler.efficiency"],
+            ["losses.t_delay_fiber", "detectors.idler.efficiency"],
+        ],
+        ids=" ".join,
+    )
+    def test_zero_calibration_names_each_zero_key(self, tmp_path, capsys, keys):
+        overrides = [arg for key in keys for arg in ("--override", f"{key}=0")]
+        assert main(["estimate", BUNDLED, *overrides, "--out-dir", str(tmp_path)]) == 2
+        named = f"scenario key{'s' * (len(keys) > 1)} {' and '.join(map(repr, keys))}"
+        assert f"validation error: {named}: calibrated " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["losses.alpha_idler=0", "source.mu=1e-9"], ids=["no_p1", "no_p2"])
+    def test_wcp_compare_of_a_zero_p1_or_p2_exits_3(self, tmp_path, capsys, override):
+        # valid inputs: no heralded photon survives, or P(2) falls below the 1e-15 that P(n) resolves
+        assert main(["wcp-compare", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 3
+        assert "numerical error: heralded P(1) = " in capsys.readouterr().err
+        assert not (tmp_path / "wcp_compare.json").exists()
+
+    def test_zero_per_trigger_denominator_names_its_keys(self, tmp_path, capsys):
+        argv = ["estimate", BUNDLED, "--override", "counts.trigger_rate_cps=5e-324", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "scenario keys 'counts.coincidences_cps' and 'counts.trigger_rate_cps': " in capsys.readouterr().err
+
+    def test_idler_dark_in_every_gate(self, tmp_path, capsys):
+        # log1p(-1) divided by zero under the tier-1 RuntimeWarning filter
+        override = "detectors.idler.dark_prob_per_gate=1"
+        assert main(["simulate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 0
+        assert _strict_record(tmp_path / "counts.json")["result"]["idler_singles_cps"] > 0
 
     def test_io_failure_exits_4(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -600,6 +714,45 @@ class TestCommandTable:
         assert main(argv) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "spectrum.json").exists()
+
+    CENTRES = "'crystal.pump_center_nm' and 'crystal.signal_center_nm'"
+    GRID = "'crystal.grid.signal_min_nm', 'crystal.grid.signal_max_nm', 'crystal.grid.idler_min_nm'"
+    NO_OVERLAP = f"{GRID}, 'crystal.grid.idler_max_nm', 'crystal.pump_center_nm', 'crystal.pump_fwhm_nm'"
+    NO_OVERLAP += " and 'crystal.length_mm'"
+
+    RELATIONS = [
+        # the idler of the centres, 4.7 um, then that of the tuning curve's shortest signal, 3.4 um
+        ("phasematch", "crystal.signal_center_nm=425", CENTRES),
+        ("phasematch", "crystal.signal_center_nm=480", CENTRES),
+        ("spectrum", "crystal.grid.idler_max_nm=-1", f"{GRID} and 'crystal.grid.idler_max_nm'"),
+        # a zero or subnormal wavelength was divided by before the window check
+        ("spectrum", "crystal.grid.idler_max_nm=0", f"{GRID} and 'crystal.grid.idler_max_nm'"),
+        ("spectrum", "crystal.grid.idler_min_nm=5e-324", f"{GRID} and 'crystal.grid.idler_max_nm'"),
+        ("spectrum", "crystal.pump_fwhm_nm=1e-9", NO_OVERLAP),
+        ("spectrum", "crystal.length_mm=1e300", NO_OVERLAP),
+    ]
+
+    @pytest.mark.parametrize("command,override,keys", RELATIONS, ids=[override for _, override, _ in RELATIONS])
+    def test_crystal_relation_exits_2_naming_its_keys(self, tmp_path, capsys, command, override, keys):
+        assert main([command, BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
+        assert f"validation error: scenario keys {keys}: " in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "override,code,error",
+        [
+            ("crystal.pump_fwhm_nm=1e-300", 2, f"scenario keys {NO_OVERLAP}: grid does not overlap"),
+            ("crystal.pump_fwhm_nm=5e-324", 2, "scenario key 'crystal.pump_fwhm_nm': pump FWHM 5e-324 nm under"),
+            ("crystal.signal_fwhm_nm=5e-324", 0, ""),
+        ],
+        ids=["no_overlap", "pump_underflow", "filter"],
+    )
+    def test_narrow_gaussian_raises_no_numpy_warning(self, tmp_path, capsys, override, code, error):
+        # the envelope's exponent overflows to -inf, whose exp is the envelope's limit, 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == code
+        assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["crystal.grid.signal_points", "crystal.grid.idler_points"])
     def test_oversized_grid_exits_2_allocating_nothing(self, tmp_path, capsys, key):
