@@ -345,13 +345,8 @@ def run_scenario(path: str, subcommand: str, overrides: list[str] | None = None,
     return 0
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given ``command``, of that one alone.
-
-    argparse hands every argument after the subcommand to the subcommand's
-    parser, so the others are only named (in the usage line and errors) and
-    take no arguments of their own.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="spdcherald",
         description="Heralded single-photon source simulation and estimation toolkit",
@@ -369,9 +364,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                         help=f"output directory (default: ${OUTPUT_DIR_ENV} or the scenario's run.outputs)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        if command not in (None, name):
-            sub.add_parser(name, help=f"run the {name} analysis", add_help=False)
-            continue
         p = sub.add_parser(name, help=f"run the {name} analysis", parents=[common])
         if name == "estimate":
             p.add_argument(
@@ -381,14 +373,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-# One parser per subcommand name (or None), at most len(COMMANDS) + 1: argparse
-# changes no parser while parsing, so main reuses it across calls in a process.
-_parser = functools.lru_cache(maxsize=None)(build_parser)
+# argparse changes no parser while parsing, so main reuses one across calls in a process
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _parser().parse_args(argv)  # argv None parses sys.argv[1:]
     try:
         return run_scenario(args.scenario, args.command, args.override, args)
     except ValidationError as exc:

@@ -57,6 +57,9 @@ class SellmeierCoefficients:
 BBO_KATO_1986_ORDINARY = SellmeierCoefficients(2.7359, 0.01878, 0.01822, 0.01354)
 BBO_KATO_1986_EXTRAORDINARY = SellmeierCoefficients(2.3753, 0.01224, 0.01667, 0.01516)
 
+# wavelengths in micrometres where the Sellmeier sets are trusted
+VALIDITY_WINDOW_UM = (0.2, 3.0)
+
 
 @dataclass(frozen=True)
 class CrystalSpec:
@@ -66,7 +69,6 @@ class CrystalSpec:
     sellmeier_extraordinary: SellmeierCoefficients = BBO_KATO_1986_EXTRAORDINARY
     length_mm: float = 5.0
     cut_angle_deg: float = 26.42
-    validity_window_um: tuple[float, float] = (0.2, 3.0)
     name: str = "BBO (Kato 1986)"
 
     def __post_init__(self):
@@ -74,36 +76,34 @@ class CrystalSpec:
             raise ValidationError(f"crystal length must be > 0, got {self.length_mm} mm", "length_mm")
         if not (0.0 <= self.cut_angle_deg <= 90.0):
             raise ValidationError(f"cut angle must lie in [0, 90] degrees, got {self.cut_angle_deg}", "cut_angle_deg")
-        lo, hi = self.validity_window_um
-        if not (0.0 < lo < hi):
-            raise ValidationError(f"invalid Sellmeier validity window {self.validity_window_um}")
 
-    def _checked_um(self, wavelength_nm, out=None):
-        """Wavelengths in nm as micrometres, all inside the Sellmeier validity window.
 
-        ``out``, an array of the wavelengths' shape (it may be
-        ``wavelength_nm``), takes the result in place of a fresh array.
-        """
-        lam = np.multiply(np.asarray(wavelength_nm, dtype=float), 1e-3, out=out)
-        lo, hi = self.validity_window_um
-        # written as "not inside" so that NaN fails the check
-        inside = (lam >= lo) & (lam <= hi)
-        if not inside.all():
-            raise DomainError(
-                f"wavelength {np.ravel(lam)[np.argmin(inside)] * 1e3:.6g} nm outside the Sellmeier "
-                f"validity window [{lo * 1e3:.0f}, {hi * 1e3:.0f}] nm"
-            )
-        return lam
+def _checked_um(wavelength_nm, out=None):
+    """Wavelengths in nm as micrometres, all inside the Sellmeier validity window.
+
+    ``out``, an array of the wavelengths' shape (it may be
+    ``wavelength_nm``), takes the result in place of a fresh array.
+    """
+    lam = np.multiply(np.asarray(wavelength_nm, dtype=float), 1e-3, out=out)
+    lo, hi = VALIDITY_WINDOW_UM
+    # written as "not inside" so that NaN fails the check
+    inside = (lam >= lo) & (lam <= hi)
+    if not inside.all():
+        raise DomainError(
+            f"wavelength {np.ravel(lam)[np.argmin(inside)] * 1e3:.6g} nm outside the Sellmeier "
+            f"validity window [{lo * 1e3:.0f}, {hi * 1e3:.0f}] nm"
+        )
+    return lam
 
 
 def index_ordinary(crystal: CrystalSpec, wavelength_nm):
     """Ordinary refractive index n_o at a vacuum wavelength in nm."""
-    return crystal.sellmeier_ordinary.index(crystal._checked_um(wavelength_nm))
+    return crystal.sellmeier_ordinary.index(_checked_um(wavelength_nm))
 
 
 def index_extraordinary_principal(crystal: CrystalSpec, wavelength_nm):
     """Principal extraordinary index n_e (propagation at 90 deg to the axis)."""
-    return crystal.sellmeier_extraordinary.index(crystal._checked_um(wavelength_nm))
+    return crystal.sellmeier_extraordinary.index(_checked_um(wavelength_nm))
 
 
 def index_extraordinary_at_angle(crystal: CrystalSpec, theta_deg, wavelength_nm):
@@ -113,7 +113,7 @@ def index_extraordinary_at_angle(crystal: CrystalSpec, theta_deg, wavelength_nm)
     interpolates exactly between n_o at 0 deg and n_e at 90 deg.
     """
     theta = _checked_theta(theta_deg)
-    n = _index_at_angle(crystal, theta, crystal._checked_um(wavelength_nm))
+    n = _index_at_angle(crystal, theta, _checked_um(wavelength_nm))
     return float(n) if n.ndim == 0 else n
 
 
@@ -339,42 +339,46 @@ def joint_spectral_intensity(
     if d_nu == 0.0:
         raise ValidationError(f"pump FWHM {pump_fwhm_nm} nm underflows to 0 in 1/nm units", "pump_fwhm_nm")
     fwhm_scale = -4.0 * np.log(2.0)
+    length_nm = crystal.length_mm * 1e6
+    if not np.isfinite(length_nm):
+        # an infinite phase dk L / 2 has no sinc^2: sin(inf) is NaN
+        raise ValidationError(f"crystal length {crystal.length_mm} mm overflows to inf in nm", "length_mm")
 
     # Row blocks of JSI_BLOCK_CELLS cells, each in the same few buffers, with
-    # every step and its rounding as on the whole grid.
+    # every step and its rounding as on the whole grid.  Far from a narrow pump
+    # the envelope's exponent overflows to -inf, and exp(-inf) = 0 is its limit.
     intensity = np.empty((sig.size, idl.size))
     rows = max(1, JSI_BLOCK_CELLS // idl.size)
     buffers = np.empty((4, rows, idl.size))
-    for start in range(0, sig.size, rows):
-        block = slice(start, start + rows)
-        out = intensity[block]
-        nu, lam, n_o, n_e = buffers[:, : len(out)]
-        np.add(inv_s[block, None], inv_i, out=nu)  # implied 1/lambda_pump, nm^-1
-        lam = crystal._checked_um(np.divide(1.0, nu, out=lam), out=lam)
-        # x = dk L / 2, dk = 2 pi (n_p / l_p - n_o(l_s) / l_s - n_o(l_i) / l_i)
-        x = _index_at_angle(crystal, theta, lam, n_o=n_o, n_e=n_e, scratch=out)
-        x *= nu
-        x -= n_over_s[block, None]
-        x -= n_over_i
-        x *= 2.0 * np.pi
-        x *= crystal.length_mm * 1e6
-        x /= 2.0
-        # sinc(x / pi)^2 by np.sinc's own steps: y = pi * (x / pi), sin(y) / y, y = 0 -> eps
-        x /= np.pi
-        x *= np.pi
-        np.copyto(x, np.finfo(float).eps, where=x == 0.0)
-        pm = np.sin(x, out=lam)
-        pm /= x
-        np.square(pm, out=pm)
-        # Gaussian pump envelope; far from a narrow pump the exponent overflows
-        # to -inf, and exp(-inf) = 0 is the envelope's limit
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        for start in range(0, sig.size, rows):
+            block = slice(start, start + rows)
+            out = intensity[block]
+            nu, lam, n_o, n_e = buffers[:, : len(out)]
+            np.add(inv_s[block, None], inv_i, out=nu)  # implied 1/lambda_pump, nm^-1
+            lam = _checked_um(np.divide(1.0, nu, out=lam), out=lam)
+            # x = dk L / 2, dk = 2 pi (n_p / l_p - n_o(l_s) / l_s - n_o(l_i) / l_i)
+            x = _index_at_angle(crystal, theta, lam, n_o=n_o, n_e=n_e, scratch=out)
+            x *= nu
+            x -= n_over_s[block, None]
+            x -= n_over_i
+            x *= 2.0 * np.pi
+            x *= length_nm
+            x /= 2.0
+            # sinc(x / pi)^2 by np.sinc's own steps: y = pi * (x / pi), sin(y) / y, y = 0 -> eps
+            x /= np.pi
+            x *= np.pi
+            np.copyto(x, np.finfo(float).eps, where=x == 0.0)
+            pm = np.sin(x, out=lam)
+            pm /= x
+            np.square(pm, out=pm)
+            # Gaussian pump envelope
             np.subtract(nu, nu_0, out=out)
             out /= d_nu
             np.square(out, out=out)
             out *= fwhm_scale
-        np.exp(out, out=out)
-        out *= pm
+            np.exp(out, out=out)
+            out *= pm
     peak_val = intensity.max()
     if peak_val <= 0.0:
         raise ValidationError("grid does not overlap the phase-matched region")

@@ -2,8 +2,9 @@
 
 A scenario is a YAML document with sections ``crystal``, ``source``,
 ``losses``, ``detectors``, ``dead_time``, ``channel``, ``counts`` (optional,
-for estimation runs), and ``run``.  Unknown keys are rejected with their full
-dotted path.  The bundled ``paper.scenario`` carries the reference setup.
+for estimation runs), and ``run``.  A :class:`Scenario` is validated once,
+when it is built: unknown keys are rejected with their full dotted path.  The
+bundled ``paper.scenario`` carries the reference setup.
 
 :data:`SCHEMA` declares every key once.  A key left out reads as its default,
 which is never written into the data, so a scenario hashes as it is written.
@@ -236,21 +237,6 @@ def _coerce(value, kind: str, dotted: str):
     raise AssertionError(f"unhandled schema kind {kind}")
 
 
-def _validate_keys(data: dict, schema: dict, path: str = "") -> None:
-    for key, value in list(data.items()):
-        dotted = f"{path}{key}"
-        if key not in schema:
-            raise ValidationError(f"unknown scenario key {dotted!r}")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            if not isinstance(value, dict):
-                raise ValidationError(f"scenario key {dotted!r} must be a mapping")
-            _validate_keys(value, sub, dotted + ".")
-        else:
-            # a key whose default is no value may be null
-            data[key] = None if value is None and sub.default is None else _coerce(value, sub.kind, dotted)
-
-
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """A copy of ``data`` with ``section.key=value`` overrides applied; values are parsed as YAML."""
     return _override(copy.deepcopy(data), overrides)
@@ -275,15 +261,28 @@ def _override(out: dict, overrides: list[str]) -> dict:
 
 
 class Section(dict):
-    """A validated scenario mapping.  A key it lacks reads as its schema
-    default; one without a default, or a section with a required key, raises
-    ValidationError naming its dotted path."""
+    """A validated scenario mapping.  Its constructor is the one walk from
+    parsed YAML to scenario data: it rejects unknown keys and non-mappings,
+    coerces each value to its kind and wraps each sub-mapping.  A key it
+    lacks reads as its schema default; one without a default, or a section
+    with a required key, raises ValidationError naming its dotted path."""
 
-    def __init__(self, data: dict, path: str, schema: dict = SCHEMA):
-        super().__init__(
-            (k, Section(v, f"{path}{k}.", schema[k]) if isinstance(v, dict) else v) for k, v in data.items()
-        )
+    def __init__(self, data, path: str = "", schema: dict = SCHEMA):
+        if not isinstance(data, dict):
+            raise ValidationError(f"scenario key {path[:-1]!r} must be a mapping" if path else
+                                  "scenario must be a mapping of sections")
+        super().__init__()
         self.path, self.schema = path, schema
+        for key, value in data.items():
+            dotted = f"{path}{key}"
+            if key not in schema:
+                raise ValidationError(f"unknown scenario key {dotted!r}")
+            sub = schema[key]
+            if isinstance(sub, dict):
+                value = Section(value, dotted + ".", sub)
+            elif value is not None or sub.default is not None:  # a key whose default is no value may be null
+                value = _coerce(value, sub.kind, dotted)
+            self[key] = value
 
     def __missing__(self, key):
         node = self.schema[key]
@@ -293,6 +292,10 @@ class Section(dict):
         elif node.default is not REQUIRED:
             return node.default
         raise ValidationError(f"scenario is missing the required key {self.path + key!r}")
+
+    def plain(self) -> dict:
+        """The data as plain nested dicts, as PyYAML's safe dumper takes them."""
+        return {key: value.plain() if isinstance(value, Section) else value for key, value in self.items()}
 
 
 def _build(model, section: Section, *keys: str, **extra):
@@ -306,13 +309,17 @@ def _build(model, section: Section, *keys: str, **extra):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed, validated scenario document."""
+    """Scenario document, valid by construction: ``data`` is walked once into a
+    :class:`Section` tree, and a ValidationError names the dotted key at fault."""
 
     data: dict
 
+    def __post_init__(self):
+        object.__setattr__(self, "data", Section(self.data))
+
     def section(self, name: str) -> Section:
-        # only the requested section is wrapped; a missing one reads as in Section.__missing__
-        return Section({key: value for key, value in self.data.items() if key == name}, "")[name]
+        # a missing section reads as in Section.__missing__
+        return self.data[name]
 
     def sha256(self) -> str:
         return hashlib.sha256(
@@ -320,7 +327,7 @@ class Scenario:
         ).hexdigest()
 
     def to_yaml(self) -> str:
-        return yaml.safe_dump(self.data, sort_keys=True)
+        return yaml.safe_dump(self.data.plain(), sort_keys=True)
 
     # ---- builders -------------------------------------------------------
     def to_setup_config(self) -> SetupConfig:
@@ -374,12 +381,9 @@ class Scenario:
 
 def parse_scenario(text: str, overrides: list[str] | None = None) -> Scenario:
     data = _load_yaml(text)
-    if not isinstance(data, dict):
-        raise ValidationError("scenario must be a mapping of sections")
-    if overrides:
+    if overrides and isinstance(data, dict):  # a document that is no mapping fails in Scenario
         data = _override(data, overrides)  # data is this call's own copy
-    _validate_keys(data, SCHEMA)
-    return Scenario(data=data)
+    return Scenario(data)
 
 
 def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Scenario:

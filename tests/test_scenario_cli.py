@@ -14,7 +14,7 @@ from spdcherald import cli, scenario as scenario_module
 from spdcherald.cli import COMMANDS, main, run_scenario
 from spdcherald.errors import ValidationError
 from spdcherald.experiment import CountRates, reference_setup, simulate_counts
-from spdcherald.scenario import apply_overrides, load_scenario, parse_scenario
+from spdcherald.scenario import Scenario, apply_overrides, load_scenario, parse_scenario
 
 BUNDLED = "paper.scenario"
 
@@ -86,6 +86,51 @@ class TestScenarioParsing:
     def test_missing_file(self):
         with pytest.raises(ValidationError, match="not found"):
             load_scenario("nonexistent.scenario")
+
+
+class TestValidByConstruction:
+    """A Scenario validates the data it is given when it is built, and reads it
+    afterwards without another walk."""
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"source": {"mu": 0.1, "muu": 0.1}}, "unknown scenario key 'source.muu'"),
+            ({"detectors": {"herald": 0.5}}, "scenario key 'detectors.herald' must be a mapping"),
+            ({"source": {"rep_rate_hz": "fast"}}, "scenario key 'source.rep_rate_hz' must be a number, got 'fast'"),
+            (["source"], "scenario must be a mapping of sections"),
+        ],
+        ids=["unknown_key", "scalar_section", "uncoercible_value", "no_mapping"],
+    )
+    def test_raw_data_is_rejected_naming_its_key(self, data, message):
+        with pytest.raises(ValidationError) as exc:
+            Scenario(data=data)
+        assert str(exc.value) == message
+
+    def test_raw_data_is_coerced(self):
+        data = yaml.safe_load(bundled_text().replace("8.2e+7", "8.2e7"))
+        assert data["source"]["rep_rate_hz"] == "8.2e7"
+        assert Scenario(data=data).to_setup_config() == reference_setup()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_no_section_is_built_after_the_load(self, monkeypatch, tmp_path, capsys, command):
+        loaded, built = [], []
+        init = scenario_module.Section.__init__
+
+        def counted(section, data, path="", *args):
+            if loaded:
+                built.append(path)
+            init(section, data, path, *args)
+
+        def load(*args):
+            loaded.append(load_scenario(*args))
+            return loaded[-1]
+
+        monkeypatch.setattr(scenario_module.Section, "__init__", counted)
+        monkeypatch.setattr(cli, "load_scenario", load)
+        assert main([command, BUNDLED, "--out-dir", str(tmp_path)]) == 0
+        assert len(loaded) == 1 and len(list(tmp_path.iterdir())) == 2
+        assert built == []
 
 
 OVERRIDE_VALUES = ["0.1", "[0.01, 0.02]", "1e-3", "2.5e+5", ".inf", "~", "yes", "multimode_thermal"]
@@ -610,8 +655,8 @@ class TestCli:
 
 
 class TestParser:
-    """main builds the shared arguments only for the subcommand its first argument
-    names; argparse must answer every line as the full tree does."""
+    """main parses with one parser kept for the process; argparse must answer
+    every line as a parser of its own does."""
 
     EXITS = [
         ["--help"], ["--version"], ["bogus"], ["--help", "simulate"], ["simulate"],
@@ -628,18 +673,6 @@ class TestParser:
                 parse(list(argv))
             outcomes.append((exc.value.code, *capsys.readouterr()))
         assert outcomes[0] == outcomes[1]
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            [name, BUNDLED, "--override", "source.mu=0.1", "--mode", "monte_carlo", "--pulses", "1000000",
-             "--seed", "3", "--out-dir", "out"]
-            for name in COMMANDS
-        ] + [["estimate", BUNDLED, "--counts", "counts.json"]],
-        ids=lambda argv: " ".join(argv[:1] + argv[2:3]),
-    )
-    def test_parses_as_the_full_tree(self, argv):
-        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
 
 
 # what each subcommand writes; the README's "Command line" section lists the same
@@ -753,6 +786,15 @@ class TestCommandTable:
             warnings.simplefilter("error")
             assert main(["spectrum", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == code
         assert error in capsys.readouterr().err
+
+    def test_infinite_phase_exits_2_naming_the_length(self, tmp_path, capsys):
+        # the length in nm overflowed to inf, and sin(inf) made every intensity NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["spectrum", BUNDLED, "--override", "crystal.length_mm=1e303", "--out-dir", str(tmp_path)]
+            assert main(argv) == 2
+        assert "validation error: scenario key 'crystal.length_mm': " in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("key", ["crystal.grid.signal_points", "crystal.grid.idler_points"])
     def test_oversized_grid_exits_2_allocating_nothing(self, tmp_path, capsys, key):
