@@ -20,21 +20,14 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import DomainError, EstimationError, NumericalError, SpdcHeraldError, ValidationError
-from .estimator import equivalent_wcp, estimate_source
-from .experiment import CountRates, _validate_mc_args, hbt_g2, heralded_photon_statistics, simulate_counts
-from .phase_matching import (
-    WavelengthTriple,
-    collinear_mismatch,
-    collinear_pm_angle,
-    heralded_marginal_bandwidth,
-    joint_spectral_intensity,
-    tuning_curve,
-)
-from .qkd import multiphoton_fraction, pump_sweep
+from .errors import DomainError, EstimationError, NumericalError, SpdcHeraldError, ValidationError, check_run
 from .scenario import SCHEMA, Scenario, keyed, load_scenario, named
+
+if TYPE_CHECKING:  # each compute function imports its model modules when it runs
+    from .experiment import CountRates
 
 OUTPUT_DIR_ENV = "SPDCHERALD_OUT"
 
@@ -50,7 +43,7 @@ def _run_params(scenario: Scenario, args) -> dict:
     for key, option in _OPTIONS.items():
         if getattr(args, option) is not None:
             run[key] = getattr(args, option)
-    _validate_mc_args(run["mode"], run["n_pulses"], run["seed"])
+    check_run(run["mode"], run["n_pulses"], run["seed"])
     if run["mode"] == "analytic":
         # seed/pulses are irrelevant to analytic output; keep records stable
         run["n_pulses"] = run["seed"] = None
@@ -60,6 +53,7 @@ def _run_params(scenario: Scenario, args) -> dict:
 
 def _counts_from_file(path: str) -> CountRates:
     """CountRates from a JSON record (as written by `simulate`) or a CSV row."""
+    from .experiment import CountRates
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"counts file {path!r} not found")
@@ -101,6 +95,7 @@ def _relation(*keys: str):
 
 def _phase_matched(scenario: Scenario) -> tuple:
     """The crystal section, the crystal, its pump/signal triple and their collinear angle."""
+    from .phase_matching import WavelengthTriple, collinear_pm_angle
     cry = scenario.section("crystal")
     crystal = scenario.to_crystal()
     triple = WavelengthTriple.from_pump_signal(cry["pump_center_nm"], cry["signal_center_nm"])
@@ -109,6 +104,7 @@ def _phase_matched(scenario: Scenario) -> tuple:
 
 
 def _simulate(scenario: Scenario, run: dict) -> tuple:
+    from .experiment import simulate_counts
     counts = simulate_counts(scenario.to_setup_config(), **_sim_kwargs(run))
     d = counts.to_dict()
     return "counts.json", d, "counts.csv", list(d), [list(d.values())], [
@@ -122,6 +118,8 @@ def _simulate(scenario: Scenario, run: dict) -> tuple:
 
 
 def _herald_stats(scenario: Scenario, run: dict) -> tuple:
+    from .experiment import heralded_photon_statistics
+    from .qkd import multiphoton_fraction
     stats = heralded_photon_statistics(scenario.to_setup_config(), **_sim_kwargs(run))
     return (
         "herald_stats.json", stats.to_dict(),
@@ -133,6 +131,7 @@ def _herald_stats(scenario: Scenario, run: dict) -> tuple:
 
 
 def _estimate(scenario: Scenario, run: dict) -> tuple:
+    from .estimator import estimate_source
     counts_file = run["counts_file"]
     counts = _counts_from_file(counts_file) if counts_file else scenario.to_counts()
     estimate = estimate_source(counts, scenario.to_setup_config())
@@ -152,6 +151,8 @@ def _estimate(scenario: Scenario, run: dict) -> tuple:
 
 
 def _wcp_compare(scenario: Scenario, run: dict) -> tuple:
+    from .estimator import equivalent_wcp
+    from .experiment import heralded_photon_statistics
     stats = heralded_photon_statistics(scenario.to_setup_config(), **_sim_kwargs(run))
     p1, p2 = stats.probability(1), stats.probability(2)
     if p1 == 0.0 or p2 == 0.0:
@@ -176,6 +177,7 @@ def _wcp_compare(scenario: Scenario, run: dict) -> tuple:
 
 
 def _sweep(scenario: Scenario, run: dict) -> tuple:
+    from .qkd import pump_sweep
     src = scenario.section("source")
     rows = pump_sweep(
         scenario.to_setup_config(),
@@ -206,6 +208,7 @@ def _sweep(scenario: Scenario, run: dict) -> tuple:
 
 
 def _phasematch(scenario: Scenario, run: dict) -> tuple:
+    from .phase_matching import collinear_mismatch, tuning_curve
     _, crystal, triple, theta = _phase_matched(scenario)
     signal = triple.signal_nm
     with _relation(*_CENTRES):  # the curve's signal range and its idlers follow from both centres
@@ -228,6 +231,7 @@ def _phasematch(scenario: Scenario, run: dict) -> tuple:
 
 
 def _spectrum(scenario: Scenario, run: dict) -> tuple:
+    from .phase_matching import heralded_marginal_bandwidth, joint_spectral_intensity
     cry, crystal, triple, theta = _phase_matched(scenario)
     sig_axis, idl_axis = scenario.spectral_grid()
     try:
@@ -271,6 +275,7 @@ def _spectrum(scenario: Scenario, run: dict) -> tuple:
 
 
 def _g2(scenario: Scenario, run: dict) -> tuple:
+    from .experiment import hbt_g2
     g2 = hbt_g2(
         scenario.to_setup_config(),
         arm=run["g2_arm"],
@@ -287,8 +292,9 @@ def _g2(scenario: Scenario, run: dict) -> tuple:
 _SETUP = frozenset({"source", "losses", "detectors", "dead_time", "run"})
 
 # subcommand -> (scenario sections it reads, compute function).  The function
-# returns (JSON name, result dict, CSV name, CSV header, CSV rows, summary lines);
-# run_scenario is the only code that writes or prints them.
+# imports the model modules it runs and returns (JSON name, result dict, CSV
+# name, CSV header, CSV rows, summary lines); run_scenario is the only code
+# that writes or prints them.
 COMMANDS = {
     "simulate": (_SETUP, _simulate),
     "herald-stats": (_SETUP, _herald_stats),

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, require_finite, require_integer
+from .defaults import AFTERPULSE_PROB, DEAD_TIME_MODELS
+from .errors import DomainError, ValidationError, check_seed, require_finite, require_integer
 
-DEAD_TIME_MODELS = ("paralyzable", "nonparalyzable")
-SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
 # Monte Carlo pulses are processed in fixed-size blocks, so memory is per
 # block.  The experiment's Monte Carlo draws each block from its own
 # counter-based substream, so its results do not depend on how blocks are
@@ -60,7 +59,7 @@ class GatedDetector:
 
     efficiency: float
     dark_prob_per_gate: float
-    afterpulse_prob: float = 0.0
+    afterpulse_prob: float = AFTERPULSE_PROB
 
     def __post_init__(self):
         _check_efficiency(self.efficiency)
@@ -79,7 +78,7 @@ class DeadTimeSpec:
     """Dead time of the trigger electronics, in microseconds."""
 
     tau_us: float = 1.0
-    model: str = "paralyzable"
+    model: str = DEAD_TIME_MODELS[0]
 
     def __post_init__(self):
         require_finite("dead time", self.tau_us)
@@ -109,15 +108,6 @@ def dead_time_throughput(input_rate: float, dt: DeadTimeSpec) -> float:
     if dt.model == "paralyzable":
         return input_rate * float(np.exp(-input_rate * tau))
     return input_rate / (1.0 + input_rate * tau)
-
-
-def check_seed(seed: int | None) -> None:
-    """Raise :class:`ValidationError` unless ``seed`` is a Philox key."""
-    if seed is None:
-        raise ValidationError("Monte Carlo requires an explicit seed (reproducibility)", "seed")
-    require_integer("seed", seed)
-    if not (0 <= seed < SEED_LIMIT):
-        raise ValidationError(f"Monte Carlo seed must lie in [0, 2**128), got {seed}", "seed")
 
 
 def dead_time_window(dt: DeadTimeSpec, rep_rate_hz: float, n_pulses: int) -> int:

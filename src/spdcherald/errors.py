@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the argument checks
+every module shares, the run values among them, so that a subcommand checks
+its run without loading a model.
 
 The CLI maps these onto exit codes: validation problems exit 2, numerical
 failures exit 3, I/O failures exit 4.
@@ -6,6 +8,11 @@ failures exit 3, I/O failures exit 4.
 
 import math
 import operator
+
+from .defaults import RUN_MODES
+
+SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
+MC_MIN_PULSES = 1_000_000
 
 
 class SpdcHeraldError(Exception):
@@ -39,6 +46,26 @@ def require_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}", name) from None
+
+
+def check_seed(seed: int | None) -> None:
+    """Raise :class:`ValidationError` unless ``seed`` is a Philox key."""
+    if seed is None:
+        raise ValidationError("Monte Carlo requires an explicit seed (reproducibility)", "seed")
+    require_integer("seed", seed)
+    if not (0 <= seed < SEED_LIMIT):
+        raise ValidationError(f"Monte Carlo seed must lie in [0, 2**128), got {seed}", "seed")
+
+
+def check_run(mode: str, n_pulses, seed) -> None:
+    """Raise :class:`ValidationError` unless ``mode`` is a run mode and, for
+    the Monte Carlo, ``n_pulses`` and ``seed`` are what it needs."""
+    if mode not in RUN_MODES:
+        raise ValidationError(f"unknown mode {mode!r}; expected 'analytic' or 'monte_carlo'", "mode")
+    if mode == "monte_carlo":
+        check_seed(seed)
+        if n_pulses is None or require_integer("n_pulses", n_pulses) < MC_MIN_PULSES:
+            raise ValidationError(f"monte_carlo mode requires n_pulses >= {MC_MIN_PULSES}", "n_pulses")
 
 
 class NumericalError(SpdcHeraldError):

@@ -50,16 +50,14 @@ from .detectors import (
     DeadTimeSpec,
     FreeRunningDetector,
     GatedDetector,
-    check_seed,
     dead_time_throughput,
     dead_time_window,
     nonparalyzable_walk,
     paralyzable_triggers,
 )
-from .errors import EstimationError, ValidationError, require_finite, require_integer
+from .defaults import COINCIDENCE_WINDOW, GATE_RATE_HZ, HBT_ARMS, LAWS
+from .errors import EstimationError, ValidationError, check_run, require_finite
 from .pair_source import MAX_PAIRS, PairNumberDistribution, power_table, thin
-
-MC_MIN_PULSES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class SetupConfig:
 
     rep_rate_hz: float = 8.2e7
     mu: float = 0.0829
-    law: str = "poissonian"
+    law: str = LAWS[0]
     modes: int | None = None
     alpha_signal: float = 0.1687
     alpha_idler: float = 0.2200
@@ -86,8 +84,8 @@ class SetupConfig:
     herald: FreeRunningDetector = FreeRunningDetector(efficiency=0.547, dark_rate_cps=90.0)
     idler_detector: GatedDetector = GatedDetector(efficiency=0.10, dark_prob_per_gate=2.5e-4, afterpulse_prob=1.0e-3)
     trigger_dead_time: DeadTimeSpec = DeadTimeSpec()
-    gate_rate_hz: float = 205000.0
-    coincidence_window: int = 1
+    gate_rate_hz: float = GATE_RATE_HZ
+    coincidence_window: int = COINCIDENCE_WINDOW
     _distribution: PairNumberDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -250,18 +248,6 @@ class G2Result:
     mode: str
 
 
-HBT_ARMS = ("signal_unconditioned", "idler_heralded")
-
-
-def _validate_mc_args(mode: str, n_pulses, seed) -> None:
-    if mode not in ("analytic", "monte_carlo"):
-        raise ValidationError(f"unknown mode {mode!r}; expected 'analytic' or 'monte_carlo'", "mode")
-    if mode == "monte_carlo":
-        check_seed(seed)
-        if n_pulses is None or require_integer("n_pulses", n_pulses) < MC_MIN_PULSES:
-            raise ValidationError(f"monte_carlo mode requires n_pulses >= {MC_MIN_PULSES}", "n_pulses")
-
-
 def _pgf(pmf: np.ndarray, x: Sequence[float]) -> list[float]:
     """E[x^n] over a truncated pair-number pmf at each point of ``x``, from one power table."""
     return (pmf * power_table(tuple(x), pmf.size)).sum(axis=1).tolist()
@@ -298,7 +284,7 @@ def simulate_counts(
     pair-number law; Monte Carlo simulates the pulse train and agrees within
     counting error.
     """
-    _validate_mc_args(mode, n_pulses, seed)
+    check_run(mode, n_pulses, seed)
     if mode == "monte_carlo":
         tally = _mc_tally(config, n_pulses, seed, "counts")
         duration = tally.pulses / config.rep_rate_hz
@@ -338,7 +324,7 @@ def heralded_photon_statistics(
     Includes the partner photons of the heralding pair and all extra-pair
     photons delivered in the same pulse.
     """
-    _validate_mc_args(mode, n_pulses, seed)
+    check_run(mode, n_pulses, seed)
     if mode == "monte_carlo":
         tally = _mc_tally(config, n_pulses, seed, "photons")
         if tally.heralds == 0:
@@ -359,7 +345,7 @@ def heralded_photon_statistics(
 
 def hbt_g2(
     config: SetupConfig,
-    arm: str = "signal_unconditioned",
+    arm: str = HBT_ARMS[0],
     splitter_ratio: float = 0.5,
     mode: str = "analytic",
     n_pulses: int | None = None,
@@ -376,7 +362,7 @@ def hbt_g2(
         raise ValidationError(f"unknown HBT arm {arm!r}; expected one of {HBT_ARMS}", "arm")
     if not (0.0 < splitter_ratio < 1.0):
         raise ValidationError(f"splitter ratio must lie in (0, 1), got {splitter_ratio}", "splitter_ratio")
-    _validate_mc_args(mode, n_pulses, seed)
+    check_run(mode, n_pulses, seed)
     if mode == "monte_carlo":
         t = _mc_tally(config, n_pulses, seed, arm, splitter_ratio)
         if t.n1 == 0 or t.n2 == 0:

@@ -28,9 +28,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .defaults import LAWS
 from .errors import DomainError, ResolutionWarning, ValidationError, require_finite
-
-LAWS = ("poissonian", "thermal", "multimode_thermal")
 
 # Adaptive truncation: extend the pmf until the remaining tail mass is below
 # TAIL_MASS, never beyond MAX_PAIRS pairs (mu <= 0.25 in all intended use).
@@ -60,7 +59,7 @@ def _log_factorials(size: int) -> np.ndarray:
 class PairNumberDistribution:
     """Pair-number law of the source, per pump pulse."""
 
-    law: str = "poissonian"
+    law: str = LAWS[0]
     mean: float = 0.0
     modes: int | None = None
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import defaults
 from .errors import (
     DomainError,
     EmptyMarginalError,
@@ -53,9 +54,8 @@ class SellmeierCoefficients:
         return np.sqrt(n2, out=out)
 
 
-# beta-barium borate dispersion, Kato, IEEE J. Quantum Electron. 22, 1013 (1986)
-BBO_KATO_1986_ORDINARY = SellmeierCoefficients(2.7359, 0.01878, 0.01822, 0.01354)
-BBO_KATO_1986_EXTRAORDINARY = SellmeierCoefficients(2.3753, 0.01224, 0.01667, 0.01516)
+BBO_KATO_1986_ORDINARY = SellmeierCoefficients(*defaults.BBO_KATO_1986_ORDINARY)
+BBO_KATO_1986_EXTRAORDINARY = SellmeierCoefficients(*defaults.BBO_KATO_1986_EXTRAORDINARY)
 
 # wavelengths in micrometres where the Sellmeier sets are trusted
 VALIDITY_WINDOW_UM = (0.2, 3.0)
@@ -67,9 +67,9 @@ class CrystalSpec:
 
     sellmeier_ordinary: SellmeierCoefficients = BBO_KATO_1986_ORDINARY
     sellmeier_extraordinary: SellmeierCoefficients = BBO_KATO_1986_EXTRAORDINARY
-    length_mm: float = 5.0
-    cut_angle_deg: float = 26.42
-    name: str = "BBO (Kato 1986)"
+    length_mm: float = defaults.CRYSTAL_LENGTH_MM
+    cut_angle_deg: float = defaults.CUT_ANGLE_DEG
+    name: str = defaults.CRYSTAL_NAME
 
     def __post_init__(self):
         if self.length_mm <= 0.0:
@@ -297,6 +297,12 @@ class JointSpectrum:
 
     def signal_marginal(self) -> np.ndarray:
         return self.intensity.sum(axis=1)
+
+
+def spectral_axes(*axes: tuple[float, float, int]) -> tuple[np.ndarray, ...]:
+    """An evenly spaced wavelength axis in nm for each ``(first, last, points)``,
+    as :func:`joint_spectral_intensity` takes them."""
+    return tuple(np.linspace(*axis) for axis in axes)
 
 
 # Cells per row block of the joint spectrum: 64 KB per block buffer, small

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .defaults import LOSS_DB_PER_KM
 from .errors import ValidationError, require_finite
 from .experiment import HeraldedStats, SetupConfig, heralded_photon_statistics, simulate_counts
 from .pair_source import REFERENCE_CALIBRATION_PER_MW
@@ -24,7 +25,7 @@ DISTANCE_RESOLUTION_KM = 0.1
 class ChannelSpec:
     """Fiber channel and receiver seen by the delivered photons."""
 
-    loss_db_per_km: float = 0.2
+    loss_db_per_km: float = LOSS_DB_PER_KM
     receiver_efficiency: float = 0.10
     receiver_dark_per_pulse: float = 2.5e-4
 

@@ -18,19 +18,22 @@ import hashlib
 import json
 import math
 import pickle
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
 import yaml
 
-from .detectors import DeadTimeSpec, FreeRunningDetector, GatedDetector
+from . import defaults as d
 from .errors import ValidationError
-from .experiment import CountRates, SetupConfig
-from .phase_matching import BBO_KATO_1986_EXTRAORDINARY, BBO_KATO_1986_ORDINARY, CrystalSpec, SellmeierCoefficients
-from .qkd import ChannelSpec
+
+if TYPE_CHECKING:  # the builders import their models when called
+    import numpy as np
+
+    from .experiment import CountRates, SetupConfig
+    from .phase_matching import CrystalSpec
+    from .qkd import ChannelSpec
 
 REQUIRED = ...  # the default of a key that has none
 
@@ -38,22 +41,28 @@ REQUIRED = ...  # the default of a key that has none
 class Leaf(NamedTuple):
     """A key that holds a value: its kind, the default a left-out key reads as,
     the model field it feeds as that model's ValidationError names it (None
-    where no model takes it), and whether it is descriptive (validated, but no
-    result depends on it)."""
+    where no model takes it), whether it is descriptive (validated, but no
+    result depends on it), and the values a ``choice`` may take."""
 
     kind: str
     default: object = REQUIRED
     field: str | None = None
     descriptive: bool = False
+    choices: tuple[str, ...] = ()
+
+
+def _choice(values: tuple[str, ...], field: str | None = None) -> Leaf:
+    """A key that takes one of ``values``, checked as the scenario is read; the first is its default."""
+    return Leaf("choice", values[0], field, choices=values)
 
 
 SCHEMA = {
     "crystal": {
-        "name": Leaf("str", CrystalSpec.name, "name"),
-        "length_mm": Leaf("float", CrystalSpec.length_mm, "length_mm"),
-        "cut_angle_deg": Leaf("float", CrystalSpec.cut_angle_deg, "cut_angle_deg"),
-        "sellmeier_ordinary": Leaf("sellmeier", astuple(BBO_KATO_1986_ORDINARY), "sellmeier_ordinary"),
-        "sellmeier_extraordinary": Leaf("sellmeier", astuple(BBO_KATO_1986_EXTRAORDINARY), "sellmeier_extraordinary"),
+        "name": Leaf("str", d.CRYSTAL_NAME, "name"),
+        "length_mm": Leaf("float", d.CRYSTAL_LENGTH_MM, "length_mm"),
+        "cut_angle_deg": Leaf("float", d.CUT_ANGLE_DEG, "cut_angle_deg"),
+        "sellmeier_ordinary": Leaf("sellmeier", d.BBO_KATO_1986_ORDINARY, "sellmeier_ordinary"),
+        "sellmeier_extraordinary": Leaf("sellmeier", d.BBO_KATO_1986_EXTRAORDINARY, "sellmeier_extraordinary"),
         "pump_center_nm": Leaf("float", REQUIRED, "pump_nm"),
         "pump_fwhm_nm": Leaf("float", REQUIRED, "pump_fwhm_nm"),
         "signal_center_nm": Leaf("float", REQUIRED, "signal_nm"),
@@ -68,9 +77,9 @@ SCHEMA = {
         },
     },
     "source": {
-        "law": Leaf("str", SetupConfig.law, "law"),
+        "law": _choice(d.LAWS, "law"),
         "mu": Leaf("float", REQUIRED, "mu"),
-        "modes": Leaf("int", SetupConfig.modes, "modes"),
+        "modes": Leaf("int", None, "modes"),
         "rep_rate_hz": Leaf("float", REQUIRED, "rep_rate_hz"),
         # the sweep derives pump power from mu and pairs_per_pulse_per_mw
         "pump_power_mw": Leaf("float", None, descriptive=True),
@@ -85,28 +94,28 @@ SCHEMA = {
     },
     "detectors": {
         "herald": {
-            "mode": Leaf("str", "free_running"),
+            "mode": _choice(d.HERALD_MODES),
             "efficiency": Leaf("float", REQUIRED, "efficiency"),
             "dark_rate_cps": Leaf("float", REQUIRED, "dark_rate_cps"),
             "afterpulse_prob": Leaf("float", 0.0),
         },
         "idler": {
-            "mode": Leaf("str", "gated"),
+            "mode": _choice(d.IDLER_MODES),
             "efficiency": Leaf("float", REQUIRED, "efficiency"),
             "dark_prob_per_gate": Leaf("float", REQUIRED, "dark_prob_per_gate"),
-            "afterpulse_prob": Leaf("float", GatedDetector.afterpulse_prob, "afterpulse_prob"),
+            "afterpulse_prob": Leaf("float", d.AFTERPULSE_PROB, "afterpulse_prob"),
             # the model counts per gate, whatever the gate's width
             "gate_width_ns": Leaf("float", None, descriptive=True),
-            "gate_rate_hz": Leaf("float", SetupConfig.gate_rate_hz, "gate_rate_hz"),
+            "gate_rate_hz": Leaf("float", d.GATE_RATE_HZ, "gate_rate_hz"),
         },
-        "coincidence_window_gates": Leaf("int", SetupConfig.coincidence_window, "coincidence_window"),
+        "coincidence_window_gates": Leaf("int", d.COINCIDENCE_WINDOW, "coincidence_window"),
     },
     "dead_time": {
         "tau_us": Leaf("float", REQUIRED, "tau_us"),
-        "model": Leaf("str", DeadTimeSpec.model, "model"),
+        "model": _choice(d.DEAD_TIME_MODELS, "model"),
     },
     "channel": {
-        "loss_db_per_km": Leaf("float", ChannelSpec.loss_db_per_km, "loss_db_per_km"),
+        "loss_db_per_km": Leaf("float", d.LOSS_DB_PER_KM, "loss_db_per_km"),
         "receiver_efficiency": Leaf("float", REQUIRED, "receiver_efficiency"),
         # added to both sides of the security bound, so it cancels in the secure distance
         "receiver_dark_per_pulse": Leaf("float", REQUIRED, "receiver_dark_per_pulse", descriptive=True),
@@ -119,12 +128,12 @@ SCHEMA = {
         "gate_rate_hz": Leaf("float", REQUIRED, "gate_rate"),
     },
     "run": {
-        "mode": Leaf("str", "analytic", "mode"),
+        "mode": _choice(d.RUN_MODES, "mode"),
         "n_pulses": Leaf("int", None, "n_pulses"),
         "seed": Leaf("int", None, "seed"),
         "outputs": Leaf("str", "out"),
         "sweep_mu": Leaf("number_list", None, "mu_values"),
-        "g2_arm": Leaf("str", "signal_unconditioned", "arm"),
+        "g2_arm": _choice(d.HBT_ARMS, "arm"),
         "splitter_ratio": Leaf("float", 0.5, "splitter_ratio"),
     },
 }
@@ -200,7 +209,7 @@ def _load_yaml(text: str, what: str = "scenario"):
 
 
 # strings such as "8.2e7", which YAML 1.1 leaves unparsed, are coerced to a numeric kind
-def _coerce(value, kind: str, dotted: str):
+def _coerce(value, kind: str, dotted: str, choices: tuple[str, ...] = ()):
     if kind == "float":
         if isinstance(value, bool) or value is None:
             raise ValidationError(f"scenario key {dotted!r} must be a number")
@@ -233,6 +242,10 @@ def _coerce(value, kind: str, dotted: str):
     if kind == "str":
         if not isinstance(value, str):
             raise ValidationError(f"scenario key {dotted!r} must be a string, got {value!r}")
+        return value
+    if kind == "choice":
+        if value not in choices:
+            raise ValidationError(f"scenario key {dotted!r}: expected one of {', '.join(choices)}, got {value!r}")
         return value
     raise AssertionError(f"unhandled schema kind {kind}")
 
@@ -273,6 +286,7 @@ class Section(dict):
                                   "scenario must be a mapping of sections")
         super().__init__()
         self.path, self.schema = path, schema
+        self._defaulted = {}  # the left-out sections read so far, kept beside the data
         for key, value in data.items():
             dotted = f"{path}{key}"
             if key not in schema:
@@ -281,14 +295,17 @@ class Section(dict):
             if isinstance(sub, dict):
                 value = Section(value, dotted + ".", sub)
             elif value is not None or sub.default is not None:  # a key whose default is no value may be null
-                value = _coerce(value, sub.kind, dotted)
+                value = _coerce(value, sub.kind, dotted, sub.choices)
             self[key] = value
 
     def __missing__(self, key):
         node = self.schema[key]
         if isinstance(node, dict):
+            if key in self._defaulted:
+                return self._defaulted[key]
             if all(leaf.default is not REQUIRED for _, leaf in leaves(node)):
-                return Section({}, f"{self.path}{key}.", node)
+                self._defaulted[key] = Section({}, f"{self.path}{key}.", node)
+                return self._defaulted[key]
         elif node.default is not REQUIRED:
             return node.default
         raise ValidationError(f"scenario is missing the required key {self.path + key!r}")
@@ -329,16 +346,16 @@ class Scenario:
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.data.plain(), sort_keys=True)
 
-    # ---- builders -------------------------------------------------------
+    # ---- builders: each imports its model when called ----------------------
     def to_setup_config(self) -> SetupConfig:
+        from .detectors import DeadTimeSpec, FreeRunningDetector, GatedDetector
+        from .experiment import SetupConfig
         loss = self.section("losses")
         det = self.section("detectors")
         idler = det["idler"]
-        # each arm has one operating mode, and the herald no afterpulsing: the model has no other
-        for arm, key in (("herald", "mode"), ("idler", "mode"), ("herald", "afterpulse_prob")):
-            default, value = det.schema[arm][key].default, det[arm][key]
-            if value != default:
-                raise ValidationError(f"scenario key 'detectors.{arm}.{key}' must be {default!r}, got {value!r}")
+        afterpulse = det["herald"]["afterpulse_prob"]
+        if afterpulse != 0.0:  # the herald model has no afterpulsing
+            raise ValidationError(f"scenario key 'detectors.herald.afterpulse_prob' must be 0.0, got {afterpulse!r}")
         return _build(
             SetupConfig, self.section("source"), "rep_rate_hz", "mu", "law", "modes",
             **{key: loss[key] for key in SCHEMA["losses"]},
@@ -350,11 +367,13 @@ class Scenario:
         )
 
     def to_crystal(self) -> CrystalSpec:
+        from .phase_matching import CrystalSpec, SellmeierCoefficients
         cry = self.section("crystal")
         sellmeier = {key: SellmeierCoefficients(*cry[key]) for key in ("sellmeier_ordinary", "sellmeier_extraordinary")}
         return _build(CrystalSpec, cry, "length_mm", "cut_angle_deg", "name", **sellmeier)
 
     def spectral_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        from .phase_matching import spectral_axes
         grid = self.section("crystal")["grid"]
         signal, idler = grid["signal_points"], grid["idler_points"]
         for axis, points in (("signal", signal), ("idler", idler)):
@@ -366,15 +385,16 @@ class Scenario:
                 f"scenario keys 'crystal.grid.signal_points' x 'crystal.grid.idler_points' ask for "
                 f"{signal} x {idler} cells; at most {MAX_GRID_CELLS} are allowed"
             )
-        return (
-            np.linspace(grid["signal_min_nm"], grid["signal_max_nm"], signal),
-            np.linspace(grid["idler_min_nm"], grid["idler_max_nm"], idler),
+        return spectral_axes(
+            (grid["signal_min_nm"], grid["signal_max_nm"], signal), (grid["idler_min_nm"], grid["idler_max_nm"], idler)
         )
 
     def to_channel(self) -> ChannelSpec:
+        from .qkd import ChannelSpec
         return _build(ChannelSpec, self.section("channel"), *SCHEMA["channel"])
 
     def to_counts(self) -> CountRates:
+        from .experiment import CountRates
         counts = self.section("counts")
         return _build(CountRates.from_dict, counts, record=counts)
 

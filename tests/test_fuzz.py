@@ -11,6 +11,7 @@ examples; ``--hypothesis-profile=fuzz`` runs the long derandomized budget.
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,24 +19,26 @@ from hypothesis import given, strategies as st
 
 from spdcherald import scenario
 from spdcherald.cli import COMMANDS, main
-from spdcherald.detectors import DEAD_TIME_MODELS
-from spdcherald.experiment import HBT_ARMS
-from spdcherald.pair_source import LAWS
 
 KEYS = [key for key, _ in scenario.leaves()]
 
-FLOATS = ["0", "-1", "-0.0", "1", "2", "0.999999", "30", "1e9", "1e300", "1e-300", "5e-324"]
+FLOATS = [
+    "0", "-1", "-0.0", "1", "2", "0.999999", "30", "1e9", "1e300", "1e303", repr(sys.float_info.max), "1e-300", "5e-324"
+]
 INTS = ["-1", "0", "1", "2", "3", "100000", "1000000000"]
 LISTS = ["[]", "[0.0]", "[1e300, 1, 1, 1]", "[0.01, 30.0]"]
-# valid values of the string keys, each drawn for any key
+# valid values of the string and choice keys, each drawn for any key
 STRINGS = sorted(
-    {*LAWS, *DEAD_TIME_MODELS, *HBT_ARMS, "monte_carlo"}
+    {choice for _, leaf in scenario.leaves() for choice in leaf.choices}
     | {leaf.default for _, leaf in scenario.leaves() if leaf.kind == "str"}
 )
 
 # half the values are of the key's own kind, so that sets reach the models
 VALUES = FLOATS + INTS + LISTS + STRINGS
-OWN_KIND = {"float": FLOATS + INTS, "int": FLOATS + INTS, "number_list": LISTS, "sellmeier": LISTS, "str": STRINGS}
+OWN_KIND = {
+    "float": FLOATS + INTS, "int": FLOATS + INTS, "number_list": LISTS, "sellmeier": LISTS, "str": STRINGS,
+    "choice": STRINGS,
+}
 
 
 @st.composite

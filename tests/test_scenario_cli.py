@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from spdcherald import cli, scenario as scenario_module
+from spdcherald import cli, defaults, scenario as scenario_module
 from spdcherald.cli import COMMANDS, main, run_scenario
 from spdcherald.errors import ValidationError
 from spdcherald.experiment import CountRates, reference_setup, simulate_counts
@@ -995,6 +995,45 @@ class TestSchema:
             assert scenario.data == yaml.safe_load(path.read_text())
         assert outputs[0] == outputs[1]
 
+    def test_choices_are_the_defaults_tuples(self):
+        choices = {key: leaf.choices for key, leaf in scenario_module.leaves() if leaf.kind == "choice"}
+        assert choices == {
+            "source.law": defaults.LAWS,
+            "detectors.herald.mode": defaults.HERALD_MODES,
+            "detectors.idler.mode": defaults.IDLER_MODES,
+            "dead_time.model": defaults.DEAD_TIME_MODELS,
+            "run.mode": defaults.RUN_MODES,
+            "run.g2_arm": defaults.HBT_ARMS,
+        }
+        for key, values in choices.items():
+            assert dict(scenario_module.leaves())[key].default == values[0]
+            for value in values:
+                parse_scenario(bundled_text(), [f"{key}={value}"])
+
+    @pytest.mark.parametrize("command,override", [("phasematch", "source.law=foo"), ("simulate", "run.g2_arm=foo")])
+    def test_bad_choice_exits_2_in_a_subcommand_that_does_not_read_it(self, tmp_path, capsys, command, override):
+        assert main([command, BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
+        key = override.split("=")[0]
+        assert f"validation error: scenario key {key!r}: expected one of " in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_left_out_section_is_built_once_beside_the_data(self, monkeypatch):
+        data = yaml.safe_load(bundled_text())
+        del data["run"]
+        scenario = Scenario(data)
+        sha = scenario.sha256()
+        built, init = [], scenario_module.Section.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(scenario_module.Section, "__init__", counted)
+        assert scenario.section("run") is scenario.section("run")
+        assert scenario.section("run")["mode"] == "analytic"
+        assert len(built) == 1
+        assert "run" not in scenario.data and scenario.sha256() == sha
+
     def test_descriptive_keys_are_the_schemas(self):
         assert DESCRIPTIVE_KEYS == {key for key, leaf in scenario_module.leaves() if leaf.descriptive}
 
@@ -1026,7 +1065,58 @@ class TestSchema:
         assert scenario_module.named(unnamed) is unnamed
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, spdcherald.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+class TestImportGraph:
+    """Each subcommand loads only the package modules it runs, and no scipy."""
+
+    # besides the modules every subcommand loads: cli, scenario, errors, defaults and the bundled data
+    MODELS = {
+        "simulate": {"detectors", "pair_source", "experiment"},
+        "g2": {"detectors", "pair_source", "experiment"},
+        "herald-stats": {"detectors", "pair_source", "experiment", "qkd"},
+        "sweep": {"detectors", "pair_source", "experiment", "qkd"},
+        "estimate": {"detectors", "pair_source", "experiment", "estimator"},
+        "wcp-compare": {"detectors", "pair_source", "experiment", "estimator"},
+        "phasematch": {"phase_matching"},
+        "spectrum": {"phase_matching"},
+    }
+
+    @staticmethod
+    def _run(code: str, *args: str) -> list:
+        out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    def test_table_covers_every_subcommand(self):
+        assert set(self.MODELS) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_loads_only_what_it_runs(self, tmp_path, command):
+        # as the spdcherald console script runs it: import spdcherald.cli, call main
+        code = (
+            "import json, sys, spdcherald.cli; code = spdcherald.cli.main(sys.argv[1:]); "
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('spdcherald', 'scipy'))]))"
+        )
+        code, loaded = self._run(code, command, BUNDLED, "--out-dir", str(tmp_path))
+        expected = {"cli", "scenario", "errors", "defaults", "data"} | self.MODELS[command]
+        assert code == 0
+        assert loaded == sorted({"spdcherald"} | {f"spdcherald.{module}" for module in expected})
+
+    def test_package_loads_no_submodule_and_cli_no_numpy(self):
+        code = (
+            "import json, sys, spdcherald; package = [m for m in sys.modules if m.startswith('spdcherald.')]; "
+            "import spdcherald.cli; print(json.dumps([package, 'numpy' in sys.modules]))"
+        )
+        assert self._run(code) == [[], False]
+
+    def test_every_public_name_resolves_to_its_modules(self):
+        import importlib
+
+        import spdcherald
+
+        assert spdcherald.__all__[0] == "__version__" and len(set(spdcherald.__all__)) == len(spdcherald.__all__)
+        for name in spdcherald.__all__[1:]:
+            module = importlib.import_module(f"spdcherald.{spdcherald._MODULE_OF[name]}")
+            assert getattr(spdcherald, name) is getattr(module, name), name
+        assert set(spdcherald.__all__) <= set(dir(spdcherald))
+        assert spdcherald.qkd is importlib.import_module("spdcherald.qkd")
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            spdcherald.nonexistent
