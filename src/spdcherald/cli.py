@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, defaults
 from .errors import DomainError, EstimationError, NumericalError, SpdcHeraldError, ValidationError, check_run
 from .scenario import SCHEMA, Scenario, keyed, load_scenario, named
 
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("scenario", help="scenario file path or bundled name (e.g. paper.scenario)")
     common.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                         help="override a scenario entry, e.g. source.mu=0.1")
-    common.add_argument("--mode", choices=["analytic", "monte_carlo"], default=None)
+    common.add_argument("--mode", choices=defaults.RUN_MODES, default=None)
     common.add_argument("--pulses", type=int, default=None, help="Monte Carlo pulse count")
     common.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
     common.add_argument("--out-dir", default=None,

@@ -61,7 +61,7 @@ def check_run(mode: str, n_pulses, seed) -> None:
     """Raise :class:`ValidationError` unless ``mode`` is a run mode and, for
     the Monte Carlo, ``n_pulses`` and ``seed`` are what it needs."""
     if mode not in RUN_MODES:
-        raise ValidationError(f"unknown mode {mode!r}; expected 'analytic' or 'monte_carlo'", "mode")
+        raise ValidationError(f"unknown mode {mode!r}; expected {' or '.join(map(repr, RUN_MODES))}", "mode")
     if mode == "monte_carlo":
         check_seed(seed)
         if n_pulses is None or require_integer("n_pulses", n_pulses) < MC_MIN_PULSES:

@@ -299,12 +299,6 @@ class JointSpectrum:
         return self.intensity.sum(axis=1)
 
 
-def spectral_axes(*axes: tuple[float, float, int]) -> tuple[np.ndarray, ...]:
-    """An evenly spaced wavelength axis in nm for each ``(first, last, points)``,
-    as :func:`joint_spectral_intensity` takes them."""
-    return tuple(np.linspace(*axis) for axis in axes)
-
-
 # Cells per row block of the joint spectrum: 64 KB per block buffer, small
 # enough to stay in cache and to be reused without page faults, and large
 # enough that the per-block call overhead stays small.

@@ -286,7 +286,6 @@ class Section(dict):
                                   "scenario must be a mapping of sections")
         super().__init__()
         self.path, self.schema = path, schema
-        self._defaulted = {}  # the left-out sections read so far, kept beside the data
         for key, value in data.items():
             dotted = f"{path}{key}"
             if key not in schema:
@@ -301,11 +300,8 @@ class Section(dict):
     def __missing__(self, key):
         node = self.schema[key]
         if isinstance(node, dict):
-            if key in self._defaulted:
-                return self._defaulted[key]
             if all(leaf.default is not REQUIRED for _, leaf in leaves(node)):
-                self._defaulted[key] = Section({}, f"{self.path}{key}.", node)
-                return self._defaulted[key]
+                return Section({}, f"{self.path}{key}.", node)
         elif node.default is not REQUIRED:
             return node.default
         raise ValidationError(f"scenario is missing the required key {self.path + key!r}")
@@ -353,9 +349,9 @@ class Scenario:
         loss = self.section("losses")
         det = self.section("detectors")
         idler = det["idler"]
-        afterpulse = det["herald"]["afterpulse_prob"]
-        if afterpulse != 0.0:  # the herald model has no afterpulsing
-            raise ValidationError(f"scenario key 'detectors.herald.afterpulse_prob' must be 0.0, got {afterpulse!r}")
+        afterpulse, default = det["herald"]["afterpulse_prob"], det.schema["herald"]["afterpulse_prob"].default
+        if afterpulse != default:  # the herald model has no afterpulsing
+            raise ValidationError(f"scenario key 'detectors.herald.afterpulse_prob' must be {default}, got {afterpulse!r}")
         return _build(
             SetupConfig, self.section("source"), "rep_rate_hz", "mu", "law", "modes",
             **{key: loss[key] for key in SCHEMA["losses"]},
@@ -373,7 +369,7 @@ class Scenario:
         return _build(CrystalSpec, cry, "length_mm", "cut_angle_deg", "name", **sellmeier)
 
     def spectral_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        from .phase_matching import spectral_axes
+        import numpy as np
         grid = self.section("crystal")["grid"]
         signal, idler = grid["signal_points"], grid["idler_points"]
         for axis, points in (("signal", signal), ("idler", idler)):
@@ -385,9 +381,8 @@ class Scenario:
                 f"scenario keys 'crystal.grid.signal_points' x 'crystal.grid.idler_points' ask for "
                 f"{signal} x {idler} cells; at most {MAX_GRID_CELLS} are allowed"
             )
-        return spectral_axes(
-            (grid["signal_min_nm"], grid["signal_max_nm"], signal), (grid["idler_min_nm"], grid["idler_max_nm"], idler)
-        )
+        return (np.linspace(grid["signal_min_nm"], grid["signal_max_nm"], signal),
+                np.linspace(grid["idler_min_nm"], grid["idler_max_nm"], idler))
 
     def to_channel(self) -> ChannelSpec:
         from .qkd import ChannelSpec

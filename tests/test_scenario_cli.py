@@ -1017,23 +1017,6 @@ class TestSchema:
         assert f"validation error: scenario key {key!r}: expected one of " in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_left_out_section_is_built_once_beside_the_data(self, monkeypatch):
-        data = yaml.safe_load(bundled_text())
-        del data["run"]
-        scenario = Scenario(data)
-        sha = scenario.sha256()
-        built, init = [], scenario_module.Section.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(scenario_module.Section, "__init__", counted)
-        assert scenario.section("run") is scenario.section("run")
-        assert scenario.section("run")["mode"] == "analytic"
-        assert len(built) == 1
-        assert "run" not in scenario.data and scenario.sha256() == sha
-
     def test_descriptive_keys_are_the_schemas(self):
         assert DESCRIPTIVE_KEYS == {key for key, leaf in scenario_module.leaves() if leaf.descriptive}
 
