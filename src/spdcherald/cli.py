@@ -181,7 +181,7 @@ def _sweep(scenario: Scenario, run: dict) -> tuple:
     src = scenario.section("source")
     rows = pump_sweep(
         scenario.to_setup_config(),
-        run["sweep_mu"] or [src["mu"]],
+        [src["mu"]] if run["sweep_mu"] is None else run["sweep_mu"],
         scenario.to_channel(),
         pairs_per_pulse_per_mw=src["pairs_per_pulse_per_mw"],
     )

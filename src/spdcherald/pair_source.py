@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -176,73 +174,29 @@ def thin(pmf: np.ndarray, survival: float) -> np.ndarray:
         out = np.zeros_like(p)
         out[0] = p.sum()
         return out
-    return p @ _thinning_matrix(s, p.size)
+    return p @ (_thinning_matrix if p.size <= MAX_PAIRS + 1 else _thinning_matrix.__wrapped__)(s, p.size)
 
 
-# Tables that depend on a survival but never on mu are kept per survival, since
-# every row of a pump sweep shares its optics while its pmf length follows mu.
-# A survival's first table has the length asked for; asked again for more, it
-# is rebuilt once at MAX_PAIRS + 1, the longest a pmf_vector can be, and every
-# request reads a slice of it, bit-identical to a table built at that length.
-# So a sweep builds each table at most twice, whatever the order of its rows
-# or of the calls between them, and a survival seen once (the fitted couplings
-# of an inversion) costs one table of its own length.  A longer fixed n_max
-# builds its tables per call.
-def _per_survival_cache(entries: int, square: bool):
-    """Keep ``build(key, size)`` for the ``entries`` most recently used keys; a
-    lookup returns its first ``size`` columns, and rows too if ``square``.
-    Callers share a cached table, so every table built is read-only."""
-
-    def decorate(build):
-        tables: OrderedDict = OrderedDict()
-        get, move_to_end = tables.get, tables.move_to_end
-        lock = threading.Lock()  # one thread at a time inserts and evicts
-
-        def readonly(key, size):
-            table = build(key, size)
-            table.setflags(write=False)
-            return table
-
-        @functools.wraps(build)
-        def lookup(key, size: int) -> np.ndarray:
-            table = get(key)
-            if table is not None and size <= table.shape[1]:
-                try:
-                    move_to_end(key)
-                except KeyError:  # evicted by another thread since the get: the table still serves
-                    pass
-            elif size > MAX_PAIRS + 1:
-                return readonly(key, size)
-            else:
-                with lock:
-                    table = get(key)
-                    if table is None:
-                        tables[key] = table = readonly(key, size)
-                        if len(tables) > entries:
-                            tables.popitem(last=False)
-                    elif table.shape[1] < size:
-                        tables[key] = table = readonly(key, MAX_PAIRS + 1)
-                    move_to_end(key)
-            return table[:size, :size] if square else table[:, :size]
-
-        lookup.tables = tables
-        return lookup
-
-    return decorate
-
-
-@_per_survival_cache(256, square=False)  # at most 256 x 3 x 65 floats: 0.4 MB
+# The tables are cached per (survival, length), since every row of a pump sweep
+# shares its optics while its pmf length follows mu.  Callers share a cached
+# table, so each builder marks its table read-only.  Only pmf lengths, at most
+# MAX_PAIRS + 1, are passed to the caches: thin builds a longer matrix per call.
+@functools.lru_cache(maxsize=256)  # at most 256 x 3 x 65 floats: 0.4 MB
 def power_table(points: tuple[float, ...], size: int) -> np.ndarray:
     """``x**n`` for n < ``size``, one row per point x of ``points``."""
-    return np.array(points)[:, None] ** np.arange(size)
+    table = np.array(points)[:, None] ** np.arange(size)
+    table.setflags(write=False)
+    return table
 
 
-@_per_survival_cache(64, square=True)  # at most 64 x 65 x 65 floats: 2.2 MB
+@functools.lru_cache(maxsize=256)  # at most 256 x 65 x 65 floats: 8.7 MB
 def _thinning_matrix(survival: float, size: int) -> np.ndarray:
     """``C(n, k) s^k (1-s)^(n-k)`` for n, k < ``size``: row n is the law of the
     survivors of n photons, each surviving with ``s`` (0 < s < 1)."""
     log_c, k, n_minus_k = _log_binomial_grid(size)
-    return np.exp(log_c + k * np.log(survival) + n_minus_k * np.log1p(-survival))
+    table = np.exp(log_c + k * np.log(survival) + n_minus_k * np.log1p(-survival))
+    table.setflags(write=False)
+    return table
 
 
 def _log_binomial_grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -139,6 +139,8 @@ def pump_sweep(
     failing row is reported with its error message instead of being dropped.
     """
     mu_list = [float(m) for m in mu_values]
+    if not mu_list:
+        raise ValidationError("mu values must not be empty", "mu_values")
     if any(m <= 0.0 for m in mu_list):
         raise ValidationError("mu values must be positive", "mu_values")
     if sorted(mu_list) != mu_list:

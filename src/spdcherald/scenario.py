@@ -12,7 +12,6 @@ which is never written into the data, so a scenario hashes as it is written.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import json
@@ -250,13 +249,8 @@ def _coerce(value, kind: str, dotted: str, choices: tuple[str, ...] = ()):
     raise AssertionError(f"unhandled schema kind {kind}")
 
 
-def apply_overrides(data: dict, overrides: list[str]) -> dict:
-    """A copy of ``data`` with ``section.key=value`` overrides applied; values are parsed as YAML."""
-    return _override(copy.deepcopy(data), overrides)
-
-
 def _override(out: dict, overrides: list[str]) -> dict:
-    """``out`` with the overrides applied in place."""
+    """``out`` with the ``section.key=value`` overrides applied in place; values are parsed as YAML."""
     for item in overrides:
         if "=" not in item:
             raise ValidationError(f"override {item!r} is not of the form path=value")

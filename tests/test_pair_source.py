@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -340,96 +338,39 @@ class TestBitIdentity:
             assert np.array_equal(thin(pmf, s), log_space_thin(pmf, s))
 
     def test_grid_cache_holds_only_pmf_sizes(self):
-        caches = (pair_source._thinning_matrix.tables, pair_source.power_table.tables)
-        for tables in caches:
-            tables.clear()
+        caches = (pair_source._thinning_matrix, pair_source._pmf_length_grid)
+        for cache in caches:
+            cache.cache_clear()
         for _ in range(2):
             thin(np.full(MAX_PAIRS + 2, 1.0 / (MAX_PAIRS + 2)), 0.5)
-            pair_source.power_table((0.5,), MAX_PAIRS + 2)
         # past MAX_PAIRS + 1 nothing is cached
-        assert [len(tables) for tables in caches] == [0, 0]
-        first = [pair_source._thinning_matrix(0.5, 10), pair_source.power_table((0.5,), 10)]
-        again = [pair_source._thinning_matrix(0.5, 10), pair_source.power_table((0.5,), 10)]
-        # the repeated call hits the cache: it reads the table the first one built
-        assert all(np.shares_memory(a, b) for a, b in zip(first, again))
-        assert [len(tables) for tables in caches] == [1, 1]
-        # a grid is built once per size up to MAX_PAIRS + 1, and a longer one is not kept
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+        for size in (MAX_PAIRS + 1, 10, MAX_PAIRS + 1, 10):
+            thin(np.full(size, 1.0 / size), 0.5)
+        # each repeated call reads the matrix the first one built, and each grid is built once
+        assert [cache.cache_info()[:2] for cache in caches] == [(2, 2), (0, 2)]
+        power = pair_source.power_table
+        power.cache_clear()
+        assert power((0.5,), 10) is power((0.5,), 10)
+        assert power.cache_info()[:2] == (1, 1)
+        # a longer grid asked for directly is not kept either
         grids = pair_source._pmf_length_grid
         grids.cache_clear()
         for size in (MAX_PAIRS + 1, MAX_PAIRS + 2, MAX_PAIRS + 1, MAX_PAIRS + 2):
             pair_source._log_binomial_grid(size)
         assert (grids.cache_info().hits, grids.cache_info().currsize) == (1, 1)
 
-    def test_a_survival_is_built_at_most_twice(self):
-        # a sweep's pmf lengths follow mu in any order; past the first length, one
-        # table at MAX_PAIRS + 1 serves every length
-        tables = pair_source._thinning_matrix.tables
-        tables.clear()
-        pair_source._thinning_matrix(0.25, 12)
-        assert tables[0.25].shape == (12, 12)
-        pair_source._thinning_matrix(0.25, 5)
-        assert tables[0.25].shape == (12, 12)
-        pair_source._thinning_matrix(0.25, 13)
-        full = tables[0.25]
-        assert full.shape == (MAX_PAIRS + 1, MAX_PAIRS + 1)
-        for size in (MAX_PAIRS + 1, 1, 30, 12):
-            assert np.shares_memory(pair_source._thinning_matrix(0.25, size), full)
-        assert tables[0.25] is full
-
-    def test_least_recently_used_survival_is_dropped(self):
-        tables = pair_source.power_table.tables
-        tables.clear()
-        keys = [(0.001 * i,) for i in range(1, 258)]
-        for key in keys[:256]:
-            pair_source.power_table(key, 8)
-        pair_source.power_table(keys[0], 8)  # used again: now the most recent
-        pair_source.power_table(keys[256], 8)
-        assert len(tables) == 256
-        assert keys[1] not in tables and keys[0] in tables and keys[256] in tables
-
-    def test_threads_share_the_tables(self):
-        # 300 survivals cycle through 256 entries from 8 threads switching often, so
-        # a lookup's hit and another's eviction interleave; each must see its table
-        tables = pair_source.power_table.tables
-        tables.clear()
-        errors = []
-
-        def work(seed):
-            keys = [(0.001 * i,) for i in np.random.default_rng(seed).permutation(300)]
-            try:
-                for i in range(20000):
-                    key, size = keys[i % 300], 1 + i % (MAX_PAIRS + 1)
-                    table = pair_source.power_table(key, size)
-                    if i % 97 == 0 and not np.array_equal(table, np.array(key)[:, None] ** np.arange(size)):
-                        errors.append((key, size))
-            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert len(tables) == 256
-
     @pytest.mark.parametrize("size", range(1, MAX_PAIRS + 2))
-    def test_slices_match_tables_of_their_own_length(self, size):
-        pair_source.power_table((0.3, 0.7, 0.999), MAX_PAIRS + 1)
-        pair_source._thinning_matrix(0.3, MAX_PAIRS + 1)
-        log_c, k, n_minus_k = pair_source._build_log_binomial_grid(size)
+    def test_cached_tables_match_fresh_builds(self, size):
+        grid = pair_source._build_log_binomial_grid(size)
+        log_c, k, n_minus_k = grid
         points = np.array([0.3, 0.7, 0.999])[:, None]
-        assert np.array_equal(pair_source.power_table((0.3, 0.7, 0.999), size), points ** np.arange(size))
-        assert np.array_equal(
-            pair_source._thinning_matrix(0.3, size), np.exp(log_c + k * np.log(0.3) + n_minus_k * np.log1p(-0.3))
-        )
-        assert all(np.array_equal(a, b) for a, b in zip(pair_source._log_binomial_grid(size), (log_c, k, n_minus_k)))
+        for _ in range(2):  # the build, then the cached table
+            assert np.array_equal(pair_source.power_table((0.3, 0.7, 0.999), size), points ** np.arange(size))
+            assert np.array_equal(
+                pair_source._thinning_matrix(0.3, size), np.exp(log_c + k * np.log(0.3) + n_minus_k * np.log1p(-0.3))
+            )
+            assert all(np.array_equal(a, b) for a, b in zip(pair_source._log_binomial_grid(size), grid))
 
     @pytest.mark.parametrize("size", [MAX_PAIRS + 1, MAX_PAIRS + 2])
     def test_tables_are_read_only(self, size):

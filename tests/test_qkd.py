@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spdcherald import pair_source
 from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec
 from spdcherald.errors import ResolutionWarning, ValidationError
 from spdcherald.experiment import HeraldedStats, heralded_photon_statistics, reference_setup, simulate_counts
@@ -273,6 +274,30 @@ class TestPumpSweep:
         assert repr(rows) == repr(reference_sweep(base, mu_values, CHANNEL))
         assert rows[-1].error == "ValidationError: mean pair number must be finite, got inf"
 
+    def test_rows_do_not_depend_on_the_table_caches(self):
+        # cold caches, warm ones, and ones whose tables 300 one-off survivals evicted
+        caches = (pair_source.power_table, pair_source._thinning_matrix)
+        laws = [("poissonian", None), ("thermal", None), ("multimode_thermal", 3)]
+        configs = [reference_setup(law=law, modes=modes) for law, modes in laws]
+        mu_values = [0.02, 0.0829, 0.25, 0.4]
+
+        def outputs():
+            stats = [heralded_photon_statistics(config, mode="analytic").p.tolist() for config in configs]
+            return repr(([pump_sweep(config, mu_values, CHANNEL) for config in configs], stats))
+
+        for cache in caches:
+            cache.cache_clear()
+        cold = outputs()
+        warm = outputs()
+        assert all(cache.cache_info().hits for cache in caches)
+        for i in range(300):
+            survival = 0.5 + 1e-4 * i
+            pair_source.power_table((survival,), 12)
+            pair_source._thinning_matrix(survival, 12)
+        assert [cache.cache_info().currsize for cache in caches] == [256, 256]
+        evicted = outputs()
+        assert cold == warm == evicted
+
     def test_reference_row(self):
         rows = pump_sweep(reference_setup(), [0.0829], CHANNEL)
         row = rows[0]
@@ -303,10 +328,10 @@ class TestPumpSweep:
         assert ratio_high / ratio_low == pytest.approx(2.0, rel=0.10)
 
     def test_mu_values_validated(self):
-        with pytest.raises(ValidationError):
-            pump_sweep(reference_setup(), [0.1, 0.05], CHANNEL)
-        with pytest.raises(ValidationError):
-            pump_sweep(reference_setup(), [-0.1], CHANNEL)
+        for mu_values in ([0.1, 0.05], [-0.1], []):  # an empty sweep returned no rows
+            with pytest.raises(ValidationError) as exc:
+                pump_sweep(reference_setup(), mu_values, CHANNEL)
+            assert exc.value.field == "mu_values"
 
     def test_truncated_row_warns_once(self):
         # the row's counts and heralded statistics read one pmf of the setup

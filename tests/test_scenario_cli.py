@@ -14,7 +14,7 @@ from spdcherald import cli, defaults, scenario as scenario_module
 from spdcherald.cli import COMMANDS, main, run_scenario
 from spdcherald.errors import ValidationError
 from spdcherald.experiment import CountRates, reference_setup, simulate_counts
-from spdcherald.scenario import Scenario, apply_overrides, load_scenario, parse_scenario
+from spdcherald.scenario import Scenario, load_scenario, parse_scenario
 
 BUNDLED = "paper.scenario"
 
@@ -70,9 +70,17 @@ class TestScenarioParsing:
         with pytest.raises(ValidationError, match="source.muu"):
             parse_scenario(bundled_text(), overrides=["source.muu=0.1"])
 
-    def test_override_malformed(self):
-        with pytest.raises(ValidationError):
-            apply_overrides({}, ["no_equals_sign"])
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("no_equals_sign", "is not of the form path=value"),
+            ("source..mu=0.1", "is malformed"),
+            ("source.mu.x=0.1", "crosses a scalar"),
+        ],
+    )
+    def test_override_malformed(self, override, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_scenario(bundled_text(), overrides=[override])
 
     def test_counts_section(self):
         counts = load_scenario(BUNDLED).to_counts()
@@ -225,13 +233,6 @@ class TestParseCache:
         assert parse_scenario(bundled_text(), overrides).data == expected
         # validation coerced the load's own copy, never the cached value
         assert repr(scenario_module._load_yaml("{signal_points: 11.0}")) == "{'signal_points': 11.0}"
-
-    def test_apply_overrides_leaves_its_argument(self):
-        data = yaml.safe_load(bundled_text())
-        before = copy.deepcopy(data)
-        out = apply_overrides(data, ["source.mu=0.2", self.GRID])
-        assert data == before
-        assert (out["source"]["mu"], out["crystal"]["grid"]) == (0.2, {"signal_points": 11.0})
 
     def test_invalid_yaml_raises_the_same_error_each_time(self):
         bad_text = bundled_text().replace("  mu: 0.0829", "     mu: 0.0829")
@@ -431,6 +432,13 @@ class TestCli:
         mus = [float(r[0]) for r in rows[1:]]
         assert mus == sorted(mus)
 
+    def test_sweep_mu_left_out_sweeps_source_mu(self, tmp_path):
+        argv = ["sweep", BUNDLED, "--override", "run.sweep_mu=null", "--override", "source.mu=0.05"]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        with (tmp_path / "sweep.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        assert [float(r[0]) for r in rows[1:]] == [0.05]
+
     def test_phasematch_and_spectrum(self, tmp_path):
         assert main(["phasematch", BUNDLED, "--out-dir", str(tmp_path)]) == 0
         pm = json.loads((tmp_path / "phasematch.json").read_text())
@@ -610,6 +618,7 @@ class TestCli:
             ("sweep", "channel.receiver_dark_per_pulse=2"),
             ("sweep", "run.sweep_mu=[-1]"),
             ("sweep", "run.sweep_mu=[0.2, 0.1]"),
+            ("sweep", "run.sweep_mu=[]"),
             ("estimate", "counts.signal_singles_cps=-1"),
             ("phasematch", "crystal.pump_center_nm=2000"),
             ("phasematch", "crystal.pump_center_nm=100"),
