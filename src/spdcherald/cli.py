@@ -52,7 +52,8 @@ def _run_params(scenario: Scenario, args) -> dict:
 
 
 def _counts_from_file(path: str) -> CountRates:
-    """CountRates from a JSON record (as written by `simulate`) or a CSV row."""
+    """CountRates from a JSON record (as written by `simulate`) or a CSV of a
+    header and exactly one data row of as many cells."""
     from .experiment import CountRates
     p = Path(path)
     if not p.is_file():
@@ -60,10 +61,15 @@ def _counts_from_file(path: str) -> CountRates:
     try:
         if p.suffix.lower() == ".csv":
             with p.open() as fh:
-                rows = list(csv.reader(fh))
-            if len(rows) < 2:
-                raise ValidationError("no data row")
-            record = dict(zip(rows[0], rows[1]))
+                rows = [row for row in csv.reader(fh) if row]  # a blank line holds no cells
+            if len(rows) != 2:
+                raise ValidationError(f"expected a header and one data row, found {len(rows)} rows")
+            header, values = rows
+            if len(values) != len(header):
+                raise ValidationError(f"the data row has {len(values)} cells for {len(header)} header cells")
+            if len(set(header)) != len(header):
+                raise ValidationError(f"the header names a column twice: {','.join(header)}")
+            record = dict(zip(header, values))
         else:
             loaded = json.loads(p.read_text())
             record = loaded.get("result", loaded) if isinstance(loaded, dict) else loaded

@@ -12,7 +12,8 @@ setup's own pair-number law.  Each click probability has the form
 function and ``d`` the dark probability: the herald dark for signal singles,
 the per-gate dark for idler singles (after dividing out the afterpulse
 inflation ``1 + p_ap``), and the window dark for coincidences.  ``G^-1`` of
-the law turns each generating value into a mean detected pair number
+the law, :meth:`~spdcherald.pair_source.PairNumberDistribution.detected_mean`,
+turns each generating value into a mean detected pair number
 ``x = mu * beta``: ``-ln g`` (poissonian), ``1/g - 1`` (thermal),
 ``M expm1(-ln g / M)`` (M thermal modes).  Singles give ``mu beta_s`` and
 ``mu beta_i``, coincidences ``mu beta_s beta_i``; their ratios give mu and
@@ -70,12 +71,7 @@ def _mean_detected(setup: SetupConfig, p_click: float, floor: float, dark: float
     if p_click >= 1.0:
         raise InfeasibleCountsError(f"{what}: click probability {p_click:.3e} must be < 1")
     # 1 - g, kept apart from g so that small rates lose no digits
-    c = (p_click - floor) / (1.0 - dark)
-    if setup.law == "poissonian":
-        return -math.log1p(-c)
-    if setup.law == "thermal":
-        return c / (1.0 - c)
-    return setup.modes * math.expm1(-math.log1p(-c) / setup.modes)
+    return setup.pair_distribution().detected_mean((p_click - floor) / (1.0 - dark))
 
 
 def _calibration(setup: SetupConfig, *fields: str) -> float:

@@ -31,9 +31,11 @@ last.  Given the herald count, multinomials by pair number give the herald
 classes and the other pulses.  The pass then makes the draws of the one
 reduction asked for and adds them to a record of integer tallies; count
 rates, heralded P(n) and g2 are arithmetic on that record, and all three
-condition on the same heralds.  Each block draws from its own counter-based
-substream and only the dead time is carried between blocks, so fixed
-(config, n_pulses, seed) gives bit-identical results.
+condition on the same heralds; a herald's photons are drawn from the one
+Binomial(n, b) table that ``thin`` sums,
+:func:`~spdcherald.pair_source.thinning_table`.  Each block draws from its
+own counter-based substream and only the dead time is carried between
+blocks, so fixed (config, n_pulses, seed) gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .detectors import (
 )
 from .defaults import COINCIDENCE_WINDOW, GATE_RATE_HZ, HBT_ARMS, LAWS
 from .errors import EstimationError, ValidationError, check_run, require_finite
-from .pair_source import MAX_PAIRS, PairNumberDistribution, power_table, thin
+from .pair_source import MAX_PAIRS, PairNumberDistribution, power_table, thin, thinning_table
 
 
 @dataclass(frozen=True)
@@ -393,19 +395,6 @@ def _none_of(p: float, size: int) -> np.ndarray:
     return power_table((1.0 - p,), size)[0]
 
 
-def _binomial_coefficients(size: int) -> np.ndarray:
-    """C(n, m) for n, m < ``size``, as floats.
-
-    The Pascal triangle is summed in int64, exact while C(size - 1, .) stays
-    below 2**63, which holds up to size 67; a pmf has at most MAX_PAIRS + 1
-    = 65 entries."""
-    comb = np.zeros((size, size), dtype=np.int64)
-    comb[:, 0] = 1
-    for n in range(1, size):
-        comb[n, 1:] = comb[n - 1, 1:] + comb[n - 1, :-1]
-    return comb.astype(float)
-
-
 @dataclass
 class _Tally:
     """Integer tallies of one Monte Carlo pass over ``pulses`` pulses.  Every
@@ -479,9 +468,7 @@ def _mc_tally(config: SetupConfig, n_pulses: int, seed: int, reduction: str, rat
         ap = config.idler_detector.afterpulse_prob
     elif reduction == "photons":
         # a herald's n pairs put Binomial(n, b_out) photons at the output plane
-        n, m = np.ogrid[: pmf.size, : pmf.size]
-        b = config.output_survival
-        output = _binomial_coefficients(pmf.size) * b**m * (1.0 - b) ** np.maximum(n - m, 0)
+        output = thinning_table(config.output_survival, pmf.size)
         tally.photons = np.zeros(pmf.size, dtype=np.int64)
     else:
         # signal arm: fiber-coupled signal light split on the HBT coupler, one

@@ -9,10 +9,11 @@ the mean pair number ``mu``.  Three laws are supported:
   the poissonian law as the mode count grows.
 
 Loss (coupling, bulk optics, detector efficiency) acts by binomial thinning:
-every photon survives independently with the channel transmission.
-
-Factorials come from a table of :func:`log_factorial` (exact integer factorials),
-so the module needs only numpy and the standard library.
+every photon survives independently with the channel transmission, through
+one table (:func:`thinning_table`) that :func:`thin` sums and the Monte Carlo
+draws from.  Binomial coefficients come from an exact int64 Pascal triangle and
+factorials from :func:`log_factorial`, so the module needs only numpy and the
+standard library.
 """
 
 from __future__ import annotations
@@ -100,15 +101,12 @@ class PairNumberDistribution:
             n_plus_m = np.array(range(m, m + size), dtype=float)
         return np.exp(log_c + (n * np.log(mu / m) - n_plus_m * np.log1p(mu / m)))
 
-    def pmf_vector(self, n_max: int | None = None) -> np.ndarray:
+    def pmf_vector(self) -> np.ndarray:
         """Truncated pmf ``p[0..N]`` with tail mass below :data:`TAIL_MASS`.
 
-        ``n_max`` forces a fixed truncation instead of the adaptive one.  The
-        adaptive one stops at :data:`MAX_PAIRS` and warns with the dropped
+        The truncation stops at :data:`MAX_PAIRS` and warns with the dropped
         tail mass if that is above :data:`TAIL_MASS`.
         """
-        if n_max is not None:
-            return self._head(n_max + 1)
         # a first length from the thermal tail (mu/(1+mu))^(n+1), the longest of the three laws
         mu = self.mean
         size = math.ceil(math.log(TAIL_MASS) / math.log(mu / (1.0 + mu))) + 2 if 0.0 < mu < 1.0 else MAX_PAIRS + 1
@@ -130,7 +128,7 @@ class PairNumberDistribution:
 
     def dropped_mass(self, probs: np.ndarray) -> float:
         """The tail mass past :data:`MAX_PAIRS` pairs that :meth:`pmf_vector`'s
-        adaptive ``probs`` leaves out, or 0.0 where it keeps all but
+        ``probs`` leaves out, or 0.0 where it keeps all but
         :data:`TAIL_MASS`.  Only a pmf cut at MAX_PAIRS can fall short, and a
         shortfall of a few ulps can be rounding in large terms: it counts only
         where the tail is real."""
@@ -149,6 +147,15 @@ class PairNumberDistribution:
         first, second = self._head(size + 2)[size:].tolist()
         return first / (1.0 - second / first) if 0.0 < first and second < first else math.inf
 
+    def detected_mean(self, c: float) -> float:
+        """``G^-1``: the mean detected pair number ``x = mean * beta`` where the
+        generating function ``G(1 - beta)`` is ``1 - c``, whatever the mean."""
+        if self.law == "poissonian":
+            return -math.log1p(-c)
+        if self.law == "thermal":
+            return c / (1.0 - c)
+        return self.modes * math.expm1(-math.log1p(-c) / self.modes)
+
     def second_order_coherence(self) -> float:
         """Unconditioned g2(0) of the law: <n(n-1)>/<n>^2, loss-invariant."""
         if self.law == "poissonian":
@@ -159,7 +166,7 @@ class PairNumberDistribution:
 
 
 def thin(pmf: np.ndarray, survival: float) -> np.ndarray:
-    """Binomial thinning of a photon-number pmf.
+    """Binomial thinning of a photon-number pmf of at most MAX_PAIRS + 1 entries.
 
     ``out[k] = sum_n pmf[n] C(n,k) s^k (1-s)^(n-k)`` -- each photon survives
     independently with probability ``s``.  Normalization is preserved.
@@ -168,19 +175,14 @@ def thin(pmf: np.ndarray, survival: float) -> np.ndarray:
     if not (0.0 <= s <= 1.0):
         raise ValidationError(f"survival probability must lie in [0, 1], got {s}")
     p = np.asarray(pmf, dtype=float)
-    if s == 1.0:
-        return p.copy()
-    if s == 0.0:
-        out = np.zeros_like(p)
-        out[0] = p.sum()
-        return out
-    return p @ (_thinning_matrix if p.size <= MAX_PAIRS + 1 else _thinning_matrix.__wrapped__)(s, p.size)
+    if p.size > MAX_PAIRS + 1:
+        raise ValidationError(f"a pmf has at most MAX_PAIRS + 1 = {MAX_PAIRS + 1} entries, got {p.size}")
+    return p @ thinning_table(s, p.size)
 
 
 # The tables are cached per (survival, length), since every row of a pump sweep
 # shares its optics while its pmf length follows mu.  Callers share a cached
-# table, so each builder marks its table read-only.  Only pmf lengths, at most
-# MAX_PAIRS + 1, are passed to the caches: thin builds a longer matrix per call.
+# table, so each builder marks its table read-only.
 @functools.lru_cache(maxsize=256)  # at most 256 x 3 x 65 floats: 0.4 MB
 def power_table(points: tuple[float, ...], size: int) -> np.ndarray:
     """``x**n`` for n < ``size``, one row per point x of ``points``."""
@@ -190,33 +192,27 @@ def power_table(points: tuple[float, ...], size: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)  # at most 256 x 65 x 65 floats: 8.7 MB
-def _thinning_matrix(survival: float, size: int) -> np.ndarray:
-    """``C(n, k) s^k (1-s)^(n-k)`` for n, k < ``size``: row n is the law of the
-    survivors of n photons, each surviving with ``s`` (0 < s < 1)."""
-    log_c, k, n_minus_k = _log_binomial_grid(size)
-    table = np.exp(log_c + k * np.log(survival) + n_minus_k * np.log1p(-survival))
+def thinning_table(survival: float, size: int) -> np.ndarray:
+    """``C(n, m) s^m (1-s)^(n-m)`` for n, m < ``size``: row n is the law of the
+    survivors of n photons, each surviving with ``s``.  ``0**0 = 1`` makes the
+    tables at s = 0 and s = 1 ordinary ones."""
+    n, m = np.ogrid[:size, :size]
+    table = _binomial_coefficients(size) * survival**m * (1.0 - survival) ** np.maximum(n - m, 0)
     table.setflags(write=False)
     return table
 
 
-def _log_binomial_grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``ln C(n, k)`` as ``(lf[n] - lf[k]) - lf[n-k]``, -inf above the diagonal
-    (k > n), the row of k, and ``n - k``, 0 there; read-only, and built once
-    per size up to MAX_PAIRS + 1."""
-    return (_pmf_length_grid if size <= MAX_PAIRS + 1 else _build_log_binomial_grid)(size)
-
-
-def _build_log_binomial_grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lf = _log_factorials(size)
-    n, k = np.ogrid[:size, :size]
-    n_minus_k = np.maximum(n - k, 0)
-    grid = np.where(k <= n, (lf[n] - lf[k]) - lf[n_minus_k], -np.inf), k, n_minus_k
-    for array in grid:
-        array.setflags(write=False)
-    return grid
-
-
-_pmf_length_grid = functools.lru_cache(maxsize=None)(_build_log_binomial_grid)
+@functools.lru_cache(maxsize=None)
+def _binomial_coefficients(size: int) -> np.ndarray:
+    """C(n, m) for n, m < ``size`` as read-only floats, from a Pascal triangle
+    summed in int64: exact up to size 67, past any pmf's MAX_PAIRS + 1 = 65."""
+    comb = np.zeros((size, size), dtype=np.int64)
+    comb[:, 0] = 1
+    for n in range(1, size):
+        comb[n, 1:] = comb[n - 1, 1:] + comb[n - 1, :-1]
+    table = comb.astype(float)
+    table.setflags(write=False)
+    return table
 
 
 # Calibration reproducing the reference source: mu = 0.0829 at 240 mW.

@@ -684,11 +684,21 @@ class TestOneKernel:
             z = _count_z(tally.triggers, n * p * (1.0 - p) ** w, n * p * (1.0 - p) ** w)
         assert abs(z) <= 5.0, z
 
-    def test_binomial_coefficients_are_exact(self):
-        # up to the pmf's 65 entries and past them, against math.comb rounded once
-        for size in (1, 2, 36, 65, 67):
-            exact = [[float(math.comb(n, m)) for m in range(size)] for n in range(size)]
-            assert experiment._binomial_coefficients(size).tolist() == exact, size
+    def test_thin_and_the_photons_reduction_read_one_table(self, monkeypatch):
+        # the analytic P(n) sums the cached Binomial(n, b_out) table, and the
+        # Monte Carlo draws from the very same object, never through thin
+        real, tables = pair_source.thinning_table, []
+
+        def spy(survival, size):
+            tables.append(real(survival, size))
+            return tables[-1]
+
+        monkeypatch.setattr(pair_source, "thinning_table", spy)
+        monkeypatch.setattr(experiment, "thinning_table", spy)
+        heralded_photon_statistics(self.CFG)
+        heralded_photon_statistics(self.CFG, mode="monte_carlo", n_pulses=MC_BLOCK, seed=3)
+        assert len(tables) == 2
+        assert tables[0] is tables[1]
 
     def test_zero_herald_probability_divides_by_nothing(self):
         cfg = quiet_setup(mu=0.0)  # no pair and no dark count: p_h = 0

@@ -1,5 +1,7 @@
+import functools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,8 +100,8 @@ class TestLogFactorial:
 
     def test_large_mode_count_stays_cheap_and_poissonian(self):
         # exact factorials of ~1e5 would take seconds per pmf entry
-        mm = PairNumberDistribution("multimode_thermal", 0.1, modes=10**5).pmf_vector(n_max=8)
-        po = PairNumberDistribution("poissonian", 0.1).pmf_vector(n_max=8)
+        mm = PairNumberDistribution("multimode_thermal", 0.1, modes=10**5)._head(9)
+        po = PairNumberDistribution("poissonian", 0.1)._head(9)
         assert np.max(np.abs(mm - po)) < 1e-6
 
 
@@ -110,7 +112,7 @@ class TestLogFactorial:
         pmf = PairNumberDistribution("multimode_thermal", mu, modes=m).pmf_vector()
         assert abs(pmf.sum() - 1.0) < 1e-12
         n = np.arange(pmf.size)
-        poisson = PairNumberDistribution("poissonian", mu).pmf_vector(n_max=pmf.size - 1)
+        poisson = PairNumberDistribution("poissonian", mu)._head(pmf.size)
         # leading terms of ln(negative binomial / Poisson); the rest is O(n^3 / m^2)
         correction = np.exp(n * (n - 1) / (2 * m) - n * mu / m + mu**2 / (2 * m))
         np.testing.assert_allclose(pmf, poisson * correction, rtol=1e-9, atol=0.0)
@@ -138,19 +140,19 @@ class TestTruncation:
             pmf = dist.pmf_vector()
         assert pmf.size == MAX_PAIRS + 1
         assert sum(pmf.tolist()) < 1.0 - TAIL_MASS  # the running total, added in sequence
-        assert np.array_equal(pmf, dist.pmf_vector(n_max=MAX_PAIRS))
+        assert np.array_equal(pmf, dist._head(MAX_PAIRS + 1))
 
     def test_silent_within_tolerance(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             PairNumberDistribution("multimode_thermal", 1.0, modes=3).pmf_vector()
-            PairNumberDistribution("thermal", 40.0).pmf_vector(n_max=MAX_PAIRS)
+            PairNumberDistribution("thermal", 40.0)._head(MAX_PAIRS + 1)
 
 
 class TestThin:
     def test_poisson_closure(self):
         pmf = PairNumberDistribution("poissonian", 0.2).pmf_vector()
-        target = PairNumberDistribution("poissonian", 0.2 * 0.3).pmf_vector(n_max=pmf.size - 1)
+        target = PairNumberDistribution("poissonian", 0.2 * 0.3)._head(pmf.size)
         thinned = thin(pmf, 0.3)
         assert np.max(np.abs(thinned - target)) < 1e-12
 
@@ -160,7 +162,7 @@ class TestThin:
         oracle = brute_force_thin(pmf, s)
         thinned = thin(pmf, s)
         assert np.max(np.abs(thinned - oracle)) < 1e-14
-        target = PairNumberDistribution("thermal", 0.15 * s).pmf_vector(n_max=pmf.size - 1)
+        target = PairNumberDistribution("thermal", 0.15 * s)._head(pmf.size)
         assert np.max(np.abs(thinned - target)) < 1e-12
 
     def test_identity_at_unit_survival(self):
@@ -207,8 +209,8 @@ class TestThin:
             thin(pmf, 1.5)
 
 
-# --- the scalar pmf loop and the log-space thinning written out once more, as
-# references that the vectorised laws and the cached grids must match bit for bit
+# --- the scalar pmf loop written out once more, as a reference that the
+# vectorised laws must match bit for bit
 
 
 def scalar_pmf(dist, n):
@@ -249,25 +251,19 @@ def tail_reaches(dist, mass):
     return False
 
 
-def log_space_thin(pmf, s):
-    """Thinning from a log-binomial grid built afresh on every call."""
-    p = np.asarray(pmf, dtype=float)
-    if s == 1.0:
-        return p.copy()
-    if s == 0.0:
-        out = np.zeros_like(p)
-        out[0] = p.sum()
-        return out
-    lf = np.array([log_factorial(i) for i in range(p.size)])
-    n = np.arange(p.size)[:, None]
-    k = n.T
-    lower = k <= n
-    nk = np.where(lower, n - k, 0)
-    log_b = lf[n] - lf[k] - lf[nk] + k * np.log(s) + nk * np.log1p(-s)
-    return p @ np.where(lower, np.exp(log_b), 0.0)
+@functools.lru_cache(maxsize=None)
+def exact_thinning_table(s, size):
+    """``C(n, m) s^m (1-s)^(n-m)`` in exact rationals of the float ``s``, each rounded once."""
+    b = Fraction(s)
+    up = [b**m for m in range(size)]
+    down = [(1 - b) ** k for k in range(size)]
+    return np.array(
+        [[float(math.comb(n, m) * up[m] * down[n - m]) if m <= n else 0.0 for m in range(size)] for n in range(size)]
+    )
 
 
 LAWS_AND_MODES = [("poissonian", None), ("thermal", None), ("multimode_thermal", 3)]
+SURVIVALS = [0.0, 1e-9, 0.2, 0.5, 0.999, 1.0]
 MU_GRID = [0.0, *np.logspace(-4, math.log10(30.0), 25).tolist()]
 
 
@@ -306,9 +302,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize("mu", MU_GRID[::4])
     def test_fixed_truncation_past_every_table(self, law, modes, mu):
         dist = PairNumberDistribution(law, mu, modes)
-        for n_max in range(81):
-            expected = np.array([scalar_pmf(dist, n) for n in range(n_max + 1)])
-            assert np.array_equal(dist.pmf_vector(n_max=n_max), expected)
+        for size in range(1, 82):
+            expected = np.array([scalar_pmf(dist, n) for n in range(size)])
+            assert np.array_equal(dist._head(size), expected)
         assert dist.pmf(200) == scalar_pmf(dist, 200)
 
     @pytest.mark.parametrize("modes", range(150, 176))
@@ -316,77 +312,82 @@ class TestBitIdentity:
         # n + modes - 1 crosses 170 inside the pmf: table entries below, comb above
         for mu in (0.01, 0.5, 25.0):
             dist = PairNumberDistribution("multimode_thermal", mu, modes)
-            assert np.array_equal(dist.pmf_vector(n_max=80), [scalar_pmf(dist, n) for n in range(81)])
+            assert np.array_equal(dist._head(81), [scalar_pmf(dist, n) for n in range(81)])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ResolutionWarning)
                 assert np.array_equal(dist.pmf_vector(), scalar_pmf_vector(dist)[0])
 
+    @pytest.mark.parametrize("s", SURVIVALS)
+    def test_thinning_table_against_exact_rationals(self, s):
+        # each entry C(n, m) s^m (1-s)^(n-m) of the float s in exact rationals,
+        # rounded once; size is the top-left block of the size-65 reference
+        reference = exact_thinning_table(s, MAX_PAIRS + 1)
+        for size in range(1, MAX_PAIRS + 2):
+            table, exact = pair_source.thinning_table(s, size), reference[:size, :size]
+            assert not table[np.triu_indices(size, 1)].any(), size  # no m > n survivors of n
+            resolved = exact >= 1e-200
+            rel = np.abs(table[resolved] - exact[resolved]) / exact[resolved]
+            assert rel.max() <= 1e-14, (size, rel.max())
+
     @pytest.mark.parametrize("law,modes", LAWS_AND_MODES)
     @pytest.mark.parametrize("mu", MU_GRID[1::3])
-    @pytest.mark.parametrize("s", [0.0, 1e-9, 0.5, 1.0, 0.37])
-    def test_thin_matches_the_log_space_reference(self, law, modes, mu, s):
+    @pytest.mark.parametrize("s", SURVIVALS)
+    def test_thin_of_every_law_against_exact_rationals(self, law, modes, mu, s):
+        # the table's 1e-14 and a sum of at most 65 rounded terms
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
             pmf = PairNumberDistribution(law, mu, modes).pmf_vector()
-        assert np.array_equal(thin(pmf, s), log_space_thin(pmf, s))
-
-    @pytest.mark.parametrize("size", range(1, 81))
-    def test_thin_every_size(self, size):
-        pmf = np.random.default_rng(size).random(size)
-        pmf /= pmf.sum()
-        for s in (1e-9, 0.2, 0.5, 0.999):
-            assert np.array_equal(thin(pmf, s), log_space_thin(pmf, s))
-
-    def test_grid_cache_holds_only_pmf_sizes(self):
-        caches = (pair_source._thinning_matrix, pair_source._pmf_length_grid)
-        for cache in caches:
-            cache.cache_clear()
-        for _ in range(2):
-            thin(np.full(MAX_PAIRS + 2, 1.0 / (MAX_PAIRS + 2)), 0.5)
-        # past MAX_PAIRS + 1 nothing is cached
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
-        for size in (MAX_PAIRS + 1, 10, MAX_PAIRS + 1, 10):
-            thin(np.full(size, 1.0 / size), 0.5)
-        # each repeated call reads the matrix the first one built, and each grid is built once
-        assert [cache.cache_info()[:2] for cache in caches] == [(2, 2), (0, 2)]
-        power = pair_source.power_table
-        power.cache_clear()
-        assert power((0.5,), 10) is power((0.5,), 10)
-        assert power.cache_info()[:2] == (1, 1)
-        # a longer grid asked for directly is not kept either
-        grids = pair_source._pmf_length_grid
-        grids.cache_clear()
-        for size in (MAX_PAIRS + 1, MAX_PAIRS + 2, MAX_PAIRS + 1, MAX_PAIRS + 2):
-            pair_source._log_binomial_grid(size)
-        assert (grids.cache_info().hits, grids.cache_info().currsize) == (1, 1)
+        exact = exact_thinning_table(s, MAX_PAIRS + 1)[: pmf.size, : pmf.size]
+        reference = np.array([math.fsum(pmf * column) for column in exact.T])
+        got, resolved = thin(pmf, s), reference >= 1e-200
+        assert np.all(np.abs(got[resolved] - reference[resolved]) <= 2e-14 * reference[resolved])
 
     @pytest.mark.parametrize("size", range(1, MAX_PAIRS + 2))
-    def test_cached_tables_match_fresh_builds(self, size):
-        grid = pair_source._build_log_binomial_grid(size)
-        log_c, k, n_minus_k = grid
-        points = np.array([0.3, 0.7, 0.999])[:, None]
-        for _ in range(2):  # the build, then the cached table
-            assert np.array_equal(pair_source.power_table((0.3, 0.7, 0.999), size), points ** np.arange(size))
-            assert np.array_equal(
-                pair_source._thinning_matrix(0.3, size), np.exp(log_c + k * np.log(0.3) + n_minus_k * np.log1p(-0.3))
-            )
-            assert all(np.array_equal(a, b) for a, b in zip(pair_source._log_binomial_grid(size), grid))
+    @pytest.mark.parametrize("s", SURVIVALS)
+    def test_thin_sums_the_pmf_through_the_table(self, size, s):
+        pmf = np.random.default_rng(size).random(size)
+        pmf /= pmf.sum()
+        assert np.array_equal(thin(pmf, s), pmf @ pair_source.thinning_table(s, size))
+        # the cached table, then a fresh build: the same bits
+        assert np.array_equal(pair_source.thinning_table(s, size), pair_source.thinning_table.__wrapped__(s, size))
 
-    @pytest.mark.parametrize("size", [MAX_PAIRS + 1, MAX_PAIRS + 2])
-    def test_tables_are_read_only(self, size):
+    def test_binomial_coefficients_are_exact(self):
+        # up to the pmf's 65 entries and past them, against math.comb rounded once
+        for size in (1, 2, 36, 65, 67):
+            exact = [[float(math.comb(n, m)) for m in range(size)] for n in range(size)]
+            assert pair_source._binomial_coefficients(size).tolist() == exact, size
+
+    def test_thin_refuses_a_pmf_longer_than_every_law(self):
+        with pytest.raises(ValidationError, match=f"at most MAX_PAIRS \\+ 1 = {MAX_PAIRS + 1} entries, got {MAX_PAIRS + 2}"):
+            thin(np.full(MAX_PAIRS + 2, 1.0 / (MAX_PAIRS + 2)), 0.5)
+
+    def test_each_table_is_built_once(self):
+        caches = (pair_source.thinning_table, pair_source.power_table)
+        for cache in caches:
+            cache.cache_clear()
+        for size in (MAX_PAIRS + 1, 10, MAX_PAIRS + 1, 10):
+            thin(np.full(size, 1.0 / size), 0.5)
+        # each repeated call reads the matrix the first one built
+        assert pair_source.thinning_table.cache_info()[:2] == (2, 2)
+        power = pair_source.power_table
+        assert power((0.5,), 10) is power((0.5,), 10)
+        assert power.cache_info()[:2] == (1, 1)
+
+    def test_tables_are_read_only(self):
+        size = MAX_PAIRS + 1
         tables = [
             pair_source.power_table((0.3, 0.7), size),
-            pair_source._thinning_matrix(0.3, size),
-            *pair_source._log_binomial_grid(size),
+            pair_source.thinning_table(0.3, size),
+            pair_source._binomial_coefficients(size),
         ]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 1.0
 
 
-class TestNegativeTruncation:
-    @pytest.mark.parametrize("n_max", [-1, -5])
-    def test_negative_n_max_rejected(self, n_max):
-        # a negative n_max returned an empty pmf
-        with pytest.raises(DomainError, match=f"got {n_max}"):
-            PairNumberDistribution("poissonian", 0.1).pmf_vector(n_max=n_max)
+class TestNegativePairCount:
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_pair_count_rejected(self, n):
+        # a negative truncation returned an empty pmf
+        with pytest.raises(DomainError, match=f"got {n}"):
+            PairNumberDistribution("poissonian", 0.1).pmf(n)

@@ -276,7 +276,7 @@ class TestPumpSweep:
 
     def test_rows_do_not_depend_on_the_table_caches(self):
         # cold caches, warm ones, and ones whose tables 300 one-off survivals evicted
-        caches = (pair_source.power_table, pair_source._thinning_matrix)
+        caches = (pair_source.power_table, pair_source.thinning_table)
         laws = [("poissonian", None), ("thermal", None), ("multimode_thermal", 3)]
         configs = [reference_setup(law=law, modes=modes) for law, modes in laws]
         mu_values = [0.02, 0.0829, 0.25, 0.4]
@@ -293,7 +293,7 @@ class TestPumpSweep:
         for i in range(300):
             survival = 0.5 + 1e-4 * i
             pair_source.power_table((survival,), 12)
-            pair_source._thinning_matrix(survival, 12)
+            pair_source.thinning_table(survival, 12)
         assert [cache.cache_info().currsize for cache in caches] == [256, 256]
         evicted = outputs()
         assert cold == warm == evicted

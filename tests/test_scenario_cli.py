@@ -404,8 +404,39 @@ class TestCli:
             ),
             ("counts.json", "[291888.0, 285.0, 3058.6, 217997.2, 1e6]", "must map each rate to a number"),
             ("counts.json", '{"result": {"signal_singles_cps": 291888.0,', "Expecting"),
+            # a second data row was ignored, and the run exited 0 on the first
+            (
+                "counts.csv",
+                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
+                "291888.0,285.0,3058.6,217997.2,2.05e5\n291888.0,285.0,3058.6,217997.2,2.05e5\n",
+                "expected a header and one data row, found 3 rows",
+            ),
+            # cells past the header's were dropped, and the run exited 0
+            (
+                "counts.csv",
+                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
+                "291888.0,285.0,3058.6,217997.2,2.05e5,7\n",
+                "the data row has 6 cells for 5 header cells",
+            ),
+            (
+                "counts.csv",
+                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
+                "291888.0,285.0,3058.6,217997.2\n",
+                "the data row has 4 cells for 5 header cells",
+            ),
+            ("counts.csv", "signal_singles_cps,idler_singles_cps\n\n", "expected a header and one data row, found 1 rows"),
+            # the last of two cells under one name was read, the first dropped
+            (
+                "counts.csv",
+                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz,signal_singles_cps\n"
+                "291888.0,285.0,3058.6,217997.2,2.05e5,291888.0\n",
+                "the header names a column twice",
+            ),
         ],
-        ids=["json", "csv", "csv-non-numeric", "json-string", "json-list", "json-malformed"],
+        ids=[
+            "json", "csv", "csv-non-numeric", "json-string", "json-list", "json-malformed",
+            "csv-two-data-rows", "csv-extra-cells", "csv-missing-cells", "csv-no-data-row", "csv-repeated-column",
+        ],
     )
     def test_estimate_from_non_finite_counts_file_exits_2(self, tmp_path, capsys, name, text, message):
         # json.loads parses NaN, and float("nan") is a float
