@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, defaults
 from .errors import DomainError, EstimationError, NumericalError, SpdcHeraldError, ValidationError, check_run
-from .scenario import SCHEMA, Scenario, keyed, load_scenario, named
+from .scenario import SCHEMA, Scenario, _coerce, keyed, load_scenario, named
 
 if TYPE_CHECKING:  # each compute function imports its model modules when it runs
     from .experiment import CountRates
@@ -53,8 +53,8 @@ def _run_params(scenario: Scenario, args) -> dict:
 
 def _counts_from_file(path: str) -> CountRates:
     """CountRates from a JSON record (as written by `simulate`) or a CSV of a
-    header and exactly one data row of as many cells."""
-    from .experiment import CountRates
+    header and exactly one data row of as many cells, read as the scenario's
+    counts section; a per-trigger probability must agree with its rates."""
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"counts file {path!r} not found")
@@ -73,7 +73,17 @@ def _counts_from_file(path: str) -> CountRates:
         else:
             loaded = json.loads(p.read_text())
             record = loaded.get("result", loaded) if isinstance(loaded, dict) else loaded
-        return CountRates.from_dict(record)
+        # simulate's one column besides the section's keys, derived from them
+        given = record.pop("per_trigger_coincidence_prob", None) if isinstance(record, dict) else None
+        counts = Scenario({"counts": record}).to_counts()
+        derived = counts.per_trigger_coincidence_prob
+        if given is not None and counts.trigger_rate > 0 and not math.isclose(
+            _coerce(given, "float", "per_trigger_coincidence_prob"), derived, rel_tol=1e-12
+        ):
+            raise ValidationError(
+                f"'per_trigger_coincidence_prob' is {given!r}, but coincidences_cps / trigger_rate_cps is {derived!r}"
+            )
+        return counts
     except (ValidationError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ValidationError(f"counts file {path!r}: {exc}") from exc
 
@@ -313,12 +323,10 @@ COMMANDS = {
 }
 
 
-def run_scenario(path: str, subcommand: str, overrides: list[str] | None = None, args=None) -> int:
+def run_scenario(path: str, subcommand: str, overrides: list[str], args: argparse.Namespace) -> int:
     """Execute one subcommand against a scenario file and write its artifacts; returns the exit code."""
-    if args is None:
-        args = argparse.Namespace(mode=None, pulses=None, seed=None, out_dir=None, counts=None)
     sections, compute = COMMANDS[subcommand]
-    scenario = load_scenario(path, overrides or [])
+    scenario = load_scenario(path, overrides)
     unused = sorted(set(scenario.data) - sections)
     if unused:
         sys.stderr.write(f"note: sections not used by {subcommand!r}: {', '.join(unused)}\n")

@@ -41,7 +41,6 @@ blocks, so fixed (config, n_pulses, seed) gives bit-identical results.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -183,18 +182,6 @@ class CountRates:
                 ("coincidences", "trigger_rate"),
             )
 
-    @classmethod
-    def from_dict(cls, record) -> CountRates:
-        """Rates from a :meth:`to_dict` record; the per-trigger probability is derived."""
-        keys = ("signal_singles_cps", "idler_singles_cps", "coincidences_cps", "trigger_rate_cps", "gate_rate_hz")
-        try:
-            signal, idler, coinc, trigger, gate = (float(record[key]) for key in keys)
-        except KeyError as exc:
-            raise ValidationError(f"counts record is missing the {exc} field") from None
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"counts record must map each rate to a number: {exc}") from None
-        return cls(signal, idler, coinc, trigger, gate, coinc / trigger if trigger > 0 else 0.0)
-
     def to_dict(self) -> dict:
         return {
             "signal_singles_cps": self.signal_singles,
@@ -250,21 +237,23 @@ class G2Result:
     mode: str
 
 
-def _pgf(pmf: np.ndarray, x: Sequence[float]) -> list[float]:
-    """E[x^n] over a truncated pair-number pmf at each point of ``x``, from one power table."""
-    return (pmf * power_table(tuple(x), pmf.size)).sum(axis=1).tolist()
+def _none_of(config: SetupConfig, size: int) -> np.ndarray:
+    """Per pair number n < ``size``, the chances that none of n pairs gives a
+    detected signal photon, a detected idler photon and a detected pair: the
+    rows ``(1 - b_s)^n``, ``(1 - b_i)^n`` and ``(1 - b_s b_i)^n`` of one cached,
+    read-only power table, which the analytic and Monte Carlo paths share."""
+    bs, bi = config.herald_survival, config.idler_click_survival
+    return power_table((1.0 - bs, 1.0 - bi, 1.0 - bs * bi), size)
 
 
 def _analytic_probabilities(config: SetupConfig) -> dict:
     """Exact per-pulse click probabilities of the chain (threshold detectors)."""
-    bs = config.herald_survival
-    bi = config.idler_click_survival
     ds = config.herald_dark_prob
     dw = config.coincidence_dark_prob
     ap = 1.0 + config.idler_detector.afterpulse_prob
 
     # no detected signal photon, no detected idler photon, no detected pair
-    no_signal, no_idler, no_pair = _pgf(config.pmf, (1.0 - bs, 1.0 - bi, 1.0 - bs * bi))
+    no_signal, no_idler, no_pair = (config.pmf * _none_of(config, config.pmf.size)).sum(axis=1).tolist()
     p_herald = 1.0 - (1.0 - ds) * no_signal
     p_idler_gate = (1.0 - (1.0 - config.idler_detector.dark_prob_per_gate) * no_idler) * ap
     # coincidence AND herald, heralded-pair convention: the partner photon of
@@ -333,7 +322,7 @@ def heralded_photon_statistics(
             raise EstimationError("no heralds in the Monte Carlo sample; cannot condition")
         return HeraldedStats(p=tally.photons[: np.flatnonzero(tally.photons)[-1] + 1] / tally.heralds)
     pmf = config.pmf
-    heralding = pmf * (1.0 - (1.0 - config.herald_dark_prob) * _none_of(config.herald_survival, pmf.size))
+    heralding = pmf * (1.0 - (1.0 - config.herald_dark_prob) * _none_of(config, pmf.size)[0])
     p_herald = float(heralding.sum())
     if p_herald <= 0.0:
         raise EstimationError("herald probability is zero; cannot condition on a herald")
@@ -389,12 +378,6 @@ def hbt_g2(
 # --------------------------------------------------------------------------
 
 
-def _none_of(p: float, size: int) -> np.ndarray:
-    """Per pair number n < ``size``, the chance that none of n trials at ``p``
-    succeeds; a read-only row of the cached power table."""
-    return power_table((1.0 - p,), size)[0]
-
-
 @dataclass
 class _Tally:
     """Integer tallies of one Monte Carlo pass over ``pulses`` pulses.  Every
@@ -439,8 +422,7 @@ def _mc_tally(config: SetupConfig, n_pulses: int, seed: int, reduction: str, rat
             "mu",
         )
     pmf = config.pmf / config.pmf.sum()
-    no_signal = _none_of(config.herald_survival, pmf.size)
-    no_partner = _none_of(config.herald_survival * config.idler_click_survival, pmf.size)
+    no_signal, no_idler, no_partner = _none_of(config, pmf.size)
     ds = config.herald_dark_prob
     herald = pmf[:, None] * np.stack([1.0 - no_partner, np.maximum(no_partner - no_signal, 0.0), no_signal * ds], 1)
     no_herald = pmf * no_signal * (1.0 - ds)
@@ -451,10 +433,9 @@ def _mc_tally(config: SetupConfig, n_pulses: int, seed: int, reduction: str, rat
     tally = _Tally(n_pulses)
     if reduction == "counts":
         # per pair, the signal photon is detected with b_s and the idler
-        # photon with b_i, independently
-        no_idler = _none_of(config.idler_click_survival, pmf.size)
-        # no idler photon given a signal photon without a detected partner:
-        # P(signal, no idler) / P(signal, no partner), per pair number
+        # photon with b_i, independently, so no idler photon given a signal
+        # photon without a detected partner is P(signal, no idler) /
+        # P(signal, no partner), per pair number
         signal_only = no_partner - no_signal
         no_idler_given_signal = np.divide(
             no_idler * (1.0 - no_signal), signal_only, out=np.ones(pmf.size), where=signal_only > 0.0
@@ -535,9 +516,10 @@ def _hbt_ports(size: int, pa: float, pb: float, dark: float) -> np.ndarray:
     Each pair's photon clicks port a with ``pa`` or port b with ``pb``, and
     each port also clicks dark with ``dark``.
     """
-    quiet_a = (1.0 - dark) * _none_of(pa, size)
-    quiet_b = (1.0 - dark) * _none_of(pb, size)
-    quiet = (1.0 - dark) ** 2 * _none_of(pa + pb, size)
+    none_a, none_b, none = power_table((1.0 - pa, 1.0 - pb, 1.0 - (pa + pb)), size)
+    quiet_a = (1.0 - dark) * none_a
+    quiet_b = (1.0 - dark) * none_b
+    quiet = (1.0 - dark) ** 2 * none
     pvals = np.stack([quiet_b - quiet, quiet_a - quiet, 1.0 - quiet_a - quiet_b + quiet, quiet], axis=1)
     return np.maximum(pvals, 0.0)
 

@@ -196,7 +196,7 @@ def thinning_table(survival: float, size: int) -> np.ndarray:
     """``C(n, m) s^m (1-s)^(n-m)`` for n, m < ``size``: row n is the law of the
     survivors of n photons, each surviving with ``s``.  ``0**0 = 1`` makes the
     tables at s = 0 and s = 1 ordinary ones."""
-    n, m = np.ogrid[:size, :size]
+    n, m = np.arange(size)[:, None], np.arange(size)
     table = _binomial_coefficients(size) * survival**m * (1.0 - survival) ** np.maximum(n - m, 0)
     table.setflags(write=False)
     return table

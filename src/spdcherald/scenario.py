@@ -16,7 +16,6 @@ import functools
 import hashlib
 import json
 import math
-import pickle
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -190,19 +189,14 @@ _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 # override values, so one document and its overrides stay cached.
 YAML_CACHE_TEXTS = 64
 
-
-@functools.lru_cache(maxsize=YAML_CACHE_TEXTS)
-def _parsed(text: str, loader) -> bytes:
-    # pickled, so that no load can change what the next one gets; unpickling
-    # copies the safe loader's plain data in a seventh of deepcopy's time
-    return pickle.dumps(yaml.load(text, Loader=loader), pickle.HIGHEST_PROTOCOL)
+_parsed = functools.lru_cache(maxsize=YAML_CACHE_TEXTS)(yaml.load)
 
 
 def _load_yaml(text: str, what: str = "scenario"):
-    """``text`` parsed, as data of the caller's own; a YAML error, never
-    cached, is a ValidationError naming ``what``."""
+    """``text`` parsed: the cached object, which no caller writes into (the walk
+    and :func:`_override` copy); a YAML error is a ValidationError naming ``what``."""
     try:
-        return pickle.loads(_parsed(text, _LOADER))
+        return _parsed(text, _LOADER)
     except yaml.YAMLError as exc:
         raise ValidationError(f"{what} is not valid YAML: {exc}") from exc
 
@@ -249,8 +243,10 @@ def _coerce(value, kind: str, dotted: str, choices: tuple[str, ...] = ()):
     raise AssertionError(f"unhandled schema kind {kind}")
 
 
-def _override(out: dict, overrides: list[str]) -> dict:
-    """``out`` with the ``section.key=value`` overrides applied in place; values are parsed as YAML."""
+def _override(data: dict, overrides: list[str]) -> dict:
+    """``data`` with the ``section.key=value`` overrides applied, values parsed
+    as YAML; each mapping on an override's path is copied, never written."""
+    out = dict(data)
     for item in overrides:
         if "=" not in item:
             raise ValidationError(f"override {item!r} is not of the form path=value")
@@ -260,9 +256,10 @@ def _override(out: dict, overrides: list[str]) -> dict:
             raise ValidationError(f"override path {path!r} is malformed")
         node = out
         for key in keys[:-1]:
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
+            child = node.get(key, {})
+            if not isinstance(child, dict):
                 raise ValidationError(f"override path {path!r} crosses a scalar")
+            node[key] = node = dict(child)
         node[keys[-1]] = _load_yaml(raw, f"override {item!r}")
     return out
 
@@ -300,10 +297,6 @@ class Section(dict):
             return node.default
         raise ValidationError(f"scenario is missing the required key {self.path + key!r}")
 
-    def plain(self) -> dict:
-        """The data as plain nested dicts, as PyYAML's safe dumper takes them."""
-        return {key: value.plain() if isinstance(value, Section) else value for key, value in self.items()}
-
 
 def _build(model, section: Section, *keys: str, **extra):
     """``model`` from ``extra`` and ``section``'s ``keys``, each as the field it
@@ -332,9 +325,6 @@ class Scenario:
         return hashlib.sha256(
             json.dumps(self.data, sort_keys=True, default=float).encode()
         ).hexdigest()
-
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.data.plain(), sort_keys=True)
 
     # ---- builders: each imports its model when called ----------------------
     def to_setup_config(self) -> SetupConfig:
@@ -385,13 +375,15 @@ class Scenario:
     def to_counts(self) -> CountRates:
         from .experiment import CountRates
         counts = self.section("counts")
-        return _build(CountRates.from_dict, counts, record=counts)
+        coincidences, triggers = counts["coincidences_cps"], counts["trigger_rate_cps"]
+        return _build(CountRates, counts, *SCHEMA["counts"],
+                      per_trigger_coincidence_prob=coincidences / triggers if triggers > 0 else 0.0)
 
 
 def parse_scenario(text: str, overrides: list[str] | None = None) -> Scenario:
     data = _load_yaml(text)
     if overrides and isinstance(data, dict):  # a document that is no mapping fails in Scenario
-        data = _override(data, overrides)  # data is this call's own copy
+        data = _override(data, overrides)
     return Scenario(data)
 
 

@@ -301,7 +301,7 @@ class TestAnalyticBitIdentity:
     def test_generating_values(self, case):
         cfg = reference_setup(**case)
         bs, bi = cfg.herald_survival, cfg.idler_click_survival
-        got = experiment._pgf(cfg.pmf, [1.0 - bs, 1.0 - bi, 1.0 - bs * bi])
+        got = (cfg.pmf * experiment._none_of(cfg, cfg.pmf.size)).sum(axis=1).tolist()
         assert got == [pgf_per_point(cfg.pmf, x) for x in (1.0 - bs, 1.0 - bi, 1.0 - bs * bi)]
 
     @pytest.mark.parametrize("case", CASES)
@@ -737,7 +737,7 @@ class TestOneKernel:
         def analytic(*args, **kwargs):
             raise AssertionError("the Monte Carlo reached the analytic path")
 
-        for name in ("_pgf", "thin", "_analytic_probabilities"):
+        for name in ("thin", "_analytic_probabilities"):
             monkeypatch.setattr(experiment, name, analytic)
         monkeypatch.setattr(pair_source, "thin", analytic)
         with pytest.raises(AssertionError, match="analytic path"):

@@ -13,7 +13,7 @@ import yaml
 from spdcherald import cli, defaults, scenario as scenario_module
 from spdcherald.cli import COMMANDS, main, run_scenario
 from spdcherald.errors import ValidationError
-from spdcherald.experiment import CountRates, reference_setup, simulate_counts
+from spdcherald.experiment import reference_setup, simulate_counts
 from spdcherald.scenario import Scenario, load_scenario, parse_scenario
 
 BUNDLED = "paper.scenario"
@@ -55,12 +55,6 @@ class TestScenarioParsing:
         with pytest.raises(ValidationError, match="source.mu"):
             parse_scenario(text)
 
-    def test_round_trip_serialization(self):
-        scenario = parse_scenario(bundled_text())
-        again = parse_scenario(scenario.to_yaml())
-        assert again.data == scenario.data
-        assert again.sha256() == scenario.sha256()
-
     def test_overrides(self):
         scenario = parse_scenario(bundled_text(), overrides=["source.mu=0.1"])
         assert scenario.section("source")["mu"] == 0.1
@@ -89,7 +83,9 @@ class TestScenarioParsing:
 
     def test_count_rates_record_round_trip(self):
         counts = simulate_counts(reference_setup())
-        assert CountRates.from_dict(counts.to_dict()) == counts
+        record = counts.to_dict()
+        del record["per_trigger_coincidence_prob"]
+        assert Scenario({"counts": record}).to_counts() == counts
 
     def test_missing_file(self):
         with pytest.raises(ValidationError, match="not found"):
@@ -233,6 +229,12 @@ class TestParseCache:
         assert parse_scenario(bundled_text(), overrides).data == expected
         # validation coerced the load's own copy, never the cached value
         assert repr(scenario_module._load_yaml("{signal_points: 11.0}")) == "{'signal_points': 11.0}"
+
+    def test_an_override_into_an_overridden_mapping_leaves_the_cached_value(self):
+        grid = "crystal.grid={signal_points: 11}"
+        both = parse_scenario(bundled_text(), [grid, "crystal.grid.idler_points=21"])
+        assert both.section("crystal")["grid"] == {"signal_points": 11, "idler_points": 21}
+        assert parse_scenario(bundled_text(), [grid]).section("crystal")["grid"] == {"signal_points": 11}
 
     def test_invalid_yaml_raises_the_same_error_each_time(self):
         bad_text = bundled_text().replace("  mu: 0.0829", "     mu: 0.0829")
@@ -382,27 +384,27 @@ class TestCli:
                 "counts.json",
                 '{"result": {"signal_singles_cps": NaN, "idler_singles_cps": 285.0, '
                 '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6}}',
-                "signal_singles must be finite",
+                "scenario key 'counts.signal_singles_cps' must be finite",
             ),
             (
                 "counts.csv",
                 "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
                 "291888.0,285.0,nan,217997.2,1e6\n",
-                "coincidences must be finite",
+                "scenario key 'counts.coincidences_cps' must be finite",
             ),
             (
                 "counts.csv",
                 "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
                 "291888.0,abc,3058.6,217997.2,1e6\n",
-                "could not convert string to float: 'abc'",
+                "scenario key 'counts.idler_singles_cps' must be a number, got 'abc'",
             ),
             (
                 "counts.json",
                 '{"result": {"signal_singles_cps": 291888.0, "idler_singles_cps": "many", '
                 '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6}}',
-                "could not convert string to float: 'many'",
+                "scenario key 'counts.idler_singles_cps' must be a number, got 'many'",
             ),
-            ("counts.json", "[291888.0, 285.0, 3058.6, 217997.2, 1e6]", "must map each rate to a number"),
+            ("counts.json", "[291888.0, 285.0, 3058.6, 217997.2, 1e6]", "scenario key 'counts' must be a mapping"),
             ("counts.json", '{"result": {"signal_singles_cps": 291888.0,', "Expecting"),
             # a second data row was ignored, and the run exited 0 on the first
             (
@@ -432,10 +434,37 @@ class TestCli:
                 "291888.0,285.0,3058.6,217997.2,2.05e5,291888.0\n",
                 "the header names a column twice",
             ),
+            # a column no counts key has was ignored, and the run exited 0
+            (
+                "counts.csv",
+                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz,bogus\n"
+                "291888.0,285.0,3058.6,217997.2,2.05e5,1\n",
+                "unknown scenario key 'counts.bogus'",
+            ),
+            (
+                "counts.json",
+                '{"result": {"signal_singles_cps": 291888.0, "idler_singles_cps": 285.0, '
+                '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6, "bogus": 1}}',
+                "unknown scenario key 'counts.bogus'",
+            ),
+            (
+                "counts.json",
+                '{"signal_singles_cps": 291888.0, "idler_singles_cps": 285.0, '
+                '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2}',
+                "scenario is missing the required key 'counts.gate_rate_hz'",
+            ),
+            # a per-trigger probability the rates contradict was ignored, and the run exited 0
+            (
+                "counts.csv",
+                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz,"
+                "per_trigger_coincidence_prob\n291888.0,285.0,3058.6,217997.2,2.05e5,0.5\n",
+                "'per_trigger_coincidence_prob' is '0.5', but coincidences_cps / trigger_rate_cps is",
+            ),
         ],
         ids=[
             "json", "csv", "csv-non-numeric", "json-string", "json-list", "json-malformed",
             "csv-two-data-rows", "csv-extra-cells", "csv-missing-cells", "csv-no-data-row", "csv-repeated-column",
+            "csv-unknown-column", "json-unknown-key", "json-missing-rate", "csv-disagreeing-per-trigger",
         ],
     )
     def test_estimate_from_non_finite_counts_file_exits_2(self, tmp_path, capsys, name, text, message):
