@@ -170,7 +170,7 @@ def equivalent_wcp(p1: float, p2_source: float | None = None) -> WcpComparison:
     (to 1e-12), the coherent two-photon probability ``mu^2 e^-mu / 2``, and,
     when ``p2_source`` is given, how many times the coherent source exceeds it.
     """
-    if p1 <= 0.0:
+    if not (p1 > 0.0):  # written as "inside" so that NaN fails the check
         raise DomainError(f"P(1) must be positive, got {p1}")
     if p1 > MAX_P1_COHERENT:
         raise EstimationError(
@@ -188,7 +188,7 @@ def equivalent_wcp(p1: float, p2_source: float | None = None) -> WcpComparison:
     p2_c = mu_c**2 * math.exp(-mu_c) / 2.0
     ratio = None
     if p2_source is not None:
-        if p2_source <= 0.0:
+        if not (p2_source > 0.0):
             raise DomainError(f"p2_source must be positive, got {p2_source}")
         ratio = p2_c / p2_source
     return WcpComparison(mu_coherent=mu_c, p2_coherent=p2_c, suppression_ratio=ratio)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -57,8 +57,8 @@ from .detectors import (
     paralyzable_triggers,
 )
 from .defaults import COINCIDENCE_WINDOW, GATE_RATE_HZ, HBT_ARMS, LAWS
-from .errors import EstimationError, ValidationError, check_run, require_finite
-from .pair_source import MAX_PAIRS, PairNumberDistribution, power_table, thin, thinning_table
+from .errors import DomainError, EstimationError, ValidationError, check_run, require_finite
+from .pair_source import MAX_PAIRS, PairNumberDistribution, pmf_vectors, power_table, thin, thinning_table
 
 
 @dataclass(frozen=True)
@@ -110,16 +110,6 @@ class SetupConfig:
             raise ValidationError("the idler detector operates in gated mode")
         # the pair-number law, validated eagerly and kept
         object.__setattr__(self, "_distribution", PairNumberDistribution(self.law, self.mu, self.modes))
-
-    def with_mu(self, mu: float) -> SetupConfig:
-        """This setup at mean pair number ``mu``, equal to ``dataclasses.replace(self, mu=mu)``;
-        only the pair-number law, the one part that changed, is validated again."""
-        distribution = PairNumberDistribution(self.law, mu, self.modes)
-        config = object.__new__(type(self))
-        state = vars(config)
-        state.update(vars(self), mu=mu, _distribution=distribution)
-        state.pop("pmf", None)  # this setup's cached pmf, at its own mu
-        return config
 
     def pair_distribution(self) -> PairNumberDistribution:
         return self._distribution
@@ -214,7 +204,9 @@ class HeraldedStats:
         object.__setattr__(self, "values", values)
 
     def probability(self, n: int) -> float:
-        return float(self.p[n]) if n < self.p.size else 0.0
+        if n < 0:
+            raise DomainError(f"photon number must be >= 0, got {n}")
+        return self.values[n] if n < len(self.values) else 0.0
 
     def mean_photons(self) -> float:
         return float((np.arange(self.p.size) * self.p).sum())
@@ -246,21 +238,64 @@ def _none_of(config: SetupConfig, size: int) -> np.ndarray:
     return power_table((1.0 - bs, 1.0 - bi, 1.0 - bs * bi), size)
 
 
-def _analytic_probabilities(config: SetupConfig) -> dict:
-    """Exact per-pulse click probabilities of the chain (threshold detectors)."""
-    ds = config.herald_dark_prob
-    dw = config.coincidence_dark_prob
+def _analytic_counts(config: SetupConfig, pmf: np.ndarray, none_of: np.ndarray, ds: float, dw: float) -> CountRates:
+    """Exact count rates over ``pmf``, from ``_none_of`` at any longer size and ``config``'s dark probabilities."""
     ap = 1.0 + config.idler_detector.afterpulse_prob
 
     # no detected signal photon, no detected idler photon, no detected pair
-    no_signal, no_idler, no_pair = (config.pmf * _none_of(config, config.pmf.size)).sum(axis=1).tolist()
+    no_signal, no_idler, no_pair = (pmf * none_of[:, : pmf.size]).sum(axis=1).tolist()
     p_herald = 1.0 - (1.0 - ds) * no_signal
-    p_idler_gate = (1.0 - (1.0 - config.idler_detector.dark_prob_per_gate) * no_idler) * ap
+    p_idler_gate = min((1.0 - (1.0 - config.idler_detector.dark_prob_per_gate) * no_idler) * ap, 1.0)
     # coincidence AND herald, heralded-pair convention: the partner photon of
     # at least one detected signal photon is itself detected, or the idler
     # gate fires dark; a dark herald can only coincide with a dark idler.
     p_coinc_and_herald = (1.0 - (1.0 - dw) * no_pair - dw * (1.0 - ds) * no_signal) * ap
-    return {"p_herald": p_herald, "p_idler_gate": min(p_idler_gate, 1.0), "p_coinc_and_herald": p_coinc_and_herald}
+    signal_singles = config.rep_rate_hz * p_herald
+    trigger_rate = dead_time_throughput(signal_singles, config.trigger_dead_time)
+    per_trigger = p_coinc_and_herald / p_herald if p_herald > 0.0 else 0.0
+    return CountRates(
+        signal_singles=signal_singles,
+        idler_singles=config.gate_rate_hz * p_idler_gate,
+        coincidences=trigger_rate * per_trigger,
+        trigger_rate=trigger_rate,
+        gate_rate=config.gate_rate_hz,
+        per_trigger_coincidence_prob=per_trigger,
+    )
+
+
+def _herald_weights(config: SetupConfig, size: int) -> np.ndarray:  # per pair number n < size: P(a pulse heralds)
+    return 1.0 - (1.0 - config.herald_dark_prob) * _none_of(config, size)[0]
+
+
+def _analytic_heralded(config: SetupConfig, pmf: np.ndarray, weights: np.ndarray) -> HeraldedStats:
+    """Heralded P(n) over ``pmf``, from ``weights = _herald_weights(config, size)`` at any longer size."""
+    heralding = pmf * weights[: pmf.size]
+    p_herald = float(heralding.sum())
+    if p_herald <= 0.0:
+        raise EstimationError("herald probability is zero; cannot condition on a herald")
+    # photons at the output are an independent thinning of the same pairs
+    p_m = thin(heralding, config.output_survival) / p_herald
+    # trim the all-but-zero tail; renormalize within the stated tolerance
+    kept = (p_m > 1e-15).nonzero()[0]
+    p_m = p_m[: kept[-1] + 1 if kept.size else 1]
+    return HeraldedStats(p=p_m / p_m.sum())
+
+
+def analytic_at_means(config: SetupConfig, means: list[float]) -> list[partial]:
+    """One call per positive mean, equal to :func:`simulate_counts` and :func:`heralded_photon_statistics` on
+    ``replace(config, mu=mu)`` or raising its error; the tables, dark probabilities and pmfs are built once."""
+    try:
+        pmfs = pmf_vectors(config.law, means, config.modes)
+    except OverflowError:  # a thermal head past mean ~5e4 overflows Python floats: each call builds its own
+        pmfs = {}
+    none_of, weights = _none_of(config, MAX_PAIRS + 1), _herald_weights(config, MAX_PAIRS + 1)
+    ds, dw = config.herald_dark_prob, config.coincidence_dark_prob
+
+    def at(mu: float) -> tuple[CountRates, HeraldedStats]:
+        pmf = pmfs[mu] if mu in pmfs else PairNumberDistribution(config.law, mu, config.modes).pmf_vector()
+        return _analytic_counts(config, pmf, none_of, ds, dw), _analytic_heralded(config, pmf, weights)
+
+    return [partial(at, mu) for mu in means]
 
 
 def simulate_counts(
@@ -287,21 +322,8 @@ def simulate_counts(
             gate_rate=config.gate_rate_hz,
             per_trigger_coincidence_prob=tally.coincidences / tally.triggers if tally.triggers else 0.0,
         )
-    probs = _analytic_probabilities(config)
-    signal_singles = config.rep_rate_hz * probs["p_herald"]
-    trigger_rate = dead_time_throughput(signal_singles, config.trigger_dead_time)
-    idler_singles = config.gate_rate_hz * probs["p_idler_gate"]
-    per_trigger = (
-        probs["p_coinc_and_herald"] / probs["p_herald"] if probs["p_herald"] > 0.0 else 0.0
-    )
-    return CountRates(
-        signal_singles=signal_singles,
-        idler_singles=idler_singles,
-        coincidences=trigger_rate * per_trigger,
-        trigger_rate=trigger_rate,
-        gate_rate=config.gate_rate_hz,
-        per_trigger_coincidence_prob=per_trigger,
-    )
+    ds, dw = config.herald_dark_prob, config.coincidence_dark_prob
+    return _analytic_counts(config, config.pmf, _none_of(config, config.pmf.size), ds, dw)
 
 
 def heralded_photon_statistics(
@@ -321,17 +343,7 @@ def heralded_photon_statistics(
         if tally.heralds == 0:
             raise EstimationError("no heralds in the Monte Carlo sample; cannot condition")
         return HeraldedStats(p=tally.photons[: np.flatnonzero(tally.photons)[-1] + 1] / tally.heralds)
-    pmf = config.pmf
-    heralding = pmf * (1.0 - (1.0 - config.herald_dark_prob) * _none_of(config, pmf.size)[0])
-    p_herald = float(heralding.sum())
-    if p_herald <= 0.0:
-        raise EstimationError("herald probability is zero; cannot condition on a herald")
-    # photons at the output are an independent thinning of the same pairs
-    p_m = thin(heralding, config.output_survival) / p_herald
-    # trim the all-but-zero tail; renormalize within the stated tolerance
-    kept = np.flatnonzero(p_m > 1e-15)
-    p_m = p_m[: kept[-1] + 1 if kept.size else 1]
-    return HeraldedStats(p=p_m / p_m.sum())
+    return _analytic_heralded(config, config.pmf, _herald_weights(config, config.pmf.size))
 
 
 def hbt_g2(

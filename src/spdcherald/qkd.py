@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .defaults import LOSS_DB_PER_KM
 from .errors import ValidationError, require_finite
-from .experiment import HeraldedStats, SetupConfig, heralded_photon_statistics, simulate_counts
+from .experiment import HeraldedStats, SetupConfig, analytic_at_means
 from .pair_source import REFERENCE_CALIBRATION_PER_MW
 
 DISTANCE_CAP_KM = 500.0
@@ -133,10 +133,10 @@ def pump_sweep(
 ) -> list[TradeoffRow]:
     """Source rate versus multiphoton contamination across pump powers.
 
-    Each row re-runs the analytic forward model (dead time included) at one
-    mean pair number, on ``base_config.with_mu``, so only the pair-number law
-    is validated again; pump power follows from the linear calibration.  A
-    failing row is reported with its error message instead of being dropped.
+    Each row is the analytic forward model (dead time included) at one mean pair
+    number, from one pass of :func:`~spdcherald.experiment.analytic_at_means` over
+    the grid; pump power follows from the linear calibration.  A failing row is
+    reported with its error message instead of being dropped.
     """
     mu_list = [float(m) for m in mu_values]
     if not mu_list:
@@ -146,12 +146,10 @@ def pump_sweep(
     if sorted(mu_list) != mu_list:
         raise ValidationError("mu values must be sorted ascending", "mu_values")
     rows: list[TradeoffRow] = []
-    for mu in mu_list:
+    for mu, at_mu in zip(mu_list, analytic_at_means(base_config, mu_list)):
         pump_mw = mu / pairs_per_pulse_per_mw if pairs_per_pulse_per_mw > 0 else float("nan")
         try:
-            config = base_config.with_mu(mu)
-            counts = simulate_counts(config, mode="analytic")
-            stats = heralded_photon_statistics(config, mode="analytic")
+            counts, stats = at_mu()
             distance = max_secure_distance(stats, channel)
             rows.append(
                 TradeoffRow(

@@ -271,3 +271,10 @@ class TestEquivalentWcp:
             equivalent_wcp(0.5)
         with pytest.raises(DomainError):
             equivalent_wcp(0.1, p2_source=0.0)
+
+    def test_nan_rejected(self):
+        # "<= 0" is false for NaN: mu_coherent and the suppression ratio came out NaN
+        with pytest.raises(DomainError, match=r"P\(1\) must be positive, got nan"):
+            equivalent_wcp(math.nan)
+        with pytest.raises(DomainError, match="p2_source must be positive, got nan"):
+            equivalent_wcp(0.2, p2_source=math.nan)

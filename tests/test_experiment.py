@@ -9,7 +9,7 @@ import pytest
 
 from spdcherald import experiment, pair_source
 from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec, FreeRunningDetector, GatedDetector, dead_time_window
-from spdcherald.errors import EstimationError, ResolutionWarning, ValidationError
+from spdcherald.errors import DomainError, EstimationError, ResolutionWarning, ValidationError
 from spdcherald.experiment import (
     HBT_ARMS,
     MC_BLOCK,
@@ -106,33 +106,6 @@ class TestConfigValidation:
     def test_bad_law_rejected(self):
         with pytest.raises(ValidationError):
             reference_setup(law="gaussian")
-
-    @pytest.mark.parametrize("law,modes", [("poissonian", None), ("thermal", None), ("multimode_thermal", 3)])
-    def test_with_mu_equals_replace(self, law, modes):
-        base = reference_setup(law=law, modes=modes, coincidence_window=2)
-        base.pmf  # cached at the base's mu, and not carried over
-        row = base.with_mu(0.4)
-        expected = replace(base, mu=0.4)
-        assert row == expected and repr(row) == repr(expected)
-        assert row.pair_distribution() == expected.pair_distribution()
-        assert np.array_equal(row.pmf, expected.pmf)
-
-    @pytest.mark.parametrize("mu", [math.nan, math.inf, -1.0])
-    def test_with_mu_rejects_what_replace_rejects(self, mu):
-        with pytest.raises(ValidationError) as expected:
-            replace(reference_setup(), mu=mu)
-        with pytest.raises(ValidationError) as got:
-            reference_setup().with_mu(mu)
-        assert (str(got.value), got.value.field) == (str(expected.value), expected.value.field)
-
-    def test_with_mu_checks_only_the_pair_law(self, monkeypatch):
-        base = reference_setup()
-
-        def check(self):
-            raise AssertionError("every field was checked again")
-
-        monkeypatch.setattr(SetupConfig, "__post_init__", check)
-        assert base.with_mu(0.2).mu == 0.2
 
 
 class TestAnalyticCounts:
@@ -258,6 +231,13 @@ class TestHeraldedStats:
             HeraldedStats(p=np.array([0.5, 0.4]))
         with pytest.raises(ValidationError):
             HeraldedStats(p=np.array([1.2, -0.2]))
+
+    @pytest.mark.parametrize("n", [-1, -9])
+    def test_negative_photon_number_rejected(self, n):
+        # -1 read the last entry (2.4e-15) and -9 raised a raw IndexError
+        stats = heralded_photon_statistics(reference_setup())
+        with pytest.raises(DomainError, match=f"photon number must be >= 0, got {n}"):
+            stats.probability(n)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -737,7 +717,7 @@ class TestOneKernel:
         def analytic(*args, **kwargs):
             raise AssertionError("the Monte Carlo reached the analytic path")
 
-        for name in ("thin", "_analytic_probabilities"):
+        for name in ("thin", "_analytic_counts", "_analytic_heralded"):
             monkeypatch.setattr(experiment, name, analytic)
         monkeypatch.setattr(pair_source, "thin", analytic)
         with pytest.raises(AssertionError, match="analytic path"):

@@ -1,17 +1,26 @@
 import ast
 import itertools
+import json
 import math
+import warnings
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spdcherald import pair_source
+from spdcherald import experiment, pair_source
 from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec
 from spdcherald.errors import ResolutionWarning, ValidationError
-from spdcherald.experiment import HeraldedStats, heralded_photon_statistics, reference_setup, simulate_counts
+from spdcherald.experiment import (
+    HeraldedStats,
+    SetupConfig,
+    heralded_photon_statistics,
+    reference_setup,
+    simulate_counts,
+)
 from spdcherald.pair_source import LAWS, REFERENCE_CALIBRATION_PER_MW, PairNumberDistribution
 from spdcherald.qkd import (
     DISTANCE_CAP_KM,
@@ -264,12 +273,13 @@ class TestPumpSweep:
         "law,modes", [("poissonian", None), ("thermal", None), ("multimode_thermal", 3), ("multimode_thermal", 160)]
     )
     def test_rows_equal_rows_from_replaced_configs(self, law, modes, window, model):
-        # mu = 5 truncates the thermal laws; poissonian mu = 1e3 fails in the model
-        # and mu = inf in the config, so every law has an error row
+        # mu = 5 truncates the thermal laws; poissonian mu = 1e3 fails in the model,
+        # thermal mu = 1e5 overflows its Python floats and mu = inf fails in the
+        # config, so every law has an error row
         base = reference_setup(
             law=law, modes=modes, coincidence_window=window, trigger_dead_time=DeadTimeSpec(1.0, model)
         )
-        mu_values = [1e-4, 0.003, 0.0829, 0.4, 1.0, 5.0, 1e3, math.inf]
+        mu_values = [1e-4, 0.003, 0.0829, 0.4, 1.0, 5.0, 1e3, 1e5, math.inf]
         rows = pump_sweep(base, mu_values, CHANNEL)
         assert repr(rows) == repr(reference_sweep(base, mu_values, CHANNEL))
         assert rows[-1].error == "ValidationError: mean pair number must be finite, got inf"
@@ -340,18 +350,89 @@ class TestPumpSweep:
         assert [w.category for w in record] == [ResolutionWarning]
 
     def test_failed_row_is_reported(self, monkeypatch):
-        import spdcherald.qkd as qkd_module
+        real = experiment._analytic_counts
 
-        real = qkd_module.simulate_counts
-
-        def flaky(config, mode="analytic"):
-            if config.mu == 0.04:
+        def flaky(config, pmf, *tables):
+            if pmf.size == failing_size:
                 raise RuntimeError("synthetic failure")
-            return real(config, mode=mode)
+            return real(config, pmf, *tables)
 
-        monkeypatch.setattr(qkd_module, "simulate_counts", flaky)
+        failing_size = replace(reference_setup(), mu=0.04).pmf.size
+        monkeypatch.setattr(experiment, "_analytic_counts", flaky)
         rows = pump_sweep(reference_setup(), [0.02, 0.04, 0.0829], CHANNEL)
         assert rows[0].error is None
         assert rows[1].error is not None and "synthetic failure" in rows[1].error
         assert math.isnan(rows[1].max_secure_km)
         assert rows[2].error is None
+
+    def test_rows_build_no_setup(self, monkeypatch):
+        # the rows share their setup, so nothing but the pair law is validated again
+        def check(self):
+            raise AssertionError("a row built a setup")
+
+        base = reference_setup()
+        monkeypatch.setattr(SetupConfig, "__post_init__", check)
+        assert [row.error for row in pump_sweep(base, [0.02, 0.2], CHANNEL)] == [None, None]
+
+
+LAW_CASES = [("poissonian", None), ("thermal", None)] + [("multimode_thermal", m) for m in (1, 3, 400)]
+
+
+@st.composite
+def sweep_cases(draw):
+    """A setup of any law, window and dead-time model, and a sorted grid in
+    [1e-3, 3] with one mean past thermal's truncation at about 1.44, then inf."""
+    law, modes = draw(st.sampled_from(LAW_CASES))
+    base = reference_setup(
+        law=law,
+        modes=modes,
+        coincidence_window=draw(st.integers(1, 3)),
+        trigger_dead_time=DeadTimeSpec(1.0, draw(st.sampled_from(DEAD_TIME_MODELS))),
+    )
+    grid = draw(st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=6)) + [draw(st.floats(1.45, 3.0))]
+    return base, sorted(grid) + [math.inf]
+
+
+def recorded(call):
+    """What ``call()`` returns, and the (category, message) of each warning it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestSweepEqualsSinglePoints:
+    @given(case=sweep_cases())
+    def test_rows_equal_single_point_calls(self, case):
+        base, mu_values = case
+        rows, swept = recorded(lambda: pump_sweep(base, mu_values, CHANNEL))
+        expected, single = recorded(lambda: reference_sweep(base, mu_values, CHANNEL))
+        fields = attrgetter("mu", "trigger_rate", "p1", "p2", "max_secure_km", "capped", "insecure_at_zero", "error")
+        assert [repr(fields(row)) for row in rows] == [repr(fields(row)) for row in expected]  # NaN in error rows
+        assert rows[-1].error == "ValidationError: mean pair number must be finite, got inf"
+        # each truncated row warns once, as its single-point pmf does
+        assert swept == single
+        assert all(category is ResolutionWarning for category, _ in swept)
+        truncating = base.law == "thermal" or base.modes == 1
+        assert len(swept) >= truncating
+
+    @pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
+    def test_sweep_artifact_rows_equal_simulate_and_herald_stats(self, tmp_path, capsys):
+        from spdcherald.cli import main
+        from spdcherald.scenario import load_scenario
+
+        thermal = ["paper.scenario", "--override", "source.law=thermal"]
+        grid = [0.003, 0.0829, 0.4, 2.0]  # 2.0 truncates the thermal pmf
+        assert main(["sweep", *thermal, "--override", f"run.sweep_mu={grid}", "--out-dir", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "sweep.json").read_text())["result"]["rows"]
+        channel = load_scenario("paper.scenario").to_channel()
+        for k, (mu, row) in enumerate(zip(grid, rows)):
+            out = tmp_path / str(k)
+            for command in ("simulate", "herald-stats"):
+                assert main([command, *thermal, "--override", f"source.mu={mu}", "--out-dir", str(out)]) == 0
+            counts = json.loads((out / "counts.json").read_text())["result"]
+            p = json.loads((out / "herald_stats.json").read_text())["result"]["p"]
+            distance = max_secure_distance(HeraldedStats(p=np.array(p)), channel)
+            assert (row["mu"], row["error"]) == (mu, None)
+            assert (row["trigger_rate"], row["p1"], row["p2"]) == (counts["trigger_rate_cps"], p[1], p[2])
+            assert (row["max_secure_km"], row["capped"]) == (distance.km, distance.capped)
