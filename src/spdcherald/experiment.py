@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .detectors import (
 )
 from .defaults import COINCIDENCE_WINDOW, GATE_RATE_HZ, HBT_ARMS, LAWS
 from .errors import DomainError, EstimationError, ValidationError, check_run, require_finite
-from .pair_source import MAX_PAIRS, PairNumberDistribution, pmf_vectors, power_table, thin, thinning_table
+from .pair_source import MAX_PAIRS, PairNumberDistribution, power_table, thin, thinning_table
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,11 @@ class SetupConfig:
         """Pair photon -> idler click: the output plane, then the delay fiber and the detector."""
         return self.output_survival * (self.t_delay_fiber * self.idler_detector.efficiency)
 
-    @property
+    @cached_property
     def herald_dark_prob(self) -> float:
         return self.herald.dark_probability(1.0 / self.rep_rate_hz)
 
-    @property
+    @cached_property
     def coincidence_dark_prob(self) -> float:
         """Idler dark probability within the coincidence window (in gates)."""
         d = self.idler_detector.dark_prob_per_gate
@@ -238,8 +238,9 @@ def _none_of(config: SetupConfig, size: int) -> np.ndarray:
     return power_table((1.0 - bs, 1.0 - bi, 1.0 - bs * bi), size)
 
 
-def _analytic_counts(config: SetupConfig, pmf: np.ndarray, none_of: np.ndarray, ds: float, dw: float) -> CountRates:
-    """Exact count rates over ``pmf``, from ``_none_of`` at any longer size and ``config``'s dark probabilities."""
+def _analytic_counts(config: SetupConfig, pmf: np.ndarray, none_of: np.ndarray) -> CountRates:
+    """Exact count rates over ``pmf``, from ``none_of = _none_of(config, size)`` at any longer size."""
+    ds, dw = config.herald_dark_prob, config.coincidence_dark_prob
     ap = 1.0 + config.idler_detector.afterpulse_prob
 
     # no detected signal photon, no detected idler photon, no detected pair
@@ -281,21 +282,16 @@ def _analytic_heralded(config: SetupConfig, pmf: np.ndarray, weights: np.ndarray
     return HeraldedStats(p=p_m / p_m.sum())
 
 
-def analytic_at_means(config: SetupConfig, means: list[float]) -> list[partial]:
-    """One call per positive mean, equal to :func:`simulate_counts` and :func:`heralded_photon_statistics` on
-    ``replace(config, mu=mu)`` or raising its error; the tables, dark probabilities and pmfs are built once."""
-    try:
-        pmfs = pmf_vectors(config.law, means, config.modes)
-    except OverflowError:  # a thermal head past mean ~5e4 overflows Python floats: each call builds its own
-        pmfs = {}
+def analytic_at_mu(config: SetupConfig):
+    """A function of ``mu`` equal to ``simulate_counts`` and ``heralded_photon_statistics`` on
+    ``replace(config, mu=mu)``, or raising its error; ``config``'s tables are built once, at the longest pmf."""
     none_of, weights = _none_of(config, MAX_PAIRS + 1), _herald_weights(config, MAX_PAIRS + 1)
-    ds, dw = config.herald_dark_prob, config.coincidence_dark_prob
 
     def at(mu: float) -> tuple[CountRates, HeraldedStats]:
-        pmf = pmfs[mu] if mu in pmfs else PairNumberDistribution(config.law, mu, config.modes).pmf_vector()
-        return _analytic_counts(config, pmf, none_of, ds, dw), _analytic_heralded(config, pmf, weights)
+        pmf = PairNumberDistribution(config.law, mu, config.modes).pmf_vector()
+        return _analytic_counts(config, pmf, none_of), _analytic_heralded(config, pmf, weights)
 
-    return [partial(at, mu) for mu in means]
+    return at
 
 
 def simulate_counts(
@@ -322,8 +318,7 @@ def simulate_counts(
             gate_rate=config.gate_rate_hz,
             per_trigger_coincidence_prob=tally.coincidences / tally.triggers if tally.triggers else 0.0,
         )
-    ds, dw = config.herald_dark_prob, config.coincidence_dark_prob
-    return _analytic_counts(config, config.pmf, _none_of(config, config.pmf.size), ds, dw)
+    return _analytic_counts(config, config.pmf, _none_of(config, config.pmf.size))
 
 
 def heralded_photon_statistics(

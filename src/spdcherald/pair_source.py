@@ -22,7 +22,6 @@ import functools
 import math
 import warnings
 from bisect import bisect_left
-from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -80,11 +79,27 @@ class PairNumberDistribution:
         return float(self._head(n + 1)[n])
 
     def _head(self, size: int) -> np.ndarray:
+        """``pmf(0..size-1)``: the one formula of each law."""
         if size < 1:
             raise DomainError(f"pair count must be >= 0, got {size - 1}")
-        if self.mean == 0.0:
+        mu = self.mean
+        if mu == 0.0:
             return np.eye(1, size)[0]
-        return _heads(self.law, self.mean, self.modes, size)
+        if self.law == "thermal":
+            # Python floats: libm pow, which numpy's power does not match bit for bit
+            return np.array([mu**n / (1.0 + mu) ** (n + 1) for n in range(size)])
+        n = np.arange(size)
+        if self.law == "poissonian":
+            return np.exp(n * np.log(mu) - mu - _log_factorials(size))
+        m, lf = self.modes, _LOG_FACTORIAL
+        # negative binomial: M identical thermal modes of mean mu/M each
+        if size + m - 2 <= 170:  # n + M - 1 <= 170 for every n < size: all from the table
+            log_c, n_plus_m = (lf[m - 1 : m - 1 + size] - lf[:size]) - lf[m - 1], n + m
+        else:  # past 170! the lgamma difference of two huge logs cancels; comb is exact
+            log_c = [math.log(math.comb(k + m - 1, k)) if k + m - 1 > 170 else (lf[k + m - 1] - lf[k]) - lf[m - 1]
+                     for k in range(size)]
+            n_plus_m = np.array(range(m, m + size), dtype=float)
+        return np.exp(log_c + (n * np.log(mu / m) - n_plus_m * np.log1p(mu / m)))
 
     def pmf_vector(self) -> np.ndarray:
         """Truncated pmf ``p[0..N]`` with tail mass below :data:`TAIL_MASS`.
@@ -92,12 +107,13 @@ class PairNumberDistribution:
         The truncation stops at :data:`MAX_PAIRS` and warns with the dropped
         tail mass if that is above :data:`TAIL_MASS`.
         """
-        return self._truncate(self._head(_first_length(self.mean)))
-
-    def _truncate(self, probs: np.ndarray) -> np.ndarray:
-        """:meth:`pmf_vector`'s cut of a head at least :func:`_first_length` long (a longer one: the same pmf)."""
+        # a first length from the thermal tail (mu/(1+mu))^(n+1), the longest of the three laws
+        mu = self.mean
+        size = math.ceil(math.log(TAIL_MASS) / math.log(mu / (1.0 + mu))) + 2 if 0.0 < mu < 1.0 else MAX_PAIRS + 1
+        probs = self._head(size)
+        # running totals added in sequence: the first to reach 1 - TAIL_MASS ends the pmf
         total = list(accumulate(probs.tolist()))
-        if total[-1] < 1.0 - TAIL_MASS and probs.size <= MAX_PAIRS:  # the head fell short
+        if total[-1] < 1.0 - TAIL_MASS and size <= MAX_PAIRS:  # the first length fell short
             probs = self._head(MAX_PAIRS + 1)
             total = list(accumulate(probs.tolist()))
         probs = probs[: min(bisect_left(total, 1.0 - TAIL_MASS), MAX_PAIRS) + 1]
@@ -106,7 +122,7 @@ class PairNumberDistribution:
             warnings.warn(
                 f"{self.law} pmf at mean {self.mean} truncated at {MAX_PAIRS} pairs; dropped tail mass {dropped:.3g}",
                 ResolutionWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
         return probs
 
@@ -147,42 +163,6 @@ class PairNumberDistribution:
         if self.law == "thermal":
             return 2.0
         return 1.0 + 1.0 / self.modes
-
-
-def _first_length(mu: float) -> int:  # from the thermal tail (mu/(1+mu))^(n+1), the longest law's
-    return math.ceil(math.log(TAIL_MASS) / math.log(mu / (1.0 + mu))) + 2 if 0.0 < mu < 1.0 else MAX_PAIRS + 1
-
-
-def _heads(law: str, mu, modes: int | None, size: int) -> np.ndarray:
-    """``pmf(0..size-1)`` at a positive mean ``mu``, or one row per mean of a column ``mu``, entry by entry."""
-    if law == "thermal":
-        # Python floats: libm pow, which numpy's power does not match bit for bit
-        if isinstance(mu, np.ndarray):  # a column: its means' heads, one by one
-            return np.array([_heads(law, m, modes, size) for m in mu[:, 0].tolist()])
-        return np.array([mu**n / (1.0 + mu) ** (n + 1) for n in range(size)])
-    n = np.arange(size)
-    if law == "poissonian":
-        return np.exp(n * np.log(mu) - mu - _log_factorials(size))
-    m, lf = modes, _LOG_FACTORIAL
-    # negative binomial: M identical thermal modes of mean mu/M each
-    if size + m - 2 <= 170:  # n + M - 1 <= 170 for every n < size: all from the table
-        log_c, n_plus_m = (lf[m - 1 : m - 1 + size] - lf[:size]) - lf[m - 1], n + m
-    else:  # past 170! the lgamma difference of two huge logs cancels; comb is exact
-        log_c = [math.log(math.comb(k + m - 1, k)) if k + m - 1 > 170 else (lf[k + m - 1] - lf[k]) - lf[m - 1]
-                 for k in range(size)]
-        n_plus_m = np.array(range(m, m + size), dtype=float)
-    return np.exp(log_c + (n * np.log(mu / m) - n_plus_m * np.log1p(mu / m)))
-
-
-def pmf_vectors(law: str, means, modes: int | None) -> dict[float, np.ndarray]:
-    """Each of the positive ``means`` that the law accepts, mapped to its ``pmf_vector()``, from one head call."""
-    dists = []
-    for mu in means:
-        with suppress(ValidationError):  # a mean the law rejects has no pmf
-            dists.append(PairNumberDistribution(law, mu, modes))
-    column = np.array([d.mean for d in dists]).reshape(-1, 1)
-    heads = _heads(law, column, modes, _first_length(column.max(initial=0.0)))  # 0.0: no means, no rows
-    return {d.mean: d._truncate(head) for d, head in zip(dists, heads)}
 
 
 def thin(pmf: np.ndarray, survival: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .defaults import LOSS_DB_PER_KM
 from .errors import ValidationError, require_finite
-from .experiment import HeraldedStats, SetupConfig, analytic_at_means
+from .experiment import HeraldedStats, SetupConfig, analytic_at_mu
 from .pair_source import REFERENCE_CALIBRATION_PER_MW
 
 DISTANCE_CAP_KM = 500.0
@@ -134,9 +134,10 @@ def pump_sweep(
     """Source rate versus multiphoton contamination across pump powers.
 
     Each row is the analytic forward model (dead time included) at one mean pair
-    number, from one pass of :func:`~spdcherald.experiment.analytic_at_means` over
-    the grid; pump power follows from the linear calibration.  A failing row is
-    reported with its error message instead of being dropped.
+    number, from :func:`~spdcherald.experiment.analytic_at_mu`, which builds the
+    setup's tables once for the whole grid; pump power follows from the linear
+    calibration.  A failing row is reported with its error message instead of
+    being dropped.
     """
     mu_list = [float(m) for m in mu_values]
     if not mu_list:
@@ -146,10 +147,11 @@ def pump_sweep(
     if sorted(mu_list) != mu_list:
         raise ValidationError("mu values must be sorted ascending", "mu_values")
     rows: list[TradeoffRow] = []
-    for mu, at_mu in zip(mu_list, analytic_at_means(base_config, mu_list)):
+    at_mu = analytic_at_mu(base_config)
+    for mu in mu_list:
         pump_mw = mu / pairs_per_pulse_per_mw if pairs_per_pulse_per_mw > 0 else float("nan")
         try:
-            counts, stats = at_mu()
+            counts, stats = at_mu(mu)
             distance = max_secure_distance(stats, channel)
             rows.append(
                 TradeoffRow(

@@ -391,32 +391,3 @@ class TestNegativePairCount:
         # a negative truncation returned an empty pmf
         with pytest.raises(DomainError, match=f"got {n}"):
             PairNumberDistribution("poissonian", 0.1).pmf(n)
-
-
-@pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
-class TestOneHeadFormula:
-    """pmf_vectors evaluates one head for many means; each row, cut by
-    pmf_vector's running-total rule, is that mean's pmf_vector."""
-
-    # up to the MAX_PAIRS cut of every law (thermal ~1.44, 2 modes ~2.53, poissonian ~19.9)
-    MEANS = sorted({*np.geomspace(1e-6, 25.0, 60).tolist(), MU_REF, 1.0, 1.44, 2.53, 19.9})
-
-    @pytest.mark.parametrize("law,modes", [*LAWS_AND_MODES, ("multimode_thermal", 1), ("multimode_thermal", 400)])
-    def test_batched_pmfs_equal_pmf_vector(self, law, modes):
-        # the whole grid in one head, and in batches of 5 whose heads are shorter
-        batched = pair_source.pmf_vectors(law, self.MEANS, modes)
-        chunked = {}
-        for i in range(0, len(self.MEANS), 5):
-            chunked.update(pair_source.pmf_vectors(law, self.MEANS[i : i + 5], modes))
-        assert list(batched) == list(chunked) == self.MEANS
-        for mu in self.MEANS:
-            dist = PairNumberDistribution(law, mu, modes)
-            expected = dist.pmf_vector()
-            assert np.array_equal(batched[mu], expected) and np.array_equal(chunked[mu], expected), mu
-            assert np.array_equal(expected, scalar_pmf_vector(dist)[0]), mu
-        assert max(pmf.size for pmf in batched.values()) == MAX_PAIRS + 1
-
-    @pytest.mark.parametrize("law,modes", LAWS_AND_MODES)
-    def test_means_the_law_rejects_have_no_pmf(self, law, modes):
-        assert list(pair_source.pmf_vectors(law, [math.nan, 0.1, math.inf], modes)) == [0.1]
-        assert pair_source.pmf_vectors(law, [math.inf], modes) == {}

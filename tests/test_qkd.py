@@ -349,6 +349,14 @@ class TestPumpSweep:
             pump_sweep(reference_setup(), [30.0], ChannelSpec())
         assert [w.category for w in record] == [ResolutionWarning]
 
+    def test_truncation_as_error_is_an_error_row(self):
+        # under warnings-as-errors a truncating mean fails its own row, not the sweep
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = pump_sweep(reference_setup(law="thermal"), [0.0829, 2.0, 3.0], CHANNEL)
+        assert [row.error is None for row in rows] == [True, False, False]
+        assert rows[1].error.startswith("ResolutionWarning: thermal pmf at mean 2.0 truncated at 64 pairs")
+
     def test_failed_row_is_reported(self, monkeypatch):
         real = experiment._analytic_counts
 
