@@ -148,6 +148,23 @@ class SetupConfig:
             return 1.0
         return float(-np.expm1(self.coincidence_window * np.log1p(-d))) if d > 0 else 0.0
 
+    @cached_property
+    def none_of(self) -> np.ndarray:
+        """Per pair number n <= MAX_PAIRS, the chances that none of n pairs gives a
+        detected signal photon, a detected idler photon and a detected pair: the
+        rows ``(1 - b_s)^n``, ``(1 - b_i)^n`` and ``(1 - b_s b_i)^n`` of a cached,
+        read-only power table.  The analytic and Monte Carlo paths read the
+        prefix of their pmf's length."""
+        bs, bi = self.herald_survival, self.idler_click_survival
+        return power_table((1.0 - bs, 1.0 - bi, 1.0 - bs * bi))
+
+    @cached_property
+    def herald_weights(self) -> np.ndarray:
+        """Per pair number n <= MAX_PAIRS, the chance that a pulse heralds, read-only."""
+        weights = 1.0 - (1.0 - self.herald_dark_prob) * self.none_of[0]
+        weights.setflags(write=False)
+        return weights
+
 
 @dataclass(frozen=True)
 class CountRates:
@@ -229,22 +246,13 @@ class G2Result:
     mode: str
 
 
-def _none_of(config: SetupConfig, size: int) -> np.ndarray:
-    """Per pair number n < ``size``, the chances that none of n pairs gives a
-    detected signal photon, a detected idler photon and a detected pair: the
-    rows ``(1 - b_s)^n``, ``(1 - b_i)^n`` and ``(1 - b_s b_i)^n`` of one cached,
-    read-only power table, which the analytic and Monte Carlo paths share."""
-    bs, bi = config.herald_survival, config.idler_click_survival
-    return power_table((1.0 - bs, 1.0 - bi, 1.0 - bs * bi), size)
-
-
-def _analytic_counts(config: SetupConfig, pmf: np.ndarray, none_of: np.ndarray) -> CountRates:
-    """Exact count rates over ``pmf``, from ``none_of = _none_of(config, size)`` at any longer size."""
+def _analytic_counts(config: SetupConfig, pmf: np.ndarray) -> CountRates:
+    """Exact count rates of ``config``'s optics over ``pmf``."""
     ds, dw = config.herald_dark_prob, config.coincidence_dark_prob
     ap = 1.0 + config.idler_detector.afterpulse_prob
 
     # no detected signal photon, no detected idler photon, no detected pair
-    no_signal, no_idler, no_pair = (pmf * none_of[:, : pmf.size]).sum(axis=1).tolist()
+    no_signal, no_idler, no_pair = (pmf * config.none_of[:, : pmf.size]).sum(axis=1).tolist()
     p_herald = 1.0 - (1.0 - ds) * no_signal
     p_idler_gate = min((1.0 - (1.0 - config.idler_detector.dark_prob_per_gate) * no_idler) * ap, 1.0)
     # coincidence AND herald, heralded-pair convention: the partner photon of
@@ -264,13 +272,9 @@ def _analytic_counts(config: SetupConfig, pmf: np.ndarray, none_of: np.ndarray) 
     )
 
 
-def _herald_weights(config: SetupConfig, size: int) -> np.ndarray:  # per pair number n < size: P(a pulse heralds)
-    return 1.0 - (1.0 - config.herald_dark_prob) * _none_of(config, size)[0]
-
-
-def _analytic_heralded(config: SetupConfig, pmf: np.ndarray, weights: np.ndarray) -> HeraldedStats:
-    """Heralded P(n) over ``pmf``, from ``weights = _herald_weights(config, size)`` at any longer size."""
-    heralding = pmf * weights[: pmf.size]
+def _analytic_heralded(config: SetupConfig, pmf: np.ndarray) -> HeraldedStats:
+    """Heralded P(n) of ``config``'s optics over ``pmf``."""
+    heralding = pmf * config.herald_weights[: pmf.size]
     p_herald = float(heralding.sum())
     if p_herald <= 0.0:
         raise EstimationError("herald probability is zero; cannot condition on a herald")
@@ -282,16 +286,11 @@ def _analytic_heralded(config: SetupConfig, pmf: np.ndarray, weights: np.ndarray
     return HeraldedStats(p=p_m / p_m.sum())
 
 
-def analytic_at_mu(config: SetupConfig):
-    """A function of ``mu`` equal to ``simulate_counts`` and ``heralded_photon_statistics`` on
-    ``replace(config, mu=mu)``, or raising its error; ``config``'s tables are built once, at the longest pmf."""
-    none_of, weights = _none_of(config, MAX_PAIRS + 1), _herald_weights(config, MAX_PAIRS + 1)
-
-    def at(mu: float) -> tuple[CountRates, HeraldedStats]:
-        pmf = PairNumberDistribution(config.law, mu, config.modes).pmf_vector()
-        return _analytic_counts(config, pmf, none_of), _analytic_heralded(config, pmf, weights)
-
-    return at
+def analytic_at(config: SetupConfig, mu: float) -> tuple[CountRates, HeraldedStats]:
+    """``simulate_counts`` and ``heralded_photon_statistics`` of ``replace(config, mu=mu)``, or
+    its error, on ``config``'s own tables: a pump sweep's rows share one setup's."""
+    pmf = PairNumberDistribution(config.law, mu, config.modes).pmf_vector()
+    return _analytic_counts(config, pmf), _analytic_heralded(config, pmf)
 
 
 def simulate_counts(
@@ -318,7 +317,7 @@ def simulate_counts(
             gate_rate=config.gate_rate_hz,
             per_trigger_coincidence_prob=tally.coincidences / tally.triggers if tally.triggers else 0.0,
         )
-    return _analytic_counts(config, config.pmf, _none_of(config, config.pmf.size))
+    return _analytic_counts(config, config.pmf)
 
 
 def heralded_photon_statistics(
@@ -338,7 +337,7 @@ def heralded_photon_statistics(
         if tally.heralds == 0:
             raise EstimationError("no heralds in the Monte Carlo sample; cannot condition")
         return HeraldedStats(p=tally.photons[: np.flatnonzero(tally.photons)[-1] + 1] / tally.heralds)
-    return _analytic_heralded(config, config.pmf, _herald_weights(config, config.pmf.size))
+    return _analytic_heralded(config, config.pmf)
 
 
 def hbt_g2(
@@ -429,7 +428,7 @@ def _mc_tally(config: SetupConfig, n_pulses: int, seed: int, reduction: str, rat
             "mu",
         )
     pmf = config.pmf / config.pmf.sum()
-    no_signal, no_idler, no_partner = _none_of(config, pmf.size)
+    no_signal, no_idler, no_partner = config.none_of[:, : pmf.size]
     ds = config.herald_dark_prob
     herald = pmf[:, None] * np.stack([1.0 - no_partner, np.maximum(no_partner - no_signal, 0.0), no_signal * ds], 1)
     no_herald = pmf * no_signal * (1.0 - ds)
@@ -523,7 +522,7 @@ def _hbt_ports(size: int, pa: float, pb: float, dark: float) -> np.ndarray:
     Each pair's photon clicks port a with ``pa`` or port b with ``pb``, and
     each port also clicks dark with ``dark``.
     """
-    none_a, none_b, none = power_table((1.0 - pa, 1.0 - pb, 1.0 - (pa + pb)), size)
+    none_a, none_b, none = power_table((1.0 - pa, 1.0 - pb, 1.0 - (pa + pb)))[:, :size]
     quiet_a = (1.0 - dark) * none_a
     quiet_b = (1.0 - dark) * none_b
     quiet = (1.0 - dark) ** 2 * none

@@ -87,7 +87,10 @@ class PairNumberDistribution:
             return np.eye(1, size)[0]
         if self.law == "thermal":
             # Python floats: libm pow, which numpy's power does not match bit for bit
-            return np.array([mu**n / (1.0 + mu) ** (n + 1) for n in range(size)])
+            try:
+                return np.array([mu**n / (1.0 + mu) ** (n + 1) for n in range(size)])
+            except OverflowError:
+                raise ValidationError(f"the thermal pmf at mean {mu} overflows a float by {size} terms", "mean") from None
         n = np.arange(size)
         if self.law == "poissonian":
             return np.exp(n * np.log(mu) - mu - _log_factorials(size))
@@ -180,13 +183,15 @@ def thin(pmf: np.ndarray, survival: float) -> np.ndarray:
     return p @ thinning_table(s, p.size)
 
 
-# The tables are cached per (survival, length), since every row of a pump sweep
-# shares its optics while its pmf length follows mu.  Callers share a cached
-# table, so each builder marks its table read-only.
+# The tables are cached by value, since setups that differ only in law, mean,
+# window or dead time share their optics.  Callers share a cached table, so
+# each builder marks its table read-only.
 @functools.lru_cache(maxsize=256)  # at most 256 x 3 x 65 floats: 0.4 MB
-def power_table(points: tuple[float, ...], size: int) -> np.ndarray:
-    """``x**n`` for n < ``size``, one row per point x of ``points``."""
-    table = np.array(points)[:, None] ** np.arange(size)
+def power_table(points: tuple[float, ...]) -> np.ndarray:
+    """``x**n`` for n <= MAX_PAIRS, one row per point x of ``points``.  The
+    power is elementwise, so a pmf of any length reads the prefix of its own
+    length, bit for bit a table of that length."""
+    table = np.array(points)[:, None] ** np.arange(MAX_PAIRS + 1)
     table.setflags(write=False)
     return table
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .defaults import LOSS_DB_PER_KM
 from .errors import ValidationError, require_finite
-from .experiment import HeraldedStats, SetupConfig, analytic_at_mu
+from .experiment import HeraldedStats, SetupConfig, analytic_at
 from .pair_source import REFERENCE_CALIBRATION_PER_MW
 
 DISTANCE_CAP_KM = 500.0
@@ -63,10 +63,10 @@ class TradeoffRow:
 
     mu: float
     pump_power_mw: float
-    trigger_rate: float
-    p1: float
-    p2: float
-    max_secure_km: float
+    trigger_rate: float = math.nan  # NaN on an error row, as each value below
+    p1: float = math.nan
+    p2: float = math.nan
+    max_secure_km: float = math.nan
     capped: bool = False
     insecure_at_zero: bool = False
     error: str | None = None
@@ -134,10 +134,10 @@ def pump_sweep(
     """Source rate versus multiphoton contamination across pump powers.
 
     Each row is the analytic forward model (dead time included) at one mean pair
-    number, from :func:`~spdcherald.experiment.analytic_at_mu`, which builds the
-    setup's tables once for the whole grid; pump power follows from the linear
-    calibration.  A failing row is reported with its error message instead of
-    being dropped.
+    number, from :func:`~spdcherald.experiment.analytic_at` on the one setup,
+    whose none-of table and herald weights every row reads; pump power follows
+    from the linear calibration, and a calibration of 0 gives none.  A failing
+    row is reported with its error message instead of being dropped.
     """
     mu_list = [float(m) for m in mu_values]
     if not mu_list:
@@ -146,12 +146,13 @@ def pump_sweep(
         raise ValidationError("mu values must be positive", "mu_values")
     if sorted(mu_list) != mu_list:
         raise ValidationError("mu values must be sorted ascending", "mu_values")
+    if not (pairs_per_pulse_per_mw >= 0.0):  # written as "inside" so that NaN fails the check
+        raise ValidationError(f"pump calibration must be >= 0, got {pairs_per_pulse_per_mw}", "pairs_per_pulse_per_mw")
     rows: list[TradeoffRow] = []
-    at_mu = analytic_at_mu(base_config)
     for mu in mu_list:
-        pump_mw = mu / pairs_per_pulse_per_mw if pairs_per_pulse_per_mw > 0 else float("nan")
+        pump_mw = mu / pairs_per_pulse_per_mw if pairs_per_pulse_per_mw > 0 else math.nan
         try:
-            counts, stats = at_mu(mu)
+            counts, stats = analytic_at(base_config, mu)
             distance = max_secure_distance(stats, channel)
             rows.append(
                 TradeoffRow(
@@ -166,15 +167,5 @@ def pump_sweep(
                 )
             )
         except Exception as exc:  # noqa: BLE001 - per-row errors are data
-            rows.append(
-                TradeoffRow(
-                    mu=mu,
-                    pump_power_mw=pump_mw,
-                    trigger_rate=float("nan"),
-                    p1=float("nan"),
-                    p2=float("nan"),
-                    max_secure_km=float("nan"),
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            rows.append(TradeoffRow(mu=mu, pump_power_mw=pump_mw, error=f"{type(exc).__name__}: {exc}"))
     return rows

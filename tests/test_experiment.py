@@ -281,7 +281,7 @@ class TestAnalyticBitIdentity:
     def test_generating_values(self, case):
         cfg = reference_setup(**case)
         bs, bi = cfg.herald_survival, cfg.idler_click_survival
-        got = (cfg.pmf * experiment._none_of(cfg, cfg.pmf.size)).sum(axis=1).tolist()
+        got = (cfg.pmf * cfg.none_of[:, : cfg.pmf.size]).sum(axis=1).tolist()
         assert got == [pgf_per_point(cfg.pmf, x) for x in (1.0 - bs, 1.0 - bi, 1.0 - bs * bi)]
 
     @pytest.mark.parametrize("case", CASES)

@@ -1,5 +1,7 @@
 import functools
 import math
+import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -370,19 +372,41 @@ class TestBitIdentity:
         # each repeated call reads the matrix the first one built
         assert pair_source.thinning_table.cache_info()[:2] == (2, 2)
         power = pair_source.power_table
-        assert power((0.5,), 10) is power((0.5,), 10)
+        assert power((0.5,)) is power((0.5,))
         assert power.cache_info()[:2] == (1, 1)
+
+    @pytest.mark.parametrize("points", [(0.0, 1.0), (0.3, 0.7), (1.0 - 0.1687 * 0.466 * 0.547,)])
+    def test_power_table_prefix_is_the_table_of_its_length(self, points):
+        # a pmf of any length reads the prefix of the one MAX_PAIRS + 1 table
+        table = pair_source.power_table(points)
+        assert table.shape == (len(points), MAX_PAIRS + 1)
+        for size in range(1, MAX_PAIRS + 2):
+            assert np.array_equal(table[:, :size], np.array(points)[:, None] ** np.arange(size))
 
     def test_tables_are_read_only(self):
         size = MAX_PAIRS + 1
         tables = [
-            pair_source.power_table((0.3, 0.7), size),
+            pair_source.power_table((0.3, 0.7)),
             pair_source.thinning_table(0.3, size),
             pair_source._binomial_coefficients(size),
         ]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 1.0
+
+
+class TestThermalOverflow:
+    @pytest.mark.parametrize("mu,size", [(4e4, 67), (1e5, 65), (1e300, 65), (sys.float_info.max, 65)])
+    def test_overflow_is_a_validation_error_naming_the_mean(self, mu, size):
+        # mu**n / (1 + mu)**(n + 1) in Python floats raised a bare OverflowError
+        with pytest.raises(ValidationError, match=re.escape(f"mean {mu} overflows a float by {size} terms")) as exc:
+            PairNumberDistribution("thermal", mu).pmf_vector()
+        assert exc.value.field == "mean"
+
+    def test_the_last_mean_below_the_overflow_builds(self):
+        with pytest.warns(ResolutionWarning, match="truncated at 64 pairs"):
+            probs = PairNumberDistribution("thermal", 3.9e4).pmf_vector()
+        assert probs.size == MAX_PAIRS + 1 and probs.tolist() == [3.9e4**n / (1.0 + 3.9e4) ** (n + 1) for n in range(65)]
 
 
 class TestNegativePairCount:

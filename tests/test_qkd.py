@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -253,8 +253,7 @@ def reference_sweep(base, mu_values, channel):
             stats = heralded_photon_statistics(config, mode="analytic")
             distance = max_secure_distance(stats, channel)
         except Exception as exc:  # noqa: BLE001 - an error row, as in pump_sweep
-            nan = float("nan")
-            rows.append(TradeoffRow(mu, pump_mw, nan, nan, nan, nan, error=f"{type(exc).__name__}: {exc}"))
+            rows.append(TradeoffRow(mu, pump_mw, error=f"{type(exc).__name__}: {exc}"))
             continue
         rows.append(
             TradeoffRow(
@@ -274,8 +273,8 @@ class TestPumpSweep:
     )
     def test_rows_equal_rows_from_replaced_configs(self, law, modes, window, model):
         # mu = 5 truncates the thermal laws; poissonian mu = 1e3 fails in the model,
-        # thermal mu = 1e5 overflows its Python floats and mu = inf fails in the
-        # config, so every law has an error row
+        # thermal mu = 1e5 overflows its pmf's Python floats and mu = inf fails in
+        # the config, so every law has an error row
         base = reference_setup(
             law=law, modes=modes, coincidence_window=window, trigger_dead_time=DeadTimeSpec(1.0, model)
         )
@@ -286,12 +285,13 @@ class TestPumpSweep:
 
     def test_rows_do_not_depend_on_the_table_caches(self):
         # cold caches, warm ones, and ones whose tables 300 one-off survivals evicted
+        # (fresh setups each time: a setup keeps the tables it read)
         caches = (pair_source.power_table, pair_source.thinning_table)
         laws = [("poissonian", None), ("thermal", None), ("multimode_thermal", 3)]
-        configs = [reference_setup(law=law, modes=modes) for law, modes in laws]
         mu_values = [0.02, 0.0829, 0.25, 0.4]
 
         def outputs():
+            configs = [reference_setup(law=law, modes=modes) for law, modes in laws]
             stats = [heralded_photon_statistics(config, mode="analytic").p.tolist() for config in configs]
             return repr(([pump_sweep(config, mu_values, CHANNEL) for config in configs], stats))
 
@@ -302,11 +302,67 @@ class TestPumpSweep:
         assert all(cache.cache_info().hits for cache in caches)
         for i in range(300):
             survival = 0.5 + 1e-4 * i
-            pair_source.power_table((survival,), 12)
+            pair_source.power_table((survival,))
             pair_source.thinning_table(survival, 12)
         assert [cache.cache_info().currsize for cache in caches] == [256, 256]
         evicted = outputs()
         assert cold == warm == evicted
+
+    def test_rows_and_single_points_read_one_none_of_table(self, monkeypatch):
+        # rows of pmfs of 4 to 65 entries, then the setup's own analytic and Monte Carlo calls
+        built = []
+
+        def spy(points):
+            built.append(pair_source.power_table(points))
+            return built[-1]
+
+        monkeypatch.setattr(experiment, "power_table", spy)
+        base = reference_setup(law="thermal")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            rows = pump_sweep(base, [1e-4, 0.0829, 1.0, 5.0], CHANNEL)
+        assert [row.error for row in rows] == [None] * 4
+        simulate_counts(base)
+        heralded_photon_statistics(base)
+        for reduction in (simulate_counts, heralded_photon_statistics):
+            reduction(base, mode="monte_carlo", n_pulses=1_000_000, seed=7)
+        assert len(built) == 1 and built[0] is base.none_of
+
+    def test_one_power_table_per_setup_whatever_its_pmf_lengths(self):
+        power = pair_source.power_table
+        power.cache_clear()
+        for law in ("poissonian", "thermal"):
+            for mu in (1e-4, 0.0829, 1.0):
+                simulate_counts(reference_setup(law=law, mu=mu))
+                pump_sweep(reference_setup(law=law, mu=mu), [1e-4, 0.0829, 1.0], CHANNEL)
+        assert power.cache_info().currsize == 1
+        simulate_counts(reference_setup(alpha_signal=0.2))
+        assert power.cache_info().currsize == 2
+
+    def test_setup_tables_are_read_only(self):
+        config = reference_setup()
+        for name in ("none_of", "herald_weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(config, name)[..., 0] = 1.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, name, None)
+        assert config.none_of.shape == (3, config.herald_weights.size)
+
+    @pytest.mark.parametrize("calibration", [-1.0, -0.0829 / 240.0, math.nan, -math.inf])
+    def test_negative_pump_calibration_rejected(self, calibration):
+        # it wrote pump_power_mw null on every row; 0 still means no calibration
+        with pytest.raises(ValidationError, match="pump calibration must be >= 0") as exc:
+            pump_sweep(reference_setup(), [0.0829], CHANNEL, pairs_per_pulse_per_mw=calibration)
+        assert exc.value.field == "pairs_per_pulse_per_mw"
+        assert math.isnan(pump_sweep(reference_setup(), [0.0829], CHANNEL, pairs_per_pulse_per_mw=0.0)[0].pump_power_mw)
+
+    def test_error_row_defaults(self):
+        row = TradeoffRow(0.1, 2.0, error="ValidationError: x")
+        assert list(vars(row)) == [
+            "mu", "pump_power_mw", "trigger_rate", "p1", "p2", "max_secure_km", "capped", "insecure_at_zero", "error",
+        ]
+        assert all(math.isnan(v) for v in (row.trigger_rate, row.p1, row.p2, row.max_secure_km))
+        assert (row.capped, row.insecure_at_zero) == (False, False)
 
     def test_reference_row(self):
         rows = pump_sweep(reference_setup(), [0.0829], CHANNEL)

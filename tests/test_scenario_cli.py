@@ -935,6 +935,44 @@ class TestCommandTable:
                     "MAX_PAIRS = 64 pairs, dropping tail mass") in capsys.readouterr().err
             assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("mu", ["4e4", "1e5", "1e300"])
+    @pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
+    @pytest.mark.parametrize(
+        "command,arm", [("simulate", None), ("herald-stats", None), ("wcp-compare", None), ("g2", "idler_heralded"),
+                        ("g2", "signal_unconditioned")]
+    )
+    def test_thermal_overflow_exits_2_naming_the_mean(self, tmp_path, capsys, command, arm, mode, mu):
+        # the thermal pmf's Python floats overflowed, and each exited 1 with a traceback
+        argv = [command, BUNDLED, "--mode", mode, "--pulses", "1000000", "--seed", "7", "--override",
+                "source.law=thermal", "--override", f"source.mu={mu}", "--out-dir", str(tmp_path)]
+        if arm:
+            argv += ["--override", f"run.g2_arm={arm}"]
+        if (mode, arm) == ("analytic", "signal_unconditioned"):  # the law's g2 needs no pmf
+            assert main(argv) == 0
+            assert _strict_record(tmp_path / "g2.json")["result"]["g2"] == 2.0
+            return
+        assert main(argv) == 2
+        assert (f"validation error: scenario key 'source.mu': the thermal pmf at mean {float(mu)} overflows a float"
+                in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
+    def test_sweep_row_of_a_thermal_overflow_carries_its_message(self, tmp_path):
+        argv = ["sweep", BUNDLED, "--override", "source.law=thermal", "--override", "run.sweep_mu=[0.1, 4e4, 1e5, 1e300]",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        rows = _strict_record(tmp_path / "sweep.json")["result"]["rows"]
+        assert rows[0]["error"] is None
+        for row in rows[1:]:
+            assert row["error"].startswith(f"ValidationError: the thermal pmf at mean {row['mu']} overflows a float")
+
+    def test_sweep_with_a_negative_pump_calibration_exits_2(self, tmp_path, capsys):
+        # it exited 0 and wrote pump_power_mw null on every row
+        argv = ["sweep", BUNDLED, "--override", "source.pairs_per_pulse_per_mw=-1", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert ("validation error: scenario key 'source.pairs_per_pulse_per_mw': pump calibration must be >= 0"
+                in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
     def test_sweep_without_pump_calibration_writes_null(self, tmp_path):
         argv = ["sweep", BUNDLED, "--override", "source.pairs_per_pulse_per_mw=0", "--out-dir", str(tmp_path)]
         assert main(argv) == 0
