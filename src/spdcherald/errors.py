@@ -82,7 +82,7 @@ class NoPhaseMatchingError(NumericalError):
 
 
 class ResolutionWarning(UserWarning):
-    """A grid or truncation is too coarse to resolve the computed feature."""
+    """A spectral grid is too coarse to resolve the computed feature."""
 
 
 class EmptyMarginalError(NumericalError):

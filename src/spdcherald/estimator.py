@@ -101,7 +101,8 @@ def estimate_source(counts: CountRates, setup: SetupConfig) -> SourceEstimate:
     Raises :class:`InfeasibleCountsError` naming the violated bound whenever
     the counts cannot be produced by any parameter set under the declared
     losses (e.g. singles below the dark floor, couplings outside [0, 1]), and
-    :class:`ValidationError` naming a calibrated factor that is zero.
+    :class:`ValidationError` naming a calibrated factor that is zero, or the
+    counts where the law refuses the mean they imply.
     """
     cal_s = _calibration(setup, "t_signal_optics", "herald.efficiency")
     cal_i = _calibration(setup, "t_idler_optics", "t_delay_fiber", "idler_detector.efficiency")
@@ -130,9 +131,16 @@ def estimate_source(counts: CountRates, setup: SetupConfig) -> SourceEstimate:
     mu = x_s * x_i / x_si
     alpha_s = _check_unit_interval(x_si / x_i / cal_s, "alpha_signal")
     alpha_i = _check_unit_interval(x_si / x_s / cal_i, "alpha_idler")
-    heralded = heralded_photon_statistics(
-        replace(setup, mu=mu, alpha_signal=alpha_s, alpha_idler=alpha_i)
-    )
+    try:
+        heralded = heralded_photon_statistics(replace(setup, mu=mu, alpha_signal=alpha_s, alpha_idler=alpha_i))
+    except ValidationError as exc:
+        if exc.field != "mean":
+            raise
+        # the mean is inferred, so the counts it came from are at fault, not the scenario's mu
+        raise ValidationError(
+            f"the counts imply a mean pair number the model refuses: {exc}",
+            ("signal_singles", "idler_singles", "coincidences"),
+        ) from None
     return SourceEstimate(
         mu=mu,
         pair_rate=mu * setup.rep_rate_hz,

@@ -58,7 +58,7 @@ from .detectors import (
 )
 from .defaults import COINCIDENCE_WINDOW, GATE_RATE_HZ, HBT_ARMS, LAWS
 from .errors import DomainError, EstimationError, ValidationError, check_run, require_finite
-from .pair_source import MAX_PAIRS, PairNumberDistribution, power_table, thin, thinning_table
+from .pair_source import PairNumberDistribution, power_table, thin, thinning_table
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,9 @@ class SetupConfig:
 
     @cached_property
     def pmf(self) -> np.ndarray:
-        """The truncated pair-number pmf, built (and any truncation warned of)
-        once per setup; every analytic and Monte Carlo path reads this one."""
+        """The truncated pair-number pmf, built once per setup (a law cut at
+        MAX_PAIRS is refused naming the mean); every analytic and Monte Carlo
+        path reads this one."""
         return self._distribution.pmf_vector()
 
     # --- per-photon survival probabilities of the two arms ---
@@ -419,14 +420,6 @@ def _mc_tally(config: SetupConfig, n_pulses: int, seed: int, reduction: str, rat
     arm behind a splitter of ``ratio``.  Each block draws from its own
     substream, so which reduction is asked changes none of the tables."""
     n_pulses, seed = int(n_pulses), int(seed)
-    # the pmf is normalised below, so a truncated law would be redrawn from its head alone
-    dropped = config.pair_distribution().dropped_mass(config.pmf)
-    if dropped:
-        raise ValidationError(
-            f"the {config.law} pmf at mean {config.mu} is cut at MAX_PAIRS = {MAX_PAIRS} pairs, "
-            f"dropping tail mass {dropped:.3g}; the Monte Carlo draws only from a whole law",
-            "mu",
-        )
     pmf = config.pmf / config.pmf.sum()
     no_signal, no_idler, no_partner = config.none_of[:, : pmf.size]
     ds = config.herald_dark_prob

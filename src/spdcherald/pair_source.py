@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -28,10 +27,11 @@ from itertools import accumulate
 import numpy as np
 
 from .defaults import LAWS
-from .errors import DomainError, ResolutionWarning, ValidationError, require_finite
+from .errors import DomainError, ValidationError, require_finite
 
 # Adaptive truncation: extend the pmf until the remaining tail mass is below
-# TAIL_MASS, never beyond MAX_PAIRS pairs (mu <= 0.25 in all intended use).
+# TAIL_MASS; a law that needs more than MAX_PAIRS pairs for that is refused
+# (mu <= 0.25 in all intended use).
 TAIL_MASS = 1e-15
 MAX_PAIRS = 64
 
@@ -83,7 +83,8 @@ class PairNumberDistribution:
         if size < 1:
             raise DomainError(f"pair count must be >= 0, got {size - 1}")
         mu = self.mean
-        if mu == 0.0:
+        # a mean per mode that underflows to 0 is within one subnormal of the point mass at 0
+        if mu / (self.modes or 1) == 0.0:
             return np.eye(1, size)[0]
         if self.law == "thermal":
             # Python floats: libm pow, which numpy's power does not match bit for bit
@@ -107,8 +108,9 @@ class PairNumberDistribution:
     def pmf_vector(self) -> np.ndarray:
         """Truncated pmf ``p[0..N]`` with tail mass below :data:`TAIL_MASS`.
 
-        The truncation stops at :data:`MAX_PAIRS` and warns with the dropped
-        tail mass if that is above :data:`TAIL_MASS`.
+        The truncation stops at :data:`MAX_PAIRS`; a law with more tail mass
+        left there is refused with a :class:`ValidationError` naming the mean
+        and the dropped mass, since no model here is right without it.
         """
         # a first length from the thermal tail (mu/(1+mu))^(n+1), the longest of the three laws
         mu = self.mean
@@ -119,26 +121,16 @@ class PairNumberDistribution:
         if total[-1] < 1.0 - TAIL_MASS and size <= MAX_PAIRS:  # the first length fell short
             probs = self._head(MAX_PAIRS + 1)
             total = list(accumulate(probs.tolist()))
-        probs = probs[: min(bisect_left(total, 1.0 - TAIL_MASS), MAX_PAIRS) + 1]
-        dropped = self.dropped_mass(probs)
-        if dropped:
-            warnings.warn(
-                f"{self.law} pmf at mean {self.mean} truncated at {MAX_PAIRS} pairs; dropped tail mass {dropped:.3g}",
-                ResolutionWarning,
-                stacklevel=2,
+        last = min(bisect_left(total, 1.0 - TAIL_MASS), MAX_PAIRS)
+        # only a pmf cut at MAX_PAIRS can fall short, and a shortfall of a few
+        # ulps can be rounding in large terms: it is a cut only where the tail is real
+        if total[last] < 1.0 - TAIL_MASS and self._tail_bound(MAX_PAIRS + 1) >= TAIL_MASS:
+            raise ValidationError(
+                f"the {self.law} pmf at mean {mu} is cut at MAX_PAIRS = {MAX_PAIRS} pairs, "
+                f"dropping tail mass {1.0 - total[last]:.3g}; the models need the whole law",
+                "mean",
             )
-        return probs
-
-    def dropped_mass(self, probs: np.ndarray) -> float:
-        """The tail mass past :data:`MAX_PAIRS` pairs that :meth:`pmf_vector`'s
-        ``probs`` leaves out, or 0.0 where it keeps all but
-        :data:`TAIL_MASS`.  Only a pmf cut at MAX_PAIRS can fall short, and a
-        shortfall of a few ulps can be rounding in large terms: it counts only
-        where the tail is real."""
-        if probs.size <= MAX_PAIRS:
-            return 0.0
-        kept = list(accumulate(probs.tolist()))[-1]  # in sequence, as pmf_vector's running totals
-        return 1.0 - kept if kept < 1.0 - TAIL_MASS and self._tail_bound(MAX_PAIRS + 1) >= TAIL_MASS else 0.0
+        return probs[: last + 1]
 
     def _tail_bound(self, size: int) -> float:
         """An upper bound on the mass at ``size`` pairs and beyond.

@@ -341,6 +341,19 @@ class TestSimulateDeadTimeValidation:
             simulate_dead_time(2.9e5, DeadTimeSpec(1.0, model), rep, 1000, seed=1)
         assert info.value.field == "rep_rate_hz"
 
+    def test_negative_rate(self):
+        with pytest.raises(DomainError, match="input rate must be >= 0, got -1.0"):
+            simulate_dead_time(-1.0, DeadTimeSpec(), 8.2e7, 1000, seed=1)
+
+    def test_no_pulses(self):
+        with pytest.raises(ValidationError, match="n_pulses must be >= 1") as info:
+            simulate_dead_time(2.9e5, DeadTimeSpec(), 8.2e7, 0, seed=1)
+        assert info.value.field == "n_pulses"
+
+    def test_rate_above_the_rep_rate(self):
+        with pytest.raises(DomainError, match="input rate exceeds one click per pulse"):
+            simulate_dead_time(8.3e7, DeadTimeSpec(), 8.2e7, 1000, seed=1)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_rate(self, rate):
         with pytest.raises(ValidationError, match="finite"):

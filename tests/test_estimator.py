@@ -222,6 +222,26 @@ class TestInfeasibleCounts:
         with pytest.raises(ValidationError, match=f"calibrated {field} is 0"):
             estimate_source(reference_counts(), reference_setup(**override))
 
+    def test_zero_gate_rate_rejected(self):
+        counts = CountRates(2.9e5, 285.0, 3053.0, 2.16e5, 0.0, 3053.0 / 2.16e5)
+        with pytest.raises(EstimationError, match="a positive gate rate is required"):
+            estimate_source(counts, reference_setup())
+
+    def test_idler_click_probability_of_one_rejected(self):
+        # 2.1e5 idler clicks at 2.05e5 gates: 1.023 per gate once afterpulsing is divided out
+        counts = CountRates(2.9e5, 2.1e5, 3053.0, 2.16e5, 2.05e5, 3053.0 / 2.16e5)
+        with pytest.raises(InfeasibleCountsError, match=r"idler singles: click probability 1\.023e\+00 must be < 1"):
+            estimate_source(counts, reference_setup())
+
+    def test_a_refused_inferred_mean_names_the_counts(self):
+        # the counts imply mu ~ 552, a poissonian law the pmf cuts at 64 pairs; its
+        # heralded P(n) was read from a head holding about 1e-153 of the law
+        counts = CountRates(2.0e7, 20000.0, 100.0, 2.16e5, 2.05e5, 100.0 / 2.16e5)
+        with pytest.raises(ValidationError, match=r"the counts imply a mean pair number the model refuses: "
+                           r"the poissonian pmf at mean 551\.\d+ is cut at MAX_PAIRS = 64 pairs") as info:
+            estimate_source(counts, reference_setup())
+        assert info.value.field == ("signal_singles", "idler_singles", "coincidences")
+
     def test_zero_rates_rejected(self):
         counts = CountRates(0.0, 285.0, 3053.0, 2.16e5, 2.05e5, 0.0)
         with pytest.raises(EstimationError):

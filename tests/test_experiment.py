@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 
 from spdcherald import experiment, pair_source
 from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec, FreeRunningDetector, GatedDetector, dead_time_window
-from spdcherald.errors import DomainError, EstimationError, ResolutionWarning, ValidationError
+from spdcherald.errors import DomainError, EstimationError, ValidationError
 from spdcherald.experiment import (
     HBT_ARMS,
     MC_BLOCK,
@@ -232,6 +233,11 @@ class TestHeraldedStats:
         with pytest.raises(ValidationError):
             HeraldedStats(p=np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("p", [[], [[0.5, 0.5]]])
+    def test_stats_must_be_a_non_empty_vector(self, p):
+        with pytest.raises(ValidationError, match="must be a non-empty vector"):
+            HeraldedStats(p=np.array(p))
+
     @pytest.mark.parametrize("n", [-1, -9])
     def test_negative_photon_number_rejected(self, n):
         # -1 read the last entry (2.4e-15) and -9 raised a raw IndexError
@@ -253,9 +259,8 @@ def pgf_per_point(pmf, x):
     return float((pmf * x ** np.arange(pmf.size)).sum())
 
 
-def heralded_reference(cfg):
+def heralded_reference(cfg, pmf):
     """P(n) at the output given a herald, with every intermediate built in turn."""
-    pmf = cfg.pmf
     herald_given_n = 1.0 - (1.0 - cfg.herald_dark_prob) * (1.0 - cfg.herald_survival) ** np.arange(pmf.size)
     p_herald = float((pmf * herald_given_n).sum())
     p_m = pair_source.thin(pmf * herald_given_n, cfg.output_survival) / p_herald
@@ -264,10 +269,10 @@ def heralded_reference(cfg):
     return p_m / p_m.sum()
 
 
-@pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
 class TestAnalyticBitIdentity:
-    """The analytic core evaluated in one pass equals the per-step references bit for bit;
-    mu = 5 truncates the thermal and multimode laws."""
+    """The analytic core evaluated in one pass equals the per-step references bit for bit.
+    mu = 5 cuts the thermal and 3-mode laws at MAX_PAIRS: their setups refuse the
+    mean, and the core is checked on the law's MAX_PAIRS + 1 head instead."""
 
     CASES = [
         dict(law=law, modes=modes, mu=mu, coincidence_window=window)
@@ -277,19 +282,37 @@ class TestAnalyticBitIdentity:
         for mu in (1e-4, 0.003, 0.0829, 0.4, 1.0, 5.0)
     ]
 
+    @staticmethod
+    def cut(cfg):
+        """Whether the case is one that mu = 5 cuts at MAX_PAIRS: thermal, or 3 modes."""
+        return cfg.mu == 5.0 and cfg.modes in (None, 3) and cfg.law != "poissonian"
+
+    def pmf(self, cfg):
+        """``cfg``'s pmf, or the 65-entry head of a law it refuses as cut, after pinning the refusal."""
+        if not self.cut(cfg):
+            return cfg.pmf
+        with pytest.raises(ValidationError, match="is cut at MAX_PAIRS = 64 pairs") as info:
+            cfg.pmf
+        assert info.value.field == "mean"
+        return cfg.pair_distribution()._head(pair_source.MAX_PAIRS + 1)
+
     @pytest.mark.parametrize("case", CASES)
     def test_generating_values(self, case):
         cfg = reference_setup(**case)
+        pmf = self.pmf(cfg)
         bs, bi = cfg.herald_survival, cfg.idler_click_survival
-        got = (cfg.pmf * cfg.none_of[:, : cfg.pmf.size]).sum(axis=1).tolist()
-        assert got == [pgf_per_point(cfg.pmf, x) for x in (1.0 - bs, 1.0 - bi, 1.0 - bs * bi)]
+        got = (pmf * cfg.none_of[:, : pmf.size]).sum(axis=1).tolist()
+        assert got == [pgf_per_point(pmf, x) for x in (1.0 - bs, 1.0 - bi, 1.0 - bs * bi)]
 
     @pytest.mark.parametrize("case", CASES)
     def test_heralded_statistics(self, case):
         cfg = reference_setup(**case)
-        assert np.array_equal(heralded_photon_statistics(cfg).p, heralded_reference(cfg))
-        lossless = replace(cfg, alpha_idler=1.0, t_idler_optics=1.0)
-        assert np.array_equal(heralded_photon_statistics(lossless).p, heralded_reference(lossless))
+        pmf = self.pmf(cfg)
+        for setup in (cfg, replace(cfg, alpha_idler=1.0, t_idler_optics=1.0)):
+            got = experiment._analytic_heralded(setup, pmf)
+            assert np.array_equal(got.p, heralded_reference(setup, pmf))
+            if not self.cut(cfg):  # a whole law: the public path reads the same pmf
+                assert np.array_equal(heralded_photon_statistics(setup).p, got.p)
 
 
 class TestMonteCarlo:
@@ -334,20 +357,18 @@ class TestMonteCarlo:
         ],
     )
     def test_refuses_exactly_the_laws_the_pmf_truncates(self, law, mu, modes, truncated):
-        # the Monte Carlo renormalised a truncated pmf and drew from its head alone
+        # the Monte Carlo renormalised a truncated pmf and drew from its head alone;
+        # the pmf refuses such a law once, for the analytic core and the Monte Carlo alike
         config = reference_setup(law=law, mu=mu, modes=modes)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config.pmf
-        assert [w.category for w in caught] == [ResolutionWarning] * truncated
-        kw = dict(mode="monte_carlo", n_pulses=1_000_000, seed=1)
-        for reduction in (simulate_counts, heralded_photon_statistics, hbt_g2):
+        mc = dict(mode="monte_carlo", n_pulses=1_000_000, seed=1)
+        idler_g2 = functools.partial(hbt_g2, arm="idler_heralded")  # the signal arm's analytic g2 reads no pmf
+        for reduction, run in itertools.product((simulate_counts, heralded_photon_statistics, idler_g2), (mc, {})):
             if truncated:
                 with pytest.raises(ValidationError, match=r"is cut at MAX_PAIRS = 64 pairs, dropping tail mass") as info:
-                    reduction(config, **kw)
-                assert info.value.field == "mu"
+                    reduction(config, **run)
+                assert info.value.field == "mean"
             else:
-                reduction(config, **kw)
+                reduction(config, **run)
 
     def test_numpy_integer_run_values_are_accepted(self):
         kw = dict(mode="monte_carlo", n_pulses=1_000_000, seed=9)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spdcherald import pair_source
-from spdcherald.errors import DomainError, ResolutionWarning, ValidationError
+from spdcherald.errors import DomainError, ValidationError
 from spdcherald.pair_source import (
     MAX_PAIRS,
     TAIL_MASS,
@@ -123,12 +123,14 @@ class TestLogFactorial:
 
 class TestTruncation:
     @pytest.mark.parametrize("law,kept", [("thermal", 0.799), ("poissonian", 0.99983)])
-    def test_warns_with_dropped_mass(self, law, kept):
-        with pytest.warns(ResolutionWarning, match="dropped tail mass") as record:
-            pmf = PairNumberDistribution(law, 40.0).pmf_vector()
-        assert pmf.size == MAX_PAIRS + 1
-        assert pmf.sum() == pytest.approx(kept, abs=5e-4)
-        assert f"{1.0 - pmf.sum():.3g}" in str(record[0].message)
+    def test_refuses_naming_the_dropped_mass(self, law, kept):
+        dist = PairNumberDistribution(law, 40.0)
+        with pytest.raises(ValidationError, match="dropping tail mass") as info:
+            dist.pmf_vector()
+        assert info.value.field == "mean"
+        head = dist._head(MAX_PAIRS + 1)  # what the pmf kept before it refused a cut law
+        assert head.sum() == pytest.approx(kept, abs=5e-4)
+        assert f"{law} pmf at mean 40.0 is cut at MAX_PAIRS = {MAX_PAIRS} pairs, dropping tail mass {1.0 - head.sum():.3g};" in str(info.value)
 
     @pytest.mark.parametrize(
         "law,mu,modes", [("multimode_thermal", 0.9275587785042025, 10**5), ("poissonian", 17.73813145632555, None)]
@@ -269,36 +271,46 @@ SURVIVALS = [0.0, 1e-9, 0.2, 0.5, 0.999, 1.0]
 MU_GRID = [0.0, *np.logspace(-4, math.log10(30.0), 25).tolist()]
 
 
+def cut_by_the_loop(dist):
+    """Whether the loop's running total falls short of 1 - TAIL_MASS and the tail
+    past MAX_PAIRS is not negligible: a shortfall of rounding alone is no cut."""
+    _, total = scalar_pmf_vector(dist)
+    return total < 1.0 - TAIL_MASS and tail_reaches(dist, TAIL_MASS)
+
+
+def whole_or_head(dist):
+    """The pmf of a whole law, or the MAX_PAIRS + 1 head of a law the pmf refuses as cut."""
+    return dist._head(MAX_PAIRS + 1) if cut_by_the_loop(dist) else dist.pmf_vector()
+
+
 def assert_adaptive_pmf_matches_the_loop(law, modes, mu):
+    """The pmf is the loop's, warning of nothing, or, where the loop cuts the law, a
+    refusal naming the mass the loop leaves out; returns whether it refused."""
     dist = PairNumberDistribution(law, mu, modes)
     expected, total = scalar_pmf_vector(dist)
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        got = dist.pmf_vector()
-    assert np.array_equal(got, expected)
-    # a running total short of 1 - TAIL_MASS is a truncation only if the tail itself is not negligible
-    assert [str(w.message) for w in record] == (
-        [f"{law} pmf at mean {mu} truncated at {MAX_PAIRS} pairs; dropped tail mass {1.0 - total:.3g}"]
-        if total < 1.0 - TAIL_MASS and tail_reaches(dist, TAIL_MASS)
-        else []
-    )
-    # stacklevel 2: the warning names the caller of pmf_vector
-    assert [w.filename for w in record] == [__file__] * len(record)
-    return record
+    if cut_by_the_loop(dist):
+        message = f"the {law} pmf at mean {mu} is cut at MAX_PAIRS = {MAX_PAIRS} pairs, dropping tail mass {1.0 - total:.3g};"
+        with pytest.raises(ValidationError, match=re.escape(message)) as info:
+            dist.pmf_vector()
+        assert info.value.field == "mean"
+        return True
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(dist.pmf_vector(), expected)
+    return False
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("law,modes", LAWS_AND_MODES)
     @pytest.mark.parametrize("mu", MU_GRID)
-    def test_adaptive_pmf_and_its_warning(self, law, modes, mu):
+    def test_adaptive_pmf_and_its_refusal(self, law, modes, mu):
         assert_adaptive_pmf_matches_the_loop(law, modes, mu)
 
     def test_first_length_short_then_every_term(self):
         # rounding in ln C(n + M - 1, n) leaves this sum 1.1e-15 short of 1: the
         # first length does not reach 1 - TAIL_MASS and all MAX_PAIRS + 1 terms
-        # are taken, but the tail past them is about 4e-94, so nothing is warned of
-        record = assert_adaptive_pmf_matches_the_loop("multimode_thermal", 10**5, 0.9275587785042025)
-        assert record == []
+        # are taken, but the tail past them is about 4e-94, so nothing is refused
+        assert not assert_adaptive_pmf_matches_the_loop("multimode_thermal", 10**5, 0.9275587785042025)
 
     @pytest.mark.parametrize("law,modes", LAWS_AND_MODES)
     @pytest.mark.parametrize("mu", MU_GRID[::4])
@@ -315,9 +327,7 @@ class TestBitIdentity:
         for mu in (0.01, 0.5, 25.0):
             dist = PairNumberDistribution("multimode_thermal", mu, modes)
             assert np.array_equal(dist._head(81), [scalar_pmf(dist, n) for n in range(81)])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ResolutionWarning)
-                assert np.array_equal(dist.pmf_vector(), scalar_pmf_vector(dist)[0])
+            assert_adaptive_pmf_matches_the_loop("multimode_thermal", modes, mu)
 
     @pytest.mark.parametrize("s", SURVIVALS)
     def test_thinning_table_against_exact_rationals(self, s):
@@ -336,9 +346,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("s", SURVIVALS)
     def test_thin_of_every_law_against_exact_rationals(self, law, modes, mu, s):
         # the table's 1e-14 and a sum of at most 65 rounded terms
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResolutionWarning)
-            pmf = PairNumberDistribution(law, mu, modes).pmf_vector()
+        pmf = whole_or_head(PairNumberDistribution(law, mu, modes))
         exact = exact_thinning_table(s, MAX_PAIRS + 1)[: pmf.size, : pmf.size]
         reference = np.array([math.fsum(pmf * column) for column in exact.T])
         got, resolved = thin(pmf, s), reference >= 1e-200
@@ -403,10 +411,28 @@ class TestThermalOverflow:
             PairNumberDistribution("thermal", mu).pmf_vector()
         assert exc.value.field == "mean"
 
-    def test_the_last_mean_below_the_overflow_builds(self):
-        with pytest.warns(ResolutionWarning, match="truncated at 64 pairs"):
-            probs = PairNumberDistribution("thermal", 3.9e4).pmf_vector()
-        assert probs.size == MAX_PAIRS + 1 and probs.tolist() == [3.9e4**n / (1.0 + 3.9e4) ** (n + 1) for n in range(65)]
+    def test_the_last_mean_below_the_overflow_is_cut_not_overflowed(self):
+        dist = PairNumberDistribution("thermal", 3.9e4)
+        with pytest.raises(ValidationError, match="is cut at MAX_PAIRS = 64 pairs, dropping tail mass 0.998") as info:
+            dist.pmf_vector()
+        assert info.value.field == "mean"
+        assert dist._head(MAX_PAIRS + 1).tolist() == [3.9e4**n / (1.0 + 3.9e4) ** (n + 1) for n in range(65)]
+
+
+class TestSubnormalMean:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("modes", [2, 3, 10**6])
+    def test_a_mean_per_mode_that_underflows_is_the_point_mass_at_0(self, modes):
+        # log(mu / M) of 0 warned of a division by zero, and 0 * -inf made the pmf NaN
+        dist = PairNumberDistribution("multimode_thermal", 5e-324, modes)
+        assert dist.pmf_vector().tolist() == [1.0]
+        assert dist._head(4).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("law,modes", [("poissonian", None), ("thermal", None), ("multimode_thermal", 1)])
+    def test_a_subnormal_mean_that_does_not_underflow_keeps_its_formula(self, law, modes):
+        dist = PairNumberDistribution(law, 5e-324, modes)
+        assert np.array_equal(dist._head(4), [scalar_pmf(dist, n) for n in range(4)])
 
 
 class TestNegativePairCount:

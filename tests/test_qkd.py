@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from spdcherald import experiment, pair_source
 from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec
-from spdcherald.errors import ResolutionWarning, ValidationError
+from spdcherald.errors import ValidationError
 from spdcherald.experiment import (
     HeraldedStats,
     SetupConfig,
@@ -265,14 +265,13 @@ def reference_sweep(base, mu_values, channel):
 
 
 class TestPumpSweep:
-    @pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
     @pytest.mark.parametrize("model", DEAD_TIME_MODELS)
     @pytest.mark.parametrize("window", [1, 2, 3])
     @pytest.mark.parametrize(
         "law,modes", [("poissonian", None), ("thermal", None), ("multimode_thermal", 3), ("multimode_thermal", 160)]
     )
     def test_rows_equal_rows_from_replaced_configs(self, law, modes, window, model):
-        # mu = 5 truncates the thermal laws; poissonian mu = 1e3 fails in the model,
+        # mu = 5 is past the thermal laws' cut; poissonian mu = 1e3 is past its own,
         # thermal mu = 1e5 overflows its pmf's Python floats and mu = inf fails in
         # the config, so every law has an error row
         base = reference_setup(
@@ -309,7 +308,8 @@ class TestPumpSweep:
         assert cold == warm == evicted
 
     def test_rows_and_single_points_read_one_none_of_table(self, monkeypatch):
-        # rows of pmfs of 4 to 65 entries, then the setup's own analytic and Monte Carlo calls
+        # rows of pmfs of 4 to 65 entries (thermal 1.43 is the whole law on all 65),
+        # then the setup's own analytic and Monte Carlo calls
         built = []
 
         def spy(points):
@@ -318,10 +318,9 @@ class TestPumpSweep:
 
         monkeypatch.setattr(experiment, "power_table", spy)
         base = reference_setup(law="thermal")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResolutionWarning)
-            rows = pump_sweep(base, [1e-4, 0.0829, 1.0, 5.0], CHANNEL)
+        rows = pump_sweep(base, [1e-4, 0.0829, 1.0, 1.43], CHANNEL)
         assert [row.error for row in rows] == [None] * 4
+        assert PairNumberDistribution("thermal", 1.43).pmf_vector().size == pair_source.MAX_PAIRS + 1
         simulate_counts(base)
         heralded_photon_statistics(base)
         for reduction in (simulate_counts, heralded_photon_statistics):
@@ -399,19 +398,26 @@ class TestPumpSweep:
                 pump_sweep(reference_setup(), mu_values, CHANNEL)
             assert exc.value.field == "mu_values"
 
-    def test_truncated_row_warns_once(self):
-        # the row's counts and heralded statistics read one pmf of the setup
-        with pytest.warns(ResolutionWarning) as record:
-            pump_sweep(reference_setup(), [30.0], ChannelSpec())
-        assert [w.category for w in record] == [ResolutionWarning]
+    def test_cut_row_builds_one_refused_pmf(self, monkeypatch):
+        # the row's counts and heralded statistics read one pmf, refused once
+        means, real = [], PairNumberDistribution.pmf_vector
 
-    def test_truncation_as_error_is_an_error_row(self):
-        # under warnings-as-errors a truncating mean fails its own row, not the sweep
+        def spy(dist):
+            means.append(dist.mean)
+            return real(dist)
+
+        monkeypatch.setattr(PairNumberDistribution, "pmf_vector", spy)
+        rows = pump_sweep(reference_setup(), [30.0], ChannelSpec())
+        assert rows[0].error.startswith("ValidationError: the poissonian pmf at mean 30.0 is cut at MAX_PAIRS = 64 pairs")
+        assert means == [30.0]
+
+    def test_cut_mean_is_an_error_row(self):
+        # a mean past the cut fails its own row, not the sweep, and warns of nothing
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = pump_sweep(reference_setup(law="thermal"), [0.0829, 2.0, 3.0], CHANNEL)
         assert [row.error is None for row in rows] == [True, False, False]
-        assert rows[1].error.startswith("ResolutionWarning: thermal pmf at mean 2.0 truncated at 64 pairs")
+        assert rows[1].error.startswith("ValidationError: the thermal pmf at mean 2.0 is cut at MAX_PAIRS = 64 pairs")
 
     def test_failed_row_is_reported(self, monkeypatch):
         real = experiment._analytic_counts
@@ -445,7 +451,7 @@ LAW_CASES = [("poissonian", None), ("thermal", None)] + [("multimode_thermal", m
 @st.composite
 def sweep_cases(draw):
     """A setup of any law, window and dead-time model, and a sorted grid in
-    [1e-3, 3] with one mean past thermal's truncation at about 1.44, then inf."""
+    [1e-3, 3] with one mean past thermal's cut at about 1.44, then inf."""
     law, modes = draw(st.sampled_from(LAW_CASES))
     base = reference_setup(
         law=law,
@@ -474,26 +480,31 @@ class TestSweepEqualsSinglePoints:
         fields = attrgetter("mu", "trigger_rate", "p1", "p2", "max_secure_km", "capped", "insecure_at_zero", "error")
         assert [repr(fields(row)) for row in rows] == [repr(fields(row)) for row in expected]  # NaN in error rows
         assert rows[-1].error == "ValidationError: mean pair number must be finite, got inf"
-        # each truncated row warns once, as its single-point pmf does
-        assert swept == single
-        assert all(category is ResolutionWarning for category, _ in swept)
-        truncating = base.law == "thermal" or base.modes == 1
-        assert len(swept) >= truncating
+        # neither warns; a row past the cut carries its single point's refusal
+        assert swept == single == []
+        cut = ["is cut at MAX_PAIRS = 64 pairs" in row.error for row in rows[:-1] if row.error]
+        assert all(cut) and len(cut) >= (base.law == "thermal" or base.modes == 1)
 
-    @pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
     def test_sweep_artifact_rows_equal_simulate_and_herald_stats(self, tmp_path, capsys):
         from spdcherald.cli import main
         from spdcherald.scenario import load_scenario
 
         thermal = ["paper.scenario", "--override", "source.law=thermal"]
-        grid = [0.003, 0.0829, 0.4, 2.0]  # 2.0 truncates the thermal pmf
+        grid = [0.003, 0.0829, 0.4, 2.0]  # 2.0 is past the thermal pmf's cut
         assert main(["sweep", *thermal, "--override", f"run.sweep_mu={grid}", "--out-dir", str(tmp_path)]) == 0
         rows = json.loads((tmp_path / "sweep.json").read_text())["result"]["rows"]
         channel = load_scenario("paper.scenario").to_channel()
+        capsys.readouterr()
         for k, (mu, row) in enumerate(zip(grid, rows)):
             out = tmp_path / str(k)
-            for command in ("simulate", "herald-stats"):
-                assert main([command, *thermal, "--override", f"source.mu={mu}", "--out-dir", str(out)]) == 0
+            codes = [main([command, *thermal, "--override", f"source.mu={mu}", "--out-dir", str(out)])
+                     for command in ("simulate", "herald-stats")]
+            if mu == 2.0:  # the row's error is each single point's refusal
+                assert codes == [2, 2] and row["error"].startswith("ValidationError: the thermal pmf at mean 2.0 is cut")
+                message = row["error"].removeprefix("ValidationError: ")
+                assert capsys.readouterr().err.count(f"validation error: scenario key 'source.mu': {message}\n") == 2
+                continue
+            assert codes == [0, 0]
             counts = json.loads((out / "counts.json").read_text())["result"]
             p = json.loads((out / "herald_stats.json").read_text())["result"]["p"]
             distance = max_secure_distance(HeraldedStats(p=np.array(p)), channel)

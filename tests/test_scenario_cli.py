@@ -723,6 +723,77 @@ class TestCli:
         assert "sections not used" in err
 
 
+class TestOneTruncationRule:
+    """A law that the pmf cuts at MAX_PAIRS = 64 pairs is refused in both run modes,
+    naming the key its mean came from.  Analytic, each of these exited 0 or 3 with an
+    answer read from the law's head."""
+
+    MC = ["--mode", "monte_carlo", "--pulses", "1000000", "--seed", "1"]
+
+    @pytest.mark.parametrize("mode", [[], MC])
+    def test_simulate_past_the_cut_exits_2(self, tmp_path, capsys, mode):
+        # analytic, it wrote 0.320 coincidences per trigger where the closed form gives 0.0380
+        assert main(["simulate", BUNDLED, "--override", "source.mu=60", *mode, "--out-dir", str(tmp_path)]) == 2
+        assert ("validation error: scenario key 'source.mu': the poissonian pmf at mean 60.0 is cut at "
+                "MAX_PAIRS = 64 pairs, dropping tail mass 0.276;") in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_herald_stats_of_an_empty_head_exits_2(self, tmp_path, capsys):
+        # it exited 3 with a false "herald probability is zero", although every pulse heralds
+        assert main(["herald-stats", BUNDLED, "--override", "source.mu=1e5", "--out-dir", str(tmp_path)]) == 2
+        assert ("validation error: scenario key 'source.mu': the poissonian pmf at mean 100000.0 is cut at "
+                "MAX_PAIRS = 64 pairs, dropping tail mass 1;") in capsys.readouterr().err
+
+    def test_sweep_row_past_the_cut_is_an_error_row(self, tmp_path):
+        assert main(["sweep", BUNDLED, "--override", "run.sweep_mu=[0.1, 60]", "--out-dir", str(tmp_path)]) == 0
+        first, cut = json.loads((tmp_path / "sweep.json").read_text())["result"]["rows"]
+        assert first["error"] is None and first["p1"] > 0.0
+        assert cut["error"].startswith("ValidationError: the poissonian pmf at mean 60.0 is cut at MAX_PAIRS = 64 pairs")
+        assert cut["p1"] is None and cut["trigger_rate"] is None
+
+    def test_estimate_of_a_refused_mean_names_the_counts(self, tmp_path, capsys):
+        # the counts imply mu ~ 552; it wrote P(1) = 0.133 from a head holding about 1e-153 of the law
+        counts = ["counts.coincidences_cps=100", "counts.signal_singles_cps=2.0e7", "counts.idler_singles_cps=20000"]
+        argv = ["estimate", BUNDLED, *(arg for item in counts for arg in ("--override", item)), "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("validation error: scenario keys 'counts.signal_singles_cps', 'counts.idler_singles_cps' and "
+                "'counts.coincidences_cps': the counts imply a mean pair number the model refuses: "
+                "the poissonian pmf at mean 551.") in err
+        assert "source.mu" not in err
+
+
+class TestValidationBranches:
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("source.rep_rate_hz=0", "repetition rate must be > 0, got 0.0"),
+            ("detectors.idler.gate_rate_hz=0", "gate rate must be > 0, got 0.0"),
+            ("detectors.coincidence_window_gates=0", "coincidence window must be >= 1 gate, got 0"),
+        ],
+    )
+    def test_a_zero_setup_value_exits_2_naming_its_key(self, tmp_path, capsys, override, message):
+        key = override.partition("=")[0]
+        assert main(["simulate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
+        assert f"validation error: scenario key '{key}': {message}\n" in capsys.readouterr().err
+
+    def test_estimate_of_a_missing_counts_file_exits_2_naming_it(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["estimate", BUNDLED, "--counts", missing, "--out-dir", str(tmp_path)]) == 2
+        assert f"validation error: counts file {missing!r} not found\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("counts.signal_singles_cps=9e7", "signal singles imply 1.098 clicks per pulse (> 1)"),
+            ("counts.coincidences_cps=300000", "per-trigger coincidence probability 1.388e+00 outside [0, 1]"),
+        ],
+    )
+    def test_estimate_of_impossible_counts_exits_3(self, tmp_path, capsys, override, message):
+        assert main(["estimate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 3
+        assert f"numerical error: {message}\n" in capsys.readouterr().err
+
+
 class TestParser:
     """main parses with one parser kept for the process; argparse must answer
     every line as a parser of its own does."""
@@ -908,7 +979,6 @@ class TestCommandTable:
         with pytest.raises(ValidationError, match="at most 4194304"):
             wider.spectral_grid()
 
-    @pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
     @pytest.mark.parametrize(
         "command,extra",
         [("simulate", []), ("herald-stats", []), ("wcp-compare", []), ("g2", []),
@@ -923,7 +993,6 @@ class TestCommandTable:
         assert "validation error: scenario key 'source.mu': the poissonian pmf at mean 1000.0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
     @pytest.mark.parametrize("law,mu,code", [("thermal", "30", 2), ("poissonian", "65", 2), ("thermal", "1.4", 0)])
     def test_monte_carlo_of_a_truncated_pmf_exits_2(self, tmp_path, capsys, law, mu, code):
         # it drew from the renormalised head of the law and exited 0
@@ -1196,6 +1265,14 @@ class TestImportGraph:
             "import spdcherald.cli; print(json.dumps([package, 'numpy' in sys.modules]))"
         )
         assert self._run(code) == [[], False]
+
+    def test_a_module_read_as_a_package_attribute_is_imported(self):
+        # in a fresh interpreter, where no import has set the attribute yet
+        code = (
+            "import json, sys, spdcherald; before = 'spdcherald.qkd' in sys.modules; module = spdcherald.qkd; "
+            "print(json.dumps([before, module is sys.modules['spdcherald.qkd']]))"
+        )
+        assert self._run(code) == [False, True]
 
     def test_every_public_name_resolves_to_its_modules(self):
         import importlib
