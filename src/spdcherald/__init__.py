@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it exports through the package
 _EXPORTS = {
-    "pair_source": ("PairNumberDistribution", "thin", "REFERENCE_CALIBRATION_PER_MW"),
+    "pair_source": ("PairNumberDistribution", "REFERENCE_CALIBRATION_PER_MW"),
     "detectors": (
         "FreeRunningDetector",
         "GatedDetector",

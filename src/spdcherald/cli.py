@@ -150,7 +150,16 @@ def _estimate(scenario: Scenario, run: dict) -> tuple:
     from .estimator import estimate_source
     counts_file = run["counts_file"]
     counts = _counts_from_file(counts_file) if counts_file else scenario.to_counts()
-    estimate = estimate_source(counts, scenario.to_setup_config())
+    try:
+        estimate = estimate_source(counts, scenario.to_setup_config())
+    except ValidationError as exc:
+        # counts read from a file are named by the file and its columns, not by the scenario's keys
+        columns = {leaf.field: column for column, leaf in SCHEMA["counts"].items()}
+        fields = exc.field if isinstance(exc.field, tuple) else (exc.field,)
+        if not counts_file or not all(field in columns for field in fields):
+            raise
+        listed = ", ".join(repr(columns[field]) for field in fields)
+        raise ValidationError(f"counts file {counts_file!r}, columns {listed}: {exc}") from None
     return (
         "estimate.json", estimate.to_dict(),
         "estimate.csv", ["mu", "pair_rate_per_s", "alpha_signal", "alpha_idler"],

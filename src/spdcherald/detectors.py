@@ -100,8 +100,8 @@ def dead_time_throughput(input_rate: float, dt: DeadTimeSpec) -> float:
     Paralyzable: ``R exp(-R tau)`` (every input extends the dead window).
     Nonparalyzable: ``R / (1 + R tau)``.
     """
-    if input_rate < 0.0:
-        raise DomainError(f"input rate must be >= 0, got {input_rate}")
+    if not (0.0 <= input_rate < math.inf):  # written as "inside" so that NaN fails the check
+        raise DomainError(f"input rate must be finite and >= 0, got {input_rate}", "input_rate")
     tau = dt.tau_s
     if tau == 0.0:
         return input_rate

@@ -32,7 +32,7 @@ classes and the other pulses.  The pass then makes the draws of the one
 reduction asked for and adds them to a record of integer tallies; count
 rates, heralded P(n) and g2 are arithmetic on that record, and all three
 condition on the same heralds; a herald's photons are drawn from the one
-Binomial(n, b) table that ``thin`` sums,
+Binomial(n, b) table that the analytic heralded law sums,
 :func:`~spdcherald.pair_source.thinning_table`.  Each block draws from its
 own counter-based substream and only the dead time is carried between
 blocks, so fixed (config, n_pulses, seed) gives bit-identical results.
@@ -57,8 +57,8 @@ from .detectors import (
     paralyzable_triggers,
 )
 from .defaults import COINCIDENCE_WINDOW, GATE_RATE_HZ, HBT_ARMS, LAWS
-from .errors import DomainError, EstimationError, ValidationError, check_run, require_finite
-from .pair_source import PairNumberDistribution, power_table, thin, thinning_table
+from .errors import DomainError, EstimationError, ValidationError, check_run, require_finite, require_integer
+from .pair_source import PairNumberDistribution, power_table, thinning_table
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class SetupConfig:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}", name)
-        if self.coincidence_window < 1:
+        if require_integer("coincidence_window", self.coincidence_window) < 1:
             raise ValidationError(
                 f"coincidence window must be >= 1 gate, got {self.coincidence_window}", "coincidence_window"
             )
@@ -280,7 +280,7 @@ def _analytic_heralded(config: SetupConfig, pmf: np.ndarray) -> HeraldedStats:
     if p_herald <= 0.0:
         raise EstimationError("herald probability is zero; cannot condition on a herald")
     # photons at the output are an independent thinning of the same pairs
-    p_m = thin(heralding, config.output_survival) / p_herald
+    p_m = heralding @ thinning_table(config.output_survival, heralding.size) / p_herald
     # trim the all-but-zero tail; renormalize within the stated tolerance
     kept = (p_m > 1e-15).nonzero()[0]
     p_m = p_m[: kept[-1] + 1 if kept.size else 1]

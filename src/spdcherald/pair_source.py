@@ -10,8 +10,8 @@ the mean pair number ``mu``.  Three laws are supported:
 
 Loss (coupling, bulk optics, detector efficiency) acts by binomial thinning:
 every photon survives independently with the channel transmission, through
-one table (:func:`thinning_table`) that :func:`thin` sums and the Monte Carlo
-draws from.  Binomial coefficients come from an exact int64 Pascal triangle and
+one table (:func:`thinning_table`) that the analytic heralded law sums and the
+Monte Carlo draws from.  Binomial coefficients come from ``math.comb`` and
 factorials from :func:`log_factorial`, so the module needs only numpy and the
 standard library.
 """
@@ -27,7 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from .defaults import LAWS
-from .errors import DomainError, ValidationError, require_finite
+from .errors import DomainError, ValidationError, require_finite, require_integer
 
 # Adaptive truncation: extend the pmf until the remaining tail mass is below
 # TAIL_MASS; a law that needs more than MAX_PAIRS pairs for that is refused
@@ -49,11 +49,6 @@ def log_factorial(n: int) -> float:
 _LOG_FACTORIAL = np.array([log_factorial(n) for n in range(171)])
 
 
-def _log_factorials(size: int) -> np.ndarray:
-    """``ln n!`` for n < ``size``, from a table while n! fits a float."""
-    return _LOG_FACTORIAL[:size] if size <= 171 else np.array([log_factorial(n) for n in range(size)])
-
-
 @dataclass(frozen=True)
 class PairNumberDistribution:
     """Pair-number law of the source, per pump pulse."""
@@ -69,7 +64,7 @@ class PairNumberDistribution:
         if not (self.mean >= 0.0):
             raise ValidationError(f"mean pair number must be >= 0, got {self.mean}", "mean")
         if self.law == "multimode_thermal":
-            if self.modes is None or self.modes < 1:
+            if self.modes is None or require_integer("modes", self.modes) < 1:
                 raise ValidationError("multimode_thermal requires modes >= 1", "modes")
         elif self.modes is not None:
             raise ValidationError(f"modes is only meaningful for multimode_thermal, got law {self.law!r}", "modes")
@@ -94,7 +89,9 @@ class PairNumberDistribution:
                 raise ValidationError(f"the thermal pmf at mean {mu} overflows a float by {size} terms", "mean") from None
         n = np.arange(size)
         if self.law == "poissonian":
-            return np.exp(n * np.log(mu) - mu - _log_factorials(size))
+            # ln n! from the table while n! fits a float
+            log_f = _LOG_FACTORIAL[:size] if size <= 171 else np.array([log_factorial(k) for k in range(size)])
+            return np.exp(n * np.log(mu) - mu - log_f)
         m, lf = self.modes, _LOG_FACTORIAL
         # negative binomial: M identical thermal modes of mean mu/M each
         if size + m - 2 <= 170:  # n + M - 1 <= 170 for every n < size: all from the table
@@ -112,35 +109,31 @@ class PairNumberDistribution:
         left there is refused with a :class:`ValidationError` naming the mean
         and the dropped mass, since no model here is right without it.
         """
-        # a first length from the thermal tail (mu/(1+mu))^(n+1), the longest of the three laws
-        mu = self.mean
-        size = math.ceil(math.log(TAIL_MASS) / math.log(mu / (1.0 + mu))) + 2 if 0.0 < mu < 1.0 else MAX_PAIRS + 1
+        # a first length from the thermal tail (mu/(1+mu))^(n+1), the longest of the three laws;
+        # the full length holds two terms past MAX_PAIRS, which bound the tail
+        mu, full = self.mean, MAX_PAIRS + 3
+        size = math.ceil(math.log(TAIL_MASS) / math.log(mu / (1.0 + mu))) + 2 if 0.0 < mu < 1.0 else full
         probs = self._head(size)
         # running totals added in sequence: the first to reach 1 - TAIL_MASS ends the pmf
         total = list(accumulate(probs.tolist()))
-        if total[-1] < 1.0 - TAIL_MASS and size <= MAX_PAIRS:  # the first length fell short
-            probs = self._head(MAX_PAIRS + 1)
+        if total[-1] < 1.0 - TAIL_MASS and size < full:  # the first length fell short
+            probs = self._head(full)
             total = list(accumulate(probs.tolist()))
         last = min(bisect_left(total, 1.0 - TAIL_MASS), MAX_PAIRS)
         # only a pmf cut at MAX_PAIRS can fall short, and a shortfall of a few
-        # ulps can be rounding in large terms: it is a cut only where the tail is real
-        if total[last] < 1.0 - TAIL_MASS and self._tail_bound(MAX_PAIRS + 1) >= TAIL_MASS:
-            raise ValidationError(
-                f"the {self.law} pmf at mean {mu} is cut at MAX_PAIRS = {MAX_PAIRS} pairs, "
-                f"dropping tail mass {1.0 - total[last]:.3g}; the models need the whole law",
-                "mean",
-            )
+        # ulps can be rounding in large terms: it is a cut only where the tail is
+        # real.  The ratio of successive terms never grows with n under any of the
+        # three laws, so the tail is at most a geometric series in the ratio of
+        # its first two terms; an underflowed first term bounds nothing.
+        if total[last] < 1.0 - TAIL_MASS:
+            first, second = probs[MAX_PAIRS + 1 :].tolist()
+            if not (0.0 < first and second < first and first / (1.0 - second / first) < TAIL_MASS):
+                raise ValidationError(
+                    f"the {self.law} pmf at mean {mu} is cut at MAX_PAIRS = {MAX_PAIRS} pairs, "
+                    f"dropping tail mass {1.0 - total[last]:.3g}; the models need the whole law",
+                    "mean",
+                )
         return probs[: last + 1]
-
-    def _tail_bound(self, size: int) -> float:
-        """An upper bound on the mass at ``size`` pairs and beyond.
-
-        The ratio of successive terms never grows with n under any of the
-        three laws, so the tail is at most a geometric series in the ratio of
-        its first two terms.  An underflowed first term bounds nothing.
-        """
-        first, second = self._head(size + 2)[size:].tolist()
-        return first / (1.0 - second / first) if 0.0 < first and second < first else math.inf
 
     def detected_mean(self, c: float) -> float:
         """``G^-1``: the mean detected pair number ``x = mean * beta`` where the
@@ -158,21 +151,6 @@ class PairNumberDistribution:
         if self.law == "thermal":
             return 2.0
         return 1.0 + 1.0 / self.modes
-
-
-def thin(pmf: np.ndarray, survival: float) -> np.ndarray:
-    """Binomial thinning of a photon-number pmf of at most MAX_PAIRS + 1 entries.
-
-    ``out[k] = sum_n pmf[n] C(n,k) s^k (1-s)^(n-k)`` -- each photon survives
-    independently with probability ``s``.  Normalization is preserved.
-    """
-    s = float(survival)
-    if not (0.0 <= s <= 1.0):
-        raise ValidationError(f"survival probability must lie in [0, 1], got {s}")
-    p = np.asarray(pmf, dtype=float)
-    if p.size > MAX_PAIRS + 1:
-        raise ValidationError(f"a pmf has at most MAX_PAIRS + 1 = {MAX_PAIRS + 1} entries, got {p.size}")
-    return p @ thinning_table(s, p.size)
 
 
 # The tables are cached by value, since setups that differ only in law, mean,
@@ -201,13 +179,9 @@ def thinning_table(survival: float, size: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _binomial_coefficients(size: int) -> np.ndarray:
-    """C(n, m) for n, m < ``size`` as read-only floats, from a Pascal triangle
-    summed in int64: exact up to size 67, past any pmf's MAX_PAIRS + 1 = 65."""
-    comb = np.zeros((size, size), dtype=np.int64)
-    comb[:, 0] = 1
-    for n in range(1, size):
-        comb[n, 1:] = comb[n - 1, 1:] + comb[n - 1, :-1]
-    table = comb.astype(float)
+    """C(n, m) for n, m < ``size`` as read-only floats, each ``math.comb``
+    rounded once (0 for m > n), while C(n, m) fits a float (size <= 1030)."""
+    table = np.array([[float(math.comb(n, m)) for m in range(size)] for n in range(size)])
     table.setflags(write=False)
     return table
 

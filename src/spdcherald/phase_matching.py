@@ -25,6 +25,7 @@ from .errors import (
     ResolutionWarning,
     ValidationError,
     require_finite,
+    require_integer,
 )
 
 
@@ -72,8 +73,8 @@ class CrystalSpec:
     name: str = defaults.CRYSTAL_NAME
 
     def __post_init__(self):
-        if self.length_mm <= 0.0:
-            raise ValidationError(f"crystal length must be > 0, got {self.length_mm} mm", "length_mm")
+        if not (0.0 < self.length_mm < np.inf):  # written as "inside" so that NaN fails the check
+            raise ValidationError(f"crystal length must be finite and > 0, got {self.length_mm} mm", "length_mm")
         if not (0.0 <= self.cut_angle_deg <= 90.0):
             raise ValidationError(f"cut angle must lie in [0, 90] degrees, got {self.cut_angle_deg}", "cut_angle_deg")
 
@@ -259,14 +260,15 @@ def tuning_curve(
     at every point, so the mismatch alone tells how far each pair is from
     phase matching.
     """
+    n_points = require_integer("n_points", n_points)
     if n_points < 2:
-        raise ValidationError(f"n_points must be >= 2, got {n_points}")
+        raise ValidationError(f"n_points must be >= 2, got {n_points}", "n_points")
     lo, hi = signal_range_nm
     if not (pump_nm < lo < hi < np.inf):
         raise ValidationError(
             f"signal range {signal_range_nm} must be finite and lie above the pump ({pump_nm} nm)"
         )
-    signals = np.linspace(lo, hi, int(n_points))
+    signals = np.linspace(lo, hi, n_points)
     idlers = 1.0 / (1.0 / pump_nm - 1.0 / signals)
     k_p = 2.0 * np.pi * index_extraordinary_at_angle(crystal, theta_deg, pump_nm) / pump_nm
     k_s = 2.0 * np.pi * index_ordinary(crystal, signals) / signals

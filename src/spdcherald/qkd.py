@@ -142,7 +142,7 @@ def pump_sweep(
     mu_list = [float(m) for m in mu_values]
     if not mu_list:
         raise ValidationError("mu values must not be empty", "mu_values")
-    if any(m <= 0.0 for m in mu_list):
+    if not all(m > 0.0 for m in mu_list):  # written as "inside" so that NaN fails the check
         raise ValidationError("mu values must be positive", "mu_values")
     if sorted(mu_list) != mu_list:
         raise ValidationError("mu values must be sorted ascending", "mu_values")

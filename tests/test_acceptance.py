@@ -20,7 +20,7 @@ from spdcherald.experiment import (
     reference_setup,
     simulate_counts,
 )
-from spdcherald.pair_source import PairNumberDistribution, thin
+from spdcherald.pair_source import PairNumberDistribution, thinning_table
 from spdcherald.phase_matching import (
     WavelengthTriple,
     collinear_pm_angle,
@@ -241,6 +241,9 @@ def test_criterion_11_property_suite(config, counts, mc_counts):
     lines.append(("pmf normalization 1e-12", norm_ok))
 
     # thinning closure and composition at 1e-12
+    def thin(pmf, s):
+        return pmf @ thinning_table(s, pmf.size)
+
     pmf = PairNumberDistribution("poissonian", 0.2).pmf_vector()
     target = PairNumberDistribution("poissonian", 0.2 * 0.35)._head(pmf.size)
     closure_ok = bool(np.max(np.abs(thin(pmf, 0.35) - target)) < 1e-12)

@@ -165,6 +165,14 @@ class TestDeadTime:
         with pytest.raises(DomainError):
             dead_time_throughput(-1.0, DeadTimeSpec())
 
+    @pytest.mark.parametrize("model", DEAD_TIME_MODELS)
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_throughput_of_a_rate_outside_the_finite_non_negatives(self, rate, model):
+        # NaN failed "rate < 0" and came back as a NaN throughput
+        with pytest.raises(DomainError, match=f"input rate must be finite and >= 0, got {rate}") as info:
+            dead_time_throughput(rate, DeadTimeSpec(1.0, model))
+        assert info.value.field == "input_rate"
+
 
 def _traced_peak(fn):
     """``fn()`` and the peak of the memory traced while it ran, in bytes."""

@@ -63,6 +63,13 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             reference_setup(t_delay_fiber=-0.1)
 
+    @pytest.mark.parametrize("window", [1.5, math.nan, 2.0, 0, -1])
+    def test_coincidence_window_is_a_positive_integer(self, window):
+        # 1.5 and NaN passed "window < 1" and reached the window dark probability
+        with pytest.raises(ValidationError) as info:
+            reference_setup(coincidence_window=window)
+        assert info.value.field == "coincidence_window"
+
     def test_detector_modes_enforced(self):
         gated = GatedDetector(efficiency=0.5, dark_prob_per_gate=1e-4)
         with pytest.raises(ValidationError, match="herald detector runs free"):
@@ -263,7 +270,8 @@ def heralded_reference(cfg, pmf):
     """P(n) at the output given a herald, with every intermediate built in turn."""
     herald_given_n = 1.0 - (1.0 - cfg.herald_dark_prob) * (1.0 - cfg.herald_survival) ** np.arange(pmf.size)
     p_herald = float((pmf * herald_given_n).sum())
-    p_m = pair_source.thin(pmf * herald_given_n, cfg.output_survival) / p_herald
+    heralding = pmf * herald_given_n
+    p_m = heralding @ pair_source.thinning_table(cfg.output_survival, heralding.size) / p_herald
     last = int(np.max(np.nonzero(p_m > 1e-15)[0])) if np.any(p_m > 1e-15) else 0
     p_m = p_m[: last + 1]
     return p_m / p_m.sum()
@@ -687,7 +695,7 @@ class TestOneKernel:
 
     def test_thin_and_the_photons_reduction_read_one_table(self, monkeypatch):
         # the analytic P(n) sums the cached Binomial(n, b_out) table, and the
-        # Monte Carlo draws from the very same object, never through thin
+        # Monte Carlo draws from the very same object
         real, tables = pair_source.thinning_table, []
 
         def spy(survival, size):
@@ -738,9 +746,8 @@ class TestOneKernel:
         def analytic(*args, **kwargs):
             raise AssertionError("the Monte Carlo reached the analytic path")
 
-        for name in ("thin", "_analytic_counts", "_analytic_heralded"):
+        for name in ("_analytic_counts", "_analytic_heralded"):
             monkeypatch.setattr(experiment, name, analytic)
-        monkeypatch.setattr(pair_source, "thin", analytic)
         with pytest.raises(AssertionError, match="analytic path"):
             simulate_counts(self.CFG)
         kw = dict(mode="monte_carlo", n_pulses=MC_BLOCK, seed=3)

@@ -16,10 +16,14 @@ from spdcherald.pair_source import (
     TAIL_MASS,
     PairNumberDistribution,
     log_factorial,
-    thin,
 )
 
 MU_REF = 0.0829
+
+
+def thin(pmf, s):
+    """Binomial thinning of ``pmf``: the sum through the table the heralded law reads."""
+    return pmf @ pair_source.thinning_table(s, pmf.size)
 
 
 def brute_force_thin(pmf, s):
@@ -85,6 +89,13 @@ class TestPmf:
         with pytest.raises(ValidationError):
             PairNumberDistribution("poissonian", 0.1, modes=4)
 
+    @pytest.mark.parametrize("modes", [2.5, 3.0, math.nan, 0, -2])
+    def test_mode_count_is_a_positive_integer(self, modes):
+        # 2.5 and NaN were accepted, and the pmf failed on them with a raw TypeError or IndexError
+        with pytest.raises(ValidationError) as info:
+            PairNumberDistribution("multimode_thermal", 0.1, modes)
+        assert info.value.field == "modes"
+
     def test_second_order_coherence(self):
         assert PairNumberDistribution("poissonian", 0.1).second_order_coherence() == 1.0
         assert PairNumberDistribution("thermal", 0.1).second_order_coherence() == 2.0
@@ -146,6 +157,23 @@ class TestTruncation:
         assert sum(pmf.tolist()) < 1.0 - TAIL_MASS  # the running total, added in sequence
         assert np.array_equal(pmf, dist._head(MAX_PAIRS + 1))
 
+    @pytest.mark.parametrize(
+        "law,mu,modes", [("thermal", 1.5, None), ("poissonian", 40.0, None), ("multimode_thermal", 40.0, 3), ("thermal", 1e5, None)]
+    )
+    def test_a_refused_law_builds_one_head(self, law, mu, modes, monkeypatch):
+        # the tail bound reads the two terms past MAX_PAIRS from the head the pmf built
+        real, sizes = PairNumberDistribution._head, []
+
+        def spy(self, size):
+            sizes.append(size)
+            return real(self, size)
+
+        monkeypatch.setattr(PairNumberDistribution, "_head", spy)
+        with pytest.raises(ValidationError) as info:
+            PairNumberDistribution(law, mu, modes).pmf_vector()
+        assert info.value.field == "mean"
+        assert sizes == [MAX_PAIRS + 3]
+
     def test_silent_within_tolerance(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -206,11 +234,6 @@ class TestThin:
         pmf = PairNumberDistribution(law, 0.9, modes).pmf_vector()
         for s in (0.05, 0.5, 0.95):
             assert np.max(np.abs(thin(pmf, s) - brute_force_thin(pmf, s))) < 1e-14
-
-    def test_invalid_survival(self):
-        pmf = PairNumberDistribution("poissonian", 0.1).pmf_vector()
-        with pytest.raises(ValidationError):
-            thin(pmf, 1.5)
 
 
 # --- the scalar pmf loop written out once more, as a reference that the
@@ -357,26 +380,24 @@ class TestBitIdentity:
     def test_thin_sums_the_pmf_through_the_table(self, size, s):
         pmf = np.random.default_rng(size).random(size)
         pmf /= pmf.sum()
-        assert np.array_equal(thin(pmf, s), pmf @ pair_source.thinning_table(s, size))
+        # every row of the table is a law: thinning keeps the mass
+        assert abs(thin(pmf, s).sum() - 1.0) <= 1e-15 * size
         # the cached table, then a fresh build: the same bits
         assert np.array_equal(pair_source.thinning_table(s, size), pair_source.thinning_table.__wrapped__(s, size))
 
     def test_binomial_coefficients_are_exact(self):
-        # up to the pmf's 65 entries and past them, against math.comb rounded once
-        for size in (1, 2, 36, 65, 67):
+        # up to the pmf's 65 entries and past them, against math.comb rounded once;
+        # from size 68 on, C(67, 33) and its neighbours overflow an int64
+        for size in (1, 2, 36, 65, 67, 68, 100, 200):
             exact = [[float(math.comb(n, m)) for m in range(size)] for n in range(size)]
             assert pair_source._binomial_coefficients(size).tolist() == exact, size
-
-    def test_thin_refuses_a_pmf_longer_than_every_law(self):
-        with pytest.raises(ValidationError, match=f"at most MAX_PAIRS \\+ 1 = {MAX_PAIRS + 1} entries, got {MAX_PAIRS + 2}"):
-            thin(np.full(MAX_PAIRS + 2, 1.0 / (MAX_PAIRS + 2)), 0.5)
 
     def test_each_table_is_built_once(self):
         caches = (pair_source.thinning_table, pair_source.power_table)
         for cache in caches:
             cache.cache_clear()
         for size in (MAX_PAIRS + 1, 10, MAX_PAIRS + 1, 10):
-            thin(np.full(size, 1.0 / size), 0.5)
+            pair_source.thinning_table(0.5, size)
         # each repeated call reads the matrix the first one built
         assert pair_source.thinning_table.cache_info()[:2] == (2, 2)
         power = pair_source.power_table
@@ -404,9 +425,10 @@ class TestBitIdentity:
 
 
 class TestThermalOverflow:
-    @pytest.mark.parametrize("mu,size", [(4e4, 67), (1e5, 65), (1e300, 65), (sys.float_info.max, 65)])
+    @pytest.mark.parametrize("mu,size", [(4e4, 67), (1e5, 67), (1e300, 67), (sys.float_info.max, 67)])
     def test_overflow_is_a_validation_error_naming_the_mean(self, mu, size):
-        # mu**n / (1 + mu)**(n + 1) in Python floats raised a bare OverflowError
+        # mu**n / (1 + mu)**(n + 1) in Python floats raised a bare OverflowError;
+        # from mu >= 1 the pmf builds MAX_PAIRS + 3 terms, the two past MAX_PAIRS bounding the tail
         with pytest.raises(ValidationError, match=re.escape(f"mean {mu} overflows a float by {size} terms")) as exc:
             PairNumberDistribution("thermal", mu).pmf_vector()
         assert exc.value.field == "mean"

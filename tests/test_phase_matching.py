@@ -209,6 +209,13 @@ class TestTuningCurve:
         curve = tuning_curve(BBO, theta, pump, signal_range, 201)
         assert np.array_equal(curve, curve_by_points(BBO, theta, pump, signal_range, 201))
 
+    @pytest.mark.parametrize("n_points", [2.5, 201.0, "201", None])
+    def test_a_point_count_that_is_no_integer_is_refused(self, n_points):
+        # int(n_points) truncated 2.5 to 2 points
+        with pytest.raises(ValidationError, match="n_points must be an integer") as info:
+            tuning_curve(BBO, 26.42, 390.0, (480.0, 560.0), n_points)
+        assert info.value.field == "n_points"
+
     def test_makes_no_pointwise_mismatch_calls(self, monkeypatch):
         calls = []
         real = phase_matching.collinear_mismatch
@@ -440,6 +447,13 @@ class TestCrystalValidation:
     def test_bad_length(self):
         with pytest.raises(ValidationError):
             CrystalSpec(length_mm=0.0)
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, 0.0, -5.0])
+    def test_length_outside_the_finite_positives(self, length):
+        # NaN failed "length <= 0" and inf passed it
+        with pytest.raises(ValidationError, match="crystal length must be finite and > 0") as info:
+            CrystalSpec(length_mm=length)
+        assert info.value.field == "length_mm"
 
     def test_bad_cut(self):
         with pytest.raises(ValidationError):

@@ -398,6 +398,13 @@ class TestPumpSweep:
                 pump_sweep(reference_setup(), mu_values, CHANNEL)
             assert exc.value.field == "mu_values"
 
+    @pytest.mark.parametrize("mu_values", [[math.nan], [0.1, math.nan], [0.0], [-0.1, 0.1]])
+    def test_a_mean_outside_the_positives_is_refused(self, mu_values):
+        # NaN failed "m <= 0" and passed the positivity check
+        with pytest.raises(ValidationError, match="mu values must be positive") as exc:
+            pump_sweep(reference_setup(), mu_values, CHANNEL)
+        assert exc.value.field == "mu_values"
+
     def test_cut_row_builds_one_refused_pmf(self, monkeypatch):
         # the row's counts and heralded statistics read one pmf, refused once
         means, real = [], PairNumberDistribution.pmf_vector

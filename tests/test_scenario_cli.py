@@ -762,6 +762,23 @@ class TestOneTruncationRule:
                 "the poissonian pmf at mean 551.") in err
         assert "source.mu" not in err
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_estimate_of_a_refused_mean_from_a_counts_file_names_the_file(self, tmp_path, capsys, suffix):
+        # it named the scenario's counts keys, which the run never read
+        columns = ["signal_singles_cps", "idler_singles_cps", "coincidences_cps", "trigger_rate_cps", "gate_rate_hz"]
+        values = [2.0e7, 20000, 100, 216000, 205000]
+        path = tmp_path / f"counts{suffix}"
+        if suffix == ".csv":
+            path.write_text(",".join(columns) + "\n" + ",".join(map(str, values)) + "\n")
+        else:
+            path.write_text(json.dumps(dict(zip(columns, values))))
+        assert main(["estimate", BUNDLED, "--counts", str(path), "--out-dir", str(tmp_path / "est")]) == 2
+        err = capsys.readouterr().err
+        assert (f"validation error: counts file {str(path)!r}, columns 'signal_singles_cps', 'idler_singles_cps', "
+                "'coincidences_cps': the counts imply a mean pair number the model refuses: "
+                "the poissonian pmf at mean 551.") in err
+        assert "scenario key" not in err
+
 
 class TestValidationBranches:
     @pytest.mark.parametrize(
