@@ -41,6 +41,10 @@ class SellmeierCoefficients:
     c: float
     d: float
 
+    def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            require_finite(f"Sellmeier coefficient {name}", getattr(self, name))
+
     def index(self, wavelength_um, out=None, scratch=None):
         """Refractive index at wavelengths in micrometres.
 

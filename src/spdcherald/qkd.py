@@ -19,6 +19,8 @@ from .pair_source import REFERENCE_CALIBRATION_PER_MW
 
 DISTANCE_CAP_KM = 500.0
 DISTANCE_RESOLUTION_KM = 0.1
+GRID_INTERVALS = 2**13  # the fewest halvings of the cap that reach the resolution
+GRID_STEP_KM = DISTANCE_CAP_KM / GRID_INTERVALS  # 0.061 km, exact in binary
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,13 @@ def expected_detection_probability(stats: HeraldedStats, channel: ChannelSpec, d
 
 def max_secure_distance(stats: HeraldedStats, channel: ChannelSpec) -> SecureDistance:
     """Largest distance where the detection probability beats the
-    multiphoton fraction, bisected to :data:`DISTANCE_RESOLUTION_KM` and
-    capped at :data:`DISTANCE_CAP_KM`.  Thirteen halvings of [0, cap] make
-    the result the last secure point of a grid of cap / 2**13 km (0.061 km).
+    multiphoton fraction: the last secure point of a grid of
+    :data:`DISTANCE_CAP_KM` / 2**13 km (0.061 km, finer than
+    :data:`DISTANCE_RESOLUTION_KM`).  The search starts at the grid index the
+    P(n) moments predict (:func:`_grid_guess`), tests it and its neighbour,
+    and gallops outward and halves only where those two do not bracket the
+    boundary.  The predicate falls with distance, so this is the point that
+    13 halvings of [0, cap] would find.
 
     Receiver dark counts appear on both sides of the bound -- an
     eavesdropper can neither suppress nor exploit them -- so the condition
@@ -105,24 +111,63 @@ def max_secure_distance(stats: HeraldedStats, channel: ChannelSpec) -> SecureDis
     Returns 0 km with a flag when the condition already fails at zero
     distance, and the cap with a flag when it never fails below it.
     """
-
-    threshold = multiphoton_fraction(stats) + channel.receiver_dark_per_pulse
-
-    def secure(distance_km: float) -> bool:
-        return expected_detection_probability(stats, channel, distance_km) >= threshold
-
-    if not secure(0.0):
-        return SecureDistance(0.0, insecure_at_zero=True)
-    if secure(DISTANCE_CAP_KM):
-        return SecureDistance(DISTANCE_CAP_KM, capped=True)
-    lo, hi = 0.0, DISTANCE_CAP_KM
-    while hi - lo > DISTANCE_RESOLUTION_KM:
-        mid = 0.5 * (lo + hi)
-        if secure(mid):
-            lo = mid
+    p_multi = multiphoton_fraction(stats)
+    threshold = p_multi + channel.receiver_dark_per_pulse
+    # lo is the highest grid index known secure and hi the lowest known
+    # insecure, -1 and GRID_INTERVALS + 1 while none is known
+    lo, hi, stride = -1, GRID_INTERVALS + 1, 1
+    probe = _grid_guess(stats, channel, p_multi)
+    while hi - lo > 1:
+        if expected_detection_probability(stats, channel, probe * GRID_STEP_KM) >= threshold:
+            lo = probe
         else:
-            hi = mid
-    return SecureDistance(lo)
+            hi = probe
+        if lo < 0:
+            probe = max(hi - stride, 0)
+        elif hi > GRID_INTERVALS:
+            probe = min(lo + stride, GRID_INTERVALS)
+        else:
+            probe = (lo + hi) // 2
+        stride *= 2
+    if lo < 0:
+        return SecureDistance(0.0, insecure_at_zero=True)
+    if lo == GRID_INTERVALS:
+        return SecureDistance(DISTANCE_CAP_KM, capped=True)
+    return SecureDistance(lo * GRID_STEP_KM)
+
+
+def _grid_guess(stats: HeraldedStats, channel: ChannelSpec, p_multi: float) -> int:
+    """Grid index of the last secure point as the P(n) moments predict it.
+
+    With m1 = <n> and m2 = <n(n-1)>, photon-borne detections at receiver
+    transmission x are m1*x - m2*x**2/2 + O(x**3); setting them equal to the
+    multiphoton fraction and solving to first order gives the boundary x,
+    whose distance is 10/loss * log10(eta/x).  Where no guess can be formed
+    (no multiphoton mass, a blind receiver, a lossless or subnormal loss, an
+    index that is not finite) the search starts at an end of the grid.
+    """
+    # Horner's scheme at z = 1 for G(z) = sum P(n) z**n and its first two
+    # derivatives: g1 = G'(1) = m1 and g2 = G''(1)/2 = m2/2
+    g0 = g1 = g2 = 0.0
+    for p_n in reversed(stats.values):
+        g2 += g1
+        g1 += g0
+        g0 += p_n
+    if not (p_multi > 0.0 and g1 > 0.0):
+        return GRID_INTERVALS  # nothing beyond one photon to beat
+    eta, loss = channel.receiver_efficiency, channel.loss_db_per_km
+    if eta == 0.0:
+        return 0  # nothing is detected
+    x = p_multi / g1
+    x += g2 * x * x / g1
+    if not x > 0.0:
+        return GRID_INTERVALS  # a boundary transmission that underflows
+    if loss == 0.0:
+        return GRID_INTERVALS if x <= eta else 0  # every distance is the same
+    index = 10.0 * (math.log10(eta) - math.log10(x)) / loss / GRID_STEP_KM
+    if not math.isfinite(index):
+        return GRID_INTERVALS if index > 0.0 else 0
+    return min(max(math.floor(index), 0), GRID_INTERVALS)
 
 
 def pump_sweep(

@@ -459,6 +459,14 @@ class TestCrystalValidation:
         with pytest.raises(ValidationError):
             CrystalSpec(cut_angle_deg=120.0)
 
+    @pytest.mark.parametrize("field", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sellmeier_coefficient_is_refused(self, field, value):
+        # a NaN a gave a 89.99999995709 degree phase-matching angle and a NaN tuning curve
+        coefficients = {"a": 2.7359, "b": 0.01878, "c": 0.01822, "d": 0.01354, field: value}
+        with pytest.raises(ValidationError, match=f"Sellmeier coefficient {field} must be finite"):
+            SellmeierCoefficients(**coefficients)
+
     def test_custom_sellmeier_set(self):
         custom = SellmeierCoefficients(2.7359, 0.01878, 0.01822, 0.01354)
         crystal = CrystalSpec(sellmeier_ordinary=custom)

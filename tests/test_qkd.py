@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from operator import attrgetter
@@ -9,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from spdcherald import experiment, pair_source
+from spdcherald import experiment, pair_source, qkd
 from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec
 from spdcherald.errors import ValidationError
 from spdcherald.experiment import (
@@ -26,6 +27,7 @@ from spdcherald.qkd import (
     DISTANCE_CAP_KM,
     DISTANCE_RESOLUTION_KM,
     ChannelSpec,
+    SecureDistance,
     TradeoffRow,
     expected_detection_probability,
     max_secure_distance,
@@ -240,6 +242,105 @@ class TestSecureDistanceGrid:
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
         assert not any(name.split(".")[0] == "numpy" for name in imported), imported
+
+
+def bisected_secure_distance(stats: HeraldedStats, channel: ChannelSpec) -> SecureDistance:
+    """The secure distance by 13 halvings of [0, cap] on the Python-float
+    predicate, as qkd found it before the moment-guessed search: the reference
+    that search must equal."""
+    threshold = multiphoton_fraction(stats) + channel.receiver_dark_per_pulse
+
+    def secure(distance_km):
+        return expected_detection_probability(stats, channel, distance_km) >= threshold
+
+    if not secure(0.0):
+        return SecureDistance(0.0, insecure_at_zero=True)
+    if secure(DISTANCE_CAP_KM):
+        return SecureDistance(DISTANCE_CAP_KM, capped=True)
+    lo, hi = 0.0, DISTANCE_CAP_KM
+    while hi - lo > DISTANCE_RESOLUTION_KM:
+        mid = 0.5 * (lo + hi)
+        if secure(mid):
+            lo = mid
+        else:
+            hi = mid
+    return SecureDistance(lo)
+
+
+# loss coefficients and receiver efficiencies the schema accepts, from a lossless
+# or blind channel through subnormal and tiny values to the float limits
+EXTREME_LOSSES = [0.0, 5e-324, 1e-300, 1e-12, 0.2, sys.float_info.max]
+EXTREME_EFFICIENCIES = [0.0, 5e-324, 1e-300, 0.1, 1.0]
+LAW_CUTS = {"poissonian": 19.8, "thermal": 1.43, "multimode_thermal": 1.43}  # accepted means (test_experiment)
+
+
+@st.composite
+def law_stats(draw):
+    """Heralded P(n) of any law at a mean from 1e-5 to its cut, and any idler loss."""
+    law = draw(st.sampled_from(sorted(LAW_CUTS)))
+    mu = 1e-5 * (LAW_CUTS[law] / 1e-5) ** draw(st.floats(0.0, 1.0))
+    modes = draw(st.integers(1, 400)) if law == "multimode_thermal" else None
+    config = reference_setup(law=law, mu=mu, modes=modes, alpha_idler=draw(st.floats(1e-3, 1.0)))
+    try:
+        return heralded_photon_statistics(config)
+    except ValidationError:  # a rare mean below the cut still refused for a rounding shortfall
+        assume(False)
+
+
+def vector_stats():
+    """Arbitrary normalised P(n) vectors of 1 to 65 entries."""
+    weights = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=pair_source.MAX_PAIRS + 1)
+    return weights.filter(lambda w: sum(w) > 0.0).map(lambda w: HeraldedStats(p=np.array(w) / math.fsum(w)))
+
+
+def any_channel():
+    return st.builds(
+        ChannelSpec,
+        loss_db_per_km=st.one_of(st.sampled_from(EXTREME_LOSSES), st.floats(0.0, 2.0)),
+        receiver_efficiency=st.one_of(st.sampled_from(EXTREME_EFFICIENCIES), st.floats(0.0, 1.0)),
+        receiver_dark_per_pulse=st.sampled_from([0.0, 2.5e-4, 0.5]),
+    )
+
+
+class TestSecureDistanceSearch:
+    """The search from the moment guess returns the bisection's point."""
+
+    @settings(max_examples=400)
+    @given(stats=st.one_of(law_stats(), vector_stats()), channel=any_channel())
+    def test_equals_the_bisection(self, stats, channel):
+        assert max_secure_distance(stats, channel) == bisected_secure_distance(stats, channel)
+
+    @pytest.mark.parametrize("loss", EXTREME_LOSSES)
+    @pytest.mark.parametrize("eta", EXTREME_EFFICIENCIES)
+    @pytest.mark.parametrize("p", [[1.0], [0.8, 0.2], [0.8096, 0.1871, 0.0033], "reference"])
+    def test_extreme_channels_equal_the_bisection(self, loss, eta, p):
+        # a loss of 5e-324 made the guess 10/loss infinite, and floor() of it raised
+        stats = heralded_photon_statistics(reference_setup()) if p == "reference" else HeraldedStats(p=np.array(p))
+        channel = ChannelSpec(loss, eta, 2.5e-4)
+        assert max_secure_distance(stats, channel) == bisected_secure_distance(stats, channel)
+
+    def test_a_reference_row_makes_two_predicate_calls(self, monkeypatch):
+        # the bisection made 15: one at each end, then 13 halvings
+        calls = []
+
+        def counted(stats, channel, distance_km):
+            calls.append(distance_km)
+            return expected_detection_probability(stats, channel, distance_km)
+
+        monkeypatch.setattr(qkd, "expected_detection_probability", counted)
+        stats = heralded_photon_statistics(reference_setup())
+        result = max_secure_distance(stats, CHANNEL)
+        assert not (result.capped or result.insecure_at_zero)
+        assert result == bisected_secure_distance(stats, CHANNEL)
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize(
+        "channel,flag",
+        [(ChannelSpec(loss_db_per_km=5e-324), "capped"), (ChannelSpec(receiver_efficiency=0.0), "insecure_at_zero")],
+    )
+    def test_sweep_rows_at_extreme_channels_are_flagged_not_errors(self, channel, flag):
+        rows = pump_sweep(reference_setup(), [0.01, 0.0829, 0.3], channel)
+        assert [(row.error, getattr(row, flag)) for row in rows] == [(None, True)] * 3
 
 
 def reference_sweep(base, mu_values, channel):
