@@ -139,9 +139,9 @@ def _herald_stats(scenario: Scenario, run: dict) -> tuple:
     stats = heralded_photon_statistics(scenario.to_setup_config(), **_sim_kwargs(run))
     return (
         "herald_stats.json", stats.to_dict(),
-        "herald_stats.csv", ["n", "probability"], [[n, float(p)] for n, p in enumerate(stats.p)],
+        "herald_stats.csv", ["n", "probability"], [[n, p] for n, p in enumerate(stats.values)],
         [f"heralded photon-number statistics ({run['mode']})"]
-        + [f"  P({n}) = {p:.6g}" for n, p in enumerate(stats.p[:4])]
+        + [f"  P({n}) = {p:.6g}" for n, p in enumerate(stats.values[:4])]
         + [f"  multiphoton fraction = {multiphoton_fraction(stats):.6g}"],
     )
 

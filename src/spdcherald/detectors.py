@@ -103,8 +103,6 @@ def dead_time_throughput(input_rate: float, dt: DeadTimeSpec) -> float:
     if not (0.0 <= input_rate < math.inf):  # written as "inside" so that NaN fails the check
         raise DomainError(f"input rate must be finite and >= 0, got {input_rate}", "input_rate")
     tau = dt.tau_s
-    if tau == 0.0:
-        return input_rate
     if dt.model == "paralyzable":
         return input_rate * float(np.exp(-input_rate * tau))
     return input_rate / (1.0 + input_rate * tau)

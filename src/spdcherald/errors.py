@@ -33,10 +33,10 @@ class DomainError(ValidationError):
     """Argument outside the mathematically or physically valid domain."""
 
 
-def require_finite(name: str, value: float) -> None:
-    """Raise :class:`ValidationError` when ``value`` is NaN or infinite."""
+def require_finite(name: str, value: float, field: str | None = None) -> None:
+    """Raise :class:`ValidationError`, naming ``field``, when ``value`` is NaN or infinite."""
     if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
+        raise ValidationError(f"{name} must be finite, got {value}", field)
 
 
 def require_integer(name: str, value) -> int:

@@ -159,13 +159,6 @@ class SetupConfig:
         bs, bi = self.herald_survival, self.idler_click_survival
         return power_table((1.0 - bs, 1.0 - bi, 1.0 - bs * bi))
 
-    @cached_property
-    def herald_weights(self) -> np.ndarray:
-        """Per pair number n <= MAX_PAIRS, the chance that a pulse heralds, read-only."""
-        weights = 1.0 - (1.0 - self.herald_dark_prob) * self.none_of[0]
-        weights.setflags(write=False)
-        return weights
-
 
 @dataclass(frozen=True)
 class CountRates:
@@ -226,15 +219,21 @@ class HeraldedStats:
             raise DomainError(f"photon number must be >= 0, got {n}")
         return self.values[n] if n < len(self.values) else 0.0
 
-    def mean_photons(self) -> float:
-        return float((np.arange(self.p.size) * self.p).sum())
-
-    def second_factorial_moment(self) -> float:
-        n = np.arange(self.p.size)
-        return float((n * (n - 1) * self.p).sum())
+    @property
+    def moments(self) -> tuple[float, float]:
+        """``(<n>, <n(n-1)>/2)``: G'(1) and G''(1)/2 of G(z) = sum P(n) z**n,
+        by Horner's scheme at z = 1 in one pass over ``values``.  Not cached:
+        each reader reads it once, and ``functools.cached_property`` costs
+        more than the pass over a short P(n)."""
+        g0 = g1 = g2 = 0.0
+        for p_n in reversed(self.values):
+            g2 += g1
+            g1 += g0
+            g0 += p_n
+        return g1, g2
 
     def to_dict(self) -> dict:
-        return {"p": [float(v) for v in self.p]}
+        return {"p": list(self.values)}
 
 
 @dataclass(frozen=True)
@@ -275,7 +274,7 @@ def _analytic_counts(config: SetupConfig, pmf: np.ndarray) -> CountRates:
 
 def _analytic_heralded(config: SetupConfig, pmf: np.ndarray) -> HeraldedStats:
     """Heralded P(n) of ``config``'s optics over ``pmf``."""
-    heralding = pmf * config.herald_weights[: pmf.size]
+    heralding = pmf * (1.0 - (1.0 - config.herald_dark_prob) * config.none_of[0, : pmf.size])
     p_herald = float(heralding.sum())
     if p_herald <= 0.0:
         raise EstimationError("herald probability is zero; cannot condition on a herald")
@@ -373,11 +372,10 @@ def hbt_g2(
         if config.mu <= 0.0:
             raise EstimationError("signal arm flux is zero; g2 is undefined")
         return G2Result(config.pair_distribution().second_order_coherence(), 0.0, arm, mode)
-    stats = heralded_photon_statistics(config, mode="analytic")
-    mean = stats.mean_photons()
+    mean, half = heralded_photon_statistics(config, mode="analytic").moments
     if mean <= 0.0:
         raise EstimationError("heralded idler flux is zero; g2 is undefined")
-    return G2Result(stats.second_factorial_moment() / mean**2, 0.0, arm, mode)
+    return G2Result(2.0 * half / mean**2, 0.0, arm, mode)
 
 
 # --------------------------------------------------------------------------

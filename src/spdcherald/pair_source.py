@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -60,7 +61,7 @@ class PairNumberDistribution:
     def __post_init__(self):
         if self.law not in LAWS:
             raise ValidationError(f"unknown pair-number law {self.law!r}; expected one of {LAWS}", "law")
-        require_finite("mean pair number", self.mean)
+        require_finite("mean pair number", self.mean, "mean")
         if not (self.mean >= 0.0):
             raise ValidationError(f"mean pair number must be >= 0, got {self.mean}", "mean")
         if self.law == "multimode_thermal":
@@ -142,7 +143,10 @@ class PairNumberDistribution:
             return -math.log1p(-c)
         if self.law == "thermal":
             return c / (1.0 - c)
-        return self.modes * math.expm1(-math.log1p(-c) / self.modes)
+        x = -math.log1p(-c)
+        per_mode = x / self.modes
+        # expm1 is the identity below the normal floats, where M * expm1(x / M) loses x
+        return x if per_mode < sys.float_info.min else self.modes * math.expm1(per_mode)
 
     def second_order_coherence(self) -> float:
         """Unconditioned g2(0) of the law: <n(n-1)>/<n>^2, loss-invariant."""

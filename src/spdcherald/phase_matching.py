@@ -192,10 +192,19 @@ class WavelengthTriple:
 
 def collinear_mismatch(crystal: CrystalSpec, theta_deg: float, triple: WavelengthTriple) -> float:
     """Collinear type-I phase mismatch dk in rad/nm at a fixed crystal angle."""
-    k_p = 2.0 * np.pi * index_extraordinary_at_angle(crystal, theta_deg, triple.pump_nm) / triple.pump_nm
-    k_s = 2.0 * np.pi * index_ordinary(crystal, triple.signal_nm) / triple.signal_nm
-    k_i = 2.0 * np.pi * index_ordinary(crystal, triple.idler_nm) / triple.idler_nm
-    return float(k_p - k_s - k_i)
+    return float(_mismatch(crystal, theta_deg, triple.pump_nm, triple.signal_nm, triple.idler_nm))
+
+
+def _mismatch(crystal: CrystalSpec, theta_deg: float, pump_nm: float, signal_nm, idler_nm):
+    """``k_p - k_s - k_i`` in rad/nm at signal and idler wavelengths (scalars
+    or arrays) that conserve energy with the pump."""
+    k_p = 2.0 * np.pi * index_extraordinary_at_angle(crystal, theta_deg, pump_nm) / pump_nm
+    k_s = 2.0 * np.pi * index_ordinary(crystal, signal_nm) / signal_nm
+    k_i = 2.0 * np.pi * index_ordinary(crystal, idler_nm) / idler_nm
+    # subtract the shorter wavelength's k first, so that a pair past
+    # degeneracy rounds as its mirror pair does
+    short_first = signal_nm <= idler_nm
+    return k_p - np.where(short_first, k_s, k_i) - np.where(short_first, k_i, k_s)
 
 
 # |dk| below this fraction of k_pump counts as phase matched.
@@ -274,13 +283,7 @@ def tuning_curve(
         )
     signals = np.linspace(lo, hi, n_points)
     idlers = 1.0 / (1.0 / pump_nm - 1.0 / signals)
-    k_p = 2.0 * np.pi * index_extraordinary_at_angle(crystal, theta_deg, pump_nm) / pump_nm
-    k_s = 2.0 * np.pi * index_ordinary(crystal, signals) / signals
-    k_i = 2.0 * np.pi * index_ordinary(crystal, idlers) / idlers
-    # subtract the shorter wavelength's k first, as collinear_mismatch does
-    # on the ordered triple, so rows past degeneracy round the same way
-    short_first = signals <= idlers
-    dk = k_p - np.where(short_first, k_s, k_i) - np.where(short_first, k_i, k_s)
+    dk = _mismatch(crystal, theta_deg, pump_nm, signals, idlers)
     return np.column_stack((signals, idlers, dk * 1e6))  # rad/nm -> rad/mm
 
 

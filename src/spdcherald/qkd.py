@@ -139,20 +139,15 @@ def max_secure_distance(stats: HeraldedStats, channel: ChannelSpec) -> SecureDis
 def _grid_guess(stats: HeraldedStats, channel: ChannelSpec, p_multi: float) -> int:
     """Grid index of the last secure point as the P(n) moments predict it.
 
-    With m1 = <n> and m2 = <n(n-1)>, photon-borne detections at receiver
-    transmission x are m1*x - m2*x**2/2 + O(x**3); setting them equal to the
-    multiphoton fraction and solving to first order gives the boundary x,
-    whose distance is 10/loss * log10(eta/x).  Where no guess can be formed
-    (no multiphoton mass, a blind receiver, a lossless or subnormal loss, an
-    index that is not finite) the search starts at an end of the grid.
+    With g1 = <n> and g2 = <n(n-1)>/2 (:attr:`HeraldedStats.moments`),
+    photon-borne detections at receiver transmission x are g1*x - g2*x**2 +
+    O(x**3); setting them equal to the multiphoton fraction and solving to
+    first order gives the boundary x, whose distance is 10/loss *
+    log10(eta/x).  Where no guess can be formed (no multiphoton mass, a blind
+    receiver, a lossless or subnormal loss, an index that is not finite) the
+    search starts at an end of the grid.
     """
-    # Horner's scheme at z = 1 for G(z) = sum P(n) z**n and its first two
-    # derivatives: g1 = G'(1) = m1 and g2 = G''(1)/2 = m2/2
-    g0 = g1 = g2 = 0.0
-    for p_n in reversed(stats.values):
-        g2 += g1
-        g1 += g0
-        g0 += p_n
+    g1, g2 = stats.moments
     if not (p_multi > 0.0 and g1 > 0.0):
         return GRID_INTERVALS  # nothing beyond one photon to beat
     eta, loss = channel.receiver_efficiency, channel.loss_db_per_km
@@ -180,9 +175,9 @@ def pump_sweep(
 
     Each row is the analytic forward model (dead time included) at one mean pair
     number, from :func:`~spdcherald.experiment.analytic_at` on the one setup,
-    whose none-of table and herald weights every row reads; pump power follows
-    from the linear calibration, and a calibration of 0 gives none.  A failing
-    row is reported with its error message instead of being dropped.
+    whose none-of table every row reads; pump power follows from the linear
+    calibration, and a calibration of 0 gives none.  A failing row is
+    reported with its error message instead of being dropped.
     """
     mu_list = [float(m) for m in mu_values]
     if not mu_list:

@@ -66,9 +66,11 @@ class TestSpecValidation:
 
 
 class TestDeadTime:
-    def test_zero_tau_identity(self):
-        dt = DeadTimeSpec(tau_us=0.0)
-        assert dead_time_throughput(2.9e5, dt) == 2.9e5
+    @pytest.mark.parametrize("model", ["paralyzable", "nonparalyzable"])
+    @pytest.mark.parametrize("rate", [0.0, 5e-324, 2.9e5, 1.7e308])
+    def test_zero_tau_identity(self, model, rate):
+        # no early return: R * exp(-0.0) and R / (1 + 0.0) are exactly R
+        assert dead_time_throughput(rate, DeadTimeSpec(0.0, model)) == rate
 
     def test_paralyzable_reference(self):
         out = dead_time_throughput(2.9e5, DeadTimeSpec(tau_us=1.0, model="paralyzable"))

@@ -4,9 +4,11 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spdcherald import experiment, pair_source
 from spdcherald.detectors import DEAD_TIME_MODELS, DeadTimeSpec, FreeRunningDetector, GatedDetector, dead_time_window
@@ -259,6 +261,17 @@ class TestHeraldedStats:
             HeraldedStats(p=np.array([bad, 0.5, 0.5]))
         with pytest.raises(ValidationError):
             HeraldedStats(p=np.array([0.5, 0.5, bad]))
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=65).filter(lambda w: math.fsum(w) >= 1e-3))
+    def test_moments_are_the_exact_sums(self, weights):
+        stats = HeraldedStats(p=np.array(weights) / math.fsum(weights))
+        exact = [Fraction(p) for p in stats.values]
+        mean = sum(n * p for n, p in enumerate(exact))
+        half = sum(n * (n - 1) * p for n, p in enumerate(exact)) / 2
+        # Horner's scheme only adds non-negative floats: a few hundred roundings of 1.1e-16 at most
+        got_mean, got_half = stats.moments
+        assert abs(Fraction(got_mean) - mean) <= Fraction(1e-13) * mean
+        assert abs(Fraction(got_half) - half) <= Fraction(1e-13) * half
 
 
 def pgf_per_point(pmf, x):
@@ -776,6 +789,22 @@ class TestG2:
         assert result.value == pytest.approx(REF_G2_HERALDED, rel=1e-5)
         assert 0.104 <= result.value <= 0.156  # about 2 P2 / (P1 + 2 P2)^2
         assert result.value < 0.3
+
+    @pytest.mark.parametrize(
+        "law,modes,mu,numpy_value",
+        [
+            ("poissonian", None, 0.0829, 0.1444748640881969),
+            ("poissonian", None, 0.5, 0.5491715651328924),
+            ("thermal", None, 0.0829, 0.269126930539006),
+            ("thermal", None, 0.5, 0.8630957032805098),
+            ("multimode_thermal", 4, 0.0829, 0.1773283942393359),
+            ("multimode_thermal", 4, 0.5, 0.6429782079498542),
+        ],
+    )
+    def test_heralded_idler_moments_match_the_numpy_sums(self, law, modes, mu, numpy_value):
+        # numpy_value is <n(n-1)>/<n>^2 from numpy's sums of n p and n (n - 1) p over the same P(n)
+        value = hbt_g2(reference_setup(law=law, modes=modes, mu=mu), arm="idler_heralded").value
+        assert abs(value - numpy_value) <= 4 * math.ulp(numpy_value)
 
     def test_analytic_value_independent_of_splitter(self):
         a = hbt_g2(reference_setup(), splitter_ratio=0.3)

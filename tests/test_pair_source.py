@@ -457,6 +457,32 @@ class TestSubnormalMean:
         assert np.array_equal(dist._head(4), [scalar_pmf(dist, n) for n in range(4)])
 
 
+class TestDetectedMean:
+    @pytest.mark.parametrize(
+        "modes,c",
+        [(10**6, 5e-324), (10**6, 1e-303), (10**21, 1e-300), (10**21, 2e-308), (10**300, 1e-9)],
+        ids=lambda v: f"{v:.0e}" if isinstance(v, int) else repr(v),
+    )
+    def test_a_mean_per_mode_below_the_normals_is_kept(self, modes, c):
+        # M * expm1(x / M) gave 0 once x / M underflowed, and the estimator divided by it
+        x = -math.log1p(-c)
+        assert x / modes < sys.float_info.min
+        assert PairNumberDistribution("multimode_thermal", 0.1, modes).detected_mean(c) == x
+
+    @pytest.mark.parametrize("modes", [1, 4, 10**6])
+    @pytest.mark.parametrize("c", [1e-300, 1e-6, 0.0829, 0.5])
+    def test_a_normal_mean_per_mode_keeps_its_formula(self, modes, c):
+        x = -math.log1p(-c)
+        assert PairNumberDistribution("multimode_thermal", 0.1, modes).detected_mean(c) == modes * math.expm1(x / modes)
+
+    @pytest.mark.parametrize("mean", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_mean_names_the_mean(self, mean):
+        # the check carried no field, so the estimator could not name the counts it came from
+        with pytest.raises(ValidationError, match=f"^mean pair number must be finite, got {mean}$") as info:
+            PairNumberDistribution("thermal", mean)
+        assert info.value.field == "mean"
+
+
 class TestNegativePairCount:
     @pytest.mark.parametrize("n", [-1, -5])
     def test_negative_pair_count_rejected(self, n):

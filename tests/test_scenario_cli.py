@@ -762,6 +762,26 @@ class TestOneTruncationRule:
                 "the poissonian pmf at mean 551.") in err
         assert "source.mu" not in err
 
+    @pytest.mark.parametrize(
+        "overrides,refusal",
+        [
+            # it exited 2 naming no key: the pair law's finiteness check carried no field
+            (["source.law=thermal", "counts.signal_singles_cps=81999999.99999", "counts.idler_singles_cps=204999.9999"],
+             "mean pair number must be finite, got inf"),
+            # it exited 3 with "float division by zero": M * expm1(x / M) lost the coincidences' mean
+            (["source.law=multimode_thermal", "source.modes=1000000000000000000000"],
+             "the multimode_thermal pmf at mean 3.0"),
+        ],
+    )
+    def test_estimate_of_an_extreme_mean_names_the_counts(self, tmp_path, capsys, overrides, refusal):
+        overrides = [*overrides, "detectors.idler.dark_prob_per_gate=0", "counts.coincidences_cps=1e-300"]
+        argv = ["estimate", BUNDLED, *(arg for item in overrides for arg in ("--override", item))]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        assert ("validation error: scenario keys 'counts.signal_singles_cps', 'counts.idler_singles_cps' and "
+                "'counts.coincidences_cps': the counts imply a mean pair number the model refuses: "
+                + refusal) in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     def test_estimate_of_a_refused_mean_from_a_counts_file_names_the_file(self, tmp_path, capsys, suffix):
         # it named the scenario's counts keys, which the run never read
