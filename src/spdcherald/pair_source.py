@@ -67,6 +67,10 @@ class PairNumberDistribution:
         if self.law == "multimode_thermal":
             if self.modes is None or require_integer("modes", self.modes) < 1:
                 raise ValidationError("multimode_thermal requires modes >= 1", "modes")
+            if self.modes > sys.float_info.max:  # the laws divide by the mode count as a float
+                raise ValidationError(
+                    f"modes must not exceed the largest float, got a {self.modes.bit_length()}-bit integer", "modes"
+                )
         elif self.modes is not None:
             raise ValidationError(f"modes is only meaningful for multimode_thermal, got law {self.law!r}", "modes")
 

@@ -45,18 +45,23 @@ class SellmeierCoefficients:
         for name in ("a", "b", "c", "d"):
             require_finite(f"Sellmeier coefficient {name}", getattr(self, name))
 
-    def index(self, wavelength_um, out=None, scratch=None):
-        """Refractive index at wavelengths in micrometres.
-
-        ``out`` and ``scratch``, arrays of the wavelengths' shape, take the
-        result and lambda^2 in place of fresh arrays.
-        """
-        lam2 = np.square(np.asarray(wavelength_um, dtype=float), out=scratch)
-        n2 = np.subtract(lam2, self.c, out=out)
-        n2 = np.divide(self.b, n2, out=out)
-        n2 = np.add(self.a, n2, out=out)
-        n2 = np.subtract(n2, np.multiply(self.d, lam2, out=scratch), out=out)
-        return np.sqrt(n2, out=out)
+    def index(self, wavelength_um, field=None):
+        """Refractive index at wavelengths in micrometres; a :class:`ValidationError`
+        naming ``field`` where n^2 is not finite and positive there."""
+        lam = np.asarray(wavelength_um, dtype=float)
+        lam2 = np.square(lam)
+        # a pole lam^2 = c or huge coefficients give inf or NaN, which the check refuses
+        with np.errstate(all="ignore"):
+            n2 = self.a + self.b / (lam2 - self.c) - self.d * lam2
+        valid = (n2 > 0.0) & (n2 < np.inf)  # written as "inside" so that NaN fails the check
+        if not valid.all():
+            i = np.argmin(valid)
+            raise ValidationError(
+                f"Sellmeier set ({self.a}, {self.b}, {self.c}, {self.d}) gives n^2 = {np.ravel(n2)[i]:.6g} "
+                f"at {np.ravel(lam)[i] * 1e3:.6g} nm; n^2 must be finite and > 0",
+                field,
+            )
+        return np.sqrt(n2)
 
 
 BBO_KATO_1986_ORDINARY = SellmeierCoefficients(*defaults.BBO_KATO_1986_ORDINARY)
@@ -83,13 +88,9 @@ class CrystalSpec:
             raise ValidationError(f"cut angle must lie in [0, 90] degrees, got {self.cut_angle_deg}", "cut_angle_deg")
 
 
-def _checked_um(wavelength_nm, out=None):
-    """Wavelengths in nm as micrometres, all inside the Sellmeier validity window.
-
-    ``out``, an array of the wavelengths' shape (it may be
-    ``wavelength_nm``), takes the result in place of a fresh array.
-    """
-    lam = np.multiply(np.asarray(wavelength_nm, dtype=float), 1e-3, out=out)
+def _checked_um(wavelength_nm):
+    """Wavelengths in nm as micrometres, all inside the Sellmeier validity window."""
+    lam = np.asarray(wavelength_nm, dtype=float) * 1e-3
     lo, hi = VALIDITY_WINDOW_UM
     # written as "not inside" so that NaN fails the check
     inside = (lam >= lo) & (lam <= hi)
@@ -103,12 +104,12 @@ def _checked_um(wavelength_nm, out=None):
 
 def index_ordinary(crystal: CrystalSpec, wavelength_nm):
     """Ordinary refractive index n_o at a vacuum wavelength in nm."""
-    return crystal.sellmeier_ordinary.index(_checked_um(wavelength_nm))
+    return crystal.sellmeier_ordinary.index(_checked_um(wavelength_nm), "sellmeier_ordinary")
 
 
 def index_extraordinary_principal(crystal: CrystalSpec, wavelength_nm):
     """Principal extraordinary index n_e (propagation at 90 deg to the axis)."""
-    return crystal.sellmeier_extraordinary.index(_checked_um(wavelength_nm))
+    return crystal.sellmeier_extraordinary.index(_checked_um(wavelength_nm), "sellmeier_extraordinary")
 
 
 def index_extraordinary_at_angle(crystal: CrystalSpec, theta_deg, wavelength_nm):
@@ -129,14 +130,10 @@ def _checked_theta(theta_deg) -> np.ndarray:
     return theta
 
 
-def _index_at_angle(crystal: CrystalSpec, theta, wavelength_um, n_o=None, n_e=None, scratch=None):
-    """Extraordinary-wave index at a checked angle and checked wavelengths in um.
-
-    ``n_o``, ``n_e`` and ``scratch``, arrays of the wavelengths' shape, take
-    the principal indices and lambda^2 in place of fresh arrays.
-    """
-    n_o = crystal.sellmeier_ordinary.index(wavelength_um, out=n_o, scratch=scratch)
-    n_e = crystal.sellmeier_extraordinary.index(wavelength_um, out=n_e, scratch=scratch)
+def _index_at_angle(crystal: CrystalSpec, theta, wavelength_um):
+    """Extraordinary-wave index at a checked angle and checked wavelengths in um."""
+    n_o = crystal.sellmeier_ordinary.index(wavelength_um, "sellmeier_ordinary")
+    n_e = crystal.sellmeier_extraordinary.index(wavelength_um, "sellmeier_extraordinary")
     n = _ellipsoid_index(n_o, n_e, theta)
     if ((theta == 0.0) | (theta == 90.0)).any():
         # endpoints reduce to the principal indices without round-off
@@ -145,8 +142,6 @@ def _index_at_angle(crystal: CrystalSpec, theta, wavelength_um, n_o=None, n_e=No
 
 
 def _ellipsoid_index(n_o, n_e, theta_deg):
-    # Operators, not ufuncs into buffers: the angle search calls this on
-    # numpy scalars, where a ufunc call costs about ten times an operator.
     t = np.radians(theta_deg)
     inv_n2 = np.cos(t) ** 2 / n_o**2 + np.sin(t) ** 2 / n_e**2
     return 1.0 / np.sqrt(inv_n2)
@@ -308,9 +303,9 @@ class JointSpectrum:
         return self.intensity.sum(axis=1)
 
 
-# Cells per row block of the joint spectrum: 64 KB per block buffer, small
-# enough to stay in cache and to be reused without page faults, and large
-# enough that the per-block call overhead stays small.
+# Cells per row block of the joint spectrum: 64 KB per block temporary, small
+# enough to stay in cache, and large enough that the per-block call overhead
+# stays small.
 JSI_BLOCK_CELLS = 8192
 
 
@@ -353,41 +348,19 @@ def joint_spectral_intensity(
         # an infinite phase dk L / 2 has no sinc^2: sin(inf) is NaN
         raise ValidationError(f"crystal length {crystal.length_mm} mm overflows to inf in nm", "length_mm")
 
-    # Row blocks of JSI_BLOCK_CELLS cells, each in the same few buffers, with
-    # every step and its rounding as on the whole grid.  Far from a narrow pump
-    # the envelope's exponent overflows to -inf, and exp(-inf) = 0 is its limit.
+    # Row blocks of JSI_BLOCK_CELLS cells bound the temporaries; each block is
+    # the whole-grid formula on its rows.  Far from a narrow pump the envelope's
+    # exponent overflows to -inf, and exp(-inf) = 0 is its limit.
     intensity = np.empty((sig.size, idl.size))
     rows = max(1, JSI_BLOCK_CELLS // idl.size)
-    buffers = np.empty((4, rows, idl.size))
     with np.errstate(over="ignore"):
         for start in range(0, sig.size, rows):
             block = slice(start, start + rows)
-            out = intensity[block]
-            nu, lam, n_o, n_e = buffers[:, : len(out)]
-            np.add(inv_s[block, None], inv_i, out=nu)  # implied 1/lambda_pump, nm^-1
-            lam = _checked_um(np.divide(1.0, nu, out=lam), out=lam)
+            nu = inv_s[block, None] + inv_i  # implied 1/lambda_pump, nm^-1
+            n_p = _index_at_angle(crystal, theta, _checked_um(1.0 / nu))
             # x = dk L / 2, dk = 2 pi (n_p / l_p - n_o(l_s) / l_s - n_o(l_i) / l_i)
-            x = _index_at_angle(crystal, theta, lam, n_o=n_o, n_e=n_e, scratch=out)
-            x *= nu
-            x -= n_over_s[block, None]
-            x -= n_over_i
-            x *= 2.0 * np.pi
-            x *= length_nm
-            x /= 2.0
-            # sinc(x / pi)^2 by np.sinc's own steps: y = pi * (x / pi), sin(y) / y, y = 0 -> eps
-            x /= np.pi
-            x *= np.pi
-            np.copyto(x, np.finfo(float).eps, where=x == 0.0)
-            pm = np.sin(x, out=lam)
-            pm /= x
-            np.square(pm, out=pm)
-            # Gaussian pump envelope
-            np.subtract(nu, nu_0, out=out)
-            out /= d_nu
-            np.square(out, out=out)
-            out *= fwhm_scale
-            np.exp(out, out=out)
-            out *= pm
+            x = 2.0 * np.pi * (n_p * nu - n_over_s[block, None] - n_over_i) * length_nm / 2.0
+            intensity[block] = np.exp(fwhm_scale * ((nu - nu_0) / d_nu) ** 2) * np.sinc(x / np.pi) ** 2
     peak_val = intensity.max()
     if peak_val <= 0.0:
         raise ValidationError("grid does not overlap the phase-matched region")

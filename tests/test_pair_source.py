@@ -96,6 +96,17 @@ class TestPmf:
             PairNumberDistribution("multimode_thermal", 0.1, modes)
         assert info.value.field == "modes"
 
+    @pytest.mark.parametrize("modes", [2**1024, 10**400, 2**1024 - 2**970 - 1])
+    def test_mode_count_past_the_largest_float_is_refused(self, modes):
+        # the laws divide by the count as a float: an OverflowError traceback, exit 1 from the CLI
+        with pytest.raises(ValidationError, match="modes must not exceed the largest float") as info:
+            PairNumberDistribution("multimode_thermal", 0.1, modes)
+        assert info.value.field == "modes"
+
+    def test_largest_float_mode_count_is_poissonian(self):
+        mm = PairNumberDistribution("multimode_thermal", 0.1, int(sys.float_info.max)).pmf_vector()
+        np.testing.assert_allclose(mm, PairNumberDistribution("poissonian", 0.1).pmf_vector(), rtol=1e-9, atol=0.0)
+
     def test_second_order_coherence(self):
         assert PairNumberDistribution("poissonian", 0.1).second_order_coherence() == 1.0
         assert PairNumberDistribution("thermal", 0.1).second_order_coherence() == 2.0

@@ -341,28 +341,57 @@ class TestJointSpectrum:
     # rows per block on the default idler axis
     BLOCK_ROWS = phase_matching.JSI_BLOCK_CELLS // DEFAULT_IDLER_AXIS.size
 
-    @pytest.mark.parametrize("rows", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, DEFAULT_SIGNAL_AXIS.size])
-    def test_equals_full_meshgrid_formula(self, rows):
-        theta, pump, fwhm = solved_angle(), 390.0, 2.4
-        # signal rows centred on the 521 nm ridge
-        start = (DEFAULT_SIGNAL_AXIS.size - rows) // 2
-        signal = DEFAULT_SIGNAL_AXIS[start : start + rows]
-        S, I = np.meshgrid(signal, DEFAULT_IDLER_AXIS, indexing="ij")
+    # grids the default axes miss, each as overrides of the default arguments
+    GRIDS = {
+        # the envelope underflows to 0 off the ridge
+        "narrow_pump": dict(pump_fwhm_nm=1e-3),
+        # the envelope's exponent overflows to -inf but where 1/l_s + 1/l_i is 1/390 exactly, as at (520, 1560) nm
+        "vanishing_pump": dict(pump_fwhm_nm=1e-160, idler_axis_nm=np.linspace(1460.0, 1660.0, 161)),
+        # more idler points than JSI_BLOCK_CELLS: one row per block
+        "long_idler": dict(idler_axis_nm=np.linspace(1471.0, 1671.0, 9000)),
+        "10mm": dict(crystal=CrystalSpec(length_mm=10.0)),
+        # 390 -> 780 + 780 nm: both axes on the degenerate wavelength
+        "degenerate": dict(signal_axis_nm=np.linspace(740.0, 820.0, 321), idler_axis_nm=np.linspace(740.0, 820.0, 161)),
+    }
+
+    @pytest.mark.parametrize(
+        "rows,grid",
+        [
+            *(pytest.param(rows, {}, id=str(rows))
+              for rows in (2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, DEFAULT_SIGNAL_AXIS.size)),
+            pytest.param(DEFAULT_SIGNAL_AXIS.size, GRIDS["narrow_pump"], id="narrow_pump"),
+            pytest.param(DEFAULT_SIGNAL_AXIS.size, GRIDS["vanishing_pump"], id="vanishing_pump"),
+            pytest.param(3, GRIDS["long_idler"], id="long_idler"),
+            pytest.param(DEFAULT_SIGNAL_AXIS.size, GRIDS["10mm"], id="10mm"),
+            pytest.param(DEFAULT_SIGNAL_AXIS.size, GRIDS["degenerate"], id="degenerate"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")  # a narrow pump's ridge is one cell wide
+    def test_equals_full_meshgrid_formula(self, rows, grid):
+        grid = {"crystal": BBO, "pump_fwhm_nm": 2.4, "idler_axis_nm": DEFAULT_IDLER_AXIS, **grid}
+        axis = grid.pop("signal_axis_nm", DEFAULT_SIGNAL_AXIS)
+        crystal, fwhm, idler, pump = grid["crystal"], grid["pump_fwhm_nm"], grid["idler_axis_nm"], 390.0
+        # phase matched at the signal axis's centre, with the signal rows centred on it
+        theta = collinear_pm_angle(crystal, WavelengthTriple.from_pump_signal(pump, axis[axis.size // 2]))
+        start = (axis.size - rows) // 2
+        signal = axis[start : start + rows]
+        S, I = np.meshgrid(signal, idler, indexing="ij")
         nu_sum = 1.0 / S + 1.0 / I
         d_nu = fwhm / pump**2
-        envelope = np.exp(-4.0 * np.log(2.0) * ((nu_sum - 1.0 / pump) / d_nu) ** 2)
+        with np.errstate(over="ignore"):
+            envelope = np.exp(-4.0 * np.log(2.0) * ((nu_sum - 1.0 / pump) / d_nu) ** 2)
         lam_pump = 1.0 / nu_sum
-        n_o = index_ordinary(BBO, lam_pump)
-        n_e = index_extraordinary_principal(BBO, lam_pump)
+        n_o = index_ordinary(crystal, lam_pump)
+        n_e = index_extraordinary_principal(crystal, lam_pump)
         t = np.radians(theta)
         n_p = 1.0 / np.sqrt(np.cos(t) ** 2 / n_o**2 + np.sin(t) ** 2 / n_e**2)
-        n_s = index_ordinary(BBO, S)
-        n_i = index_ordinary(BBO, I)
+        n_s = index_ordinary(crystal, S)
+        n_i = index_ordinary(crystal, I)
         dk = 2.0 * np.pi * (n_p * nu_sum - n_s / S - n_i / I)
-        x = dk * (BBO.length_mm * 1e6) / 2.0
+        x = dk * (crystal.length_mm * 1e6) / 2.0
         intensity = envelope * np.sinc(x / np.pi) ** 2
         expected = intensity / intensity.max()
-        assert np.array_equal(self.make(theta_deg=theta, signal_axis_nm=signal).intensity, expected)
+        assert np.array_equal(self.make(theta_deg=theta, signal_axis_nm=signal, **grid).intensity, expected)
 
     def test_memory_stays_per_block(self):
         # whole-grid temporaries used to peak at 10x the result
@@ -466,6 +495,43 @@ class TestCrystalValidation:
         coefficients = {"a": 2.7359, "b": 0.01878, "c": 0.01822, "d": 0.01354, field: value}
         with pytest.raises(ValidationError, match=f"Sellmeier coefficient {field} must be finite"):
             SellmeierCoefficients(**coefficients)
+
+    @pytest.mark.parametrize("key", ["sellmeier_ordinary", "sellmeier_extraordinary"])
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(-5.0, 0.01878, 0.01822, 0.01354), (2.7359, 1.0, 0.36, 0.01354)],
+        ids=["negative", "pole_at_600nm"],
+    )
+    def test_set_without_a_real_index_is_refused_naming_it(self, key, coefficients):
+        # n^2 < 0 gave NaN indices: a NaN spectrum and a 89.99999995709 degree angle
+        crystal = CrystalSpec(**{key: SellmeierCoefficients(*coefficients)})
+        for solve in (
+            lambda: collinear_pm_angle(crystal, TRIPLE),
+            lambda: joint_spectral_intensity(crystal, 30.0, 390.0, 2.4, DEFAULT_SIGNAL_AXIS, DEFAULT_IDLER_AXIS),
+        ):
+            with pytest.raises(ValidationError, match=r"n\^2 must be finite and > 0") as info:
+                solve()
+            assert info.value.field == key
+            assert not isinstance(info.value, DomainError)  # a DomainError is blamed on the grid
+
+    @pytest.mark.parametrize(
+        "key,coefficients",
+        [
+            ("sellmeier_ordinary", (2.7359, 0.01878, 0.27, 0.01354)),  # pole at 519.6 nm, among the signals
+            ("sellmeier_extraordinary", (2.3753, 0.01224, 0.15, 0.01516)),  # pole at 387.3 nm, among the implied pumps
+        ],
+    )
+    def test_pole_inside_the_grid_is_refused_naming_the_set(self, key, coefficients):
+        crystal = CrystalSpec(**{key: SellmeierCoefficients(*coefficients)})
+        with pytest.raises(ValidationError, match=r"n\^2 must be finite and > 0") as info:
+            joint_spectral_intensity(crystal, solved_angle(), 390.0, 2.4, DEFAULT_SIGNAL_AXIS, DEFAULT_IDLER_AXIS)
+        assert info.value.field == key
+
+    def test_index_at_the_pole_itself_is_refused(self):
+        # b / 0 is inf and 0 / 0 NaN: the check refuses both, with no RuntimeWarning first
+        for b in (0.01878, 0.0):
+            with pytest.raises(ValidationError, match=r"n\^2 must be finite and > 0"):
+                SellmeierCoefficients(2.7359, b, 0.25, 0.01354).index(np.array([0.4, 0.5]))
 
     def test_custom_sellmeier_set(self):
         custom = SellmeierCoefficients(2.7359, 0.01878, 0.01822, 0.01354)

@@ -691,6 +691,27 @@ class TestCli:
         assert f"validation error: scenario key {override.split('=')[0]!r}: " in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["phasematch", "spectrum"])
+    @pytest.mark.parametrize("key", ["crystal.sellmeier_ordinary", "crystal.sellmeier_extraordinary"])
+    @pytest.mark.parametrize(
+        "value", ["[-5, 0.01878, 0.01822, 0.01354]", "[2.7359, 1.0, 0.36, 0.01354]"], ids=["negative", "pole_at_600nm"]
+    )
+    def test_sellmeier_set_without_a_real_index_exits_2_naming_its_key(self, tmp_path, capsys, command, key, value):
+        # spectrum exited 0 with every intensity NaN, phasematch 3 with "non-finite result"
+        assert main([command, BUNDLED, "--override", f"{key}={value}", "--out-dir", str(tmp_path)]) == 2
+        assert f"validation error: scenario key {key!r}: Sellmeier set" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_mode_count_past_the_largest_float_exits_2_naming_its_key(self, tmp_path, capsys, command):
+        # it exited 1 with an OverflowError traceback from the pmf's mu / modes
+        overrides = ["source.law=multimode_thermal", f"source.modes=1{'0' * 400}"]
+        argv = [command, BUNDLED, *(arg for item in overrides for arg in ("--override", item))]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        assert ("validation error: scenario key 'source.modes': modes must not exceed the largest float"
+                in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
     def test_pulses_option_named(self, tmp_path, capsys):
         argv = ["g2", BUNDLED, "--mode", "monte_carlo", "--pulses", "5", "--out-dir", str(tmp_path)]
         assert main(argv) == 2
