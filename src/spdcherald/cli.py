@@ -23,7 +23,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, defaults
-from .errors import DomainError, EstimationError, NumericalError, SpdcHeraldError, ValidationError, check_run
+from .errors import DomainError, EmptyMarginalError, EstimationError, NumericalError, SpdcHeraldError
+from .errors import ValidationError, check_run
 from .scenario import SCHEMA, Scenario, _coerce, keyed, load_scenario, named
 
 if TYPE_CHECKING:  # each compute function imports its model modules when it runs
@@ -272,7 +273,13 @@ def _spectrum(scenario: Scenario, run: dict) -> tuple:
         keys = (*_GRID_RANGE, "crystal.pump_center_nm", "crystal.pump_fwhm_nm", "crystal.length_mm")
         raise keyed(exc, *keys) from None
     filter_fwhm = cry["signal_fwhm_nm"]
-    fwhm = heralded_marginal_bandwidth(spectrum, triple.signal_nm, filter_fwhm)
+    try:
+        with _relation("crystal.grid.idler_min_nm", "crystal.grid.idler_max_nm"):  # the FWHM runs past the idler axis
+            fwhm = heralded_marginal_bandwidth(spectrum, triple.signal_nm, filter_fwhm)
+    except EmptyMarginalError as exc:  # only the signal grid and the filter can leave the marginal empty
+        keys = ("crystal.grid.signal_min_nm", "crystal.grid.signal_max_nm", "crystal.grid.signal_points",
+                "crystal.signal_center_nm", "crystal.signal_fwhm_nm")
+        raise keyed(exc, *keys) from None
     peak_s, peak_i = spectrum.peak()
     result = {
         "phase_matching_angle_deg": theta,

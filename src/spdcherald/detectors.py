@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import AFTERPULSE_PROB, DEAD_TIME_MODELS
-from .errors import DomainError, ValidationError, check_seed, require_finite, require_integer
+from .errors import DomainError, ValidationError, check_seed, require_integer, require_range
 
 # Monte Carlo pulses are processed in fixed-size blocks, so memory is per
 # block.  The experiment's Monte Carlo draws each block from its own
@@ -27,11 +27,6 @@ MC_BLOCK = 1 << 20
 WALK_CHUNK = 1 << 29
 
 
-def _check_efficiency(efficiency: float) -> None:
-    if not (0.0 <= efficiency <= 1.0):
-        raise ValidationError(f"efficiency must lie in [0, 1], got {efficiency}", "efficiency")
-
-
 @dataclass(frozen=True)
 class FreeRunningDetector:
     """A free-running click detector (the herald arm): efficiency and a
@@ -41,10 +36,8 @@ class FreeRunningDetector:
     dark_rate_cps: float
 
     def __post_init__(self):
-        _check_efficiency(self.efficiency)
-        require_finite("dark rate", self.dark_rate_cps)
-        if self.dark_rate_cps < 0.0:
-            raise ValidationError(f"dark rate must be >= 0, got {self.dark_rate_cps}", "dark_rate_cps")
+        require_range("efficiency", self.efficiency, 0.0, 1.0, "efficiency")
+        require_range("dark rate", self.dark_rate_cps, 0.0, field="dark_rate_cps")
 
     def dark_probability(self, window_s: float) -> float:
         """Dark-count probability in a window of ``window_s`` seconds,
@@ -62,15 +55,9 @@ class GatedDetector:
     afterpulse_prob: float = AFTERPULSE_PROB
 
     def __post_init__(self):
-        _check_efficiency(self.efficiency)
-        if not (0.0 <= self.dark_prob_per_gate <= 1.0):
-            raise ValidationError(
-                f"dark probability must lie in [0, 1], got {self.dark_prob_per_gate}", "dark_prob_per_gate"
-            )
-        if not (0.0 <= self.afterpulse_prob < 1.0):
-            raise ValidationError(
-                f"afterpulse probability must lie in [0, 1), got {self.afterpulse_prob}", "afterpulse_prob"
-            )
+        require_range("efficiency", self.efficiency, 0.0, 1.0, "efficiency")
+        require_range("dark probability", self.dark_prob_per_gate, 0.0, 1.0, "dark_prob_per_gate")
+        require_range("afterpulse probability", self.afterpulse_prob, 0.0, 1.0, "afterpulse_prob", hi_open=True)
 
 
 @dataclass(frozen=True)
@@ -81,9 +68,7 @@ class DeadTimeSpec:
     model: str = DEAD_TIME_MODELS[0]
 
     def __post_init__(self):
-        require_finite("dead time", self.tau_us)
-        if self.tau_us < 0.0:
-            raise ValidationError(f"dead time must be >= 0, got {self.tau_us} us", "tau_us")
+        require_range("dead time", self.tau_us, 0.0, field="tau_us")
         if self.model not in DEAD_TIME_MODELS:
             raise ValidationError(
                 f"unknown dead-time model {self.model!r}; expected one of {DEAD_TIME_MODELS}", "model"
@@ -184,14 +169,12 @@ def simulate_dead_time(
     as a binomial and triggers as :func:`paralyzable_triggers` places them, a
     nonparalyzable one as :func:`nonparalyzable_walk` draws over blocks of
     :data:`WALK_CHUNK` pulses.  Reproducible for a fixed seed."""
-    require_finite("input rate", input_rate)
+    require_range("input rate", input_rate, field="input_rate")
     if input_rate < 0.0:
         raise DomainError(f"input rate must be >= 0, got {input_rate}")
-    if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0.0):
-        raise ValidationError(f"rep_rate_hz must be finite and > 0, got {rep_rate_hz}", "rep_rate_hz")
+    require_range("rep_rate_hz", rep_rate_hz, 0.0, field="rep_rate_hz", lo_open=True)
     n = require_integer("n_pulses", n_pulses)
-    if n < 1:
-        raise ValidationError("n_pulses must be >= 1", "n_pulses")
+    require_range("n_pulses", n, 1, field="n_pulses")
     check_seed(seed)
     p_click = input_rate / rep_rate_hz
     if p_click > 1.0:

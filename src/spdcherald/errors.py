@@ -33,10 +33,30 @@ class DomainError(ValidationError):
     """Argument outside the mathematically or physically valid domain."""
 
 
-def require_finite(name: str, value: float, field: str | None = None) -> None:
-    """Raise :class:`ValidationError`, naming ``field``, when ``value`` is NaN or infinite."""
-    if not math.isfinite(value):
+def require_range(
+    name: str,
+    value: float,
+    lo: float = -math.inf,
+    hi: float = math.inf,
+    field: str | tuple[str, ...] | None = None,
+    *,
+    lo_open: bool = False,
+    hi_open: bool = False,
+) -> None:
+    """Raise :class:`ValidationError`, naming ``field``, unless ``value`` is
+    finite and lies between ``lo`` and ``hi``, each end closed unless marked
+    open.  With no bounds it refuses only NaN and +-inf."""
+    if lo < value < hi:  # NaN and +-inf never lie strictly inside
+        return
+    finite = -math.inf < value < math.inf  # written as "inside" so that NaN fails the check
+    if finite and (value == lo and not lo_open or value == hi and not hi_open):
+        return  # a closed end
+    if not finite:
         raise ValidationError(f"{name} must be finite, got {value}", field)
+    if hi == math.inf:
+        raise ValidationError(f"{name} must be {'>' if lo_open else '>='} {lo:g}, got {value}", field)
+    interval = f"{'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}"
+    raise ValidationError(f"{name} must lie in {interval}, got {value}", field)
 
 
 def require_integer(name: str, value) -> int:

@@ -40,7 +40,6 @@ blocks, so fixed (config, n_pulses, seed) gives bit-identical results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -57,7 +56,7 @@ from .detectors import (
     paralyzable_triggers,
 )
 from .defaults import COINCIDENCE_WINDOW, GATE_RATE_HZ, HBT_ARMS, LAWS
-from .errors import DomainError, EstimationError, ValidationError, check_run, require_finite, require_integer
+from .errors import DomainError, EstimationError, ValidationError, check_run, require_integer, require_range
 from .pair_source import PairNumberDistribution, power_table, thinning_table
 
 
@@ -90,20 +89,12 @@ class SetupConfig:
     _distribution: PairNumberDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_finite("repetition rate", self.rep_rate_hz)
-        require_finite("gate rate", self.gate_rate_hz)
-        if self.rep_rate_hz <= 0.0:
-            raise ValidationError(f"repetition rate must be > 0, got {self.rep_rate_hz}", "rep_rate_hz")
-        if self.gate_rate_hz <= 0.0:
-            raise ValidationError(f"gate rate must be > 0, got {self.gate_rate_hz}", "gate_rate_hz")
+        require_range("repetition rate", self.rep_rate_hz, 0.0, field="rep_rate_hz", lo_open=True)
+        require_range("gate rate", self.gate_rate_hz, 0.0, field="gate_rate_hz", lo_open=True)
         for name in ("alpha_signal", "alpha_idler", "t_signal_optics", "t_idler_optics", "t_delay_fiber"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {value}", name)
-        if require_integer("coincidence_window", self.coincidence_window) < 1:
-            raise ValidationError(
-                f"coincidence window must be >= 1 gate, got {self.coincidence_window}", "coincidence_window"
-            )
+            require_range(name, getattr(self, name), 0.0, 1.0, name)
+        window = require_integer("coincidence_window", self.coincidence_window)
+        require_range("coincidence window", window, 1, field="coincidence_window")
         if not isinstance(self.herald, FreeRunningDetector):
             raise ValidationError("the herald detector runs free (gating is on the idler side)")
         if not isinstance(self.idler_detector, GatedDetector):
@@ -173,15 +164,10 @@ class CountRates:
 
     def __post_init__(self):
         for name in ("signal_singles", "idler_singles", "coincidences", "trigger_rate", "gate_rate"):
-            require_finite(name, getattr(self, name))
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0", name)
+            require_range(name, getattr(self, name), 0.0, field=name)
         # coincidences over a subnormal trigger rate overflow
-        if not math.isfinite(self.per_trigger_coincidence_prob):
-            raise ValidationError(
-                f"per_trigger_coincidence_prob must be finite, got {self.per_trigger_coincidence_prob}",
-                ("coincidences", "trigger_rate"),
-            )
+        require_range("per_trigger_coincidence_prob", self.per_trigger_coincidence_prob,
+                      field=("coincidences", "trigger_rate"))
 
     def to_dict(self) -> dict:
         return {
@@ -357,8 +343,7 @@ def hbt_g2(
     """
     if arm not in HBT_ARMS:
         raise ValidationError(f"unknown HBT arm {arm!r}; expected one of {HBT_ARMS}", "arm")
-    if not (0.0 < splitter_ratio < 1.0):
-        raise ValidationError(f"splitter ratio must lie in (0, 1), got {splitter_ratio}", "splitter_ratio")
+    require_range("splitter ratio", splitter_ratio, 0.0, 1.0, "splitter_ratio", lo_open=True, hi_open=True)
     check_run(mode, n_pulses, seed)
     if mode == "monte_carlo":
         t = _mc_tally(config, n_pulses, seed, arm, splitter_ratio)

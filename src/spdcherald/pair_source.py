@@ -28,7 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from .defaults import LAWS
-from .errors import DomainError, ValidationError, require_finite, require_integer
+from .errors import DomainError, ValidationError, require_integer, require_range
 
 # Adaptive truncation: extend the pmf until the remaining tail mass is below
 # TAIL_MASS; a law that needs more than MAX_PAIRS pairs for that is refused
@@ -61,9 +61,7 @@ class PairNumberDistribution:
     def __post_init__(self):
         if self.law not in LAWS:
             raise ValidationError(f"unknown pair-number law {self.law!r}; expected one of {LAWS}", "law")
-        require_finite("mean pair number", self.mean, "mean")
-        if not (self.mean >= 0.0):
-            raise ValidationError(f"mean pair number must be >= 0, got {self.mean}", "mean")
+        require_range("mean pair number", self.mean, 0.0, field="mean")
         if self.law == "multimode_thermal":
             if self.modes is None or require_integer("modes", self.modes) < 1:
                 raise ValidationError("multimode_thermal requires modes >= 1", "modes")

@@ -24,8 +24,8 @@ from .errors import (
     NoPhaseMatchingError,
     ResolutionWarning,
     ValidationError,
-    require_finite,
     require_integer,
+    require_range,
 )
 
 
@@ -43,7 +43,7 @@ class SellmeierCoefficients:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            require_finite(f"Sellmeier coefficient {name}", getattr(self, name))
+            require_range(f"Sellmeier coefficient {name}", getattr(self, name), field=name)
 
     def index(self, wavelength_um, field=None):
         """Refractive index at wavelengths in micrometres; a :class:`ValidationError`
@@ -82,10 +82,8 @@ class CrystalSpec:
     name: str = defaults.CRYSTAL_NAME
 
     def __post_init__(self):
-        if not (0.0 < self.length_mm < np.inf):  # written as "inside" so that NaN fails the check
-            raise ValidationError(f"crystal length must be finite and > 0, got {self.length_mm} mm", "length_mm")
-        if not (0.0 <= self.cut_angle_deg <= 90.0):
-            raise ValidationError(f"cut angle must lie in [0, 90] degrees, got {self.cut_angle_deg}", "cut_angle_deg")
+        require_range("crystal length", self.length_mm, 0.0, field="length_mm", lo_open=True)
+        require_range("cut angle", self.cut_angle_deg, 0.0, 90.0, "cut_angle_deg")
 
 
 def _checked_um(wavelength_nm):
@@ -269,8 +267,7 @@ def tuning_curve(
     phase matching.
     """
     n_points = require_integer("n_points", n_points)
-    if n_points < 2:
-        raise ValidationError(f"n_points must be >= 2, got {n_points}", "n_points")
+    require_range("n_points", n_points, 2, field="n_points")
     lo, hi = signal_range_nm
     if not (pump_nm < lo < hi < np.inf):
         raise ValidationError(
@@ -324,9 +321,8 @@ def joint_spectral_intensity(
     FWHM weights that detuning, and the crystal-length sinc^2 factor weighs
     the residual mismatch.  The result is normalized to a unit maximum.
     """
-    require_finite("pump centre wavelength", pump_center_nm)
-    if not (pump_fwhm_nm > 0.0):
-        raise ValidationError(f"pump FWHM must be > 0, got {pump_fwhm_nm}", "pump_fwhm_nm")
+    require_range("pump centre wavelength", pump_center_nm, field="pump_center_nm")
+    require_range("pump FWHM", pump_fwhm_nm, 0.0, field="pump_fwhm_nm", lo_open=True)
     sig = np.asarray(signal_axis_nm, dtype=float)
     idl = np.asarray(idler_axis_nm, dtype=float)
     if sig.size < 2 or idl.size < 2:
@@ -378,21 +374,23 @@ def joint_spectral_intensity(
 
 
 def _fwhm(axis: np.ndarray, values: np.ndarray) -> float:
-    """Full width at half maximum with linear interpolation at the crossings."""
+    """Full width at half maximum with linear interpolation at the crossings;
+    a :class:`ValidationError` where a crossing lies past an end of the axis."""
     peak = values.max()
     if peak <= 0.0:
         raise EmptyMarginalError("cannot take the FWHM of an all-zero curve")
     y = values / peak
     above = y >= 0.5
+    if above[0] or above[-1]:
+        end = axis[0] if above[0] else axis[-1]
+        raise ValidationError(f"the marginal is above half its maximum at the axis end {end:g} nm: its FWHM runs past it")
     i0 = int(np.argmax(above))
     i1 = len(y) - 1 - int(np.argmax(above[::-1]))
 
     def cross(i, j):
         return axis[i] + (0.5 - y[i]) * (axis[j] - axis[i]) / (y[j] - y[i])
 
-    lo = cross(i0 - 1, i0) if i0 > 0 else float(axis[0])
-    hi = cross(i1 + 1, i1) if i1 < len(y) - 1 else float(axis[-1])
-    return float(hi - lo)
+    return float(cross(i1 + 1, i1) - cross(i0 - 1, i0))
 
 
 def heralded_marginal_bandwidth(
@@ -405,9 +403,8 @@ def heralded_marginal_bandwidth(
     Models the effective spectral acceptance of the heralding arm (filter
     stack plus fiber mode selection) as a single Gaussian bandpass.
     """
-    require_finite("filter centre wavelength", filter_center_nm)
-    if not (filter_fwhm_nm > 0.0):
-        raise ValidationError(f"filter FWHM must be > 0, got {filter_fwhm_nm}", "filter_fwhm_nm")
+    require_range("filter centre wavelength", filter_center_nm, field="filter_center_nm")
+    require_range("filter FWHM", filter_fwhm_nm, 0.0, field="filter_fwhm_nm", lo_open=True)
     # far from a narrow filter the exponent overflows to -inf: exp(-inf) = 0 is the limit
     with np.errstate(over="ignore"):
         exponent = -4.0 * np.log(2.0) * ((spectrum.signal_axis - filter_center_nm) / filter_fwhm_nm) ** 2

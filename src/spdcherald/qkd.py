@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .defaults import LOSS_DB_PER_KM
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, require_range
 from .experiment import HeraldedStats, SetupConfig, analytic_at
 from .pair_source import REFERENCE_CALIBRATION_PER_MW
 
@@ -32,19 +32,9 @@ class ChannelSpec:
     receiver_dark_per_pulse: float = 2.5e-4
 
     def __post_init__(self):
-        for name in ("loss_db_per_km", "receiver_efficiency", "receiver_dark_per_pulse"):
-            require_finite(name, getattr(self, name))
-        if self.loss_db_per_km < 0.0:
-            raise ValidationError(f"loss coefficient must be >= 0, got {self.loss_db_per_km}", "loss_db_per_km")
-        if not (0.0 <= self.receiver_efficiency <= 1.0):
-            raise ValidationError(
-                f"receiver efficiency must lie in [0, 1], got {self.receiver_efficiency}", "receiver_efficiency"
-            )
-        if not (0.0 <= self.receiver_dark_per_pulse <= 1.0):
-            raise ValidationError(
-                f"receiver dark probability must lie in [0, 1], got {self.receiver_dark_per_pulse}",
-                "receiver_dark_per_pulse",
-            )
+        require_range("loss coefficient", self.loss_db_per_km, 0.0, field="loss_db_per_km")
+        require_range("receiver efficiency", self.receiver_efficiency, 0.0, 1.0, "receiver_efficiency")
+        require_range("receiver dark probability", self.receiver_dark_per_pulse, 0.0, 1.0, "receiver_dark_per_pulse")
 
     def transmission(self, distance_km: float) -> float:
         return float(10.0 ** (-self.loss_db_per_km * distance_km / 10.0))
@@ -186,8 +176,7 @@ def pump_sweep(
         raise ValidationError("mu values must be positive", "mu_values")
     if sorted(mu_list) != mu_list:
         raise ValidationError("mu values must be sorted ascending", "mu_values")
-    if not (pairs_per_pulse_per_mw >= 0.0):  # written as "inside" so that NaN fails the check
-        raise ValidationError(f"pump calibration must be >= 0, got {pairs_per_pulse_per_mw}", "pairs_per_pulse_per_mw")
+    require_range("pump calibration", pairs_per_pulse_per_mw, 0.0, field="pairs_per_pulse_per_mw")
     rows: list[TradeoffRow] = []
     for mu in mu_list:
         pump_mw = mu / pairs_per_pulse_per_mw if pairs_per_pulse_per_mw > 0 else math.nan

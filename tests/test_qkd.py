@@ -143,8 +143,15 @@ class TestMaxSecureDistance:
         "field", ["loss_db_per_km", "receiver_efficiency", "receiver_dark_per_pulse"]
     )
     def test_channel_non_finite_rejected(self, field, value):
-        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        with pytest.raises(ValidationError) as exc:
             replace(CHANNEL, **{field: value})
+        name = {
+            "loss_db_per_km": "loss coefficient",
+            "receiver_efficiency": "receiver efficiency",
+            "receiver_dark_per_pulse": "receiver dark probability",
+        }[field]
+        assert str(exc.value) == f"{name} must be finite, got {value}"
+        assert exc.value.field == field
 
 
     def test_independent_of_receiver_dark(self):
@@ -451,8 +458,10 @@ class TestPumpSweep:
     @pytest.mark.parametrize("calibration", [-1.0, -0.0829 / 240.0, math.nan, -math.inf])
     def test_negative_pump_calibration_rejected(self, calibration):
         # it wrote pump_power_mw null on every row; 0 still means no calibration
-        with pytest.raises(ValidationError, match="pump calibration must be >= 0") as exc:
+        with pytest.raises(ValidationError) as exc:
             pump_sweep(reference_setup(), [0.0829], CHANNEL, pairs_per_pulse_per_mw=calibration)
+        bound = "be >= 0" if math.isfinite(calibration) else "be finite"
+        assert str(exc.value) == f"pump calibration must {bound}, got {calibration}"
         assert exc.value.field == "pairs_per_pulse_per_mw"
         assert math.isnan(pump_sweep(reference_setup(), [0.0829], CHANNEL, pairs_per_pulse_per_mw=0.0)[0].pump_power_mw)
 

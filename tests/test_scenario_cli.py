@@ -827,7 +827,7 @@ class TestValidationBranches:
         [
             ("source.rep_rate_hz=0", "repetition rate must be > 0, got 0.0"),
             ("detectors.idler.gate_rate_hz=0", "gate rate must be > 0, got 0.0"),
-            ("detectors.coincidence_window_gates=0", "coincidence window must be >= 1 gate, got 0"),
+            ("detectors.coincidence_window_gates=0", "coincidence window must be >= 1, got 0"),
         ],
     )
     def test_a_zero_setup_value_exits_2_naming_its_key(self, tmp_path, capsys, override, message):
@@ -950,6 +950,9 @@ class TestCommandTable:
     GRID = "'crystal.grid.signal_min_nm', 'crystal.grid.signal_max_nm', 'crystal.grid.idler_min_nm'"
     NO_OVERLAP = f"{GRID}, 'crystal.grid.idler_max_nm', 'crystal.pump_center_nm', 'crystal.pump_fwhm_nm'"
     NO_OVERLAP += " and 'crystal.length_mm'"
+    SIGNAL_WINDOW = "'crystal.grid.signal_min_nm', 'crystal.grid.signal_max_nm', 'crystal.grid.signal_points', "
+    SIGNAL_WINDOW += "'crystal.signal_center_nm' and 'crystal.signal_fwhm_nm'"
+    IDLER_RANGE = "'crystal.grid.idler_min_nm' and 'crystal.grid.idler_max_nm'"
 
     RELATIONS = [
         # the idler of the centres, 4.7 um, then that of the tuning curve's shortest signal, 3.4 um
@@ -961,11 +964,18 @@ class TestCommandTable:
         ("spectrum", "crystal.grid.idler_min_nm=5e-324", f"{GRID} and 'crystal.grid.idler_max_nm'"),
         ("spectrum", "crystal.pump_fwhm_nm=1e-9", NO_OVERLAP),
         ("spectrum", "crystal.length_mm=1e300", NO_OVERLAP),
+        # a signal grid too coarse for the filter leaves the heralded marginal empty: it exited 3
+        ("spectrum", "crystal.grid.signal_points=2", SIGNAL_WINDOW),
+        # an idler axis inside the heralded marginal's FWHM: it reported the axis span, then a clipped width
+        ("spectrum", "crystal.grid.idler_min_nm=1548 crystal.grid.idler_max_nm=1554", IDLER_RANGE),
+        ("spectrum", "crystal.grid.idler_min_nm=1551 crystal.grid.idler_max_nm=1600", IDLER_RANGE),
     ]
 
     @pytest.mark.parametrize("command,override,keys", RELATIONS, ids=[override for _, override, _ in RELATIONS])
+    @pytest.mark.filterwarnings("ignore:idler grid is too coarse")  # two signal rows resolve no ridge
     def test_crystal_relation_exits_2_naming_its_keys(self, tmp_path, capsys, command, override, keys):
-        assert main([command, BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
+        overrides = [arg for item in override.split() for arg in ("--override", item)]
+        assert main([command, BUNDLED, *overrides, "--out-dir", str(tmp_path)]) == 2
         assert f"validation error: scenario keys {keys}: " in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
