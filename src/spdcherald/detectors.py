@@ -171,14 +171,14 @@ def simulate_dead_time(
     :data:`WALK_CHUNK` pulses.  Reproducible for a fixed seed."""
     require_range("input rate", input_rate, field="input_rate")
     if input_rate < 0.0:
-        raise DomainError(f"input rate must be >= 0, got {input_rate}")
+        raise DomainError(f"input rate must be >= 0, got {input_rate}", "input_rate")
     require_range("rep_rate_hz", rep_rate_hz, 0.0, field="rep_rate_hz", lo_open=True)
     n = require_integer("n_pulses", n_pulses)
     require_range("n_pulses", n, 1, field="n_pulses")
     check_seed(seed)
     p_click = input_rate / rep_rate_hz
     if p_click > 1.0:
-        raise DomainError("input rate exceeds one click per pulse")
+        raise DomainError("input rate exceeds one click per pulse", ("input_rate", "rep_rate_hz"))
     rng = np.random.Generator(np.random.Philox(key=seed))
     window = dead_time_window(dt, rep_rate_hz, n)
     paralyzable = dt.model == "paralyzable"

@@ -23,11 +23,12 @@ both arm survivals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import DomainError, EstimationError, InfeasibleCountsError, ValidationError
-from .experiment import CountRates, HeraldedStats, SetupConfig, heralded_photon_statistics
+from .experiment import CountRates, HeraldedStats, SetupConfig, _analytic_heralded
+from .pair_source import PairNumberDistribution, power_table
 
 
 class KnownLosses:
@@ -96,7 +97,8 @@ def estimate_source(counts: CountRates, setup: SetupConfig) -> SourceEstimate:
     ``setup`` supplies the repetition rate, the pair-number law and its modes,
     the calibrated transmissions and efficiencies, the afterpulse
     probability and the dark probabilities; its mu, couplings, dead time and
-    gate rate are ignored (the gate rate comes from ``counts``).
+    gate rate are ignored (the gate rate comes from ``counts``).  The heralded
+    P(n) is the analytic core's at the estimate; no setup is built for it.
 
     Raises :class:`InfeasibleCountsError` naming the violated bound whenever
     the counts cannot be produced by any parameter set under the declared
@@ -131,8 +133,11 @@ def estimate_source(counts: CountRates, setup: SetupConfig) -> SourceEstimate:
     mu = x_s * x_i / x_si
     alpha_s = _check_unit_interval(x_si / x_i / cal_s, "alpha_signal")
     alpha_i = _check_unit_interval(x_si / x_s / cal_i, "alpha_idler")
+    # multiplied as SetupConfig.herald_survival and output_survival multiply: the setup's P(n) bit for bit
+    b_s = alpha_s * setup.t_signal_optics * setup.herald.efficiency
     try:
-        heralded = heralded_photon_statistics(replace(setup, mu=mu, alpha_signal=alpha_s, alpha_idler=alpha_i))
+        pmf = PairNumberDistribution(setup.law, mu, setup.modes).pmf_vector()
+        heralded = _analytic_heralded(pmf, d_s, power_table((1.0 - b_s,))[0], alpha_i * setup.t_idler_optics)
     except ValidationError as exc:
         if exc.field != "mean":
             raise

@@ -40,7 +40,7 @@ blocks, so fixed (config, n_pulses, seed) gives bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -196,8 +196,8 @@ class HeraldedStats:
         # written as "inside" so that NaN fails the check
         if not all(-1e-12 <= v <= 1.0 + 1e-12 for v in values):
             raise ValidationError("heralded probabilities must lie in [0, 1]")
-        if abs(arr.sum() - 1.0) > 1e-9:
-            raise ValidationError(f"heralded probabilities must sum to 1, got {arr.sum()!r}")
+        if abs((total := arr.sum()) - 1.0) > 1e-9:
+            raise ValidationError(f"heralded probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "values", values)
 
     def probability(self, n: int) -> float:
@@ -258,14 +258,15 @@ def _analytic_counts(config: SetupConfig, pmf: np.ndarray) -> CountRates:
     )
 
 
-def _analytic_heralded(config: SetupConfig, pmf: np.ndarray) -> HeraldedStats:
-    """Heralded P(n) of ``config``'s optics over ``pmf``."""
-    heralding = pmf * (1.0 - (1.0 - config.herald_dark_prob) * config.none_of[0, : pmf.size])
+def _analytic_heralded(pmf: np.ndarray, dark: float, no_signal: np.ndarray, output: float) -> HeraldedStats:
+    """Heralded P(n) over ``pmf``: a herald dark probability, the power-table row
+    ``(1 - b_s)^n`` of no detected signal photon among n pairs, an output survival."""
+    heralding = pmf * (1.0 - (1.0 - dark) * no_signal[: pmf.size])
     p_herald = float(heralding.sum())
     if p_herald <= 0.0:
         raise EstimationError("herald probability is zero; cannot condition on a herald")
     # photons at the output are an independent thinning of the same pairs
-    p_m = heralding @ thinning_table(config.output_survival, heralding.size) / p_herald
+    p_m = heralding @ thinning_table(output, heralding.size) / p_herald
     # trim the all-but-zero tail; renormalize within the stated tolerance
     kept = (p_m > 1e-15).nonzero()[0]
     p_m = p_m[: kept[-1] + 1 if kept.size else 1]
@@ -276,7 +277,8 @@ def analytic_at(config: SetupConfig, mu: float) -> tuple[CountRates, HeraldedSta
     """``simulate_counts`` and ``heralded_photon_statistics`` of ``replace(config, mu=mu)``, or
     its error, on ``config``'s own tables: a pump sweep's rows share one setup's."""
     pmf = PairNumberDistribution(config.law, mu, config.modes).pmf_vector()
-    return _analytic_counts(config, pmf), _analytic_heralded(config, pmf)
+    heralded = _analytic_heralded(pmf, config.herald_dark_prob, config.none_of[0], config.output_survival)
+    return _analytic_counts(config, pmf), heralded
 
 
 def simulate_counts(
@@ -323,7 +325,7 @@ def heralded_photon_statistics(
         if tally.heralds == 0:
             raise EstimationError("no heralds in the Monte Carlo sample; cannot condition")
         return HeraldedStats(p=tally.photons[: np.flatnonzero(tally.photons)[-1] + 1] / tally.heralds)
-    return _analytic_heralded(config, config.pmf)
+    return _analytic_heralded(config.pmf, config.herald_dark_prob, config.none_of[0], config.output_survival)
 
 
 def hbt_g2(
@@ -506,6 +508,9 @@ def _hbt_ports(size: int, pa: float, pb: float, dark: float) -> np.ndarray:
     return np.maximum(pvals, 0.0)
 
 
+_REFERENCE = SetupConfig()  # frozen, so every caller can share it and its cached tables
+
+
 def reference_setup(**overrides) -> SetupConfig:
-    """The default configuration, optionally with replaced fields."""
-    return replace(SetupConfig(), **overrides) if overrides else SetupConfig()
+    """The default configuration, shared; with overrides, one new setup."""
+    return SetupConfig(**overrides) if overrides else _REFERENCE

@@ -352,8 +352,9 @@ class TestSimulateDeadTimeValidation:
         assert info.value.field == "rep_rate_hz"
 
     def test_negative_rate(self):
-        with pytest.raises(DomainError, match="input rate must be >= 0, got -1.0"):
+        with pytest.raises(DomainError, match="input rate must be >= 0, got -1.0") as info:
             simulate_dead_time(-1.0, DeadTimeSpec(), 8.2e7, 1000, seed=1)
+        assert info.value.field == "input_rate"
 
     def test_no_pulses(self):
         with pytest.raises(ValidationError, match="n_pulses must be >= 1") as info:
@@ -361,8 +362,9 @@ class TestSimulateDeadTimeValidation:
         assert info.value.field == "n_pulses"
 
     def test_rate_above_the_rep_rate(self):
-        with pytest.raises(DomainError, match="input rate exceeds one click per pulse"):
+        with pytest.raises(DomainError, match="input rate exceeds one click per pulse") as info:
             simulate_dead_time(8.3e7, DeadTimeSpec(), 8.2e7, 1000, seed=1)
+        assert info.value.field == ("input_rate", "rep_rate_hz")
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_rate(self, rate):

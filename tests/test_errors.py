@@ -105,7 +105,9 @@ ROWS = {
         lambda v: GatedDetector(0.5, 1e-4, v), "afterpulse_prob", 0.0, 1.0, hi_open=True
     ),
     "DeadTimeSpec.tau_us": Row(lambda v: DeadTimeSpec(v), "tau_us", 0.0),
-    "simulate_dead_time.input_rate": Row(lambda v: simulate_dead_time(v, DeadTimeSpec(), 8.2e7, 1, 0), "input_rate"),
+    "simulate_dead_time.input_rate": Row(
+        lambda v: simulate_dead_time(v, DeadTimeSpec(), 8.2e7, 1, 0), "input_rate", 0.0
+    ),
     "simulate_dead_time.rep_rate_hz": Row(
         lambda v: simulate_dead_time(0.0, DeadTimeSpec(), v, 1, 0), "rep_rate_hz", 0.0, lo_open=True
     ),

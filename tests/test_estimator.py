@@ -1,6 +1,8 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +15,7 @@ from spdcherald.estimator import (
     equivalent_wcp,
     estimate_source,
 )
-from spdcherald.experiment import CountRates, reference_setup, simulate_counts
+from spdcherald.experiment import CountRates, heralded_photon_statistics, reference_setup, simulate_counts
 
 
 def reference_counts(scale=1.0, rep_scale=1.0):
@@ -68,19 +70,20 @@ class TestEstimateFromReferenceCounts:
         assert quiet.mu == pytest.approx(0.09860023645, rel=1e-9)
         assert quiet.mu / dark.mu == pytest.approx(1.198, rel=1e-3)
 
-    def test_one_forward_call_per_inversion(self, monkeypatch):
+    def test_no_setup_and_one_heralded_law_per_inversion(self, monkeypatch):
+        setup = reference_setup(law="thermal", coincidence_window=2)
         calls = Counter()
-        for fn in (experiment.simulate_counts, experiment.heralded_photon_statistics):
+        for module, name in [(experiment, "simulate_counts"), (experiment, "heralded_photon_statistics"),
+                             (estimator, "_analytic_heralded"), (experiment.SetupConfig, "__post_init__")]:
+            fn = getattr(module, name)
 
-            def counted(*args, _fn=fn, **kwargs):
-                calls[_fn.__name__] += 1
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
                 return _fn(*args, **kwargs)
 
-            for module in (experiment, estimator):
-                if getattr(module, fn.__name__, None) is fn:
-                    monkeypatch.setattr(module, fn.__name__, counted)
-        estimate_source(reference_counts(), reference_setup())
-        assert calls == {"heralded_photon_statistics": 1}
+            monkeypatch.setattr(module, name, counted)
+        estimate_source(reference_counts(), setup)
+        assert calls == {"_analytic_heralded": 1}
 
     def test_ignores_the_setup_source_and_timing(self):
         base = estimate_source(reference_counts(), reference_setup())
@@ -246,6 +249,42 @@ class TestInfeasibleCounts:
         counts = CountRates(0.0, 285.0, 3053.0, 2.16e5, 2.05e5, 0.0)
         with pytest.raises(EstimationError):
             estimate_source(counts, reference_setup())
+
+    # counts that imply an infinite thermal mean, and a 10^21-mode mean whose
+    # law the pmf cuts, with no idler darks and all but no coincidences
+    @pytest.mark.parametrize(
+        "law,modes,singles,refusal",
+        [
+            ("thermal", None, (81999999.99999, 204999.9999), "mean pair number must be finite, got inf"),
+            ("multimode_thermal", 10**21, (2.9e5, 285.0),
+             "the multimode_thermal pmf at mean 3.0094077926182663e+302 is cut at MAX_PAIRS = 64 pairs, "
+             "dropping tail mass 1; the models need the whole law"),
+        ],
+    )
+    def test_extreme_counts_name_the_counts(self, law, modes, singles, refusal):
+        quiet = GatedDetector(efficiency=0.10, dark_prob_per_gate=0.0, afterpulse_prob=1.0e-3)
+        counts = CountRates(*singles, 1e-300, 2.16e5, 2.05e5, 1e-300 / 2.16e5)
+        with pytest.raises(ValidationError) as info:
+            estimate_source(counts, reference_setup(law=law, modes=modes, idler_detector=quiet))
+        assert type(info.value) is ValidationError
+        assert str(info.value) == f"the counts imply a mean pair number the model refuses: {refusal}"
+        assert info.value.field == ("signal_singles", "idler_singles", "coincidences")
+
+
+@pytest.mark.parametrize("mu", [1e-4, 0.0829, 0.6])
+@pytest.mark.parametrize("dead_time", ["paralyzable", "nonparalyzable"])
+@pytest.mark.parametrize("window", [1, 3])
+@pytest.mark.parametrize("law,modes", [("poissonian", None), ("thermal", None), ("multimode_thermal", 3)])
+def test_heralded_law_equals_the_forward_model_at_the_estimate(law, modes, window, dead_time, mu):
+    """The estimate's P(n), read without building a setup, is bit for bit the
+    forward model's heralded P(n) of the setup at the estimate."""
+    setup = reference_setup(
+        law=law, modes=modes, mu=mu, alpha_signal=0.3, alpha_idler=0.05, coincidence_window=window,
+        trigger_dead_time=DeadTimeSpec(tau_us=1.0, model=dead_time),
+    )
+    est = estimate_source(simulate_counts(setup), setup)
+    at_estimate = replace(setup, mu=est.mu, alpha_signal=est.alpha_signal, alpha_idler=est.alpha_idler)
+    assert np.array_equal(est.heralded.p, heralded_photon_statistics(at_estimate).p)
 
 
 class TestEquivalentWcp:

@@ -117,6 +117,18 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             reference_setup(law="gaussian")
 
+    def test_reference_setup_is_one_shared_default(self):
+        assert reference_setup() is reference_setup()
+        assert reference_setup() == SetupConfig()
+
+    def test_reference_setup_with_overrides_builds_one_setup(self, monkeypatch):
+        built = []
+        post_init = SetupConfig.__post_init__
+        monkeypatch.setattr(SetupConfig, "__post_init__", lambda self: built.append(post_init(self)))
+        cfg = reference_setup(law="thermal")
+        assert len(built) == 1
+        assert cfg == replace(SetupConfig(), law="thermal")
+
 
 class TestAnalyticCounts:
     def test_reference_rates(self):
@@ -330,7 +342,7 @@ class TestAnalyticBitIdentity:
         cfg = reference_setup(**case)
         pmf = self.pmf(cfg)
         for setup in (cfg, replace(cfg, alpha_idler=1.0, t_idler_optics=1.0)):
-            got = experiment._analytic_heralded(setup, pmf)
+            got = experiment._analytic_heralded(pmf, setup.herald_dark_prob, setup.none_of[0], setup.output_survival)
             assert np.array_equal(got.p, heralded_reference(setup, pmf))
             if not self.cut(cfg):  # a whole law: the public path reads the same pmf
                 assert np.array_equal(heralded_photon_statistics(setup).p, got.p)
