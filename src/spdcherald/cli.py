@@ -288,11 +288,11 @@ def _spectrum(scenario: Scenario, run: dict) -> tuple:
         "heralded_idler_fwhm_nm": fwhm,
         "signal_filter_fwhm_nm": filter_fwhm,
     }
-    idler_axis = spectrum.idler_axis.tolist()
-    # streamed to the CSV writer, one signal row converted at a time
+    # streamed to the CSV writer, one signal row converted at a time, each axis value formatted once
+    idler_axis = [repr(w) for w in spectrum.idler_axis.tolist()]
     rows = (
         (s, w, v)
-        for s, row in zip(spectrum.signal_axis.tolist(), spectrum.intensity)
+        for s, row in zip(map(repr, spectrum.signal_axis.tolist()), spectrum.intensity)
         for w, v in zip(idler_axis, row.tolist())
     )
     return (

@@ -49,10 +49,7 @@ class SellmeierCoefficients:
         """Refractive index at wavelengths in micrometres; a :class:`ValidationError`
         naming ``field`` where n^2 is not finite and positive there."""
         lam = np.asarray(wavelength_um, dtype=float)
-        lam2 = np.square(lam)
-        # a pole lam^2 = c or huge coefficients give inf or NaN, which the check refuses
-        with np.errstate(all="ignore"):
-            n2 = self.a + self.b / (lam2 - self.c) - self.d * lam2
+        n2 = self._n2(np.square(lam))
         valid = (n2 > 0.0) & (n2 < np.inf)  # written as "inside" so that NaN fails the check
         if not valid.all():
             i = np.argmin(valid)
@@ -62,6 +59,13 @@ class SellmeierCoefficients:
                 field,
             )
         return np.sqrt(n2)
+
+    def _n2(self, lam2, out=None, scratch=None):
+        """``a + b / (lambda^2 - c) - d lambda^2``; ``out`` and ``scratch`` take it and ``d lambda^2``."""
+        # a pole lam^2 = c or huge coefficients give inf or NaN, which the callers refuse
+        with np.errstate(all="ignore"):
+            n2 = np.add(self.a, np.divide(self.b, np.subtract(lam2, self.c, out=out), out=out), out=out)
+            return np.subtract(n2, np.multiply(self.d, lam2, out=scratch), out=out)
 
 
 BBO_KATO_1986_ORDINARY = SellmeierCoefficients(*defaults.BBO_KATO_1986_ORDINARY)
@@ -300,10 +304,10 @@ class JointSpectrum:
         return self.intensity.sum(axis=1)
 
 
-# Cells per row block of the joint spectrum: 64 KB per block temporary, small
-# enough to stay in cache, and large enough that the per-block call overhead
-# stays small.
-JSI_BLOCK_CELLS = 8192
+# Cells per row block of the joint spectrum: the block's four buffers of at most 128 KiB each
+# stay in cache and, unlike one 512 KiB array (page-faulted afresh on every call), come from
+# the heap below glibc's mmap threshold; the per-block call overhead stays small.
+JSI_BLOCK_CELLS = 16384
 
 
 def joint_spectral_intensity(
@@ -344,26 +348,62 @@ def joint_spectral_intensity(
         # an infinite phase dk L / 2 has no sinc^2: sin(inf) is NaN
         raise ValidationError(f"crystal length {crystal.length_mm} mm overflows to inf in nm", "length_mm")
 
-    # Row blocks of JSI_BLOCK_CELLS cells bound the temporaries; each block is
-    # the whole-grid formula on its rows.  Far from a narrow pump the envelope's
-    # exponent overflows to -inf, and exp(-inf) = 0 is its limit.
+    # Row blocks of JSI_BLOCK_CELLS cells, each by the whole-grid formula's own steps and error
+    # states, in place in four block buffers and its output rows.  Far from a narrow pump the
+    # envelope's exponent overflows to -inf, and exp(-inf) = 0 is its limit.
     intensity = np.empty((sig.size, idl.size))
     rows = max(1, JSI_BLOCK_CELLS // idl.size)
+    buffers = [np.empty((rows, idl.size)) for _ in range(4)]
+    # 1/l_p = 1/l_s + 1/l_i falls along both axes: if two corners pass the window check, all cells do
+    corners = (1.0 / np.array([inv_s.max() + inv_i.max(), inv_s.min() + inv_i.min()])) * 1e-3
+    check_window = not (VALIDITY_WINDOW_UM[0] <= corners[0] and corners[1] <= VALIDITY_WINDOW_UM[1])
+    cos2, sin2 = np.cos(np.radians(theta)) ** 2, np.sin(np.radians(theta)) ** 2
+    endpoint = ((theta == 0.0) | (theta == 90.0)).any()
     with np.errstate(over="ignore"):
         for start in range(0, sig.size, rows):
             block = slice(start, start + rows)
-            nu = inv_s[block, None] + inv_i  # implied 1/lambda_pump, nm^-1
-            n_p = _index_at_angle(crystal, theta, _checked_um(1.0 / nu))
+            out = intensity[block]
+            nu, lam, n_o, n_e = (b[: len(out)] for b in buffers)
+            np.add(inv_s[block, None], inv_i, out=nu)  # implied 1/lambda_pump, nm^-1
+            if check_window:
+                _checked_um(1.0 / nu)
+            # _index_at_angle(crystal, theta, _checked_um(1 / nu)), one lambda^2 for both sets
+            lam2 = np.square(np.multiply(np.divide(1.0, nu, out=lam), 1e-3, out=lam), out=lam)
+            for key, n in (("sellmeier_ordinary", n_o), ("sellmeier_extraordinary", n_e)):
+                getattr(crystal, key)._n2(lam2, out=n, scratch=out)
+                if not (n.min() > 0.0 and n.max() < np.inf):  # NaN fails both
+                    getattr(crystal, key).index(_checked_um(1.0 / nu), key)
+                np.sqrt(n, out=n)
+            n_p = np.divide(cos2, np.square(n_o, out=lam), out=lam)
+            n_p += np.divide(sin2, np.square(n_e, out=out), out=out)
+            np.divide(1.0, np.sqrt(n_p, out=n_p), out=n_p)
+            if endpoint:  # the principal indices themselves, without round-off
+                np.copyto(n_p, n_o, where=theta == 0.0)
+                np.copyto(n_p, n_e, where=theta == 90.0)
             # x = dk L / 2, dk = 2 pi (n_p / l_p - n_o(l_s) / l_s - n_o(l_i) / l_i)
-            x = 2.0 * np.pi * (n_p * nu - n_over_s[block, None] - n_over_i) * length_nm / 2.0
-            intensity[block] = np.exp(fwhm_scale * ((nu - nu_0) / d_nu) ** 2) * np.sinc(x / np.pi) ** 2
-    peak_val = intensity.max()
+            x = np.multiply(n_p, nu, out=n_p)
+            x -= n_over_s[block, None]
+            x -= n_over_i
+            x *= 2.0 * np.pi
+            x *= length_nm
+            x *= 0.5  # / 2.0, exactly
+            # np.sinc(x / pi)^2 by its own steps: y = pi * (x / pi), 0 -> eps, (sin(y) / y)^2
+            x /= np.pi
+            x *= np.pi
+            np.copyto(x, np.finfo(float).eps, where=x == 0.0)
+            np.square(np.divide(np.sin(x, out=out), x, out=out), out=out)
+            # times the Gaussian pump envelope exp(fwhm_scale ((nu - nu_0) / d_nu)^2)
+            envelope = np.square(np.divide(np.subtract(nu, nu_0, out=n_o), d_nu, out=n_o), out=n_o)
+            out *= np.exp(np.multiply(envelope, fwhm_scale, out=envelope), out=envelope)
+    peak = int(np.argmax(intensity))  # the first maximum, or the first NaN, as max() finds it
+    peak_val = intensity.flat[peak]
     if peak_val <= 0.0:
         raise ValidationError("grid does not overlap the phase-matched region")
     intensity /= peak_val
 
-    # resolution check: the ridge must span >= 3 idler cells at half maximum
-    col = intensity[int(np.argmax(intensity.max(axis=1)))]
+    # resolution check: the ridge must span >= 3 idler cells at half maximum in the first
+    # row holding the maximum (argmax of the rows' maxima: v / max is 1 only where v is max)
+    col = intensity[peak // idl.size]
     if int((col >= 0.5).sum()) < 3:
         warnings.warn(
             "idler grid is too coarse: the spectral peak spans fewer than 3 cells at half maximum",

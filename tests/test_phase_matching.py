@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -348,11 +349,37 @@ class TestJointSpectrum:
         # the envelope's exponent overflows to -inf but where 1/l_s + 1/l_i is 1/390 exactly, as at (520, 1560) nm
         "vanishing_pump": dict(pump_fwhm_nm=1e-160, idler_axis_nm=np.linspace(1460.0, 1660.0, 161)),
         # more idler points than JSI_BLOCK_CELLS: one row per block
-        "long_idler": dict(idler_axis_nm=np.linspace(1471.0, 1671.0, 9000)),
+        "long_idler": dict(idler_axis_nm=np.linspace(1471.0, 1671.0, 17000)),
         "10mm": dict(crystal=CrystalSpec(length_mm=10.0)),
         # 390 -> 780 + 780 nm: both axes on the degenerate wavelength
         "degenerate": dict(signal_axis_nm=np.linspace(740.0, 820.0, 321), idler_axis_nm=np.linspace(740.0, 820.0, 161)),
     }
+
+    @staticmethod
+    def whole_grid(crystal, theta, pump, fwhm, signal, idler):
+        """The joint spectrum as one whole-grid expression, with the pump index
+        of the index ellipsoid, or the principal index at 0 and 90 degrees."""
+        S, I = np.meshgrid(signal, idler, indexing="ij")
+        nu_sum = 1.0 / S + 1.0 / I
+        d_nu = fwhm / pump**2
+        with np.errstate(over="ignore"):
+            envelope = np.exp(-4.0 * np.log(2.0) * ((nu_sum - 1.0 / pump) / d_nu) ** 2)
+        lam_pump = 1.0 / nu_sum
+        n_o = index_ordinary(crystal, lam_pump)
+        n_e = index_extraordinary_principal(crystal, lam_pump)
+        if theta == 0.0:
+            n_p = n_o
+        elif theta == 90.0:
+            n_p = n_e
+        else:
+            t = np.radians(theta)
+            n_p = 1.0 / np.sqrt(np.cos(t) ** 2 / n_o**2 + np.sin(t) ** 2 / n_e**2)
+        n_s = index_ordinary(crystal, S)
+        n_i = index_ordinary(crystal, I)
+        dk = 2.0 * np.pi * (n_p * nu_sum - n_s / S - n_i / I)
+        x = dk * (crystal.length_mm * 1e6) / 2.0
+        intensity = envelope * np.sinc(x / np.pi) ** 2
+        return intensity / intensity.max()
 
     @pytest.mark.parametrize(
         "rows,grid",
@@ -375,34 +402,92 @@ class TestJointSpectrum:
         theta = collinear_pm_angle(crystal, WavelengthTriple.from_pump_signal(pump, axis[axis.size // 2]))
         start = (axis.size - rows) // 2
         signal = axis[start : start + rows]
-        S, I = np.meshgrid(signal, idler, indexing="ij")
-        nu_sum = 1.0 / S + 1.0 / I
-        d_nu = fwhm / pump**2
-        with np.errstate(over="ignore"):
-            envelope = np.exp(-4.0 * np.log(2.0) * ((nu_sum - 1.0 / pump) / d_nu) ** 2)
-        lam_pump = 1.0 / nu_sum
-        n_o = index_ordinary(crystal, lam_pump)
-        n_e = index_extraordinary_principal(crystal, lam_pump)
-        t = np.radians(theta)
-        n_p = 1.0 / np.sqrt(np.cos(t) ** 2 / n_o**2 + np.sin(t) ** 2 / n_e**2)
-        n_s = index_ordinary(crystal, S)
-        n_i = index_ordinary(crystal, I)
-        dk = 2.0 * np.pi * (n_p * nu_sum - n_s / S - n_i / I)
-        x = dk * (crystal.length_mm * 1e6) / 2.0
-        intensity = envelope * np.sinc(x / np.pi) ** 2
-        expected = intensity / intensity.max()
+        expected = self.whole_grid(crystal, theta, pump, fwhm, signal, idler)
         assert np.array_equal(self.make(theta_deg=theta, signal_axis_nm=signal, **grid).intensity, expected)
 
-    def test_memory_stays_per_block(self):
+    @pytest.mark.parametrize(
+        "theta", [0.0, np.nextafter(0.0, 1.0), 90.0, np.nextafter(90.0, 0.0)], ids=["0", "ulp_above_0", "90", "ulp_below_90"]
+    )
+    def test_equals_full_meshgrid_formula_at_the_angle_ends(self, theta):
+        # at 0 and 90 degrees the pump index is the principal index itself, not
+        # the ellipsoid's round-off of it; one ulp inside, it is the ellipsoid's
+        expected = self.whole_grid(BBO, theta, 390.0, 2.4, DEFAULT_SIGNAL_AXIS, DEFAULT_IDLER_AXIS)
+        assert np.array_equal(self.make(theta_deg=theta).intensity, expected)
+
+    def test_cells_without_mismatch_take_the_sinc_limit(self):
+        # With n = 1 at every wavelength, about a quarter of the bundled grid's
+        # cells have dk = 0 exactly: np.sinc's eps in place of 0 gives them 1,
+        # where sin(0) / 0 would give NaN and a RuntimeWarning.
+        vacuum = SellmeierCoefficients(1.0, 0.0, 0.0, 0.0)
+        crystal = CrystalSpec(sellmeier_ordinary=vacuum, sellmeier_extraordinary=vacuum)
+        expected = self.whole_grid(crystal, 0.0, 390.0, 2.4, DEFAULT_SIGNAL_AXIS, DEFAULT_IDLER_AXIS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(self.make(crystal=crystal, theta_deg=0.0).intensity, expected)
+
+    def test_resolution_check_reads_the_peak_row(self):
+        # the bundled grid resolves the ridge in the peak's row; its first rows hold none of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResolutionWarning)
+            spectrum = self.make()
+        assert (spectrum.intensity[0] >= 0.5).sum() == 0
+
+    @pytest.mark.parametrize("grid", ["bundled", "long_idler", "narrow_pump"])
+    @pytest.mark.filterwarnings("ignore::spdcherald.errors.ResolutionWarning")
+    def test_memory_stays_per_block(self, grid):
         # whole-grid temporaries used to peak at 10x the result
         theta = solved_angle()
         tracemalloc.start()
         try:
-            spectrum = self.make(theta_deg=theta)
+            spectrum = self.make(theta_deg=theta, **self.GRIDS.get(grid, {}))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 3 * spectrum.intensity.nbytes
+
+    # refusals past the first row block, pinned as the whole-grid evaluation raised them
+    @pytest.mark.parametrize(
+        "overrides,error,message,field",
+        [
+            pytest.param(
+                # a 210 nm signal in row 250 implies a 183.766 nm pump with the first idler
+                dict(signal_axis_nm=np.where(np.arange(321) == 250, 210.0, DEFAULT_SIGNAL_AXIS)),
+                DomainError, "wavelength 183.766 nm outside the Sellmeier validity window [200, 3000] nm", None,
+                id="pump_outside_window",
+            ),
+            pytest.param(
+                # a pole at 409.9 nm: n^2 < 0 just below it, first at the implied pump of row 205
+                dict(crystal=CrystalSpec(sellmeier_extraordinary=SellmeierCoefficients(2.3753, 0.01224, 0.168, 0.01516))),
+                ValidationError,
+                "Sellmeier set (2.3753, 0.01224, 0.168, 0.01516) gives n^2 = -0.0233859 at 403.599 nm; "
+                "n^2 must be finite and > 0",
+                "sellmeier_extraordinary",
+                id="pump_index_without_real_value",
+            ),
+            pytest.param(
+                dict(signal_axis_nm=np.where(np.arange(321) == 320, math.nan, DEFAULT_SIGNAL_AXIS)),
+                DomainError, "wavelength nan nm outside the Sellmeier validity window [200, 3000] nm", None,
+                id="nan_in_last_signal_row",
+            ),
+        ],
+    )
+    def test_refusal_past_the_first_block(self, overrides, error, message, field):
+        with pytest.raises(error) as info:
+            self.make(**overrides)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert info.value.field == field
+
+    def test_block_reports_its_window_violation_before_its_index_violations(self):
+        # Within a row block the checks run in the order window, ordinary set,
+        # extraordinary set.  Here the extraordinary set has no real index at any
+        # implied pump, and row 60 implies a pump below the window: both lie in
+        # the first block of JSI_BLOCK_CELLS cells, so the window is reported.
+        crystal = CrystalSpec(sellmeier_extraordinary=SellmeierCoefficients(-5.0, 0.01224, 0.01667, 0.01516))
+        signal = np.where(np.arange(321) == 60, 210.0, DEFAULT_SIGNAL_AXIS)
+        assert 60 < self.BLOCK_ROWS
+        with pytest.raises(DomainError, match=r"^wavelength 183\.766 nm outside the Sellmeier validity window"):
+            self.make(crystal=crystal, signal_axis_nm=signal)
 
     def test_nan_on_an_axis_rejected(self):
         # a NaN grid point used to turn the whole normalized intensity into NaN
