@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -288,15 +289,15 @@ def _spectrum(scenario: Scenario, run: dict) -> tuple:
         "heralded_idler_fwhm_nm": fwhm,
         "signal_filter_fwhm_nm": filter_fwhm,
     }
-    # streamed to the CSV writer, one signal row converted at a time, each axis value formatted once
-    idler_axis = [repr(w) for w in spectrum.idler_axis.tolist()]
-    rows = (
-        (s, w, v)
-        for s, row in zip(map(repr, spectrum.signal_axis.tolist()), spectrum.intensity)
-        for w, v in zip(idler_axis, row.tolist())
+    # the body as text, one chunk per signal row, each axis value formatted once: a float's
+    # repr never needs CSV quoting
+    idler_axis = [f"{w!r}," for w in spectrum.idler_axis.tolist()]
+    chunks = (
+        "".join([f"{s}{w}{v!r}\r\n" for w, v in zip(idler_axis, row.tolist())])
+        for s, row in zip([f"{signal!r}," for signal in spectrum.signal_axis.tolist()], spectrum.intensity)
     )
     return (
-        "spectrum.json", result, "spectrum.csv", ["signal_nm", "idler_nm", "intensity"], rows,
+        "spectrum.json", result, "spectrum.csv", ["signal_nm", "idler_nm", "intensity"], chunks,
         [
             "joint spectral intensity",
             f"  peak            : ({peak_s:.2f}, {peak_i:.2f}) nm",
@@ -326,7 +327,8 @@ _SETUP = frozenset({"source", "losses", "detectors", "dead_time", "run"})
 # subcommand -> (scenario sections it reads, compute function).  The function
 # imports the model modules it runs and returns (JSON name, result dict, CSV
 # name, CSV header, CSV rows, summary lines); run_scenario is the only code
-# that writes or prints them.
+# that writes or prints them.  The rows are lists of cells, or an iterator of
+# text chunks that is the CSV body as written (spectrum's).
 COMMANDS = {
     "simulate": (_SETUP, _simulate),
     "herald-stats": (_SETUP, _herald_stats),
@@ -375,7 +377,10 @@ def run_scenario(path: str, subcommand: str, overrides: list[str], args: argpars
     with (out_dir / csv_name).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, Iterator):
+            fh.writelines(rows)
+        else:
+            writer.writerows(rows)
     print(*summary, sep="\n")
     print(f"  wrote {out_dir / json_name} and {csv_name}")
     return 0

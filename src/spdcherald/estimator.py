@@ -77,7 +77,7 @@ def _mean_detected(setup: SetupConfig, p_click: float, floor: float, dark: float
 
 def _calibration(setup: SetupConfig, *fields: str) -> float:
     """Product of an arm's calibrated transmissions and efficiency; zero is an input error."""
-    values = [attrgetter(name)(setup) for name in fields]
+    values = attrgetter(*fields)(setup)  # a tuple: each arm has two or three factors
     product = math.prod(values)
     if product == 0.0:
         named = tuple(name for name, value in zip(fields, values) if value == 0.0) or fields

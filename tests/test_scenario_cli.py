@@ -1,10 +1,17 @@
+import contextlib
 import copy
 import csv
+import io
 import json
+import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -342,42 +349,6 @@ class TestCli:
         assert record["result"]["mu"] == pytest.approx(0.0822733, rel=1e-4)
 
     @pytest.mark.parametrize(
-        "artifact,overrides",
-        [
-            ("counts.json", []),
-            ("counts.csv", []),
-            ("counts.json", ["source.law=thermal", "detectors.coincidence_window_gates=3"]),
-            ("counts.csv", ["source.law=thermal", "detectors.coincidence_window_gates=3"]),
-            ("counts.json", ["source.law=multimode_thermal", "source.modes=3"]),
-            ("counts.csv", ["source.law=multimode_thermal", "source.modes=3"]),
-        ],
-        ids=[
-            "counts.json",
-            "counts.csv",
-            "counts.json-thermal-window-3",
-            "counts.csv-thermal-window-3",
-            "counts.json-multimode-3",
-            "counts.csv-multimode-3",
-        ],
-    )
-    def test_estimate_from_simulated_counts_file(self, tmp_path, artifact, overrides):
-        # simulate -> estimate round trip through the emitted artifacts
-        flags = [arg for entry in overrides for arg in ("--override", entry)]
-        assert main(["simulate", BUNDLED, *flags, "--out-dir", str(tmp_path)]) == 0
-        code = main(
-            [
-                "estimate", BUNDLED, *flags,
-                "--counts", str(tmp_path / artifact),
-                "--out-dir", str(tmp_path / "est"),
-            ]
-        )
-        assert code == 0
-        record = json.loads((tmp_path / "est" / "estimate.json").read_text())
-        assert record["result"]["mu"] == pytest.approx(0.0829, rel=1e-6)
-        assert record["result"]["alpha_signal"] == pytest.approx(0.1687, rel=1e-6)
-        assert record["result"]["alpha_idler"] == pytest.approx(0.2200, rel=1e-6)
-
-    @pytest.mark.parametrize(
         "name,text,message",
         [
             (
@@ -691,27 +662,6 @@ class TestCli:
         assert f"validation error: scenario key {override.split('=')[0]!r}: " in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", ["phasematch", "spectrum"])
-    @pytest.mark.parametrize("key", ["crystal.sellmeier_ordinary", "crystal.sellmeier_extraordinary"])
-    @pytest.mark.parametrize(
-        "value", ["[-5, 0.01878, 0.01822, 0.01354]", "[2.7359, 1.0, 0.36, 0.01354]"], ids=["negative", "pole_at_600nm"]
-    )
-    def test_sellmeier_set_without_a_real_index_exits_2_naming_its_key(self, tmp_path, capsys, command, key, value):
-        # spectrum exited 0 with every intensity NaN, phasematch 3 with "non-finite result"
-        assert main([command, BUNDLED, "--override", f"{key}={value}", "--out-dir", str(tmp_path)]) == 2
-        assert f"validation error: scenario key {key!r}: Sellmeier set" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("command", ["simulate", "estimate"])
-    def test_mode_count_past_the_largest_float_exits_2_naming_its_key(self, tmp_path, capsys, command):
-        # it exited 1 with an OverflowError traceback from the pmf's mu / modes
-        overrides = ["source.law=multimode_thermal", f"source.modes=1{'0' * 400}"]
-        argv = [command, BUNDLED, *(arg for item in overrides for arg in ("--override", item))]
-        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
-        assert ("validation error: scenario key 'source.modes': modes must not exceed the largest float"
-                in capsys.readouterr().err)
-        assert not any(tmp_path.iterdir())
-
     def test_pulses_option_named(self, tmp_path, capsys):
         argv = ["g2", BUNDLED, "--mode", "monte_carlo", "--pulses", "5", "--out-dir", str(tmp_path)]
         assert main(argv) == 2
@@ -749,16 +699,6 @@ class TestOneTruncationRule:
     naming the key its mean came from.  Analytic, each of these exited 0 or 3 with an
     answer read from the law's head."""
 
-    MC = ["--mode", "monte_carlo", "--pulses", "1000000", "--seed", "1"]
-
-    @pytest.mark.parametrize("mode", [[], MC])
-    def test_simulate_past_the_cut_exits_2(self, tmp_path, capsys, mode):
-        # analytic, it wrote 0.320 coincidences per trigger where the closed form gives 0.0380
-        assert main(["simulate", BUNDLED, "--override", "source.mu=60", *mode, "--out-dir", str(tmp_path)]) == 2
-        assert ("validation error: scenario key 'source.mu': the poissonian pmf at mean 60.0 is cut at "
-                "MAX_PAIRS = 64 pairs, dropping tail mass 0.276;") in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
     def test_herald_stats_of_an_empty_head_exits_2(self, tmp_path, capsys):
         # it exited 3 with a false "herald probability is zero", although every pulse heralds
         assert main(["herald-stats", BUNDLED, "--override", "source.mu=1e5", "--out-dir", str(tmp_path)]) == 2
@@ -783,42 +723,6 @@ class TestOneTruncationRule:
                 "the poissonian pmf at mean 551.") in err
         assert "source.mu" not in err
 
-    @pytest.mark.parametrize(
-        "overrides,refusal",
-        [
-            # it exited 2 naming no key: the pair law's finiteness check carried no field
-            (["source.law=thermal", "counts.signal_singles_cps=81999999.99999", "counts.idler_singles_cps=204999.9999"],
-             "mean pair number must be finite, got inf"),
-            # it exited 3 with "float division by zero": M * expm1(x / M) lost the coincidences' mean
-            (["source.law=multimode_thermal", "source.modes=1000000000000000000000"],
-             "the multimode_thermal pmf at mean 3.0"),
-        ],
-    )
-    def test_estimate_of_an_extreme_mean_names_the_counts(self, tmp_path, capsys, overrides, refusal):
-        overrides = [*overrides, "detectors.idler.dark_prob_per_gate=0", "counts.coincidences_cps=1e-300"]
-        argv = ["estimate", BUNDLED, *(arg for item in overrides for arg in ("--override", item))]
-        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
-        assert ("validation error: scenario keys 'counts.signal_singles_cps', 'counts.idler_singles_cps' and "
-                "'counts.coincidences_cps': the counts imply a mean pair number the model refuses: "
-                + refusal) in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("suffix", [".csv", ".json"])
-    def test_estimate_of_a_refused_mean_from_a_counts_file_names_the_file(self, tmp_path, capsys, suffix):
-        # it named the scenario's counts keys, which the run never read
-        columns = ["signal_singles_cps", "idler_singles_cps", "coincidences_cps", "trigger_rate_cps", "gate_rate_hz"]
-        values = [2.0e7, 20000, 100, 216000, 205000]
-        path = tmp_path / f"counts{suffix}"
-        if suffix == ".csv":
-            path.write_text(",".join(columns) + "\n" + ",".join(map(str, values)) + "\n")
-        else:
-            path.write_text(json.dumps(dict(zip(columns, values))))
-        assert main(["estimate", BUNDLED, "--counts", str(path), "--out-dir", str(tmp_path / "est")]) == 2
-        err = capsys.readouterr().err
-        assert (f"validation error: counts file {str(path)!r}, columns 'signal_singles_cps', 'idler_singles_cps', "
-                "'coincidences_cps': the counts imply a mean pair number the model refuses: "
-                "the poissonian pmf at mean 551.") in err
-        assert "scenario key" not in err
 
 
 class TestValidationBranches:
@@ -901,22 +805,216 @@ def _strict_record(path):
     return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
+# ---------------------------------------------------------------------------
+# Every check made through the `spdcherald` console script, one row each.  Each row runs
+# twice: through cli.main in this process, and through the installed script as a user runs
+# it, with no PYTHONPATH.  A new refusal or round trip is one more row, checked both ways.
+
+SCRIPT = shutil.which("spdcherald")
+MC = ("--mode", "monte_carlo", "--pulses", "1000000", "--seed", "7")
+COUNTS_COLUMNS = ["signal_singles_cps", "idler_singles_cps", "coincidences_cps", "trigger_rate_cps", "gate_rate_hz"]
+REFUSED_COUNTS = [2.0e7, 20000, 100, 216000, 205000]  # they imply mu ~ 552, past the pmf's cut at 64 pairs
+# the refusal of counts that imply a mean the law cannot take, and the keys or columns it names
+IMPLIED = "the counts imply a mean pair number the model refuses: "
+COUNTS_KEYS = ("validation error: scenario keys 'counts.signal_singles_cps', 'counts.idler_singles_cps' and "
+               f"'counts.coincidences_cps': {IMPLIED}")
+# the keys a crystal relation names
+CENTRES = "'crystal.pump_center_nm' and 'crystal.signal_center_nm'"
+GRID = "'crystal.grid.signal_min_nm', 'crystal.grid.signal_max_nm', 'crystal.grid.idler_min_nm'"
+NO_OVERLAP = f"{GRID}, 'crystal.grid.idler_max_nm', 'crystal.pump_center_nm', 'crystal.pump_fwhm_nm'"
+NO_OVERLAP += " and 'crystal.length_mm'"
+SIGNAL_WINDOW = "'crystal.grid.signal_min_nm', 'crystal.grid.signal_max_nm', 'crystal.grid.signal_points', "
+SIGNAL_WINDOW += "'crystal.signal_center_nm' and 'crystal.signal_fwhm_nm'"
+IDLER_RANGE = "'crystal.grid.idler_min_nm' and 'crystal.grid.idler_max_nm'"
+
+
+@dataclass(frozen=True)
+class Row:
+    """``spdcherald ARGV --out-dir DIR/out`` exits ``code``; its stderr holds each of ``err`` and
+    none of ``not_err``, and a warning only where ``err`` names one; a refusal writes nothing.
+    ``inputs`` are (file name, text or argv) pairs: the text is written into DIR, or the argv,
+    run first the same way with ``--out-dir DIR``, writes that file there.  ``check(out,
+    stdout)`` then reads the artifacts.  "{dir}" in argv and err stands for DIR."""
+
+    argv: tuple
+    code: int = 0
+    err: tuple = ()
+    not_err: tuple = ()
+    inputs: tuple = ()
+    check: Callable | None = None
+
+
+def _argv(command: str, *items: str, extra: tuple = ()) -> tuple:
+    """``COMMAND paper.scenario`` with the options ``extra`` and the overrides ``items``."""
+    return (command, BUNDLED, *extra, *(arg for item in items for arg in ("--override", item)))
+
+
+def _row(command: str, *items: str, extra: tuple = (), **fields) -> Row:
+    return Row(_argv(command, *items, extra=extra), **fields)
+
+
+def _writes(command, out, stdout, mode="analytic"):
+    json_name, csv_name, header = ARTIFACTS[command]
+    assert sorted(p.name for p in out.iterdir()) == sorted([json_name, csv_name])
+    record = _strict_record(out / json_name)
+    assert record["command"] == command
+    assert set(record["provenance"]) == {"version", "config_sha256", "mode", "n_pulses", "seed"}
+    assert record["provenance"]["mode"] == mode
+    with (out / csv_name).open() as fh:
+        assert next(csv.reader(fh)) == header
+    assert f"wrote {out / json_name} and {csv_name}" in stdout
+
+
+def _inverts(out, stdout):
+    # back to paper.scenario's source.mu, losses.alpha_signal and losses.alpha_idler
+    estimate = _strict_record(out / "estimate.json")["result"]
+    for key, want in (("mu", 0.0829), ("alpha_signal", 0.1687), ("alpha_idler", 0.2200)):
+        assert abs(estimate[key] / want - 1.0) <= 1e-9, (key, estimate[key], want)
+
+
+def _flags(flag, out, stdout):
+    # no row is an error, and each carries its flag (an interior row neither)
+    rows = _strict_record(out / "sweep.json")["result"]["rows"]
+    assert rows and all(row["error"] is None for row in rows), rows
+    for row in rows:
+        assert [row["capped"], row["insecure_at_zero"]] == [flag == "capped", flag == "insecure_at_zero"], row
+
+
+ROUND_TRIPS = [(), ("source.law=thermal", "detectors.coincidence_window_gates=3"),
+               ("source.law=multimode_thermal", "source.modes=3")]
+EXTREME = ("detectors.idler.dark_prob_per_gate=0", "counts.coincidences_cps=1e-300")
+SELLMEIER = ["[-5, 0.01878, 0.01822, 0.01354]", "[2.7359, 1.0, 0.36, 0.01354]"]  # n^2 < 0, a pole at 600 nm
+MU_CUT = ("validation error: scenario key 'source.mu': the poissonian pmf at mean 60.0 is cut at "
+          "MAX_PAIRS = 64 pairs, dropping tail mass 0.276;")
+MODES_CUT = "validation error: scenario key 'source.modes': modes must not exceed the largest float"
+
+CONSOLE = [
+    # every subcommand, as cli.COMMANDS lists them, so a new one is run too
+    *(_row(command, check=partial(_writes, command)) for command in COMMANDS),
+    # the Monte Carlo of each of its three reductions, both g2 arms
+    *(_row(command, extra=MC, check=partial(_writes, command, mode="monte_carlo")) for command in ("simulate", "herald-stats")),
+    *(_row("g2", f"run.g2_arm={arm}", extra=MC, check=partial(_writes, "g2", mode="monte_carlo"))
+      for arm in defaults.HBT_ARMS),
+    # simulate's own artifacts invert through the one counts reader
+    *(_row("estimate", *items, extra=("--counts", f"{{dir}}/{name}"), inputs=((name, _argv("simulate", *items)),),
+           check=_inverts)
+      for items in ROUND_TRIPS for name in ("counts.json", "counts.csv")),
+    # a mean whose law the pmf cuts at 64 pairs is refused, in both run modes: analytic, it wrote
+    # 0.320 coincidences per trigger where the closed form gives 0.0380
+    _row("simulate", "source.mu=60", code=2, err=(MU_CUT,)),
+    _row("simulate", "source.mu=60", extra=MC, code=2, err=(MU_CUT,)),
+    # a counts file whose counts imply such a mean is refused naming the file, not the scenario's
+    # keys, which the run never read
+    *(_row("estimate", extra=("--counts", f"{{dir}}/{name}"), code=2, inputs=((name, text),), not_err=("scenario key",),
+           err=(f"validation error: counts file '{{dir}}/{name}', columns 'signal_singles_cps', 'idler_singles_cps', "
+                f"'coincidences_cps': {IMPLIED}the poissonian pmf at mean 551.",))
+      for name, text in (
+          ("counts.csv", f"{','.join(COUNTS_COLUMNS)}\n2.0e7,20000,100,216000,205000\n"),
+          ("counts.json", json.dumps(dict(zip(COUNTS_COLUMNS, REFUSED_COUNTS)))),
+      )),
+    # counts that imply an infinite mean (thermal) or a mean per mode that underflows (10^21
+    # modes) are refused naming the three counts keys: they exited 2 naming no key, and 3
+    # with "float division by zero"
+    _row("estimate", *EXTREME, "source.law=thermal", "counts.signal_singles_cps=81999999.99999",
+         "counts.idler_singles_cps=204999.9999", code=2, err=(f"{COUNTS_KEYS}mean pair number must be finite, got inf",)),
+    _row("estimate", *EXTREME, "source.law=multimode_thermal", "source.modes=1000000000000000000000", code=2,
+         err=(f"{COUNTS_KEYS}the multimode_thermal pmf at mean 3.0",)),
+    # a Sellmeier set without a real index in the window is refused naming its key, by both
+    # crystal subcommands: spectrum exited 0 with every intensity NaN, phasematch 3 with
+    # "non-finite result"
+    *(_row(command, f"{key}={value}", code=2, err=(f"validation error: scenario key {key!r}: Sellmeier set",))
+      for command in ("phasematch", "spectrum")
+      for key in ("crystal.sellmeier_ordinary", "crystal.sellmeier_extraordinary") for value in SELLMEIER),
+    # a mode count past the largest float (10^400) is refused naming its key: it exited 1 with
+    # an OverflowError traceback from the pmf's mu / modes
+    *(_row(command, "source.law=multimode_thermal", f"source.modes=1{'0' * 400}", code=2, err=(MODES_CUT,))
+      for command in ("simulate", "estimate")),
+    # crystal relations name the keys their values derive from.  The idler of the centres,
+    # 4.7 um, then that of the tuning curve's shortest signal, 3.4 um:
+    *(_row("phasematch", item, code=2, err=(f"validation error: scenario keys {CENTRES}: ",))
+      for item in ("crystal.signal_center_nm=425", "crystal.signal_center_nm=480")),
+    # a negative, zero or subnormal wavelength was divided by before the window check
+    *(_row("spectrum", item, code=2, err=(f"validation error: scenario keys {GRID} and 'crystal.grid.idler_max_nm': ",))
+      for item in ("crystal.grid.idler_max_nm=-1", "crystal.grid.idler_max_nm=0", "crystal.grid.idler_min_nm=5e-324")),
+    *(_row("spectrum", item, code=2, err=(f"validation error: scenario keys {NO_OVERLAP}: ",))
+      for item in ("crystal.pump_fwhm_nm=1e-9", "crystal.length_mm=1e300")),
+    # a signal grid too coarse for the filter leaves the heralded marginal empty: it exited 3
+    # (and its two signal rows resolve no ridge)
+    _row("spectrum", "crystal.grid.signal_points=2", code=2,
+         err=(f"validation error: scenario keys {SIGNAL_WINDOW}: ", "ResolutionWarning: idler grid is too coarse")),
+    # an idler axis inside the heralded FWHM: it reported the axis span, then a clipped width
+    *(_row("spectrum", f"crystal.grid.idler_min_nm={low}", f"crystal.grid.idler_max_nm={high}", code=2,
+           err=(f"validation error: scenario keys {IDLER_RANGE}: ",))
+      for low, high in ((1548, 1554), (1551, 1600))),
+    # a signal grid from 210 nm implies pumps below the window: the error names the pump of the
+    # grid's first cell outside it, as the block's corner check must
+    _row("spectrum", "crystal.grid.signal_min_nm=210", code=2,
+         err=(f"validation error: scenario keys {GRID} and 'crystal.grid.idler_max_nm': wavelength 183.766 nm "
+              "outside the Sellmeier validity window [200, 3000] nm\n",)),
+    # the secure-distance search at channels where its first guess cannot be formed, and at a
+    # grid of interior rows
+    _row("sweep", "channel.loss_db_per_km=5e-324", check=partial(_flags, "capped")),
+    _row("sweep", "channel.receiver_efficiency=0", check=partial(_flags, "insecure_at_zero")),
+    _row("sweep", "run.sweep_mu=[0.01,0.1,0.3]", check=partial(_flags, "interior")),
+]
+
+
+def _in_process(argv):
+    """Exit code, stdout and stderr of cli.main(argv), each warning written to stderr as its category and message."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    err.writelines(f"{w.category.__name__}: {w.message}\n" for w in seen)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _console(argv):
+    """Exit code, stdout and stderr of the installed script, run with no PYTHONPATH."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run([SCRIPT, *argv], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _check_row(row, run, directory):
+    for name, source in row.inputs:
+        if isinstance(source, str):
+            (directory / name).write_text(source)
+        else:
+            assert run([*source, "--out-dir", str(directory)])[0] == 0
+    out = directory / "out"
+    code, stdout, err = run([arg.replace("{dir}", str(directory)) for arg in row.argv] + ["--out-dir", str(out)])
+    assert code == row.code, err
+    for text in row.err:
+        assert text.replace("{dir}", str(directory)) in err, err
+    assert not any(text in err for text in row.not_err), err
+    assert ("Warning: " in err) == any("Warning: " in text for text in row.err), err
+    if row.code:
+        assert not out.exists() or not any(out.iterdir())
+    if row.check:
+        row.check(out, stdout)
+
+
+def _row_id(row):
+    argv = " ".join(arg if len(arg) <= 40 else f"{arg[:30]}...({len(arg)} chars)" for arg in row.argv)
+    inputs = "".join(f" ({name} {'given' if isinstance(source, str) else 'of ' + source[0]})" for name, source in row.inputs)
+    return argv + inputs
+
+
+@pytest.mark.parametrize("row", CONSOLE, ids=_row_id)
+def test_console_row_in_process(tmp_path, row):
+    _check_row(row, _in_process, tmp_path)
+
+
+@pytest.mark.skipif(SCRIPT is None, reason="no spdcherald console script on PATH")
+@pytest.mark.parametrize("row", CONSOLE, ids=_row_id)
+def test_console_row_through_the_script(tmp_path, row):
+    _check_row(row, _console, tmp_path)
+
+
 class TestCommandTable:
     def test_artifact_list_covers_the_table(self):
         assert list(ARTIFACTS) == list(COMMANDS)
-
-    @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_each_command_writes_its_two_artifacts(self, tmp_path, capsys, command):
-        json_name, csv_name, header = ARTIFACTS[command]
-        assert main([command, BUNDLED, "--mode", "analytic", "--out-dir", str(tmp_path)]) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([json_name, csv_name])
-        record = _strict_record(tmp_path / json_name)
-        assert record["command"] == command
-        assert set(record["provenance"]) == {"version", "config_sha256", "mode", "n_pulses", "seed"}
-        assert record["provenance"]["mode"] == "analytic"
-        with (tmp_path / csv_name).open() as fh:
-            assert next(csv.reader(fh)) == header
-        assert f"wrote {tmp_path / json_name} and {csv_name}" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "key,command",
@@ -945,39 +1043,6 @@ class TestCommandTable:
         assert main(argv) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "spectrum.json").exists()
-
-    CENTRES = "'crystal.pump_center_nm' and 'crystal.signal_center_nm'"
-    GRID = "'crystal.grid.signal_min_nm', 'crystal.grid.signal_max_nm', 'crystal.grid.idler_min_nm'"
-    NO_OVERLAP = f"{GRID}, 'crystal.grid.idler_max_nm', 'crystal.pump_center_nm', 'crystal.pump_fwhm_nm'"
-    NO_OVERLAP += " and 'crystal.length_mm'"
-    SIGNAL_WINDOW = "'crystal.grid.signal_min_nm', 'crystal.grid.signal_max_nm', 'crystal.grid.signal_points', "
-    SIGNAL_WINDOW += "'crystal.signal_center_nm' and 'crystal.signal_fwhm_nm'"
-    IDLER_RANGE = "'crystal.grid.idler_min_nm' and 'crystal.grid.idler_max_nm'"
-
-    RELATIONS = [
-        # the idler of the centres, 4.7 um, then that of the tuning curve's shortest signal, 3.4 um
-        ("phasematch", "crystal.signal_center_nm=425", CENTRES),
-        ("phasematch", "crystal.signal_center_nm=480", CENTRES),
-        ("spectrum", "crystal.grid.idler_max_nm=-1", f"{GRID} and 'crystal.grid.idler_max_nm'"),
-        # a zero or subnormal wavelength was divided by before the window check
-        ("spectrum", "crystal.grid.idler_max_nm=0", f"{GRID} and 'crystal.grid.idler_max_nm'"),
-        ("spectrum", "crystal.grid.idler_min_nm=5e-324", f"{GRID} and 'crystal.grid.idler_max_nm'"),
-        ("spectrum", "crystal.pump_fwhm_nm=1e-9", NO_OVERLAP),
-        ("spectrum", "crystal.length_mm=1e300", NO_OVERLAP),
-        # a signal grid too coarse for the filter leaves the heralded marginal empty: it exited 3
-        ("spectrum", "crystal.grid.signal_points=2", SIGNAL_WINDOW),
-        # an idler axis inside the heralded marginal's FWHM: it reported the axis span, then a clipped width
-        ("spectrum", "crystal.grid.idler_min_nm=1548 crystal.grid.idler_max_nm=1554", IDLER_RANGE),
-        ("spectrum", "crystal.grid.idler_min_nm=1551 crystal.grid.idler_max_nm=1600", IDLER_RANGE),
-    ]
-
-    @pytest.mark.parametrize("command,override,keys", RELATIONS, ids=[override for _, override, _ in RELATIONS])
-    @pytest.mark.filterwarnings("ignore:idler grid is too coarse")  # two signal rows resolve no ridge
-    def test_crystal_relation_exits_2_naming_its_keys(self, tmp_path, capsys, command, override, keys):
-        overrides = [arg for item in override.split() for arg in ("--override", item)]
-        assert main([command, BUNDLED, *overrides, "--out-dir", str(tmp_path)]) == 2
-        assert f"validation error: scenario keys {keys}: " in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "override,code,error",
