@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -327,8 +326,8 @@ _SETUP = frozenset({"source", "losses", "detectors", "dead_time", "run"})
 # subcommand -> (scenario sections it reads, compute function).  The function
 # imports the model modules it runs and returns (JSON name, result dict, CSV
 # name, CSV header, CSV rows, summary lines); run_scenario is the only code
-# that writes or prints them.  The rows are lists of cells, or an iterator of
-# text chunks that is the CSV body as written (spectrum's).
+# that writes or prints them.  The rows are a list of lists of cells, or
+# (spectrum's) an iterable of text chunks that is the CSV body as written.
 COMMANDS = {
     "simulate": (_SETUP, _simulate),
     "herald-stats": (_SETUP, _herald_stats),
@@ -377,10 +376,10 @@ def run_scenario(path: str, subcommand: str, overrides: list[str], args: argpars
     with (out_dir / csv_name).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, Iterator):
-            fh.writelines(rows)
-        else:
+        if isinstance(rows, list):
             writer.writerows(rows)
+        else:
+            fh.writelines(rows)
     print(*summary, sep="\n")
     print(f"  wrote {out_dir / json_name} and {csv_name}")
     return 0

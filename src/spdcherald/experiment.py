@@ -86,11 +86,7 @@ class SetupConfig:
     trigger_dead_time: DeadTimeSpec = DeadTimeSpec()
     gate_rate_hz: float = GATE_RATE_HZ
     coincidence_window: int = COINCIDENCE_WINDOW
-    # set in __post_init__
     _distribution: PairNumberDistribution = field(init=False, repr=False, compare=False)
-    herald_dark_prob: float = field(init=False, repr=False, compare=False)
-    coincidence_dark_prob: float = field(init=False, repr=False, compare=False)
-    none_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_range("repetition rate", self.rep_rate_hz, 0.0, field="rep_rate_hz", lo_open=True)
@@ -103,23 +99,8 @@ class SetupConfig:
             raise ValidationError("the herald detector runs free (gating is on the idler side)")
         if not isinstance(self.idler_detector, GatedDetector):
             raise ValidationError("the idler detector operates in gated mode")
-        # the pair-number law, validated eagerly, and the optics' constants, which cannot fail
-        bs, bi, d = self.herald_survival, self.idler_click_survival, self.idler_detector.dark_prob_per_gate
-        for name, value in {
-            "_distribution": PairNumberDistribution(self.law, self.mu, self.modes),
-            "herald_dark_prob": self.herald.dark_probability(1.0 / self.rep_rate_hz),
-            # the idler's dark probability within the coincidence window (in gates), 1 where it is
-            # dark in every gate: log1p(-1) would divide by zero
-            "coincidence_dark_prob": (
-                float(-np.expm1(self.coincidence_window * np.log1p(-d))) if 0.0 < d < 1.0 else float(d >= 1.0)
-            ),
-            # per pair number n <= MAX_PAIRS, the chances that none of n pairs gives a detected
-            # signal photon, a detected idler photon and a detected pair: the rows (1 - b_s)^n,
-            # (1 - b_i)^n and (1 - b_s b_i)^n of a cached, read-only power table.  The analytic
-            # and Monte Carlo paths read the prefix of their pmf's length.
-            "none_of": power_table((1.0 - bs, 1.0 - bi, 1.0 - bs * bi)),
-        }.items():
-            object.__setattr__(self, name, value)
+        # the pair-number law, validated eagerly and kept
+        object.__setattr__(self, "_distribution", PairNumberDistribution(self.law, self.mu, self.modes))
 
     def pair_distribution(self) -> PairNumberDistribution:
         return self._distribution
@@ -146,6 +127,28 @@ class SetupConfig:
     def idler_click_survival(self) -> float:
         """Pair photon -> idler click: the output plane, then the delay fiber and the detector."""
         return self.output_survival * (self.t_delay_fiber * self.idler_detector.efficiency)
+
+    @cached_property
+    def herald_dark_prob(self) -> float:
+        return self.herald.dark_probability(1.0 / self.rep_rate_hz)
+
+    @cached_property
+    def coincidence_dark_prob(self) -> float:
+        """Idler dark probability within the coincidence window (in gates)."""
+        d = self.idler_detector.dark_prob_per_gate
+        if d >= 1.0:  # dark in every gate; log1p(-1) would divide by zero
+            return 1.0
+        return float(-np.expm1(self.coincidence_window * np.log1p(-d))) if d > 0 else 0.0
+
+    @cached_property
+    def none_of(self) -> np.ndarray:
+        """Per pair number n <= MAX_PAIRS, the chances that none of n pairs gives a
+        detected signal photon, a detected idler photon and a detected pair: the
+        rows ``(1 - b_s)^n``, ``(1 - b_i)^n`` and ``(1 - b_s b_i)^n`` of a cached,
+        read-only power table.  The analytic and Monte Carlo paths read the
+        prefix of their pmf's length."""
+        bs, bi = self.herald_survival, self.idler_click_survival
+        return power_table((1.0 - bs, 1.0 - bi, 1.0 - bs * bi))
 
 
 @dataclass(frozen=True)

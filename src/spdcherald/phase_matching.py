@@ -298,15 +298,7 @@ class JointSpectrum:
 
     def idler_marginal(self, signal_weights: np.ndarray | None = None) -> np.ndarray:
         w = np.ones_like(self.signal_axis) if signal_weights is None else signal_weights
-        # one row block at a time, each block's first row taking the running total: the order in
-        # which numpy's axis-0 sum adds rows, bit for bit, without a whole-grid product
-        rows = max(1, JSI_BLOCK_CELLS // self.idler_axis.size)
-        total = (self.intensity[:rows] * w[:rows, None]).sum(axis=0)
-        for start in range(rows, w.size, rows):
-            block = self.intensity[start : start + rows] * w[start : start + rows, None]
-            block[0] += total
-            total = block.sum(axis=0)
-        return total
+        return (self.intensity * w[:, None]).sum(axis=0)
 
     def signal_marginal(self) -> np.ndarray:
         return self.intensity.sum(axis=1)

@@ -1016,6 +1016,17 @@ class TestCommandTable:
     def test_artifact_list_covers_the_table(self):
         assert list(ARTIFACTS) == list(COMMANDS)
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_rows_are_cell_lists_or_spectrum_text(self, command):
+        # run_scenario writes a list through csv.writer and anything else as the body's text
+        scenario = load_scenario(BUNDLED, [])
+        run = cli._run_params(scenario, cli.build_parser().parse_args([command, BUNDLED]))
+        rows = COMMANDS[command][1](scenario, run)[4]
+        if command == "spectrum":
+            assert not isinstance(rows, list) and all(isinstance(chunk, str) for chunk in rows)
+        else:
+            assert isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+
     @pytest.mark.parametrize(
         "key,command",
         [
