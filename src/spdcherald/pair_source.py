@@ -35,6 +35,10 @@ from .errors import DomainError, ValidationError, require_integer, require_range
 # (mu <= 0.25 in all intended use).
 TAIL_MASS = 1e-15
 MAX_PAIRS = 64
+# A pmf cut at MAX_PAIRS may fall short of 1 - TAIL_MASS by rounding alone, but
+# by less than this: each log-space term carries a relative rounding of about
+# eps times the logs summed into it, at most 64 * 710 * 2.2e-16 = 1e-11.
+ROUNDING_SHORTFALL = 1e-9
 
 
 def log_factorial(n: int) -> float:
@@ -123,14 +127,18 @@ class PairNumberDistribution:
             probs = self._head(full)
             total = list(accumulate(probs.tolist()))
         last = min(bisect_left(total, 1.0 - TAIL_MASS), MAX_PAIRS)
-        # only a pmf cut at MAX_PAIRS can fall short, and a shortfall of a few
-        # ulps can be rounding in large terms: it is a cut only where the tail is
-        # real.  The ratio of successive terms never grows with n under any of the
-        # three laws, so the tail is at most a geometric series in the ratio of
-        # its first two terms; an underflowed first term bounds nothing.
+        # only a pmf cut at MAX_PAIRS can fall short, and a shortfall below
+        # ROUNDING_SHORTFALL can be rounding in large terms: it is a cut only
+        # where the tail is real.  The ratio of successive terms never grows with
+        # n under any of the three laws, so the tail is at most a geometric series
+        # in the ratio of its first two terms; an underflowed first term bounds
+        # nothing, and a larger shortfall is no rounding whatever the ratio reads
+        # (a one-mode law past a mean of about 2e27 keeps about 65 / mu of its
+        # mass, and its rounded ratio reads below mu / (1 + mu)).
         if total[last] < 1.0 - TAIL_MASS:
             first, second = probs[MAX_PAIRS + 1 :].tolist()
-            if not (0.0 < first and second < first and first / (1.0 - second / first) < TAIL_MASS):
+            bound = first / (1.0 - second / first) if 0.0 < first and second < first else math.inf
+            if not (bound < TAIL_MASS and 1.0 - total[last] < ROUNDING_SHORTFALL):
                 raise ValidationError(
                     f"the {self.law} pmf at mean {mu} is cut at MAX_PAIRS = {MAX_PAIRS} pairs, "
                     f"dropping tail mass {1.0 - total[last]:.3g}; the models need the whole law",

@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -34,6 +33,7 @@ if TYPE_CHECKING:  # the builders import their models when called
     from .qkd import ChannelSpec
 
 REQUIRED = ...  # the default of a key that has none
+BUNDLED_DIR = Path(__file__).with_name("data")  # shipped as package data
 
 
 class Leaf(NamedTuple):
@@ -393,7 +393,7 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Scena
     if p.is_file():
         return parse_scenario(p.read_text(), overrides)
     name = p.name if p.name.endswith(".scenario") else p.name + ".scenario"
-    bundled = resources.files("spdcherald.data").joinpath(name)
+    bundled = BUNDLED_DIR / name
     if bundled.is_file():
         return parse_scenario(bundled.read_text(), overrides)
     raise ValidationError(f"scenario file {str(path)!r} not found (and no bundled scenario matches)")

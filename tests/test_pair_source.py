@@ -168,6 +168,15 @@ class TestTruncation:
         assert sum(pmf.tolist()) < 1.0 - TAIL_MASS  # the running total, added in sequence
         assert np.array_equal(pmf, dist._head(MAX_PAIRS + 1))
 
+    def test_a_one_mode_law_of_a_huge_mean_is_refused(self):
+        # past a mean of about 2e27 the 65 kept terms hold about 65 / mu of the mass, and the
+        # rounded ratio of the two terms past them reads below mu / (1 + mu), so the tail bound
+        # alone passed the law: herald-stats at 3.03e27 exited 0 with P(1) = 0.0428
+        for mu in [10.0**k for k in range(27, 309)] + [3.0301935371720806e27, sys.float_info.max]:
+            with pytest.raises(ValidationError, match="dropping tail mass 1;") as info:
+                PairNumberDistribution("multimode_thermal", mu, modes=1).pmf_vector()
+            assert info.value.field == "mean", mu
+
     @pytest.mark.parametrize(
         "law,mu,modes", [("thermal", 1.5, None), ("poissonian", 40.0, None), ("multimode_thermal", 40.0, 3), ("thermal", 1e5, None)]
     )

@@ -50,10 +50,6 @@ KNOWN = {
     "relative off at 1e-5 (3.6e-5 thermal), 1.3e-8 at thermal 1e-3": (
         ["herald-stats"], [(law, mu) for law in LAWS for mu in (1e-300, 1e-8, 1e-5)] + [(THERMAL, 1e-3)],
     ),
-    "a wrong answer: the one-mode multimode_thermal pmf at the largest float is 65 subnormal terms, and the "
-    "cut check's geometric bound on their rounded ratio passes it, so herald-stats exits 0 with P(1) = 0.043": (
-        ["herald-stats"], [(M1, sys.float_info.max)],
-    ),
 }
 
 SETUP = load_scenario("paper.scenario").to_setup_config()
