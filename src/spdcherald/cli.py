@@ -432,5 +432,18 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """Process entry of the ``spdcherald`` script and ``python -m spdcherald.cli``: ``main``,
+    then exit once both streams are flushed, skipping interpreter teardown.  Embedders call ``main``."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)  # the interpreter reports the broken stream as it does at teardown
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

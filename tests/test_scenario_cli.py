@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import importlib.metadata
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import tracemalloc
 import warnings
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -1001,15 +1003,99 @@ def test_console_row_in_process(tmp_path, row):
     _check_row(row, _in_process, tmp_path)
 
 
+def _script_calls(row, directory):
+    """The directory and the result by argv of each script call ``_check_row(row, ..., directory)``
+    makes: the row's input files are written, its input argvs run, then its argv."""
+    directory.mkdir()
+    calls = {}
+    for name, source in row.inputs:
+        if isinstance(source, str):
+            (directory / name).write_text(source)
+        else:
+            argv = (*source, "--out-dir", str(directory))
+            calls[argv] = _console(argv)
+    argv = (*(arg.replace("{dir}", str(directory)) for arg in row.argv), "--out-dir", str(directory / "out"))
+    calls[argv] = _console(argv)
+    return directory, calls
+
+
+@pytest.fixture(scope="module")
+def script_runs(tmp_path_factory):
+    """Every row's script calls, the rows run concurrently: each waits on fresh processes."""
+    root = tmp_path_factory.mktemp("script")
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        return dict(zip(CONSOLE, pool.map(_script_calls, CONSOLE, (root / str(i) for i in range(len(CONSOLE))))))
+
+
 @pytest.mark.skipif(SCRIPT is None, reason="no spdcherald console script on PATH")
 @pytest.mark.parametrize("row", CONSOLE, ids=_row_id)
-def test_console_row_through_the_script(tmp_path, row):
+def test_console_row_through_the_script(script_runs, tmp_path, row):
     # a call writes the same bytes whatever process it runs in: a fresh one, or this one after
     # every test before it (a refusal: nothing on either side)
-    for side, run in (("script", _console), ("process", _in_process)):
-        (tmp_path / side).mkdir()
-        _check_row(row, run, tmp_path / side)
-    assert _written(tmp_path / "script") == _written(tmp_path / "process")
+    script, calls = script_runs[row]
+    _check_row(row, lambda argv: calls[tuple(argv)], script)
+    _check_row(row, _in_process, tmp_path)
+    assert _written(script) == _written(tmp_path)
+
+
+def _module(*argv, env=(), **kwargs):
+    """``python -m spdcherald.cli ARGV``, run on this test's package, with ``env`` set or, where None, removed."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **dict(env)}
+    env = {key: value for key, value in env.items() if value is not None}
+    return subprocess.run([sys.executable, "-m", "spdcherald.cli", *argv], env=env, text=True, **kwargs)
+
+
+class TestProcessExit:
+    """A fresh process exits with main's code once its artifacts and both streams are out, and a
+    stream it cannot flush is reported as the interpreter reports it."""
+
+    def test_the_console_script_enters_through_run(self):
+        try:
+            entries = importlib.metadata.distribution("spdcherald").entry_points
+        except importlib.metadata.PackageNotFoundError:
+            pytest.skip("spdcherald is not installed")
+        assert [(e.name, e.value) for e in entries if e.group == "console_scripts"] == [("spdcherald", "spdcherald.cli:run")]
+
+    def test_streams_on_pipes_arrive_whole(self, tmp_path):
+        # buffered stdout: its summary is still in the buffer when main returns
+        argv = ("simulate", BUNDLED, "--out-dir", str(tmp_path / "out"))
+        done = _module(*argv, env={"PYTHONUNBUFFERED": None}, capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == _in_process(argv)
+
+    @pytest.mark.parametrize("unbuffered,code,tail", [
+        # print raises in main, which reports it
+        ("1", 4, "\ni/o error: [Errno 32] Broken pipe\n"),
+        # the summary waits in the buffer: the flush at exit fails, and the interpreter reports it
+        (None, 120, "\nBrokenPipeError: [Errno 32] Broken pipe\n"),
+    ])
+    def test_a_closed_stdout_pipe(self, tmp_path, unbuffered, code, tail):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _module("simulate", BUNDLED, "--out-dir", str(tmp_path), env={"PYTHONUNBUFFERED": unbuffered},
+                           stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert done.returncode == code
+        assert done.stderr.endswith(tail), done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", "counts.json"]
+
+    def test_a_closed_stdout_descriptor(self, tmp_path):
+        # with fd 1 closed the interpreter sets sys.stdout to None, and print writes nothing
+        done = _module("simulate", BUNDLED, "--out-dir", str(tmp_path), preexec_fn=partial(os.close, 1),
+                       stderr=subprocess.PIPE)
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", "counts.json"]
+
+    def test_version(self):
+        done = _module("--version", capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "spdcherald 0.1.0\n", "")
+
+    def test_a_missing_scenario_is_a_usage_error(self):
+        done = _module("simulate", capture_output=True)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("usage: spdcherald simulate ")
+        assert done.stderr.endswith("\nspdcherald simulate: error: the following arguments are required: scenario\n")
 
 
 class TestCommandTable:
