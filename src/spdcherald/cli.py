@@ -434,14 +434,19 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """Process entry of the ``spdcherald`` script and ``python -m spdcherald.cli``: ``main``,
-    then exit once both streams are flushed, skipping interpreter teardown.  Embedders call ``main``."""
+    then exit once both streams are flushed, skipping interpreter teardown; a stream that cannot
+    be flushed exits 4 as an i/o error.  Embedders call ``main``."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # numpy reads it at its first import, in main
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-    except (OSError, ValueError):
-        sys.exit(code)  # the interpreter reports the broken stream as it does at teardown
+    except (OSError, ValueError) as exc:
+        code = 4
+        with contextlib.suppress(OSError, ValueError, AttributeError):  # stderr may be None or broken too
+            sys.stderr.write(f"i/o error: {exc}\n")
+            sys.stderr.flush()
     os._exit(code)
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import zlib
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -182,28 +183,6 @@ class TestLoader:
         with pytest.raises(yaml.YAMLError, match="found character '\\\\t'"):
             yaml.load(text, Loader=yaml.SafeLoader)
 
-    @pytest.mark.parametrize(
-        "old,new",
-        [
-            ("sweep_mu: [0.02, 0.04, 0.0829, 0.1658, 0.25]", "sweep_mu: [0.02, 0.04, 0.0829"),
-            ("  mu: 0.0829", "     mu: 0.0829"),
-            ("  law: poissonian", "  law: !!python/object:os.system poissonian"),
-        ],
-        ids=["unclosed_flow_sequence", "bad_indentation", "python_object_tag"],
-    )
-    def test_invalid_yaml_exits_2(self, tmp_path, capsys, old, new):
-        path = tmp_path / "bad.scenario"
-        path.write_text(bundled_text().replace(old, new))
-        assert new in path.read_text()
-        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
-        assert "validation error: scenario is not valid YAML" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_invalid_override_yaml_exits_2_naming_it(self, tmp_path, capsys):
-        assert main(["simulate", BUNDLED, "--override", "run.sweep_mu=[0.1", "--out-dir", str(tmp_path)]) == 2
-        assert "override 'run.sweep_mu=[0.1' is not valid YAML" in capsys.readouterr().err
-        assert not (tmp_path / "counts.json").exists()
-
     def test_missing_section_named(self):
         scenario = parse_scenario(bundled_text())
         del scenario.data["channel"]
@@ -339,107 +318,6 @@ class TestCli:
         record = json.loads((tmp_path / "estimate.json").read_text())
         assert record["result"]["mu"] == pytest.approx(0.0822733, rel=1e-4)
 
-    @pytest.mark.parametrize(
-        "name,text,message",
-        [
-            (
-                "counts.json",
-                '{"result": {"signal_singles_cps": NaN, "idler_singles_cps": 285.0, '
-                '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6}}',
-                "scenario key 'counts.signal_singles_cps' must be finite",
-            ),
-            (
-                "counts.csv",
-                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
-                "291888.0,285.0,nan,217997.2,1e6\n",
-                "scenario key 'counts.coincidences_cps' must be finite",
-            ),
-            (
-                "counts.csv",
-                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
-                "291888.0,abc,3058.6,217997.2,1e6\n",
-                "scenario key 'counts.idler_singles_cps' must be a number, got 'abc'",
-            ),
-            (
-                "counts.json",
-                '{"result": {"signal_singles_cps": 291888.0, "idler_singles_cps": "many", '
-                '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6}}',
-                "scenario key 'counts.idler_singles_cps' must be a number, got 'many'",
-            ),
-            ("counts.json", "[291888.0, 285.0, 3058.6, 217997.2, 1e6]", "scenario key 'counts' must be a mapping"),
-            ("counts.json", '{"result": {"signal_singles_cps": 291888.0,', "Expecting"),
-            # a second data row was ignored, and the run exited 0 on the first
-            (
-                "counts.csv",
-                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
-                "291888.0,285.0,3058.6,217997.2,2.05e5\n291888.0,285.0,3058.6,217997.2,2.05e5\n",
-                "expected a header and one data row, found 3 rows",
-            ),
-            # cells past the header's were dropped, and the run exited 0
-            (
-                "counts.csv",
-                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
-                "291888.0,285.0,3058.6,217997.2,2.05e5,7\n",
-                "the data row has 6 cells for 5 header cells",
-            ),
-            (
-                "counts.csv",
-                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz\n"
-                "291888.0,285.0,3058.6,217997.2\n",
-                "the data row has 4 cells for 5 header cells",
-            ),
-            ("counts.csv", "signal_singles_cps,idler_singles_cps\n\n", "expected a header and one data row, found 1 rows"),
-            # the last of two cells under one name was read, the first dropped
-            (
-                "counts.csv",
-                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz,signal_singles_cps\n"
-                "291888.0,285.0,3058.6,217997.2,2.05e5,291888.0\n",
-                "the header names a column twice",
-            ),
-            # a column no counts key has was ignored, and the run exited 0
-            (
-                "counts.csv",
-                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz,bogus\n"
-                "291888.0,285.0,3058.6,217997.2,2.05e5,1\n",
-                "unknown scenario key 'counts.bogus'",
-            ),
-            (
-                "counts.json",
-                '{"result": {"signal_singles_cps": 291888.0, "idler_singles_cps": 285.0, '
-                '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6, "bogus": 1}}',
-                "unknown scenario key 'counts.bogus'",
-            ),
-            (
-                "counts.json",
-                '{"signal_singles_cps": 291888.0, "idler_singles_cps": 285.0, '
-                '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2}',
-                "scenario is missing the required key 'counts.gate_rate_hz'",
-            ),
-            # a per-trigger probability the rates contradict was ignored, and the run exited 0
-            (
-                "counts.csv",
-                "signal_singles_cps,idler_singles_cps,coincidences_cps,trigger_rate_cps,gate_rate_hz,"
-                "per_trigger_coincidence_prob\n291888.0,285.0,3058.6,217997.2,2.05e5,0.5\n",
-                "'per_trigger_coincidence_prob' is '0.5', but coincidences_cps / trigger_rate_cps is",
-            ),
-        ],
-        ids=[
-            "json", "csv", "csv-non-numeric", "json-string", "json-list", "json-malformed",
-            "csv-two-data-rows", "csv-extra-cells", "csv-missing-cells", "csv-no-data-row", "csv-repeated-column",
-            "csv-unknown-column", "json-unknown-key", "json-missing-rate", "csv-disagreeing-per-trigger",
-        ],
-    )
-    def test_estimate_from_non_finite_counts_file_exits_2(self, tmp_path, capsys, name, text, message):
-        # json.loads parses NaN, and float("nan") is a float
-        path = tmp_path / name
-        path.write_text(text)
-        code = main(["estimate", BUNDLED, "--counts", str(path), "--out-dir", str(tmp_path / "est")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert message in err
-        assert f"counts file {str(path)!r}" in err
-        assert not (tmp_path / "est" / "estimate.json").exists()
-
     def test_wcp_compare(self, tmp_path):
         assert main(["wcp-compare", BUNDLED, "--out-dir", str(tmp_path)]) == 0
         record = json.loads((tmp_path / "wcp_compare.json").read_text())
@@ -490,64 +368,6 @@ class TestCli:
         assert main(["simulate", BUNDLED]) == 0
         assert (tmp_path / "envout" / "counts.json").exists()
 
-    def test_validation_failure_exits_2(self, tmp_path):
-        code = main(
-            ["simulate", BUNDLED, "--override", "source.muu=1", "--out-dir", str(tmp_path)]
-        )
-        assert code == 2
-
-    def test_numerical_failure_exits_3(self, tmp_path):
-        code = main(
-            [
-                "estimate", BUNDLED,
-                "--override", "counts.signal_singles_cps=10",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert code == 3
-
-    def test_zero_calibration_exits_2(self, tmp_path, capsys):
-        code = main(
-            [
-                "estimate", BUNDLED,
-                "--override", "losses.t_idler_optics=0",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert code == 2
-        assert "t_idler_optics is 0" in capsys.readouterr().err
-        assert not (tmp_path / "estimate.json").exists()
-
-    @pytest.mark.parametrize(
-        "keys",
-        [
-            ["losses.t_signal_optics"],
-            ["detectors.herald.efficiency"],
-            ["losses.t_idler_optics"],
-            ["losses.t_delay_fiber"],
-            ["detectors.idler.efficiency"],
-            ["losses.t_delay_fiber", "detectors.idler.efficiency"],
-        ],
-        ids=" ".join,
-    )
-    def test_zero_calibration_names_each_zero_key(self, tmp_path, capsys, keys):
-        overrides = [arg for key in keys for arg in ("--override", f"{key}=0")]
-        assert main(["estimate", BUNDLED, *overrides, "--out-dir", str(tmp_path)]) == 2
-        named = f"scenario key{'s' * (len(keys) > 1)} {' and '.join(map(repr, keys))}"
-        assert f"validation error: {named}: calibrated " in capsys.readouterr().err
-
-    @pytest.mark.parametrize("override", ["losses.alpha_idler=0", "source.mu=1e-9"], ids=["no_p1", "no_p2"])
-    def test_wcp_compare_of_a_zero_p1_or_p2_exits_3(self, tmp_path, capsys, override):
-        # valid inputs: no heralded photon survives, or P(2) falls below the 1e-15 that P(n) resolves
-        assert main(["wcp-compare", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 3
-        assert "numerical error: heralded P(1) = " in capsys.readouterr().err
-        assert not (tmp_path / "wcp_compare.json").exists()
-
-    def test_zero_per_trigger_denominator_names_its_keys(self, tmp_path, capsys):
-        argv = ["estimate", BUNDLED, "--override", "counts.trigger_rate_cps=5e-324", "--out-dir", str(tmp_path)]
-        assert main(argv) == 2
-        assert "scenario keys 'counts.coincidences_cps' and 'counts.trigger_rate_cps': " in capsys.readouterr().err
-
     def test_idler_dark_in_every_gate(self, tmp_path, capsys):
         # log1p(-1) divided by zero under the tier-1 RuntimeWarning filter
         override = "detectors.idler.dark_prob_per_gate=1"
@@ -560,33 +380,6 @@ class TestCli:
         code = main(["simulate", BUNDLED, "--out-dir", str(blocker / "sub")])
         assert code == 4
 
-    def test_monte_carlo_without_seed_exits_2(self, tmp_path):
-        text = bundled_text()
-        data = yaml.safe_load(text)
-        data["run"].pop("seed")
-        data["run"]["mode"] = "monte_carlo"
-        path = tmp_path / "noseed.scenario"
-        path.write_text(yaml.safe_dump(data))
-        assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize(
-        "how", [["--seed", "-1"], ["--seed", str(2**128)], ["--override", "run.seed=-1"]]
-    )
-    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, how):
-        argv = ["simulate", BUNDLED, "--mode", "monte_carlo", "--pulses", "1000000", *how]
-        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "seed must lie in [0, 2**128)" in err
-        assert ("option '--seed'" if how[0] == "--seed" else "scenario key 'run.seed'") in err
-        assert not (tmp_path / "counts.json").exists()
-
-    @pytest.mark.parametrize("value", ["nan", ".nan", "inf", "-.inf", "1e999"])
-    def test_non_finite_number_exits_2(self, tmp_path, capsys, value):
-        override = f"source.rep_rate_hz={value}"
-        assert main(["simulate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
-        assert "source.rep_rate_hz" in capsys.readouterr().err
-        assert not (tmp_path / "counts.json").exists()
-
     def test_non_finite_list_entry_named(self):
         with pytest.raises(ValidationError, match=r"run.sweep_mu\[1\]"):
             parse_scenario(bundled_text(), overrides=["run.sweep_mu=[0.1, .nan]"])
@@ -594,87 +387,6 @@ class TestCli:
     def test_estimate_notes_only_the_sections_it_skips(self, tmp_path, capsys):
         assert main(["estimate", BUNDLED, "--out-dir", str(tmp_path)]) == 0
         assert "note: sections not used by 'estimate': channel, crystal\n" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "override",
-        [
-            "detectors.herald.mode=gated",
-            "detectors.idler.mode=free_running",
-            "detectors.herald.afterpulse_prob=0.5",
-        ],
-    )
-    def test_detector_key_the_model_cannot_take_exits_2(self, tmp_path, capsys, override):
-        assert main(["simulate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
-        assert override.split("=")[0] in capsys.readouterr().err
-        assert not (tmp_path / "counts.json").exists()
-
-    @pytest.mark.parametrize(
-        "override",
-        [
-            "detectors.idler.efficiency=1.5",
-            "dead_time.tau_us=-1",
-            "losses.alpha_signal=1.5",
-            "detectors.idler.dark_prob_per_gate=2",
-        ],
-    )
-    def test_out_of_range_value_exits_2_naming_its_key(self, tmp_path, capsys, override):
-        assert main(["simulate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
-        assert f"scenario key {override.split('=')[0]!r}" in capsys.readouterr().err
-        assert not (tmp_path / "counts.json").exists()
-
-    @pytest.mark.parametrize(
-        "command,override",
-        [
-            ("spectrum", "crystal.pump_fwhm_nm=0"),
-            ("spectrum", "crystal.signal_fwhm_nm=0"),
-            ("phasematch", "crystal.length_mm=0"),
-            ("phasematch", "crystal.cut_angle_deg=100"),
-            ("phasematch", "crystal.sellmeier_ordinary=[2.7359, 0.01878, 0.01822]"),
-            ("simulate", "run.seed=-1"),
-            ("simulate", "run.n_pulses=5"),
-            ("simulate", "run.mode=fast"),
-            ("g2", "run.g2_arm=both"),
-            ("g2", "run.splitter_ratio=1"),
-            ("sweep", "channel.loss_db_per_km=-1"),
-            ("sweep", "channel.receiver_efficiency=2"),
-            ("sweep", "channel.receiver_dark_per_pulse=2"),
-            ("sweep", "run.sweep_mu=[-1]"),
-            ("sweep", "run.sweep_mu=[0.2, 0.1]"),
-            ("sweep", "run.sweep_mu=[]"),
-            ("estimate", "counts.signal_singles_cps=-1"),
-            ("phasematch", "crystal.pump_center_nm=2000"),
-            ("phasematch", "crystal.pump_center_nm=100"),
-        ],
-    )
-    def test_model_range_error_exits_2_naming_its_key(self, tmp_path, capsys, command, override):
-        mode = ["--mode", "monte_carlo"] if override.startswith(("run.seed", "run.n_pulses", "run.g2")) else []
-        argv = [command, BUNDLED, *mode, "--override", override, "--out-dir", str(tmp_path)]
-        assert main(argv) == 2
-        assert f"validation error: scenario key {override.split('=')[0]!r}: " in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
-    def test_pulses_option_named(self, tmp_path, capsys):
-        argv = ["g2", BUNDLED, "--mode", "monte_carlo", "--pulses", "5", "--out-dir", str(tmp_path)]
-        assert main(argv) == 2
-        assert "validation error: option '--pulses': monte_carlo mode requires" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["estimate", "sweep", "phasematch", "spectrum"])
-    @pytest.mark.parametrize(
-        "extra,name",
-        [
-            (["--override", "run.mode=foo"], "scenario key 'run.mode'"),
-            (["--override", "run.mode=monte_carlo", "--override", "run.seed=-5"], "scenario key 'run.seed'"),
-            (["--override", "run.mode=monte_carlo", "--override", "run.n_pulses=5"], "scenario key 'run.n_pulses'"),
-            (["--mode", "monte_carlo", "--pulses", "5"], "option '--pulses'"),
-            (["--mode", "monte_carlo", "--seed", "-5"], "option '--seed'"),
-        ],
-        ids=["run.mode", "run.seed", "run.n_pulses", "--pulses", "--seed"],
-    )
-    def test_run_values_are_checked_where_unused(self, tmp_path, capsys, command, extra, name):
-        # a subcommand that never runs the Monte Carlo still records its run values
-        assert main([command, BUNDLED, *extra, "--out-dir", str(tmp_path)]) == 2
-        assert f"validation error: {name}: " in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
 
     def test_run_scenario_notes_unused_sections(self, tmp_path, capsys):
         import argparse
@@ -686,15 +398,8 @@ class TestCli:
 
 
 class TestOneTruncationRule:
-    """A law that the pmf cuts at MAX_PAIRS = 64 pairs is refused in both run modes,
-    naming the key its mean came from.  Analytic, each of these exited 0 or 3 with an
-    answer read from the law's head."""
-
-    def test_herald_stats_of_an_empty_head_exits_2(self, tmp_path, capsys):
-        # it exited 3 with a false "herald probability is zero", although every pulse heralds
-        assert main(["herald-stats", BUNDLED, "--override", "source.mu=1e5", "--out-dir", str(tmp_path)]) == 2
-        assert ("validation error: scenario key 'source.mu': the poissonian pmf at mean 100000.0 is cut at "
-                "MAX_PAIRS = 64 pairs, dropping tail mass 1;") in capsys.readouterr().err
+    """A law that the pmf cuts at MAX_PAIRS = 64 pairs is refused in both run modes, naming the
+    key its mean came from (rows of CONSOLE and IN_PROCESS); in a sweep, its row is an error row."""
 
     def test_sweep_row_past_the_cut_is_an_error_row(self, tmp_path):
         assert main(["sweep", BUNDLED, "--override", "run.sweep_mu=[0.1, 60]", "--out-dir", str(tmp_path)]) == 0
@@ -702,49 +407,6 @@ class TestOneTruncationRule:
         assert first["error"] is None and first["p1"] > 0.0
         assert cut["error"].startswith("ValidationError: the poissonian pmf at mean 60.0 is cut at MAX_PAIRS = 64 pairs")
         assert cut["p1"] is None and cut["trigger_rate"] is None
-
-    def test_estimate_of_a_refused_mean_names_the_counts(self, tmp_path, capsys):
-        # the counts imply mu ~ 552; it wrote P(1) = 0.133 from a head holding about 1e-153 of the law
-        counts = ["counts.coincidences_cps=100", "counts.signal_singles_cps=2.0e7", "counts.idler_singles_cps=20000"]
-        argv = ["estimate", BUNDLED, *(arg for item in counts for arg in ("--override", item)), "--out-dir", str(tmp_path)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert ("validation error: scenario keys 'counts.signal_singles_cps', 'counts.idler_singles_cps' and "
-                "'counts.coincidences_cps': the counts imply a mean pair number the model refuses: "
-                "the poissonian pmf at mean 551.") in err
-        assert "source.mu" not in err
-
-
-
-class TestValidationBranches:
-    @pytest.mark.parametrize(
-        "override,message",
-        [
-            ("source.rep_rate_hz=0", "repetition rate must be > 0, got 0.0"),
-            ("detectors.idler.gate_rate_hz=0", "gate rate must be > 0, got 0.0"),
-            ("detectors.coincidence_window_gates=0", "coincidence window must be >= 1, got 0"),
-        ],
-    )
-    def test_a_zero_setup_value_exits_2_naming_its_key(self, tmp_path, capsys, override, message):
-        key = override.partition("=")[0]
-        assert main(["simulate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
-        assert f"validation error: scenario key '{key}': {message}\n" in capsys.readouterr().err
-
-    def test_estimate_of_a_missing_counts_file_exits_2_naming_it(self, tmp_path, capsys):
-        missing = str(tmp_path / "missing.json")
-        assert main(["estimate", BUNDLED, "--counts", missing, "--out-dir", str(tmp_path)]) == 2
-        assert f"validation error: counts file {missing!r} not found\n" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "override,message",
-        [
-            ("counts.signal_singles_cps=9e7", "signal singles imply 1.098 clicks per pulse (> 1)"),
-            ("counts.coincidences_cps=300000", "per-trigger coincidence probability 1.388e+00 outside [0, 1]"),
-        ],
-    )
-    def test_estimate_of_impossible_counts_exits_3(self, tmp_path, capsys, override, message):
-        assert main(["estimate", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 3
-        assert f"numerical error: {message}\n" in capsys.readouterr().err
 
 
 class TestParser:
@@ -797,10 +459,11 @@ def _strict_record(path):
 
 
 # ---------------------------------------------------------------------------
-# Every check made through the `spdcherald` console script, one row each.  Each row runs
-# through cli.main in this process, and through the installed script as a user runs it, with
-# no PYTHONPATH, where it must also write the bytes a run in this process writes.  A new
-# refusal or round trip is one more row, checked both ways.
+# Every check of a CLI run's exit code and messages, one row each, in two lists run by one
+# check.  Each row runs through cli.main in this process.  A CONSOLE row, whose point is the
+# fresh process, also runs through the installed script as a user runs it, with no PYTHONPATH,
+# where it must write the bytes a run in this process writes.  A new refusal or round trip is
+# one more row: in CONSOLE to be checked both ways, else in IN_PROCESS.
 
 SCRIPT = shutil.which("spdcherald")
 MC = ("--mode", "monte_carlo", "--pulses", "1000000", "--seed", "7")
@@ -956,6 +619,207 @@ CONSOLE = [
 ]
 
 
+def _set(data, key, value=None, drop=False):
+    *sections, leaf = key.split(".")
+    node = data
+    for section in sections:
+        node = node.setdefault(section, {})
+    if drop:
+        node.pop(leaf, None)
+    else:
+        node[leaf] = list(value) if isinstance(value, tuple) else value
+
+
+def _edited(*edits) -> str:
+    """paper.scenario dumped as YAML after each (key, value) edit; a value of None drops the key."""
+    data = yaml.safe_load(bundled_text())
+    for key, value in edits:
+        _set(data, key, value, drop=value is None)
+    return yaml.safe_dump(data)
+
+
+def _replaced(old: str, new: str) -> str:
+    """paper.scenario's text with ``old`` replaced by ``new``."""
+    text = bundled_text()
+    assert old in text, old
+    return text.replace(old, new)
+
+
+def _g2_is_2(out, stdout):
+    assert _strict_record(out / "g2.json")["result"]["g2"] == 2.0
+
+
+MC_SEED_1 = (*MC[:-1], "1")
+HEADER = ",".join(COUNTS_COLUMNS)
+# a counts file the reader refuses, and the error it gives
+BAD_COUNTS = [
+    # json.loads parses NaN, and float("nan") is a float
+    ("counts.json", '{"result": {"signal_singles_cps": NaN, "idler_singles_cps": 285.0, '
+     '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6}}',
+     "scenario key 'counts.signal_singles_cps' must be finite"),
+    ("counts.csv", f"{HEADER}\n291888.0,285.0,nan,217997.2,1e6\n", "scenario key 'counts.coincidences_cps' must be finite"),
+    ("counts.csv", f"{HEADER}\n291888.0,abc,3058.6,217997.2,1e6\n",
+     "scenario key 'counts.idler_singles_cps' must be a number, got 'abc'"),
+    ("counts.json", '{"result": {"signal_singles_cps": 291888.0, "idler_singles_cps": "many", '
+     '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6}}',
+     "scenario key 'counts.idler_singles_cps' must be a number, got 'many'"),
+    ("counts.json", "[291888.0, 285.0, 3058.6, 217997.2, 1e6]", "scenario key 'counts' must be a mapping"),
+    ("counts.json", '{"result": {"signal_singles_cps": 291888.0,', "Expecting"),
+    # a second data row was ignored, and the run exited 0 on the first
+    ("counts.csv", f"{HEADER}\n291888.0,285.0,3058.6,217997.2,2.05e5\n291888.0,285.0,3058.6,217997.2,2.05e5\n",
+     "expected a header and one data row, found 3 rows"),
+    # cells past the header's were dropped, and the run exited 0
+    ("counts.csv", f"{HEADER}\n291888.0,285.0,3058.6,217997.2,2.05e5,7\n", "the data row has 6 cells for 5 header cells"),
+    ("counts.csv", f"{HEADER}\n291888.0,285.0,3058.6,217997.2\n", "the data row has 4 cells for 5 header cells"),
+    ("counts.csv", "signal_singles_cps,idler_singles_cps\n\n", "expected a header and one data row, found 1 rows"),
+    # the last of two cells under one name was read, the first dropped
+    ("counts.csv", f"{HEADER},signal_singles_cps\n291888.0,285.0,3058.6,217997.2,2.05e5,291888.0\n",
+     "the header names a column twice"),
+    # a column no counts key has was ignored, and the run exited 0
+    ("counts.csv", f"{HEADER},bogus\n291888.0,285.0,3058.6,217997.2,2.05e5,1\n", "unknown scenario key 'counts.bogus'"),
+    ("counts.json", '{"result": {"signal_singles_cps": 291888.0, "idler_singles_cps": 285.0, '
+     '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2, "gate_rate_hz": 1e6, "bogus": 1}}',
+     "unknown scenario key 'counts.bogus'"),
+    ("counts.json", '{"signal_singles_cps": 291888.0, "idler_singles_cps": 285.0, '
+     '"coincidences_cps": 3058.6, "trigger_rate_cps": 217997.2}',
+     "scenario is missing the required key 'counts.gate_rate_hz'"),
+    # a per-trigger probability the rates contradict was ignored, and the run exited 0
+    ("counts.csv", f"{HEADER},per_trigger_coincidence_prob\n291888.0,285.0,3058.6,217997.2,2.05e5,0.5\n",
+     "'per_trigger_coincidence_prob' is '0.5', but coincidences_cps / trigger_rate_cps is"),
+]
+# a value a model's range refuses, and the subcommand that builds that model
+MODEL_RANGES = [
+    ("spectrum", "crystal.pump_fwhm_nm=0"), ("spectrum", "crystal.signal_fwhm_nm=0"),
+    ("phasematch", "crystal.length_mm=0"), ("phasematch", "crystal.cut_angle_deg=100"),
+    ("phasematch", "crystal.sellmeier_ordinary=[2.7359, 0.01878, 0.01822]"),
+    ("simulate", "run.seed=-1"), ("simulate", "run.n_pulses=5"), ("simulate", "run.mode=fast"),
+    ("g2", "run.g2_arm=both"), ("g2", "run.splitter_ratio=1"),
+    ("sweep", "channel.loss_db_per_km=-1"), ("sweep", "channel.receiver_efficiency=2"),
+    ("sweep", "channel.receiver_dark_per_pulse=2"), ("sweep", "run.sweep_mu=[-1]"),
+    ("sweep", "run.sweep_mu=[0.2, 0.1]"), ("sweep", "run.sweep_mu=[]"),
+    ("estimate", "counts.signal_singles_cps=-1"),
+    ("phasematch", "crystal.pump_center_nm=2000"), ("phasematch", "crystal.pump_center_nm=100"),
+]
+# the subcommands that read the pair law's pmf besides g2, g2 by arm, and thermal means whose pmf overflows
+LAW_READERS = [("simulate",), ("herald-stats",), ("wcp-compare",)]
+UNCONDITIONED, HERALDED = ("g2", "run.g2_arm=signal_unconditioned"), ("g2", "run.g2_arm=idler_heralded")
+THERMAL_MEANS = ("4e4", "1e5", "1e300")
+
+IN_PROCESS = [
+    # a refusal of the scenario, the counts or an option, and the outcomes beside it, whose
+    # point is the exit code and the text, not the fresh process
+    _row("simulate", "source.muu=1", code=2),
+    _row("estimate", "counts.signal_singles_cps=10", code=3),
+    *(_row("estimate", extra=("--counts", f"{{dir}}/{name}"), code=2, inputs=((name, text),),
+           err=(message, f"counts file '{{dir}}/{name}'"))
+      for name, text, message in BAD_COUNTS),
+    _row("estimate", extra=("--counts", "{dir}/missing.json"), code=2,
+         err=("validation error: counts file '{dir}/missing.json' not found\n",)),
+    # a calibration of 0 is named, each key of it
+    *(_row("estimate", *(f"{key}=0" for key in keys), code=2,
+           err=(f"validation error: scenario key{'s' * (len(keys) > 1)} {' and '.join(map(repr, keys))}: calibrated ",
+                *extra))
+      for keys, extra in ((("losses.t_signal_optics",), ()), (("detectors.herald.efficiency",), ()),
+                          (("losses.t_idler_optics",), ("t_idler_optics is 0",)), (("losses.t_delay_fiber",), ()),
+                          (("detectors.idler.efficiency",), ()),
+                          (("losses.t_delay_fiber", "detectors.idler.efficiency"), ()))),
+    # valid inputs: no heralded photon survives, or P(2) falls below the 1e-15 that P(n) resolves
+    *(_row("wcp-compare", item, code=3, err=("numerical error: heralded P(1) = ",))
+      for item in ("losses.alpha_idler=0", "source.mu=1e-9")),
+    _row("estimate", "counts.trigger_rate_cps=5e-324", code=2,
+         err=("scenario keys 'counts.coincidences_cps' and 'counts.trigger_rate_cps': ",)),
+    *(_row("estimate", item, code=3, err=(f"numerical error: {message}\n",))
+      for item, message in (("counts.signal_singles_cps=9e7", "signal singles imply 1.098 clicks per pulse (> 1)"),
+                            ("counts.coincidences_cps=300000",
+                             "per-trigger coincidence probability 1.388e+00 outside [0, 1]"))),
+    # the counts imply mu ~ 552; it wrote P(1) = 0.133 from a head holding about 1e-153 of the law
+    _row("estimate", "counts.coincidences_cps=100", "counts.signal_singles_cps=2.0e7", "counts.idler_singles_cps=20000",
+         code=2, not_err=("source.mu",), err=(f"{COUNTS_KEYS}the poissonian pmf at mean 551.",)),
+    # a scenario file that is not YAML, lacks a required key or a Monte Carlo seed
+    *(Row(("simulate", "{dir}/bad.scenario"), code=2, inputs=(("bad.scenario", _replaced(old, new)),),
+          err=("validation error: scenario is not valid YAML",))
+      for old, new in (("sweep_mu: [0.02, 0.04, 0.0829, 0.1658, 0.25]", "sweep_mu: [0.02, 0.04, 0.0829"),
+                       ("  mu: 0.0829", "     mu: 0.0829"),
+                       ("  law: poissonian", "  law: !!python/object:os.system poissonian"))),
+    _row("simulate", "run.sweep_mu=[0.1", code=2, err=("override 'run.sweep_mu=[0.1' is not valid YAML",)),
+    *(Row((command, "{dir}/partial.scenario"), code=2, inputs=(("partial.scenario", _edited((key, None))),),
+          err=(f"missing the required key {key!r}",))
+      for key, command in (("crystal.signal_center_nm", "phasematch"), ("source.rep_rate_hz", "simulate"),
+                           ("losses.alpha_idler", "herald-stats"), ("channel.receiver_efficiency", "sweep"),
+                           ("counts.gate_rate_hz", "estimate"), ("dead_time.tau_us", "g2"))),
+    Row(("simulate", "{dir}/noseed.scenario"), code=2,
+        inputs=(("noseed.scenario", _edited(("run.seed", None), ("run.mode", "monte_carlo"))),)),
+    # a seed outside [0, 2**128), named as the option or the key that gave it
+    *(_row("simulate", *items, extra=(*MC[:4], *option), code=2, err=("seed must lie in [0, 2**128)", name))
+      for items, option, name in (((), ("--seed", "-1"), "option '--seed'"),
+                                  ((), ("--seed", str(2**128)), "option '--seed'"),
+                                  (("run.seed=-1",), (), "scenario key 'run.seed'"))),
+    *(_row("simulate", f"source.rep_rate_hz={value}", code=2, err=("source.rep_rate_hz",))
+      for value in ("nan", ".nan", "inf", "-.inf", "1e999")),
+    *(_row("simulate", f"{key}=0", code=2, err=(f"validation error: scenario key '{key}': {message}\n",))
+      for key, message in (("source.rep_rate_hz", "repetition rate must be > 0, got 0.0"),
+                           ("detectors.idler.gate_rate_hz", "gate rate must be > 0, got 0.0"),
+                           ("detectors.coincidence_window_gates", "coincidence window must be >= 1, got 0"))),
+    *(_row("simulate", item, code=2, err=(item.partition("=")[0],))
+      for item in ("detectors.herald.mode=gated", "detectors.idler.mode=free_running",
+                   "detectors.herald.afterpulse_prob=0.5")),
+    *(_row("simulate", item, code=2, err=(f"scenario key {item.partition('=')[0]!r}",))
+      for item in ("detectors.idler.efficiency=1.5", "dead_time.tau_us=-1", "losses.alpha_signal=1.5",
+                   "detectors.idler.dark_prob_per_gate=2")),
+    *(_row(command, item, extra=("--mode", "monte_carlo") * item.startswith(("run.seed", "run.n_pulses", "run.g2")),
+           code=2, err=(f"validation error: scenario key {item.partition('=')[0]!r}: ",))
+      for command, item in MODEL_RANGES),
+    *(_row(command, item, code=2, err=(f"validation error: scenario key {item.partition('=')[0]!r}: expected one of ",))
+      for command, item in (("phasematch", "source.law=foo"), ("simulate", "run.g2_arm=foo"))),
+    _row("g2", extra=(*MC[:2], "--pulses", "5"), code=2,
+         err=("validation error: option '--pulses': monte_carlo mode requires",)),
+    # a subcommand that never runs the Monte Carlo still checks its run values
+    *(_row(command, extra=extra, code=2, err=(f"validation error: {name}: ",))
+      for command in ("estimate", "sweep", "phasematch", "spectrum")
+      for extra, name in ((("--override", "run.mode=foo"), "scenario key 'run.mode'"),
+                          (("--override", "run.mode=monte_carlo", "--override", "run.seed=-5"), "scenario key 'run.seed'"),
+                          (("--override", "run.mode=monte_carlo", "--override", "run.n_pulses=5"),
+                           "scenario key 'run.n_pulses'"),
+                          (("--mode", "monte_carlo", "--pulses", "5"), "option '--pulses'"),
+                          (("--mode", "monte_carlo", "--seed", "-5"), "option '--seed'"))),
+    # spectral grids and widths: the envelope of a narrow gaussian underflows to its limit, 0,
+    # with no numpy warning; a length in nm that overflowed to inf made every intensity NaN
+    *(_row("spectrum", f"{key}=-3", code=2, err=(key,)) for key in ("crystal.grid.signal_points", "crystal.grid.idler_points")),
+    _row("spectrum", "crystal.pump_fwhm_nm=1e-300", code=2, err=(f"scenario keys {NO_OVERLAP}: grid does not overlap",)),
+    _row("spectrum", "crystal.pump_fwhm_nm=5e-324", code=2,
+         err=("scenario key 'crystal.pump_fwhm_nm': pump FWHM 5e-324 nm under",)),
+    _row("spectrum", "crystal.signal_fwhm_nm=5e-324"),
+    _row("spectrum", "crystal.length_mm=1e303", code=2, err=("validation error: scenario key 'crystal.length_mm': ",)),
+    # a law the pmf cuts at MAX_PAIRS = 64 pairs: it exited 3 with a false "herald probability is
+    # zero", although every pulse heralds, and the Monte Carlo drew from the law's renormalised head
+    _row("herald-stats", "source.mu=1e5", code=2,
+         err=("validation error: scenario key 'source.mu': the poissonian pmf at mean 100000.0 is cut at "
+              "MAX_PAIRS = 64 pairs, dropping tail mass 1;",)),
+    *(_row("simulate", f"source.law={law}", f"source.mu={mu}", extra=MC_SEED_1, code=2,
+           err=(f"validation error: scenario key 'source.mu': the {law} pmf at mean {float(mu)} is cut at "
+                "MAX_PAIRS = 64 pairs, dropping tail mass",))
+      for law, mu in (("thermal", "30"), ("poissonian", "65"))),
+    _row("simulate", "source.law=thermal", "source.mu=1.4", extra=MC_SEED_1),
+    # at mu = 1e3 every term of the poissonian pmf underflows to 0: the Monte Carlo drew from
+    # 0 / 0 and died in numpy with a traceback
+    *(_row(command, "source.mu=1e3", *arm, extra=MC_SEED_1, code=2,
+           err=("validation error: scenario key 'source.mu': the poissonian pmf at mean 1000.0",))
+      for command, *arm in (*LAW_READERS, ("g2",), HERALDED)),
+    # the thermal pmf's Python floats overflowed, and each exited 1 with a traceback; the
+    # analytic g2 of the unconditioned signal arm needs no pmf
+    *(_row(command, "source.law=thermal", f"source.mu={mu}", *arm, extra=("--mode", mode, *MC[2:]), code=2,
+           err=(f"validation error: scenario key 'source.mu': the thermal pmf at mean {float(mu)} overflows a float",))
+      for command, *arm in (*LAW_READERS, HERALDED, UNCONDITIONED) for mode in defaults.RUN_MODES
+      for mu in THERMAL_MEANS if (mode, (command, *arm)) != ("analytic", UNCONDITIONED)),
+    *(_row("g2", "source.law=thermal", f"source.mu={mu}", UNCONDITIONED[1], extra=("--mode", "analytic", *MC[2:]),
+           check=_g2_is_2)
+      for mu in THERMAL_MEANS),
+    # it exited 0 and wrote pump_power_mw null on every row
+    _row("sweep", "source.pairs_per_pulse_per_mw=-1", code=2,
+         err=("validation error: scenario key 'source.pairs_per_pulse_per_mw': pump calibration must be >= 0",)),
+]
+
+
 def _in_process(argv):
     """Exit code, stdout and stderr of cli.main(argv), each warning written to stderr as its category and message."""
     out, err = io.StringIO(), io.StringIO()
@@ -987,6 +851,7 @@ def _check_row(row, run, directory):
     assert not any(text in err for text in row.not_err), err
     assert ("Warning: " in err) == any("Warning: " in text for text in row.err), err
     if row.code:
+        assert stdout == "", stdout
         assert not out.exists() or not any(out.iterdir())
     if row.check:
         row.check(out, stdout)
@@ -994,11 +859,13 @@ def _check_row(row, run, directory):
 
 def _row_id(row):
     argv = " ".join(arg if len(arg) <= 40 else f"{arg[:30]}...({len(arg)} chars)" for arg in row.argv)
-    inputs = "".join(f" ({name} {'given' if isinstance(source, str) else 'of ' + source[0]})" for name, source in row.inputs)
+    # a given text is named by its checksum: rows give different texts under one file name
+    inputs = "".join(f" ({name} given, crc {zlib.crc32(source.encode()):08x})" if isinstance(source, str)
+                     else f" ({name} of {source[0]})" for name, source in row.inputs)
     return argv + inputs
 
 
-@pytest.mark.parametrize("row", CONSOLE, ids=_row_id)
+@pytest.mark.parametrize("row", CONSOLE + IN_PROCESS, ids=_row_id)
 def test_console_row_in_process(tmp_path, row):
     _check_row(row, _in_process, tmp_path)
 
@@ -1046,8 +913,8 @@ def _module(*argv, env=(), **kwargs):
 
 
 class TestProcessExit:
-    """A fresh process exits with main's code once its artifacts and both streams are out, and a
-    stream it cannot flush is reported as the interpreter reports it."""
+    """A fresh process exits with main's code once its artifacts and both streams are out, and
+    with 4, an i/o error, where a stream cannot be flushed."""
 
     def test_the_console_script_enters_through_run(self):
         try:
@@ -1062,13 +929,10 @@ class TestProcessExit:
         done = _module(*argv, env={"PYTHONUNBUFFERED": None}, capture_output=True)
         assert (done.returncode, done.stdout, done.stderr) == _in_process(argv)
 
-    @pytest.mark.parametrize("unbuffered,code,tail", [
-        # print raises in main, which reports it
-        ("1", 4, "\ni/o error: [Errno 32] Broken pipe\n"),
-        # the summary waits in the buffer: the flush at exit fails, and the interpreter reports it
-        (None, 120, "\nBrokenPipeError: [Errno 32] Broken pipe\n"),
-    ])
-    def test_a_closed_stdout_pipe(self, tmp_path, unbuffered, code, tail):
+    # unbuffered, print raises in main, which reports it; buffered, the summary waits in the
+    # buffer, and run reports the flush that fails
+    @pytest.mark.parametrize("unbuffered", ["1", None])
+    def test_a_closed_stdout_pipe(self, tmp_path, unbuffered):
         read, write = os.pipe()
         os.close(read)
         try:
@@ -1076,9 +940,19 @@ class TestProcessExit:
                            stdout=write, stderr=subprocess.PIPE)
         finally:
             os.close(write)
-        assert done.returncode == code
-        assert done.stderr.endswith(tail), done.stderr
+        assert done.returncode == 4
+        assert done.stderr.endswith("\ni/o error: [Errno 32] Broken pipe\n"), done.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", "counts.json"]
+
+    @pytest.mark.parametrize("environ,threads", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")])
+    def test_a_fresh_process_starts_one_openblas_thread(self, monkeypatch, environ, threads):
+        # unless the user set a number; numpy reads it at its first import, which main makes
+        monkeypatch.setattr(os, "environ", environ)
+        monkeypatch.setattr(cli, "main", lambda: os.environ["OPENBLAS_NUM_THREADS"])
+        exits = []
+        monkeypatch.setattr(os, "_exit", exits.append)
+        cli.run()
+        assert exits == [threads]
 
     def test_a_closed_stdout_descriptor(self, tmp_path):
         # with fd 1 closed the interpreter sets sys.stdout to None, and print writes nothing
@@ -1112,59 +986,6 @@ class TestCommandTable:
             assert not isinstance(rows, list) and all(isinstance(chunk, str) for chunk in rows)
         else:
             assert isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-
-    @pytest.mark.parametrize(
-        "key,command",
-        [
-            ("crystal.signal_center_nm", "phasematch"),
-            ("source.rep_rate_hz", "simulate"),
-            ("losses.alpha_idler", "herald-stats"),
-            ("channel.receiver_efficiency", "sweep"),
-            ("counts.gate_rate_hz", "estimate"),
-            ("dead_time.tau_us", "g2"),
-        ],
-    )
-    def test_missing_required_key_exits_2(self, tmp_path, capsys, key, command):
-        data = yaml.safe_load(bundled_text())
-        section, leaf = key.split(".")
-        del data[section][leaf]
-        path = tmp_path / "partial.scenario"
-        path.write_text(yaml.safe_dump(data))
-        assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
-        assert f"missing the required key {key!r}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
-
-    @pytest.mark.parametrize("key", ["crystal.grid.signal_points", "crystal.grid.idler_points"])
-    def test_negative_grid_size_exits_2(self, tmp_path, capsys, key):
-        argv = ["spectrum", BUNDLED, "--override", f"{key}=-3", "--out-dir", str(tmp_path)]
-        assert main(argv) == 2
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / "spectrum.json").exists()
-
-    @pytest.mark.parametrize(
-        "override,code,error",
-        [
-            ("crystal.pump_fwhm_nm=1e-300", 2, f"scenario keys {NO_OVERLAP}: grid does not overlap"),
-            ("crystal.pump_fwhm_nm=5e-324", 2, "scenario key 'crystal.pump_fwhm_nm': pump FWHM 5e-324 nm under"),
-            ("crystal.signal_fwhm_nm=5e-324", 0, ""),
-        ],
-        ids=["no_overlap", "pump_underflow", "filter"],
-    )
-    def test_narrow_gaussian_raises_no_numpy_warning(self, tmp_path, capsys, override, code, error):
-        # the envelope's exponent overflows to -inf, whose exp is the envelope's limit, 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["spectrum", BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == code
-        assert error in capsys.readouterr().err
-
-    def test_infinite_phase_exits_2_naming_the_length(self, tmp_path, capsys):
-        # the length in nm overflowed to inf, and sin(inf) made every intensity NaN
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            argv = ["spectrum", BUNDLED, "--override", "crystal.length_mm=1e303", "--out-dir", str(tmp_path)]
-            assert main(argv) == 2
-        assert "validation error: scenario key 'crystal.length_mm': " in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("key", ["crystal.grid.signal_points", "crystal.grid.idler_points"])
     def test_oversized_grid_exits_2_allocating_nothing(self, tmp_path, capsys, key):
@@ -1209,52 +1030,6 @@ class TestCommandTable:
         with pytest.raises(ValidationError, match="at most 4194304"):
             wider.spectral_grid()
 
-    @pytest.mark.parametrize(
-        "command,extra",
-        [("simulate", []), ("herald-stats", []), ("wcp-compare", []), ("g2", []),
-         ("g2", ["--override", "run.g2_arm=idler_heralded"])],
-    )
-    def test_monte_carlo_of_an_underflowed_pmf_exits_2(self, tmp_path, capsys, command, extra):
-        # at mu = 1e3 every term of the poissonian pmf underflows to 0; the Monte
-        # Carlo drew from 0 / 0 and died in numpy with a traceback
-        argv = [command, BUNDLED, "--mode", "monte_carlo", "--pulses", "1000000", "--seed", "1",
-                "--override", "source.mu=1e3", *extra, "--out-dir", str(tmp_path)]
-        assert main(argv) == 2
-        assert "validation error: scenario key 'source.mu': the poissonian pmf at mean 1000.0" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("law,mu,code", [("thermal", "30", 2), ("poissonian", "65", 2), ("thermal", "1.4", 0)])
-    def test_monte_carlo_of_a_truncated_pmf_exits_2(self, tmp_path, capsys, law, mu, code):
-        # it drew from the renormalised head of the law and exited 0
-        argv = ["simulate", BUNDLED, "--mode", "monte_carlo", "--pulses", "1000000", "--seed", "1",
-                "--override", f"source.law={law}", "--override", f"source.mu={mu}", "--out-dir", str(tmp_path)]
-        assert main(argv) == code
-        if code:
-            assert (f"validation error: scenario key 'source.mu': the {law} pmf at mean {float(mu)} is cut at "
-                    "MAX_PAIRS = 64 pairs, dropping tail mass") in capsys.readouterr().err
-            assert not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("mu", ["4e4", "1e5", "1e300"])
-    @pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
-    @pytest.mark.parametrize(
-        "command,arm", [("simulate", None), ("herald-stats", None), ("wcp-compare", None), ("g2", "idler_heralded"),
-                        ("g2", "signal_unconditioned")]
-    )
-    def test_thermal_overflow_exits_2_naming_the_mean(self, tmp_path, capsys, command, arm, mode, mu):
-        # the thermal pmf's Python floats overflowed, and each exited 1 with a traceback
-        argv = [command, BUNDLED, "--mode", mode, "--pulses", "1000000", "--seed", "7", "--override",
-                "source.law=thermal", "--override", f"source.mu={mu}", "--out-dir", str(tmp_path)]
-        if arm:
-            argv += ["--override", f"run.g2_arm={arm}"]
-        if (mode, arm) == ("analytic", "signal_unconditioned"):  # the law's g2 needs no pmf
-            assert main(argv) == 0
-            assert _strict_record(tmp_path / "g2.json")["result"]["g2"] == 2.0
-            return
-        assert main(argv) == 2
-        assert (f"validation error: scenario key 'source.mu': the thermal pmf at mean {float(mu)} overflows a float"
-                in capsys.readouterr().err)
-        assert not any(tmp_path.iterdir())
-
     def test_sweep_row_of_a_thermal_overflow_carries_its_message(self, tmp_path):
         argv = ["sweep", BUNDLED, "--override", "source.law=thermal", "--override", "run.sweep_mu=[0.1, 4e4, 1e5, 1e300]",
                 "--out-dir", str(tmp_path)]
@@ -1263,14 +1038,6 @@ class TestCommandTable:
         assert rows[0]["error"] is None
         for row in rows[1:]:
             assert row["error"].startswith(f"ValidationError: the thermal pmf at mean {row['mu']} overflows a float")
-
-    def test_sweep_with_a_negative_pump_calibration_exits_2(self, tmp_path, capsys):
-        # it exited 0 and wrote pump_power_mw null on every row
-        argv = ["sweep", BUNDLED, "--override", "source.pairs_per_pulse_per_mw=-1", "--out-dir", str(tmp_path)]
-        assert main(argv) == 2
-        assert ("validation error: scenario key 'source.pairs_per_pulse_per_mw': pump calibration must be >= 0"
-                in capsys.readouterr().err)
-        assert not any(tmp_path.iterdir())
 
     def test_sweep_without_pump_calibration_writes_null(self, tmp_path):
         argv = ["sweep", BUNDLED, "--override", "source.pairs_per_pulse_per_mw=0", "--out-dir", str(tmp_path)]
@@ -1354,17 +1121,6 @@ def _optional_leaves():
     return [(key, leaf) for key, leaf in scenario_module.leaves() if leaf.default is not scenario_module.REQUIRED]
 
 
-def _set(data, key, value=None, drop=False):
-    *sections, leaf = key.split(".")
-    node = data
-    for section in sections:
-        node = node.setdefault(section, {})
-    if drop:
-        node.pop(leaf, None)
-    else:
-        node[leaf] = list(value) if isinstance(value, tuple) else value
-
-
 def _without_empty_sections(node):
     return {k: _without_empty_sections(v) if isinstance(v, dict) else v for k, v in node.items() if v != {}}
 
@@ -1415,13 +1171,6 @@ class TestSchema:
             assert dict(scenario_module.leaves())[key].default == values[0]
             for value in values:
                 parse_scenario(bundled_text(), [f"{key}={value}"])
-
-    @pytest.mark.parametrize("command,override", [("phasematch", "source.law=foo"), ("simulate", "run.g2_arm=foo")])
-    def test_bad_choice_exits_2_in_a_subcommand_that_does_not_read_it(self, tmp_path, capsys, command, override):
-        assert main([command, BUNDLED, "--override", override, "--out-dir", str(tmp_path)]) == 2
-        key = override.split("=")[0]
-        assert f"validation error: scenario key {key!r}: expected one of " in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
 
     def test_descriptive_keys_are_the_schemas(self):
         assert DESCRIPTIVE_KEYS == {key for key, leaf in scenario_module.leaves() if leaf.descriptive}
